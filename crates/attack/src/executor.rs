@@ -1,4 +1,4 @@
-//! The persistent campaign executor: boot once, fork (or journal) per
+//! The persistent campaign executor: boot once, journal (or fork) per
 //! trial.
 //!
 //! [`crate::recording`]'s scoped path builds a fresh kernel per trial —
@@ -6,22 +6,23 @@
 //! service facing sustained campaign traffic amortizes that: every worker
 //! thread keeps per-tenant [`KernelPool`]s of booted *parent* kernels
 //! (keyed by the full machine configuration, seed included) and serves
-//! each trial from a [`cta_vm::Kernel::fork`] — O(changed rows) on the
-//! CoW backend. Campaigns are submitted as indexed trial batches to a
-//! [`cta_parallel::executor::Executor`]: one worker's deque per campaign
-//! (locality with that worker's warm parents), work stealing when the
-//! queue saturates.
+//! each trial from one of them. Campaigns are submitted as indexed trial
+//! batches to a [`cta_parallel::executor::Executor`]: one worker's deque
+//! per campaign (locality with that worker's warm parents), work stealing
+//! when the queue saturates.
 //!
 //! **Trial isolation.** [`TrialIsolation`] selects how a trial is kept
-//! from perturbing its pooled parent: [`TrialIsolation::Fork`] (the
-//! default) copies the parent per trial, while
-//! [`TrialIsolation::Journal`] runs the trial **in place** on the parent
-//! under [`KernelPool::run_journaled`]'s undo journal and rolls it back —
-//! O(touched state) instead of O(parent). Rollback is byte-identical to a
-//! fresh fork (pinned by the isolation differential suites), so the two
-//! modes produce byte-identical campaign output and share the same pooled
-//! parents ([`TrialIsolation`] is deliberately absent from the parent
-//! key).
+//! from perturbing its pooled parent: [`TrialIsolation::Journal`] (the
+//! default) runs the trial **in place** on the parent under
+//! [`KernelPool::run_journaled`]'s undo journal and rolls it back —
+//! O(touched state) — while [`TrialIsolation::Fork`] serves it from a
+//! [`cta_vm::Kernel::fork`] of the parent, O(parent) on the sparse and
+//! dense backends. Rollback is byte-identical to a fresh fork (pinned by
+//! the isolation differential suites), so the two modes produce
+//! byte-identical campaign output and share the same pooled parents
+//! ([`TrialIsolation`] is deliberately absent from the parent key). Under
+//! either mode, vulnerability maps a trial builds stay in the parent's
+//! shared row-map store, so later trials on that parent reuse them.
 //!
 //! **Cancellation.** [`CampaignExecutor::cancel`] drops a submitted
 //! campaign's still-queued trials from the worker deques; in-flight
@@ -36,10 +37,10 @@
 //! [`RecordingSpec`] and [`ReplayTarget`], regardless of worker count,
 //! submission order, or steal interleaving:
 //!
-//! * each trial runs [`crate::recording`]'s shared trial body on a fork
-//!   of a parent booted from the trial's own spec + seed (fork of a
-//!   fresh boot ≡ fresh boot, pinned by the backend differential
-//!   suites);
+//! * each trial runs [`crate::recording`]'s shared trial body on a
+//!   parent booted from the trial's own spec + seed, journaled or forked
+//!   (rollback ≡ fork of a fresh boot ≡ fresh boot, pinned by the
+//!   isolation and backend differential suites);
 //! * results carry their batch index, and the merge — identical to the
 //!   scoped path's — folds shards in seed order on whichever worker
 //!   completes the campaign;
@@ -118,11 +119,11 @@ pub struct TenantLimits {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TrialIsolation {
     /// Fork the parent per trial: O(materialized rows) per trial on the
-    /// CoW backend, O(parent) on dense backends.
-    #[default]
+    /// CoW backend, O(parent) on the sparse and dense backends.
     Fork,
     /// Run the trial in place on the parent under an undo journal and
     /// roll back: O(touched state) per trial on every backend.
+    #[default]
     Journal,
 }
 
@@ -222,7 +223,8 @@ pub struct ServiceStats {
     pub steals: u64,
     /// Parent kernels booted (pool misses).
     pub parent_boots: u64,
-    /// Trials served by forking an already-resident parent.
+    /// Trials served from an already-resident parent (pool hits, journaled
+    /// or forked).
     pub fork_hits: u64,
     /// Trials served in place under an undo journal
     /// ([`TrialIsolation::Journal`]).
@@ -372,7 +374,7 @@ impl WorkerCtx {
 
 /// Everything a parent kernel's boot depends on, canonically encoded.
 /// Attack parameters and `flip_log_capacity` are deliberately absent —
-/// they act on the *fork* — so campaigns with different attacks share
+/// they act on the *trial* — so campaigns with different attacks share
 /// parents booted for the same machine. Float parameters are encoded by
 /// bit pattern (exact, locale-free).
 fn parent_key(
@@ -442,7 +444,7 @@ impl CampaignTicket {
     }
 }
 
-/// The persistent boot-once, fork-per-request campaign service. See the
+/// The persistent boot-once, isolate-per-trial campaign service. See the
 /// module docs for the determinism contract.
 pub struct CampaignExecutor {
     exec: Executor<TrialJob, TrialOut>,
@@ -598,7 +600,7 @@ impl CampaignExecutor {
         recording: &Recording,
         target: ReplayTarget,
     ) -> Result<ReplayReport, RecordingError> {
-        self.replay_isolated(recording, target, TrialIsolation::Fork)
+        self.replay_isolated(recording, target, TrialIsolation::default())
     }
 
     /// [`Self::replay`] under an explicit [`TrialIsolation`] — the gate

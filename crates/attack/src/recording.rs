@@ -379,68 +379,25 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// Wordwise FNV-1a 64: one xor-multiply round per little-endian `u64`
 /// word instead of per byte, with a trailing partial word (if any)
 /// folded byte-at-a-time. Eight times fewer sequential multiplies than
-/// [`fnv1a64`] — the difference between transcript hashing at ~700 MB/s
-/// and at multiple GB/s, which matters because every recorded trial
-/// fingerprints the module's entire final contents. This is the
-/// `contents_hash` function of recording format version 2.
+/// [`fnv1a64`]. This is the `contents_hash` function of recording format
+/// version 2, which trials compute without copying through
+/// [`cta_dram::DramModule::contents_hash`]; this whole-buffer form is its
+/// reference definition.
 #[must_use]
 pub fn fnv1a64_wordwise(bytes: &[u8]) -> u64 {
-    let mut hasher = WordHasher::new();
-    hasher.update(bytes);
-    hasher.finish()
-}
-
-/// Streaming form of [`fnv1a64_wordwise`]: feed contents in arbitrary
-/// chunks (the trial body streams row by row, never materializing the
-/// whole module) and get the same hash as one call over the
-/// concatenation. Carries sub-word remainders across `update` calls so
-/// chunk boundaries are invisible.
-struct WordHasher {
-    hash: u64,
-    pending: [u8; 8],
-    npending: usize,
-}
-
-impl WordHasher {
-    fn new() -> Self {
-        WordHasher { hash: FNV_OFFSET, pending: [0; 8], npending: 0 }
+    let mut hash = FNV_OFFSET;
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        hash ^= u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+        hash = hash.wrapping_mul(FNV_PRIME);
     }
-
-    fn round(&mut self, word: u64) {
-        self.hash ^= word;
-        self.hash = self.hash.wrapping_mul(FNV_PRIME);
+    // Trailing partial word: byte-at-a-time rounds, so inputs that differ
+    // only in a zero-padded tail still hash differently.
+    for &b in words.remainder() {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(FNV_PRIME);
     }
-
-    fn update(&mut self, mut bytes: &[u8]) {
-        if self.npending > 0 {
-            let take = bytes.len().min(8 - self.npending);
-            self.pending[self.npending..self.npending + take].copy_from_slice(&bytes[..take]);
-            self.npending += take;
-            bytes = &bytes[take..];
-            if self.npending < 8 {
-                return;
-            }
-            self.round(u64::from_le_bytes(self.pending));
-            self.npending = 0;
-        }
-        let mut words = bytes.chunks_exact(8);
-        for word in &mut words {
-            self.round(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
-        }
-        let tail = words.remainder();
-        self.pending[..tail.len()].copy_from_slice(tail);
-        self.npending = tail.len();
-    }
-
-    fn finish(mut self) -> u64 {
-        // Trailing partial word: byte-at-a-time rounds, so inputs that
-        // differ only in a zero-padded tail still hash differently.
-        for i in 0..self.npending {
-            self.hash ^= u64::from(self.pending[i]);
-            self.hash = self.hash.wrapping_mul(FNV_PRIME);
-        }
-        self.hash
-    }
+    hash
 }
 
 /// Runs one trial under `target` and captures its full observable record
@@ -458,9 +415,10 @@ fn run_trial(
 }
 
 /// The trial body shared by the scoped path above and the persistent
-/// executor (which supplies a kernel *forked* from a pooled parent —
-/// bit-identical to a fresh boot, which is what makes the executor's
-/// output byte-identical to this path by construction).
+/// executor (which supplies a pooled parent under an undo journal, or a
+/// fork of one — either observably identical to a fresh boot, which is
+/// what makes the executor's output byte-identical to this path by
+/// construction).
 pub(crate) fn run_trial_on(
     kernel: &mut Kernel,
     spec: &RecordingSpec,
@@ -471,21 +429,7 @@ pub(crate) fn run_trial_on(
     let mut shard = Counters::new(RECORDING_LABEL);
     kernel.record_counters(&mut shard);
     let end_ns = kernel.dram().now_ns();
-    // Stream the contents fingerprint row by row through one reused
-    // buffer: same bytes, same hash as one whole-capacity peek, without
-    // allocating (and memset-ing) a module-sized copy per trial.
-    let capacity = kernel.dram().capacity_bytes();
-    let row_bytes = kernel.dram().geometry().row_bytes();
-    let mut row = vec![0u8; row_bytes as usize];
-    let mut hasher = WordHasher::new();
-    let mut addr = 0u64;
-    while addr < capacity {
-        let take = row_bytes.min(capacity - addr) as usize;
-        kernel.dram().peek_into(addr, &mut row[..take]).map_err(VmError::Dram)?;
-        hasher.update(&row[..take]);
-        addr += take as u64;
-    }
-    let contents_hash = hasher.finish();
+    let contents_hash = kernel.dram().contents_hash();
     let log = kernel.dram_mut().take_flip_log();
     let record = TrialRecord { seed, outcome, flips: log.events.clone(), contents_hash, end_ns };
     Ok((record, shard, log))

@@ -8,7 +8,7 @@
 //! * `cta attack` — run one attack trial end to end and report the
 //!   outcome phase by phase;
 //! * `cta evaluate` — drive the persistent campaign executor: a
-//!   multi-tenant queue of campaigns served boot-once/fork-per-trial,
+//!   multi-tenant queue of campaigns served boot-once/isolate-per-trial,
 //!   with per-campaign JSON-lines telemetry and sustained-rate stats.
 //!
 //! ```text
@@ -25,8 +25,9 @@
 //! line per completed campaign (the `json-check --schema` gate validates
 //! the stream's shape). `--isolation fork|journal` (attack and evaluate)
 //! picks how trials are isolated from the pooled parent kernel:
-//! fork-per-trial (the default) or journaled in-place rollback — the
-//! output is byte-identical either way.
+//! fork-per-trial or journaled in-place rollback, defaulting to the
+//! library's `TrialIsolation::default()` (journal) — the output is
+//! byte-identical either way.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -72,7 +73,7 @@ impl Default for Options {
             trials: 4,
             workers: 2,
             jsonl: None,
-            isolation: TrialIsolation::Fork,
+            isolation: TrialIsolation::default(),
         }
     }
 }

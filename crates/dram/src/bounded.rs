@@ -1,7 +1,9 @@
 //! Capacity-bounded memoization for the per-row model caches.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
+use std::rc::Rc;
 
 /// A bounded memoization cache with FIFO eviction.
 ///
@@ -13,8 +15,9 @@ use std::hash::Hash;
 ///
 /// Eviction is FIFO rather than LRU on purpose: lookups never reorder
 /// entries, so which rows get recomputed is a deterministic function of the
-/// insertion history alone, independent of read patterns. Entries are cheap
-/// to rebuild (one seeded RNG stream per row), so the simpler policy wins.
+/// insertion history alone, independent of read patterns. The eviction
+/// history is observable (it feeds the `*_cache_evictions` counters), so a
+/// policy that depended on reads would make telemetry depend on them too.
 ///
 /// Entries carry a caller-declared payload weight in bytes
 /// ([`Self::insert_weighted`]); the running total feeds the `*_cache_bytes`
@@ -133,6 +136,91 @@ impl<K: Hash + Eq + Clone, V> BoundedCache<K, V> {
     }
 }
 
+/// A per-row map cache split into observable accounting and shared values.
+///
+/// A row's map is a pure function of the model's fixed inputs and the row,
+/// so *which* rows a module holds — their weights, FIFO order, evictions
+/// and bytes, all mirrored into telemetry — is the only part of a cache a
+/// trial can observe. That accounting (`held`) is owned by the module:
+/// forked with it and snapshotted by its undo journal, exactly like the
+/// rest of the module's state.
+///
+/// The maps themselves live in a row → map store shared by a module, its
+/// forks and its journal snapshots. Rollback and fork teardown never
+/// discard it, so a trial served from a pooled parent reuses every map an
+/// earlier trial built instead of regenerating it. The store is bounded by
+/// the same row capacity and byte budget as the accounting; a row the
+/// accounting holds but the store has evicted is rebuilt on demand.
+#[derive(Debug, Clone)]
+pub(crate) struct RowMapCache<T> {
+    held: BoundedCache<u64, ()>,
+    maps: Rc<RefCell<BoundedCache<u64, Rc<[T]>>>>,
+}
+
+impl<T> RowMapCache<T> {
+    /// Creates an empty cache (and store) bounded to `capacity` rows.
+    pub(crate) fn new(capacity: usize) -> Self {
+        RowMapCache {
+            held: BoundedCache::new(capacity),
+            maps: Rc::new(RefCell::new(BoundedCache::new(capacity))),
+        }
+    }
+
+    /// The stored map of `row`, if any, which the accounting then holds.
+    pub(crate) fn get(&mut self, row: u64) -> Option<Rc<[T]>> {
+        let map = self.maps.borrow().get(&row).cloned()?;
+        self.hold(row, &map);
+        Some(map)
+    }
+
+    /// Stores the freshly built map of `row` and holds it.
+    pub(crate) fn insert(&mut self, row: u64, map: Rc<[T]>) {
+        let weight = std::mem::size_of_val::<[T]>(&map);
+        self.maps.borrow_mut().insert_weighted(row, Rc::clone(&map), weight);
+        self.hold(row, &map);
+    }
+
+    /// Accounts `row` as held, exactly as a private memo cache would have
+    /// on its first lookup of the row.
+    fn hold(&mut self, row: u64, map: &[T]) {
+        if self.held.get(&row).is_none() {
+            self.held.insert_weighted(row, (), std::mem::size_of_val(map));
+        }
+    }
+
+    /// Rows held (the larger of the accounting and the store).
+    pub(crate) fn len(&self) -> usize {
+        self.held.len().max(self.maps.borrow().len())
+    }
+
+    /// Rows the accounting evicted since creation.
+    pub(crate) fn evictions(&self) -> u64 {
+        self.held.evictions()
+    }
+
+    /// Payload bytes the accounting holds.
+    pub(crate) fn held_bytes(&self) -> usize {
+        self.held.bytes()
+    }
+
+    /// Payload bytes the shared store retains.
+    pub(crate) fn stored_bytes(&self) -> usize {
+        self.maps.borrow().bytes()
+    }
+
+    /// Rebounds the accounting and the store to `capacity` rows.
+    pub(crate) fn set_capacity(&mut self, capacity: usize) {
+        self.held.set_capacity(capacity);
+        self.maps.borrow_mut().set_capacity(capacity);
+    }
+
+    /// Sets or clears the byte budget of the accounting and the store.
+    pub(crate) fn set_byte_budget(&mut self, budget: Option<usize>) {
+        self.held.set_byte_budget(budget);
+        self.maps.borrow_mut().set_byte_budget(budget);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,5 +278,42 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_capacity_rejected() {
         let _ = BoundedCache::<u64, ()>::new(0);
+    }
+
+    #[test]
+    fn row_maps_are_shared_but_accounting_is_not() {
+        let mut parent = RowMapCache::<u64>::new(4);
+        parent.insert(1, Rc::from([10u64, 11]));
+        let snapshot = parent.clone();
+        let mut child = parent.clone();
+        child.insert(2, Rc::from([20u64]));
+        // The child's map reaches the parent's store ...
+        assert_eq!(parent.get(2).as_deref(), Some(&[20u64][..]));
+        // ... while each side accounts only the rows it looked up.
+        assert_eq!(snapshot.held_bytes(), 16);
+        assert_eq!(child.held_bytes(), 24);
+        assert_eq!(parent.held_bytes(), 24, "the parent's get held row 2");
+        assert_eq!(snapshot.stored_bytes(), 24);
+    }
+
+    #[test]
+    fn held_rows_survive_store_eviction_and_accounting_matches_a_plain_cache() {
+        let mut shared = RowMapCache::<u64>::new(2);
+        let mut other = shared.clone();
+        let mut plain = BoundedCache::<u64, ()>::new(2);
+        for row in 0..6u64 {
+            // A second holder churns the store without touching `shared`'s
+            // accounting.
+            other.insert(100 + row, Rc::from([row]));
+            if shared.get(row).is_none() {
+                shared.insert(row, Rc::from([row, row]));
+            }
+            if plain.get(&row).is_none() {
+                plain.insert_weighted(row, (), 16);
+            }
+        }
+        assert_eq!(shared.evictions(), plain.evictions());
+        assert_eq!(shared.held_bytes(), plain.bytes());
+        assert!(shared.len() <= 2);
     }
 }

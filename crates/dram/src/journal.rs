@@ -13,20 +13,27 @@
 //!   the plane that makes journaling cheap: a trial that touches a few
 //!   dozen rows of a multi-megabyte machine journals a few dozen rows.
 //! - **Snapshots** (the eagerly-journaled plane): everything else the
-//!   module mutates — model caches, remap table, clock/window state,
-//!   activation counters, open-row registers, statistics (including the
-//!   bounded flip log, so `take_flip_log` drains and capacity changes roll
-//!   back exactly), and the installed defense — is cloned wholesale at
-//!   `journal_begin`. These clones are cheap by construction: the model
-//!   caches hold `Rc` values (a clone is O(cached entries) refcount
-//!   bumps, never a regeneration), and the remaining state is O(total
+//!   module mutates — the model caches' accounting (which rows each cache
+//!   holds, their weights, FIFO order, evictions and bytes), remap table,
+//!   clock/window state, activation counters, open-row registers,
+//!   statistics (including the bounded flip log, so `take_flip_log` drains
+//!   and capacity changes roll back exactly), and the installed defense —
+//!   is cloned wholesale at `journal_begin`. This is O(cached rows + total
 //!   rows) words of metadata, orders of magnitude smaller than the row
 //!   contents a fork would copy.
 //!
+//! **Not journaled:** the vulnerability maps themselves. They live in a
+//! row-map store the module shares with its forks and its journal
+//! snapshots, and a map is a pure function of the module's fixed inputs
+//! and the row, so rollback leaves the store as the trial left it. The
+//! next trial on the parent finds every map an earlier trial built
+//! instead of regenerating it, while its accounting — the only part
+//! telemetry can see — starts from the restored snapshot.
+//!
 //! The rollback invariant — pinned by the differential suites — is that a
 //! module after `journal_begin → trial → journal_rollback` is
-//! byte-identical (contents, charge plane, caches, stats, clock) to the
-//! module before `journal_begin`.
+//! byte-identical (contents, charge plane, cache accounting, stats, clock)
+//! to the module before `journal_begin`.
 
 use std::collections::HashMap;
 

@@ -52,6 +52,7 @@ mod config;
 pub mod defense;
 mod ecc;
 mod error;
+mod fnv;
 mod geometry;
 mod journal;
 mod module;

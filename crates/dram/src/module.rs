@@ -5,6 +5,7 @@ use crate::cells::{CellLayout, CellType, CellTypeMap};
 use crate::config::{DramConfig, FlipEngine};
 use crate::defense::{ActivationCtx, DefenseSnapshot, DefenseStats, RowDefense, Verdict};
 use crate::error::DramError;
+use crate::fnv::ContentsHasher;
 use crate::geometry::{DramGeometry, RowId};
 use crate::journal::DramJournal;
 use crate::remap::RemapTable;
@@ -218,7 +219,7 @@ impl DramModule {
     // ------------------------------------------------------------------
 
     /// Starts an undo journal: snapshots the module's metadata planes
-    /// (model caches, remap, clock/window state, activation counters,
+    /// (model-cache accounting, remap, clock/window state, activation counters,
     /// stats including the flip log, defense) and begins capturing row
     /// pre-images on first touch. Until [`Self::journal_rollback`], the
     /// module may be mutated freely in place; rollback restores it
@@ -389,9 +390,12 @@ impl DramModule {
 
     /// Payload bytes currently retained across all per-row model caches,
     /// engine-local acceleration structures (compiled planes, expired
-    /// masks, the sorted retention index) included. The telemetry gauges
+    /// masks, the sorted retention index) included. Vulnerability maps are
+    /// counted in the row-map store this module shares with its forks and
+    /// journal snapshots. The telemetry gauges
     /// `vuln_cache_bytes`/`retention_cache_bytes` report only the
-    /// engine-invariant subset (bit maps and long-cell lists).
+    /// engine-invariant subset (bit maps and long-cell lists) of what the
+    /// module's own accounting holds.
     pub fn model_cache_bytes(&self) -> usize {
         self.vuln.cache_bytes() + self.retention.cache_bytes()
     }
@@ -622,6 +626,26 @@ impl DramModule {
             }
         }
         Ok(())
+    }
+
+    /// Debug oracle: the wordwise FNV-1a 64 hash of the module's whole
+    /// logical contents, equal to hashing `peek(0, capacity)` one
+    /// little-endian `u64` word at a time (a trailing partial word byte at
+    /// a time). This is the recording format's `contents_hash`.
+    ///
+    /// Computed straight over the row store's slices, without copying:
+    /// a never-materialized row and an all-zero 64-byte block each cost one
+    /// multiply (see the `fnv` module).
+    pub fn contents_hash(&self) -> u64 {
+        let row_bytes = self.config.geometry.row_bytes() as usize;
+        let mut hasher = ContentsHasher::new();
+        for row in 0..self.config.geometry.total_rows() {
+            match self.store.bytes(self.resolve_row(RowId(row)).0) {
+                Some(bytes) => hasher.update(bytes),
+                None => hasher.zeros(row_bytes),
+            }
+        }
+        hasher.finish()
     }
 
     /// Debug oracle: allocating variant of [`peek_into`](Self::peek_into).

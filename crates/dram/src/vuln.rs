@@ -3,7 +3,7 @@ use std::rc::Rc;
 
 use rand::Rng;
 
-use crate::bounded::BoundedCache;
+use crate::bounded::RowMapCache;
 use crate::cells::{CellLayout, CellType};
 use crate::config::{DisturbanceParams, FlipEngine, MapGen};
 use crate::geometry::{DramGeometry, RowId};
@@ -95,7 +95,9 @@ pub(crate) struct PlaneWord {
 /// property* of a DRAM module: stable across reboots, discoverable by
 /// "memory templating" (Drammer), and keyed here on the module seed so that
 /// experiments are reproducible. Maps are generated lazily per row and
-/// memoized.
+/// memoized. Clones of a model (a module's forks and journal snapshots)
+/// account their cached rows separately but share the built maps, which
+/// are pure functions of (seed, params, layout, map_gen, engine, row).
 ///
 /// Per the measured statistics the model is parameterized on
 /// ([`DisturbanceParams`]): each cell is vulnerable with probability `pf`,
@@ -113,8 +115,8 @@ pub struct VulnerabilityModel {
     /// precomputed once from `params` (see [`unit_cutoff`]).
     pf_cutoff: u64,
     rev_cutoff: u64,
-    cache: BoundedCache<u64, Rc<[VulnerableBit]>>,
-    planes: BoundedCache<u64, Rc<[PlaneWord]>>,
+    cache: RowMapCache<VulnerableBit>,
+    planes: RowMapCache<PlaneWord>,
 }
 
 impl fmt::Debug for VulnerabilityModel {
@@ -161,8 +163,8 @@ impl VulnerabilityModel {
             engine,
             pf_cutoff: unit_cutoff(params.pf),
             rev_cutoff: unit_cutoff(params.reverse_rate),
-            cache: BoundedCache::new(MODEL_CACHE_ROWS),
-            planes: BoundedCache::new(MODEL_CACHE_ROWS),
+            cache: RowMapCache::new(MODEL_CACHE_ROWS),
+            planes: RowMapCache::new(MODEL_CACHE_ROWS),
         }
     }
 
@@ -175,15 +177,11 @@ impl VulnerabilityModel {
     ///
     /// Results are memoized; the slice is shared, not recomputed.
     pub fn vulnerable_bits(&mut self, row: RowId) -> Rc<[VulnerableBit]> {
-        if let Some(bits) = self.cache.get(&row.0) {
-            return Rc::clone(bits);
+        if let Some(bits) = self.cache.get(row.0) {
+            return bits;
         }
         let bits = self.generate_row(row);
-        self.cache.insert_weighted(
-            row.0,
-            Rc::clone(&bits),
-            std::mem::size_of_val::<[VulnerableBit]>(&bits),
-        );
+        self.cache.insert(row.0, Rc::clone(&bits));
         bits
     }
 
@@ -195,8 +193,8 @@ impl VulnerabilityModel {
     /// The compiled bitplanes of `row`, built from `bits` (which must be
     /// the row's [`Self::vulnerable_bits`]) on first use and memoized.
     pub(crate) fn planes(&mut self, row: RowId, bits: &[VulnerableBit]) -> Rc<[PlaneWord]> {
-        if let Some(planes) = self.planes.get(&row.0) {
-            return Rc::clone(planes);
+        if let Some(planes) = self.planes.get(row.0) {
+            return planes;
         }
         let mut words: Vec<PlaneWord> = Vec::new();
         for vb in bits {
@@ -212,11 +210,7 @@ impl VulnerabilityModel {
             }
         }
         let planes: Rc<[PlaneWord]> = words.into();
-        self.planes.insert_weighted(
-            row.0,
-            Rc::clone(&planes),
-            std::mem::size_of_val::<[PlaneWord]>(&planes),
-        );
+        self.planes.insert(row.0, Rc::clone(&planes));
         planes
     }
 
@@ -230,16 +224,16 @@ impl VulnerabilityModel {
         self.cache.evictions() + self.planes.evictions()
     }
 
-    /// Payload bytes retained across both per-row caches, the engine-local
-    /// compiled planes included.
+    /// Payload bytes the shared stores of both per-row caches retain, the
+    /// engine-local compiled planes included.
     pub(crate) fn cache_bytes(&self) -> usize {
-        self.cache.bytes() + self.planes.bytes()
+        self.cache.stored_bytes() + self.planes.stored_bytes()
     }
 
-    /// Payload bytes of the bit-map cache alone — the engine-invariant
+    /// Payload bytes the bit-map accounting holds — the engine-invariant
     /// model content mirrored into the `vuln_cache_bytes` gauge.
     pub(crate) fn map_bytes(&self) -> usize {
-        self.cache.bytes()
+        self.cache.held_bytes()
     }
 
     /// Rebounds both per-row caches to `rows` entries.
