@@ -334,13 +334,8 @@ impl WorkerCtx {
                 .run_journaled(&key, boot, |kernel| run_trial_on(kernel, spec, seed))
                 .map_err(RecordingError::Vm)?,
         };
-        let result = trial.map(|(record, shard, log)| {
-            Some(ExecutedTrial {
-                record,
-                shard,
-                dropped: log.dropped,
-                latency_ns: elapsed_ns(ctx.submitted),
-            })
+        let result = trial.map(|(record, shard, dropped)| {
+            Some(ExecutedTrial { record, shard, dropped, latency_ns: elapsed_ns(ctx.submitted) })
         });
         self.publish_gauges();
         result
@@ -537,7 +532,7 @@ impl CampaignExecutor {
         };
         let tenant = ctx.tenant.clone();
         let ticket =
-            self.exec.submit_with_affinity(affinity, jobs, move |results: &[TrialOut]| {
+            self.exec.submit_with_affinity(affinity, jobs, move |results: &mut [TrialOut]| {
                 let output = merge_campaign(&ctx, results);
                 if let Ok(output) = &output {
                     emit_event(&hook_state, output);
@@ -669,18 +664,19 @@ impl CampaignExecutor {
 /// The deterministic seed-order merge — line for line the scoped path's
 /// (`run_trials` + `record`): lowest-index error selection, per-trial
 /// lossless-transcript enforcement, shard merge in seed order, summary
-/// recording, and the flip-accounting cross-check.
+/// recording, and the flip-accounting cross-check. The trial records are
+/// moved out of `results`, which the hook owns; the slots are left empty.
 fn merge_campaign(
     ctx: &CampaignCtx,
-    results: &[TrialOut],
+    results: &mut [TrialOut],
 ) -> Result<CampaignOutput, RecordingError> {
     let mut counters = Counters::new(&ctx.label);
     let mut trials = Vec::with_capacity(results.len());
     let mut latencies = Vec::with_capacity(results.len());
     let mut dropped_trials = 0u64;
     for result in results {
-        match result {
-            Err(e) => return Err(e.clone()),
+        match std::mem::replace(result, Ok(None)) {
+            Err(e) => return Err(e),
             // A slot cancelled before its trial ran: excluded from the
             // merge entirely, counted separately.
             Ok(None) => dropped_trials += 1,
@@ -693,7 +689,7 @@ fn merge_campaign(
                     });
                 }
                 counters.merge(&trial.shard);
-                trials.push(trial.record.clone());
+                trials.push(trial.record);
                 latencies.push(trial.latency_ns);
             }
         }

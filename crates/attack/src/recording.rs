@@ -409,7 +409,7 @@ fn run_trial(
     spec: &RecordingSpec,
     target: ReplayTarget,
     seed: u64,
-) -> Result<(TrialRecord, Counters, FlipLog), RecordingError> {
+) -> Result<(TrialRecord, Counters, u64), RecordingError> {
     let mut kernel = spec.builder(seed, target).build()?;
     run_trial_on(&mut kernel, spec, seed)
 }
@@ -418,21 +418,21 @@ fn run_trial(
 /// executor (which supplies a pooled parent under an undo journal, or a
 /// fork of one — either observably identical to a fresh boot, which is
 /// what makes the executor's output byte-identical to this path by
-/// construction).
+/// construction). The drained flip log moves into the record; only the
+/// number of events the bounded log dropped comes back beside it.
 pub(crate) fn run_trial_on(
     kernel: &mut Kernel,
     spec: &RecordingSpec,
     seed: u64,
-) -> Result<(TrialRecord, Counters, FlipLog), RecordingError> {
+) -> Result<(TrialRecord, Counters, u64), RecordingError> {
     kernel.dram_mut().set_flip_log_capacity(spec.flip_log_capacity);
     let outcome = spec.attack.run(kernel)?;
     let mut shard = Counters::new(RECORDING_LABEL);
     kernel.record_counters(&mut shard);
     let end_ns = kernel.dram().now_ns();
     let contents_hash = kernel.dram().contents_hash();
-    let log = kernel.dram_mut().take_flip_log();
-    let record = TrialRecord { seed, outcome, flips: log.events.clone(), contents_hash, end_ns };
-    Ok((record, shard, log))
+    let FlipLog { events: flips, dropped } = kernel.dram_mut().take_flip_log();
+    Ok((TrialRecord { seed, outcome, flips, contents_hash, end_ns }, shard, dropped))
 }
 
 /// Runs every trial of `spec` under `target`, in seed order, enforcing
@@ -450,12 +450,12 @@ fn run_trials(
 
     let mut counters = Counters::new(RECORDING_LABEL);
     let mut trials = Vec::with_capacity(shards.len());
-    for (record, shard, log) in shards {
-        if !log.is_complete() {
+    for (record, shard, dropped) in shards {
+        if dropped > 0 {
             return Err(RecordingError::LossyFlipLog {
                 seed: record.seed,
-                dropped: log.dropped,
-                retained: log.len(),
+                dropped,
+                retained: record.flips.len(),
             });
         }
         counters.merge(&shard);

@@ -42,15 +42,14 @@ pub(crate) fn store_word(bytes: &mut [u8], w: usize, word: u64) {
     bytes[lo..hi].copy_from_slice(&word.to_le_bytes()[..hi - lo]);
 }
 
-/// A mask with the low `nbits` bits set, split into words — the "every cell
-/// of the row" plane the full-decay path starts from.
-pub(crate) fn ones_mask(nbits: usize) -> Vec<u64> {
-    let words = words_for_bits(nbits);
-    let mut mask = vec![!0u64; words];
-    if !nbits.is_multiple_of(64) {
-        mask[words - 1] = (1u64 << (nbits % 64)) - 1;
-    }
-    mask
+/// Number of set bits in `bytes`, counted a word at a time; a ragged tail
+/// (a row not a multiple of 8 bytes long) is counted byte by byte.
+pub(crate) fn count_ones(bytes: &[u8]) -> u64 {
+    let mut words = bytes.chunks_exact(8);
+    let full: u64 = (&mut words)
+        .map(|w| u64::from(u64::from_le_bytes(w.try_into().expect("8-byte chunk")).count_ones()))
+        .sum();
+    full + words.remainder().iter().map(|b| u64::from(b.count_ones())).sum::<u64>()
 }
 
 #[cfg(test)]
@@ -85,12 +84,12 @@ mod tests {
     }
 
     #[test]
-    fn ones_mask_covers_exactly_nbits() {
-        assert_eq!(ones_mask(128), vec![!0u64, !0u64]);
-        assert_eq!(ones_mask(32), vec![0xFFFF_FFFF]);
-        assert_eq!(ones_mask(65), vec![!0u64, 1]);
-        let total: u32 = ones_mask(100).iter().map(|w| w.count_ones()).sum();
-        assert_eq!(total, 100);
+    fn count_ones_matches_bytewise_count() {
+        for len in [0usize, 1, 7, 8, 9, 24, 4096] {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+            let bytewise: u64 = bytes.iter().map(|b| u64::from(b.count_ones())).sum();
+            assert_eq!(count_ones(&bytes), bytewise, "len={len}");
+        }
     }
 
     #[test]

@@ -91,8 +91,10 @@ impl Default for RetentionParams {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MapGen {
     /// v1 (default): per-row ChaCha stream — Poisson-sampled vulnerable-bit
-    /// count, then position/direction draws. Cost is O(pf · bits_per_row)
-    /// stream draws plus a sort, which wins at sparse paper-default `pf`.
+    /// count, then position/direction draws, emitted in bit order by a scan
+    /// of the row's drawn-bit bitmap. Cost is O(pf · bits_per_row) stream
+    /// draws plus O(bits_per_row / 64) words, which wins at sparse
+    /// paper-default `pf`.
     #[default]
     Stream,
     /// v2: counter-mode per-cell Bernoulli — every cell is tested with one

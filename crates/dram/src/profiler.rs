@@ -12,6 +12,7 @@
 
 use std::ops::Range;
 
+use crate::bitplane::count_ones;
 use crate::cells::{CellType, CellTypeMap};
 use crate::error::DramError;
 use crate::geometry::RowId;
@@ -94,7 +95,7 @@ pub fn profile_cell_types(
     for row in range.start..range.end {
         let addr = module.geometry().addr_of_row(RowId(row))?;
         module.read_into(addr, &mut data)?;
-        let ones: u64 = data.iter().map(|b| b.count_ones() as u64).sum();
+        let ones = count_ones(&data);
         let bits = (row_bytes * crate::BITS_PER_BYTE) as u64;
         // Charged value was `1`. Decayed true-cells read 0, anti-cells 1.
         let inferred = if ones * 2 < bits { CellType::True } else { CellType::Anti };

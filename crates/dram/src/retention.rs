@@ -3,7 +3,7 @@ use std::rc::Rc;
 
 use rand::Rng;
 
-use crate::bitplane::{load_word, ones_mask, store_word, words_for_bits};
+use crate::bitplane::{count_ones, load_word, store_word, words_for_bits};
 use crate::bounded::BoundedCache;
 use crate::cells::CellType;
 use crate::config::{FlipEngine, RetentionParams};
@@ -135,11 +135,6 @@ impl RetentionModel {
         self.index.set_byte_budget(budget);
     }
 
-    #[allow(dead_code)] // exercised by tests; kept for parity with VulnerabilityModel
-    pub(crate) fn params(&self) -> RetentionParams {
-        self.params
-    }
-
     /// The long-retention cells of `row`, sorted by bit index.
     pub(crate) fn long_cells(&mut self, row: RowId) -> Rc<[LongCell]> {
         if let Some(cells) = self.long_cache.get(&row.0) {
@@ -183,8 +178,8 @@ impl RetentionModel {
     ///
     /// Cells whose retention has expired read as the discharged value of the
     /// row's polarity. Returns the number of bits whose logic value changed.
-    /// Both engines produce byte-identical results; the scalar path is the
-    /// reference the wordwise path is differentially tested against.
+    /// A full window takes one path on both engines; in a partial window the
+    /// wordwise path is differentially tested against the scalar reference.
     pub(crate) fn apply_decay(
         &mut self,
         row: RowId,
@@ -196,12 +191,51 @@ impl RetentionModel {
         if elapsed_ns < self.params.min_ns {
             return 0;
         }
+        if elapsed_ns >= self.params.max_ns {
+            return self.apply_full_decay(row, cell_type, bytes, elapsed_ns);
+        }
         match engine {
             FlipEngine::Scalar => self.apply_decay_scalar(row, cell_type, bytes, elapsed_ns),
-            FlipEngine::Wordwise => self.apply_decay_wordwise(row, cell_type, bytes, elapsed_ns),
+            FlipEngine::Wordwise => {
+                let target = if cell_type.discharged_value() { !0u64 } else { 0u64 };
+                let mask = self.expired_mask(row, elapsed_ns, bytes.len() * crate::BITS_PER_BYTE);
+                discharge_masked(bytes, &mask, target)
+            }
         }
     }
 
+    /// Full decay (`elapsed ≥ max_ns`): every ordinary cell has expired, so
+    /// only long cells whose retention outlasts the wait keep their value.
+    /// Snapshot those survivors, fill the row with the discharged value
+    /// (counting the changed bits a word at a time), then restore them.
+    fn apply_full_decay(
+        &mut self,
+        row: RowId,
+        cell_type: CellType,
+        bytes: &mut [u8],
+        elapsed_ns: u64,
+    ) -> u64 {
+        let discharged = cell_type.discharged_value();
+        let nbits = (bytes.len() * crate::BITS_PER_BYTE) as u64;
+        let survivors: Vec<(u64, bool)> = self
+            .long_cells(row)
+            .iter()
+            .filter(|c| c.retention_ns >= elapsed_ns && c.bit < nbits)
+            .map(|c| (c.bit, get_bit(bytes, c.bit)))
+            .collect();
+        let ones = count_ones(bytes);
+        let mut changed = if discharged { nbits - ones } else { ones };
+        bytes.fill(if discharged { 0xFF } else { 0x00 });
+        for (bit, value) in survivors {
+            if value != discharged {
+                set_bit(bytes, bit, value);
+                changed -= 1; // it had been counted as changed by the fill
+            }
+        }
+        changed
+    }
+
+    /// Partial window, scalar reference: each bit's retention individually.
     fn apply_decay_scalar(
         &mut self,
         row: RowId,
@@ -211,63 +245,13 @@ impl RetentionModel {
     ) -> u64 {
         let discharged = cell_type.discharged_value();
         let mut changed = 0u64;
-        if elapsed_ns >= self.params.max_ns {
-            // Fast path: every ordinary cell has decayed. Snapshot surviving
-            // long cells, blanket-fill, then restore the survivors.
-            let long = self.long_cells(row);
-            let survivors: Vec<(u64, bool)> = long
-                .iter()
-                .filter(|c| c.retention_ns > elapsed_ns)
-                .map(|c| (c.bit, get_bit(bytes, c.bit)))
-                .collect();
-            for byte in bytes.iter_mut() {
-                let before = *byte;
-                *byte = if discharged { 0xFF } else { 0x00 };
-                changed += (before ^ *byte).count_ones() as u64;
+        for bit in 0..(bytes.len() as u64 * crate::BITS_PER_BYTE as u64) {
+            if self.retention_ns(row, bit) < elapsed_ns && get_bit(bytes, bit) != discharged {
+                set_bit(bytes, bit, discharged);
+                changed += 1;
             }
-            for (bit, value) in survivors {
-                if get_bit(bytes, bit) != value {
-                    set_bit(bytes, bit, value);
-                    changed -= 1; // it had been counted as changed by the fill
-                }
-            }
-            changed
-        } else {
-            // Partial window: check each bit's retention individually.
-            for bit in 0..(bytes.len() as u64 * crate::BITS_PER_BYTE as u64) {
-                if self.retention_ns(row, bit) < elapsed_ns && get_bit(bytes, bit) != discharged {
-                    set_bit(bytes, bit, discharged);
-                    changed += 1;
-                }
-            }
-            changed
         }
-    }
-
-    fn apply_decay_wordwise(
-        &mut self,
-        row: RowId,
-        cell_type: CellType,
-        bytes: &mut [u8],
-        elapsed_ns: u64,
-    ) -> u64 {
-        let target = if cell_type.discharged_value() { !0u64 } else { 0u64 };
-        let nbits = bytes.len() * crate::BITS_PER_BYTE;
-        if elapsed_ns >= self.params.max_ns {
-            // Full decay: every ordinary cell expires; only long cells whose
-            // retention outlasts the wait keep their current value. Built on
-            // the fly — it needs no per-cell hashing, only the long list.
-            let mut mask = ones_mask(nbits);
-            for c in self.long_cells(row).iter() {
-                if c.retention_ns > elapsed_ns && (c.bit as usize) < nbits {
-                    mask[(c.bit / 64) as usize] &= !(1u64 << (c.bit % 64));
-                }
-            }
-            discharge_masked(bytes, &mask, target)
-        } else {
-            let mask = self.expired_mask(row, elapsed_ns, nbits);
-            discharge_masked(bytes, &mask, target)
-        }
+        changed
     }
 
     /// The expired-cell mask of `row` after `elapsed_ns` in a partial decay
@@ -432,7 +416,7 @@ mod tests {
     #[test]
     fn ordinary_retention_in_range() {
         let mut m = model();
-        let p = m.params();
+        let p = m.params;
         for bit in 0..2000 {
             let r = m.retention_ns(RowId(0), bit);
             assert!(r >= p.min_ns);
@@ -454,7 +438,7 @@ mod tests {
     fn full_decay_discharges_true_cells_to_zero() {
         let mut m = model();
         let mut bytes = vec![0xFFu8; 4096];
-        let elapsed = m.params().max_ns + 1;
+        let elapsed = m.params.max_ns + 1;
         let changed =
             m.apply_decay(RowId(0), CellType::True, &mut bytes, elapsed, FlipEngine::Wordwise);
         // All bits decay except surviving long cells.
@@ -468,7 +452,7 @@ mod tests {
     fn full_decay_discharges_anti_cells_to_one() {
         let mut m = model();
         let mut bytes = vec![0x00u8; 4096];
-        let elapsed = m.params().max_ns + 1;
+        let elapsed = m.params.max_ns + 1;
         m.apply_decay(RowId(1), CellType::Anti, &mut bytes, elapsed, FlipEngine::Wordwise);
         let zeros: u64 = bytes.iter().map(|b| b.count_zeros() as u64).sum();
         let long = m.long_cells(RowId(1)).len() as u64;
@@ -478,7 +462,7 @@ mod tests {
     #[test]
     fn partial_decay_is_monotonic_in_time() {
         let mut m = model();
-        let p = m.params();
+        let p = m.params;
         let mut early = vec![0xFFu8; 4096];
         let mut late = vec![0xFFu8; 4096];
         m.apply_decay(
@@ -509,7 +493,7 @@ mod tests {
             RowId(0),
             CellType::True,
             &mut bytes,
-            m.params().long_max_ns + 1,
+            m.params.long_max_ns + 1,
             FlipEngine::Wordwise,
         );
         assert!(bytes.iter().all(|b| *b == 0));
@@ -582,10 +566,63 @@ mod tests {
     }
 
     #[test]
+    fn full_decay_matches_per_bit_oracle() {
+        // A dense long-cell population, so even 1-byte rows have survivors.
+        let p = RetentionParams { long_fraction: 0.2, ..RetentionParams::default() };
+        let mut survivors = 0usize;
+        for len in [1usize, 2, 4, 8, 4096] {
+            let nbits = (len * 8) as u64;
+            for r in 0..4 {
+                let row = RowId(r);
+                let mut m = RetentionModel::new(p, nbits, 0xFEED);
+                // The ordinary maximum, inside the long span, exactly one long
+                // cell's retention (which is not below the wait, so it
+                // survives), and past every long cell.
+                let mut windows =
+                    vec![p.max_ns, (p.long_min_ns + p.long_max_ns) / 2, p.long_max_ns + 1];
+                windows.extend(m.long_cells(row).first().map(|c| c.retention_ns));
+                for elapsed in windows {
+                    let expired: Vec<bool> =
+                        (0..nbits).map(|bit| m.retention_ns(row, bit) < elapsed).collect();
+                    for cell_type in [CellType::True, CellType::Anti] {
+                        let discharged = cell_type.discharged_value();
+                        for fill in [0x00u8, 0xFF, 0x5A] {
+                            let before: Vec<u8> =
+                                (0..len).map(|i| fill ^ (i as u8).wrapping_mul(29)).collect();
+                            let mut expected = before.clone();
+                            let mut expected_changed = 0u64;
+                            for bit in 0..nbits {
+                                if get_bit(&before, bit) == discharged {
+                                    continue;
+                                }
+                                if expired[bit as usize] {
+                                    set_bit(&mut expected, bit, discharged);
+                                    expected_changed += 1;
+                                } else {
+                                    survivors += 1;
+                                }
+                            }
+                            for engine in [FlipEngine::Scalar, FlipEngine::Wordwise] {
+                                let mut bytes = before.clone();
+                                let changed =
+                                    m.apply_decay(row, cell_type, &mut bytes, elapsed, engine);
+                                let at = format!("len={len} row={r} elapsed={elapsed} {cell_type:?} fill={fill:#x} {engine:?}");
+                                assert_eq!(bytes, expected, "{at}");
+                                assert_eq!(changed, expected_changed, "{at}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(survivors > 0, "long-cell survivors must be exercised");
+    }
+
+    #[test]
     fn expired_mask_is_memoized_and_bounded() {
         let mut m = model();
         m.set_cache_capacity(2);
-        let p = m.params();
+        let p = m.params;
         let elapsed = p.min_ns + (p.max_ns - p.min_ns) / 2;
         let mut reference = vec![0xFFu8; 4096];
         m.apply_decay(RowId(0), CellType::True, &mut reference, elapsed, FlipEngine::Wordwise);

@@ -185,11 +185,6 @@ impl VulnerabilityModel {
         bits
     }
 
-    /// Whether `row` has at least one vulnerable bit.
-    pub fn row_is_vulnerable(&mut self, row: RowId) -> bool {
-        !self.vulnerable_bits(row).is_empty()
-    }
-
     /// The compiled bitplanes of `row`, built from `bits` (which must be
     /// the row's [`Self::vulnerable_bits`]) on first use and memoized.
     pub(crate) fn planes(&mut self, row: RowId, bits: &[VulnerableBit]) -> Rc<[PlaneWord]> {
@@ -260,24 +255,38 @@ impl VulnerabilityModel {
 
     /// The v1 ([`MapGen::Stream`]) derivation: Poisson count + position /
     /// direction draws from a per-row ChaCha stream. O(pf · bits) draws.
+    ///
+    /// The draws are scattered into two row bitmaps (drawn, reversed) and
+    /// emitted by a word scan, so the list comes out ascending without a
+    /// sort. A bit drawn twice keeps its first draw's direction — what a
+    /// stable sort by bit plus dedup keeps.
     fn generate_row_stream(&self, row: RowId) -> Rc<[VulnerableBit]> {
         let mut rng = stream_rng(self.seed ^ VULN_SALT, row.0);
         let lambda = self.bits_per_row as f64 * self.params.pf;
         let n = poisson(&mut rng, lambda);
         let primary = FlipDirection::primary_for(self.layout.cell_type(row));
-        let mut bits: Vec<VulnerableBit> = (0..n)
-            .map(|_| {
-                let bit = rng.gen_range(0..self.bits_per_row);
-                let direction = if rng.gen::<f64>() < self.params.reverse_rate {
-                    primary.opposite()
-                } else {
-                    primary
-                };
-                VulnerableBit { bit, direction }
-            })
-            .collect();
-        bits.sort_by_key(|b| b.bit);
-        bits.dedup_by_key(|b| b.bit);
+        let words = self.bits_per_row.div_ceil(64) as usize;
+        let mut drawn = vec![0u64; words];
+        let mut reversed = vec![0u64; words];
+        for _ in 0..n {
+            let bit = rng.gen_range(0..self.bits_per_row);
+            let reverse = rng.gen::<f64>() < self.params.reverse_rate;
+            let (w, mask) = ((bit / 64) as usize, 1u64 << (bit % 64));
+            if drawn[w] & mask == 0 {
+                drawn[w] |= mask;
+                reversed[w] |= mask * u64::from(reverse);
+            }
+        }
+        let mut bits: Vec<VulnerableBit> = Vec::with_capacity(n as usize);
+        for (w, (&drawn, &reversed)) in drawn.iter().zip(&reversed).enumerate() {
+            let mut mask = drawn;
+            while mask != 0 {
+                let b = mask.trailing_zeros();
+                mask &= mask - 1;
+                let direction = if reversed >> b & 1 == 1 { primary.opposite() } else { primary };
+                bits.push(VulnerableBit { bit: 64 * w as u64 + u64::from(b), direction });
+            }
+        }
         bits.into()
     }
 
@@ -539,6 +548,58 @@ mod tests {
             &*c1.vulnerable_bits(RowId(3)),
             "the two derivations fix different universes for the same seed"
         );
+    }
+
+    /// The raw [`MapGen::Stream`] draws of `row`, in stream order: the
+    /// input of the sort + dedup builder the bitmap builder replaced.
+    fn stream_draws(m: &VulnerabilityModel, row: RowId) -> Vec<VulnerableBit> {
+        let mut rng = stream_rng(m.seed ^ VULN_SALT, row.0);
+        let n = poisson(&mut rng, m.bits_per_row as f64 * m.params.pf);
+        let primary = FlipDirection::primary_for(m.layout.cell_type(row));
+        (0..n)
+            .map(|_| {
+                let bit = rng.gen_range(0..m.bits_per_row);
+                let direction = if rng.gen::<f64>() < m.params.reverse_rate {
+                    primary.opposite()
+                } else {
+                    primary
+                };
+                VulnerableBit { bit, direction }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn stream_bitmap_builder_matches_sort_dedup_oracle() {
+        let mut conflicting_duplicates = 0usize;
+        for row_bytes in [1u64, 2, 8, 256, 4096] {
+            let g = DramGeometry::new(row_bytes, 64, 1, AddressMapping::RowLinear);
+            for pf in [1e-4, 0.05, 0.4] {
+                let params = DisturbanceParams { pf, reverse_rate: 0.3, ..Default::default() };
+                for layout in [CellLayout::AllTrue, CellLayout::AllAnti] {
+                    for seed in [0xABCD, 1, 0x5EED, u64::MAX] {
+                        let m = VulnerabilityModel::new(&g, layout, params, seed);
+                        for r in 0..64 {
+                            let mut oracle = stream_draws(&m, RowId(r));
+                            oracle.sort_by_key(|b| b.bit);
+                            conflicting_duplicates += oracle
+                                .windows(2)
+                                .filter(|w| {
+                                    w[0].bit == w[1].bit && w[0].direction != w[1].direction
+                                })
+                                .count();
+                            oracle.dedup_by_key(|b| b.bit);
+                            assert_eq!(
+                                &*m.generate_row_stream(RowId(r)),
+                                &oracle[..],
+                                "row_bytes={row_bytes} pf={pf} {layout:?} seed={seed:#x} row={r}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(conflicting_duplicates > 0, "first-draw-wins must be exercised");
     }
 
     #[test]

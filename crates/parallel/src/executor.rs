@@ -54,8 +54,9 @@ pub struct ExecutorStats {
     pub panics: u64,
 }
 
-/// Per-batch completion callback: receives the index-ordered results.
-type CompletionHook<R> = Box<dyn FnOnce(&[R]) + Send>;
+/// Per-batch completion callback: receives the index-ordered results,
+/// mutably, so it may take ownership of them.
+type CompletionHook<R> = Box<dyn FnOnce(&mut [R]) + Send>;
 
 struct BatchInner<R> {
     slots: Vec<Option<R>>,
@@ -129,7 +130,7 @@ impl<J, R> Shared<J, R> {
         if inner.remaining > 0 {
             return;
         }
-        let results: Vec<R> = if inner.poisoned.is_some() {
+        let mut results: Vec<R> = if inner.poisoned.is_some() {
             // A sibling job panicked: results are partial; skip the hook
             // and let Ticket::wait surface the poison.
             batch.done.notify_all();
@@ -144,7 +145,7 @@ impl<J, R> Shared<J, R> {
         // completion, so a Ticket::wait that returns has the hook's side
         // effects already durable.
         if let Some(hook) = hook {
-            hook(&results);
+            hook(&mut results);
         }
         let mut inner = batch.inner.lock().expect("batch poisoned");
         inner.finished = Some(results);
@@ -303,15 +304,16 @@ where
     /// Submits an indexed batch with a completion hook. The hook runs
     /// exactly once, on the worker that finishes the batch's last job,
     /// with the full index-ordered result slice — before any
-    /// [`Ticket::wait`] on this batch returns. (It is skipped if the
-    /// batch is poisoned by a panic.)
+    /// [`Ticket::wait`] on this batch returns, which then yields whatever
+    /// the hook left in the slice: it may move results out instead of
+    /// cloning them. (It is skipped if the batch is poisoned by a panic.)
     ///
     /// The whole batch is pushed onto a single worker's deque (batches
     /// round-robin across workers), so one campaign's trials prefer one
     /// worker's warm context; idle workers steal from the back.
     pub fn submit_with<C>(&self, jobs: Vec<J>, on_complete: C) -> Ticket<R>
     where
-        C: FnOnce(&[R]) + Send + 'static,
+        C: FnOnce(&mut [R]) + Send + 'static,
     {
         self.submit_hook(jobs, None, Some(Box::new(on_complete)))
     }
@@ -329,7 +331,7 @@ where
         on_complete: C,
     ) -> Ticket<R>
     where
-        C: FnOnce(&[R]) + Send + 'static,
+        C: FnOnce(&mut [R]) + Send + 'static,
     {
         self.submit_hook(jobs, Some(affinity), Some(Box::new(on_complete)))
     }
@@ -356,7 +358,7 @@ where
         if n == 0 {
             let mut inner = batch.inner.lock().expect("batch poisoned");
             if let Some(hook) = inner.on_complete.take() {
-                hook(&[]);
+                hook(&mut []);
             }
             inner.finished = Some(Vec::new());
             drop(inner);
@@ -523,7 +525,7 @@ mod tests {
         let seen: Arc<Mutex<Vec<Vec<u64>>>> = Arc::new(Mutex::new(Vec::new()));
         let exec = Executor::new(2, |_| (), |(), job: u64| job + 100);
         let seen2 = Arc::clone(&seen);
-        let ticket = exec.submit_with(vec![1, 2, 3], move |results: &[u64]| {
+        let ticket = exec.submit_with(vec![1, 2, 3], move |results: &mut [u64]| {
             seen2.lock().unwrap().push(results.to_vec());
         });
         let out = ticket.wait();
@@ -533,11 +535,24 @@ mod tests {
     }
 
     #[test]
+    fn completion_hook_may_take_ownership_of_results() {
+        let taken: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+        let exec = Executor::new(2, |_| (), |(), job: u64| job.to_string());
+        let taken2 = Arc::clone(&taken);
+        let ticket = exec.submit_with(vec![7, 8, 9], move |results: &mut [String]| {
+            taken2.lock().unwrap().extend(results.iter_mut().map(std::mem::take));
+        });
+        // The hook moved the results out; wait sees what it left behind.
+        assert_eq!(ticket.wait(), vec![String::new(); 3]);
+        assert_eq!(*taken.lock().unwrap(), vec!["7", "8", "9"]);
+    }
+
+    #[test]
     fn empty_batch_completes_immediately() {
         let exec: Executor<u64, u64> = Executor::new(2, |_| (), |(), job| job);
         let fired = Arc::new(AtomicBool::new(false));
         let fired2 = Arc::clone(&fired);
-        let ticket = exec.submit_with(Vec::new(), move |r: &[u64]| {
+        let ticket = exec.submit_with(Vec::new(), move |r: &mut [u64]| {
             assert!(r.is_empty());
             fired2.store(true, Ordering::SeqCst);
         });

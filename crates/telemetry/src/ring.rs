@@ -103,11 +103,11 @@ impl<T> RingLog<T> {
     /// silently reset the counter — making a truncated log indistinguishable
     /// from a complete one. Callers that genuinely only want the retained
     /// window can ignore the count explicitly; record/replay callers must
-    /// fail loudly when it is non-zero.
+    /// fail loudly when it is non-zero. The buffer is handed over, not
+    /// copied (a wrapped ring is rotated in place, so still oldest first).
     pub fn drain_to_vec(&mut self) -> (Vec<T>, u64) {
-        let dropped = self.dropped;
-        self.dropped = 0;
-        (self.buf.drain(..).collect(), dropped)
+        let dropped = std::mem::take(&mut self.dropped);
+        (Vec::from(std::mem::take(&mut self.buf)), dropped)
     }
 
     /// Discards all retained events and resets the drop counter.
@@ -177,6 +177,19 @@ mod tests {
         assert!(log.is_empty());
         assert_eq!(log.dropped(), 0);
         assert_eq!(log.capacity(), 2);
+    }
+
+    #[test]
+    fn drain_of_a_wrapped_ring_is_oldest_first_and_reusable() {
+        let mut log = RingLog::new(5);
+        for i in 0..13u32 {
+            log.push(i);
+        }
+        assert_eq!(log.drain_to_vec(), ((8..13).collect(), 8));
+        for i in 0..7u32 {
+            log.push(i);
+        }
+        assert_eq!(log.drain_to_vec(), ((2..7).collect(), 2));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Tier-1 gate for monotonic-cta: formatting, build, full test suite,
 # clippy (deny warnings), rustdoc (deny warnings), a quick bench-baseline
-# smoke run, an examples smoke run, and a telemetry sanity sweep.
+# smoke run, an examples smoke run, the repository benchmark's
+# self-tests, and a telemetry sanity sweep.
 # Everything here must pass before a change lands.
 #
 # Usage: scripts/check.sh
@@ -150,6 +151,11 @@ echo "==> journal-isolation smoke (one golden under --isolation journal)"
 # that narrows the grid to the journal mode.
 cargo run --release -q -p cta-bench --bin replay-check -- \
     --isolation journal fixtures/recordings/spray-small.recording.json
+
+echo "==> repository benchmark self-tests (perfbench)"
+# Its own package, so the workspace run above misses it: pins request
+# determinism and the seed-1 digests of all workloads at 1 and 2 workers.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml -q
 
 echo "==> telemetry sanity: no NaN/inf, no sanitizer flags"
 # Word-boundary patterns: a substring match like `flip_info` or a
