@@ -105,6 +105,13 @@ fn parse_options(args: &mut std::env::Args) -> Result<Options, String> {
     if opts.attack != "spray" && opts.attack != "templating" {
         return Err(format!("unknown attack {:?} (spray|templating)", opts.attack));
     }
+    for (flag, count) in
+        [("--tenants", opts.tenants), ("--campaigns", opts.campaigns), ("--trials", opts.trials)]
+    {
+        if count == 0 {
+            return Err(format!("{flag} must be at least 1"));
+        }
+    }
     Ok(opts)
 }
 

@@ -228,13 +228,33 @@ impl SystemBuilder {
     ///
     /// # Errors
     ///
-    /// Propagates kernel boot failures (e.g. an infeasible `ZONE_PTP`).
+    /// [`VmError::BadMemorySize`] unless the memory size is a nonzero
+    /// whole number of DRAM rows (and, with CTA, a power of two);
+    /// otherwise propagates kernel boot failures (e.g. an infeasible
+    /// `ZONE_PTP`).
     pub fn build(&self) -> Result<Kernel, VmError> {
+        self.check_memory_size()?;
         let mut kernel = Kernel::new(self.to_config())?;
         if let Some(hook) = self.defense.instantiate().row_hook() {
             kernel.install_row_defense(hook);
         }
         Ok(kernel)
+    }
+
+    /// The memory-size conditions `to_config` and the CTA zone layout
+    /// would otherwise assert.
+    fn check_memory_size(&self) -> Result<(), VmError> {
+        let bytes = self.memory_bytes;
+        let reason = if bytes < self.row_bytes {
+            "does not hold one DRAM row"
+        } else if !bytes.is_multiple_of(self.row_bytes) {
+            "is not a whole number of DRAM rows"
+        } else if self.protected && !bytes.is_power_of_two() {
+            "is not a power of two, which CTA's zone layout requires"
+        } else {
+            return Ok(());
+        };
+        Err(VmError::BadMemorySize { bytes, reason })
     }
 }
 
@@ -280,6 +300,17 @@ mod tests {
         let layout = k.ptp_layout().unwrap();
         assert!(layout.subzones().iter().all(|(_, l)| l.is_some()));
         assert!(!layout.trusted_ranges().is_empty());
+    }
+
+    #[test]
+    fn bad_memory_sizes_are_typed_errors() {
+        for (bytes, protected) in [(0, false), (0, true), (1024, false), (3 << 20, true)] {
+            let err = SystemBuilder::new(bytes).protected(protected).build().unwrap_err();
+            assert!(matches!(err, VmError::BadMemorySize { bytes: b, .. } if b == bytes), "{err}");
+        }
+        assert!(SystemBuilder::new((3 << 20) + 1).build().is_err());
+        // A stock machine needs whole rows, not a power of two.
+        assert_eq!(SystemBuilder::new(3 << 20).build().unwrap().dram().capacity_bytes(), 3 << 20);
     }
 
     #[test]

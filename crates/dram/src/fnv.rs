@@ -9,6 +9,10 @@
 //! A zero word xors to nothing, so a run of `k` zero words is one multiply
 //! by `P^k`. Never-materialized rows and all-zero 64-byte blocks therefore
 //! cost one multiply each instead of a round per word.
+//!
+//! The state is small and `Copy`: the module keeps the state before each
+//! logical row as a checkpoint, so a journaled trial re-hashes only the
+//! rows from its first dirty row onward.
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
@@ -17,7 +21,9 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 const FNV_PRIME_POW8: u64 = FNV_PRIME.wrapping_pow(8);
 
 /// Streaming state: chunk boundaries (row boundaries, for rows that are
-/// not a multiple of 8 bytes) are invisible in the result.
+/// not a multiple of 8 bytes) are invisible in the result. `Copy`, so a
+/// state can be kept as a checkpoint and resumed later.
+#[derive(Clone, Copy)]
 pub(crate) struct ContentsHasher {
     hash: u64,
     pending: [u8; 8],

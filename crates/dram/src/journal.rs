@@ -34,10 +34,16 @@
 //! module after `journal_begin → trial → journal_rollback` is
 //! byte-identical (contents, charge plane, cache accounting, stats, clock)
 //! to the module before `journal_begin`.
+//!
+//! The journal also bounds what a trial can have changed: every logical
+//! row below [`DramJournal::first_dirty_row`] still holds its base
+//! contents, which is what lets `contents_hash` resume from a checkpoint
+//! instead of starting at row 0.
 
 use std::collections::HashMap;
 
 use crate::defense::{DefenseStats, RowDefense};
+use crate::geometry::RowId;
 use crate::remap::RemapTable;
 use crate::retention::RetentionModel;
 use crate::stats::DramStats;
@@ -53,6 +59,9 @@ pub(crate) type RowPreImage = Option<(Box<[u8]>, u64)>;
 pub(crate) struct DramJournal {
     /// Lazily-captured row pre-images, keyed by backing-row id.
     pub(crate) rows: HashMap<u64, RowPreImage>,
+    /// Lowest logical row whose backing row a remap during the journal
+    /// changed (`u64::MAX` if none).
+    pub(crate) remapped: u64,
     pub(crate) vuln: VulnerabilityModel,
     pub(crate) retention: RetentionModel,
     pub(crate) remap: RemapTable,
@@ -81,6 +90,14 @@ impl DramJournal {
                 (store.bytes(row).expect("materialized row has bytes").into(), charge)
             })
         });
+    }
+
+    /// The lowest logical row whose contents may differ from the base
+    /// contents (`u64::MAX` if none): the remapped rows and the logical
+    /// rows of every captured backing row. Remapping is a swap, so
+    /// `remap` maps a backing row back to its logical row.
+    pub(crate) fn first_dirty_row(&self, remap: &RemapTable) -> u64 {
+        self.rows.keys().map(|&row| remap.resolve(RowId(row)).0).fold(self.remapped, u64::min)
     }
 
     /// Number of distinct rows captured so far (dirty-row footprint).

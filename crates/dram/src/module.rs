@@ -134,6 +134,12 @@ pub struct DramModule {
     /// Active undo journal, if a trial is running in place on this module
     /// (see [`crate::journal`]). `None` on the hot path costs one branch.
     journal: Option<Box<DramJournal>>,
+    /// `contents_hash` checkpoints: entry `i` is the hasher state before
+    /// logical row `i` of the contents no journal has touched. Rollback
+    /// restores those contents, so the checkpoints outlive a journal; any
+    /// row change or remap outside a journal clears them. `Cell` because
+    /// `contents_hash` takes `&self` and extends them lazily.
+    hash_checkpoints: Cell<Vec<ContentsHasher>>,
 }
 
 impl std::fmt::Debug for DramModule {
@@ -182,6 +188,7 @@ impl DramModule {
             defense: None,
             defense_stats: DefenseStats::default(),
             journal: None,
+            hash_checkpoints: Cell::new(Vec::new()),
             config,
         }
     }
@@ -211,6 +218,7 @@ impl DramModule {
             defense: self.defense.clone(),
             defense_stats: self.defense_stats.clone(),
             journal: None,
+            hash_checkpoints: Cell::new(Vec::new()),
         }
     }
 
@@ -232,6 +240,7 @@ impl DramModule {
         assert!(self.journal.is_none(), "DRAM journal already active");
         self.journal = Some(Box::new(DramJournal {
             rows: std::collections::HashMap::new(),
+            remapped: ROW_NONE,
             vuln: self.vuln.clone(),
             retention: self.retention.clone(),
             remap: self.remap.clone(),
@@ -294,12 +303,15 @@ impl DramModule {
         self.journal.as_ref().map_or(0, |j| j.dirty_rows())
     }
 
-    /// Captures `backing`'s pre-image if a journal is active. Must run
-    /// *before* any mutation of the row's bytes or charge timestamp.
+    /// Captures `backing`'s pre-image if a journal is active; without one
+    /// the row is about to change outside any journal, which invalidates
+    /// the hash checkpoints. Must run *before* any mutation of the row's
+    /// bytes or charge timestamp.
     #[inline]
     fn journal_capture(&mut self, backing: RowId) {
-        if let Some(j) = self.journal.as_deref_mut() {
-            j.capture_row(backing.0, &self.store);
+        match self.journal.as_deref_mut() {
+            Some(j) => j.capture_row(backing.0, &self.store),
+            None => self.hash_checkpoints.get_mut().clear(),
         }
     }
 
@@ -472,9 +484,15 @@ impl DramModule {
                 });
             }
         }
+        // Re-remapping `faulty` also releases its previous spare.
+        let released = self.remap.resolve(faulty);
         self.remap.remap(faulty, spare, self.config.layout)?;
         // Either side of the new swap may be the cached resolution.
         self.row_cache.set((ROW_NONE, ROW_NONE));
+        match self.journal.as_deref_mut() {
+            Some(j) => j.remapped = j.remapped.min(faulty.0).min(spare.0).min(released.0),
+            None => self.hash_checkpoints.get_mut().clear(),
+        }
         Ok(())
     }
 
@@ -635,17 +653,46 @@ impl DramModule {
     ///
     /// Computed straight over the row store's slices, without copying:
     /// a never-materialized row and an all-zero 64-byte block each cost one
-    /// multiply (see the `fnv` module).
+    /// multiply (see the `fnv` module). Under an active journal the hash
+    /// resumes from the checkpoint at the journal's first dirty row,
+    /// filling in missing checkpoints below it from the (clean) current
+    /// rows, so a pooled trial re-hashes only the rows it could have
+    /// changed and everything after them.
     pub fn contents_hash(&self) -> u64 {
+        let total_rows = self.config.geometry.total_rows();
+        let Some(journal) = self.journal.as_deref() else {
+            let mut hasher = ContentsHasher::new();
+            self.hash_rows(&mut hasher, 0..total_rows);
+            return hasher.finish();
+        };
+        let first_dirty = journal.first_dirty_row(&self.remap).min(total_rows);
+        let mut checkpoints = self.hash_checkpoints.take();
+        if checkpoints.is_empty() {
+            checkpoints.push(ContentsHasher::new());
+        }
+        while checkpoints.len() as u64 <= first_dirty {
+            let row = checkpoints.len() as u64 - 1;
+            let mut hasher = checkpoints[row as usize];
+            self.hash_rows(&mut hasher, row..row + 1);
+            checkpoints.push(hasher);
+        }
+        let mut hasher = checkpoints[first_dirty as usize];
+        self.hash_checkpoints.set(checkpoints);
+        self.hash_rows(&mut hasher, first_dirty..total_rows);
+        // Leave the resolve cache where a full sweep leaves it.
+        self.resolve_row(RowId(total_rows - 1));
+        hasher.finish()
+    }
+
+    /// Feeds logical `rows` to `hasher` in order.
+    fn hash_rows(&self, hasher: &mut ContentsHasher, rows: std::ops::Range<u64>) {
         let row_bytes = self.config.geometry.row_bytes() as usize;
-        let mut hasher = ContentsHasher::new();
-        for row in 0..self.config.geometry.total_rows() {
+        for row in rows {
             match self.store.bytes(self.resolve_row(RowId(row)).0) {
                 Some(bytes) => hasher.update(bytes),
                 None => hasher.zeros(row_bytes),
             }
         }
-        hasher.finish()
     }
 
     /// Debug oracle: allocating variant of [`peek_into`](Self::peek_into).

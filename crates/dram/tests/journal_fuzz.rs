@@ -9,13 +9,22 @@
 //! capacity changes, power-off remanence — against a reference fork taken
 //! before the journal opened, then compares:
 //!
-//! * the full contents fingerprint (FNV-1a over every byte),
+//! * the full contents fingerprint (wordwise FNV-1a over a full peek),
 //! * the simulated clock, statistics, remap table, and materialization
 //!   footprint,
 //! * and, to expose charge-plane divergence that identical contents could
 //!   mask, the contents again after an identical decay probe (refresh
 //!   off, clock past the retention horizon) applied to both modules.
+//!
+//! Two journals run back to back on the same module, so the second trial
+//! hashes from checkpoints the first one built. The module's own
+//! `contents_hash` — checkpointed under a journal — must equal the
+//! reference hash of a full peek mid-sequence, after each sequence and
+//! after each rollback.
 
+mod common;
+
+use common::reference_contents_hash;
 use cta_dram::{DisturbanceParams, DramConfig, DramModule, RowId};
 use proptest::prelude::*;
 
@@ -36,6 +45,7 @@ enum Op {
     TakeFlipLog,
     SetFlipLogCapacity { capacity: u8 },
     PowerOff { ns: u32 },
+    ContentsHash,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -61,6 +71,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         Just(Op::TakeFlipLog),
         any::<u8>().prop_map(|capacity| Op::SetFlipLogCapacity { capacity }),
         any::<u32>().prop_map(|ns| Op::PowerOff { ns }),
+        Just(Op::ContentsHash),
     ]
 }
 
@@ -110,34 +121,17 @@ fn apply(m: &mut DramModule, op: &Op) {
             m.set_flip_log_capacity(*capacity as usize % 128 + 1);
         }
         Op::PowerOff { ns } => m.power_off(u64::from(*ns) % 5_000_000_000),
-    }
-}
-
-/// FNV-1a 64 over the module's full contents via the non-mutating peek.
-fn contents_hash(m: &DramModule) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let capacity = m.capacity_bytes();
-    let row_bytes = m.geometry().row_bytes();
-    let mut buf = vec![0u8; row_bytes as usize];
-    let mut hash = FNV_OFFSET;
-    let mut addr = 0u64;
-    while addr < capacity {
-        let take = row_bytes.min(capacity - addr) as usize;
-        m.peek_into(addr, &mut buf[..take]).expect("in-bounds peek");
-        for &b in &buf[..take] {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(FNV_PRIME);
+        // Hashing mid-trial builds checkpoints that later ops may dirty.
+        Op::ContentsHash => {
+            assert_eq!(m.contents_hash(), reference_contents_hash(m), "mid-trial contents hash");
         }
-        addr += take as u64;
     }
-    hash
 }
 
 /// Everything cheaply observable about a module, as one comparable blob.
 fn observe(m: &DramModule) -> (u64, u64, String, usize, usize) {
     (
-        contents_hash(m),
+        reference_contents_hash(m),
         m.now_ns(),
         format!("{:?}|{:?}", m.stats(), m.remap_table()),
         m.rows_materialized(),
@@ -155,6 +149,7 @@ proptest! {
     fn rollback_restores_the_module_for_any_op_sequence(
         seed in any::<u64>(),
         ops in proptest::collection::vec(op_strategy(), 1..40),
+        next_ops in proptest::collection::vec(op_strategy(), 1..40),
     ) {
         let cfg = DramConfig::small_test()
             .with_seed(seed)
@@ -167,13 +162,25 @@ proptest! {
         let reference = m.fork();
         let before = observe(&m);
 
-        m.journal_begin();
-        for op in &ops {
-            apply(&mut m, op);
+        for (trial, ops) in [&ops, &next_ops].into_iter().enumerate() {
+            m.journal_begin();
+            for op in ops {
+                apply(&mut m, op);
+            }
+            prop_assert_eq!(
+                m.contents_hash(),
+                reference_contents_hash(&m),
+                "contents hash after trial {}'s sequence",
+                trial
+            );
+            m.journal_rollback();
+            prop_assert_eq!(m.contents_hash(), reference_contents_hash(&m));
+            prop_assert_eq!(
+                observe(&m),
+                before.clone(),
+                "rollback must restore the pre-trial observation"
+            );
         }
-        m.journal_rollback();
-
-        prop_assert_eq!(observe(&m), before, "rollback must restore the pre-trial observation");
 
         // Decay probe: identical futures prove the charge plane (which
         // identical contents alone could mask) was restored too. Reads —

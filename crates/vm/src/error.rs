@@ -93,6 +93,13 @@ pub enum VmError {
         /// The offending value.
         value: u64,
     },
+    /// The machine's memory size cannot back the requested system.
+    BadMemorySize {
+        /// The requested size in bytes.
+        bytes: u64,
+        /// What the size violates.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for VmError {
@@ -106,6 +113,9 @@ impl fmt::Display for VmError {
             VmError::AlreadyMapped { va } => write!(f, "address {va} is already mapped"),
             VmError::NotMapped { va } => write!(f, "address {va} is not mapped"),
             VmError::Unaligned { value } => write!(f, "{value:#x} is not page-aligned"),
+            VmError::BadMemorySize { bytes, reason } => {
+                write!(f, "memory size of {bytes} bytes {reason}")
+            }
         }
     }
 }

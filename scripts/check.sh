@@ -121,6 +121,21 @@ cargo run --release -q -p cta-bench --bin cta -- evaluate \
     --tenants 2 --campaigns 1 --trials 2 --workers 2 \
     --jsonl telemetry/cta-events.jsonl > /dev/null
 
+echo "==> malformed cta invocations fail with an error, not a panic"
+# Each must be rejected with a message and a failing exit status; 101 is
+# Rust's panic exit code.
+for args in "evaluate --tenants 0" "evaluate --trials 0" \
+    "evaluate --campaigns 0" "profile --memory-mb 0" "profile --memory-mb 3"; do
+    status=0
+    # shellcheck disable=SC2086 # word-split the argument list on purpose
+    cargo run --release -q -p cta-bench --bin cta -- $args > /dev/null 2>&1 \
+        || status=$?
+    if [ "$status" -eq 0 ] || [ "$status" -eq 101 ]; then
+        echo "cta $args: exit status $status (want a usage or boot error)"
+        exit 1
+    fi
+done
+
 echo "==> strict JSON + schema validation (BENCH_baseline.json + telemetry/*)"
 # Every machine-readable artifact the workspace emits must parse as
 # standards-valid JSON (duplicate keys and non-finite numbers rejected)
