@@ -262,6 +262,15 @@ mod tests {
     }
 
     #[test]
+    fn serial_draw_order_is_pinned() {
+        // The serial sampler's hit count at a fixed seed: any change to the
+        // draw order (or to the integer thresholds) moves it.
+        let stats = FlipStats { pf: 1e-3, p0_to_1: 0.3, p1_to_0: 0.7 };
+        let mc = monte_carlo_p_exploitable(8, &stats, Restriction::None, 400_000, 7);
+        assert_eq!(mc.hits, 936);
+    }
+
+    #[test]
     fn deterministic_per_seed() {
         let stats = FlipStats::paper_default().inverted();
         let a = monte_carlo_p_exploitable(8, &stats, Restriction::None, 10_000, 9);

@@ -380,7 +380,7 @@ fn parent_key(
 ) -> String {
     let d = &spec.disturbance;
     format!(
-        "m{}:r{}:c{}:p{}:prot{}:prof{}:pf{:016x}:rev{:016x}:ht{}:trc{}:gen{:?}:s{}:be{}:fe{:?}:def{:?}:mcb{:?}",
+        "m{}:r{}:c{}:p{}:prot{}:prof{}:pf{:016x}:rev{:016x}:ht{}:trc{}:s{}:be{}:fe{:?}:def{:?}:mcb{:?}",
         spec.memory_bytes,
         spec.row_bytes,
         spec.cell_period_rows,
@@ -391,7 +391,6 @@ fn parent_key(
         d.reverse_rate.to_bits(),
         d.hammer_threshold,
         d.trc_ns,
-        spec.map_gen,
         seed,
         target.backend.name(),
         target.flip_engine,

@@ -20,13 +20,14 @@
 //!   CTA systems, with the section 5 attack-time accounting;
 //! - [`catalog()`] — the Table 1 registry of published RowHammer attacks.
 //!
-//! [`campaign`] runs any of these across many seeds — one freshly built
-//! kernel per trial, optionally in parallel with deterministic,
-//! seed-ordered results (see `cta_parallel`). [`executor`] is the
-//! long-running service form of the same contract: parent kernels are
-//! booted once per (machine, seed, tenant) and every trial runs on a
-//! copy-on-write fork, with campaigns fanned out across a work-stealing
-//! worker pool and merged byte-identically to the serial path.
+//! [`recording::record_campaign`] runs any of these across many seeds —
+//! one freshly built kernel per trial, optionally in parallel with
+//! deterministic, seed-ordered results (see `cta_parallel`). [`executor`]
+//! is the long-running service form of the same contract: parent kernels
+//! are booted once per (machine, seed, tenant) and every trial runs under
+//! an undo journal (or on a fork) of one, with campaigns fanned out across
+//! a work-stealing worker pool and merged byte-identically to the serial
+//! path. [`campaign`] holds the summary both paths fold outcomes into.
 //!
 //! Every attack returns an [`outcome::AttackOutcome`] scoring success by
 //! *observed behavior* (kernel secret leaked / overwritten), cross-checked
@@ -46,10 +47,7 @@ pub mod spray;
 pub mod templating;
 
 pub use brute::BruteForceCtaAttack;
-pub use campaign::{
-    brute_campaign, run_campaign, run_campaign_with_counters, run_forked_campaign,
-    run_forked_campaign_with_counters, spray_campaign, templating_campaign, CampaignSummary,
-};
+pub use campaign::CampaignSummary;
 pub use catalog::{catalog, KnownAttack, Platform, VictimData};
 pub use executor::{
     CampaignExecutor, CampaignOutput, CampaignRequest, CampaignTicket, ExecutorConfig,

@@ -35,14 +35,15 @@
 //! * **Backend, flip engine, threads**: implementation knobs, recorded
 //!   nowhere in the transcript's meaning; [`ReplayTarget::all`] enumerates
 //!   the backend × engine grid for exhaustive gates.
-//! * **MapGen**: *not* an implementation knob. It selects which
-//!   deterministic vulnerability universe the seed fixes, so it is part of
-//!   the [`RecordingSpec`] and replay always uses the recorded value.
+//! * **`map_gen`**: the serialized spec names the vulnerability-map
+//!   derivation, which fixes the deterministic universe a seed selects.
+//!   The per-row stream (`"stream"`) is the only derivation, so it is
+//!   always written and any other value is refused as malformed.
 
 use std::fmt;
 
 use cta_core::{DefenseSpec, SystemBuilder};
-use cta_dram::{DisturbanceParams, FlipDirection, FlipEvent, FlipLog, MapGen, RowId};
+use cta_dram::{DisturbanceParams, FlipDirection, FlipEvent, FlipLog, RowId};
 use cta_telemetry::json::{self, JsonValue};
 use cta_telemetry::{schema, Counters};
 use cta_vm::{Kernel, VmError};
@@ -63,6 +64,12 @@ pub const RECORDING_VERSION: u64 = 2;
 /// Counters label used for a recording's embedded telemetry snapshot;
 /// matches the `recording` schema declaration in [`cta_telemetry::schema`].
 pub const RECORDING_LABEL: &str = "recording";
+
+/// The vulnerability-map derivation every recording is made under (the
+/// per-row stream), written as `spec.map_gen`. A recording naming any
+/// other derivation was made in another deterministic universe and is
+/// refused as malformed.
+const MAP_GEN: &str = "stream";
 
 /// The attack a recording runs each trial.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,9 +123,6 @@ pub struct RecordingSpec {
     pub profile_cells: bool,
     /// Disturbance (RowHammer) model parameters.
     pub disturbance: DisturbanceParams,
-    /// Vulnerability-map derivation version. Part of the spec — it picks
-    /// the universe, it is not an implementation detail.
-    pub map_gen: MapGen,
     /// One trial per seed, in order.
     pub seeds: Vec<u64>,
     /// Worker threads for the trial loop (any value yields the same
@@ -141,7 +145,6 @@ impl RecordingSpec {
             protected: false,
             profile_cells: false,
             disturbance: DisturbanceParams { pf: 0.05, ..DisturbanceParams::default() },
-            map_gen: MapGen::default(),
             seeds,
             threads: 1,
             flip_log_capacity: cta_telemetry::DEFAULT_LOG_CAPACITY,
@@ -160,7 +163,6 @@ impl RecordingSpec {
             .protected(self.protected)
             .profile_cells(self.profile_cells)
             .disturbance(self.disturbance)
-            .map_gen(self.map_gen)
             .seed(seed)
             .backend(target.backend)
             .flip_engine(target.flip_engine)
@@ -696,16 +698,7 @@ impl Recording {
                     ("trc_ns", num("trc_ns", spec.disturbance.trc_ns)?),
                 ]),
             ),
-            (
-                "map_gen",
-                JsonValue::String(
-                    match spec.map_gen {
-                        MapGen::Stream => "stream",
-                        MapGen::Counter => "counter",
-                    }
-                    .to_string(),
-                ),
-            ),
+            ("map_gen", JsonValue::String(MAP_GEN.to_string())),
             ("seeds", JsonValue::Array(seeds)),
             ("threads", num("threads", spec.threads as u64)?),
             ("flip_log_capacity", num("flip_log_capacity", spec.flip_log_capacity as u64)?),
@@ -820,11 +813,10 @@ impl Recording {
             )?,
             trc_ns: get_u64(disturbance_json, "trc_ns", "spec.disturbance.trc_ns")?,
         };
-        let map_gen = match get_str(spec_json, "map_gen", "spec.map_gen")?.as_str() {
-            "stream" => MapGen::Stream,
-            "counter" => MapGen::Counter,
-            other => return Err(malformed("spec.map_gen", format!("unknown map_gen `{other}`"))),
-        };
+        let map_gen = get_str(spec_json, "map_gen", "spec.map_gen")?;
+        if map_gen != MAP_GEN {
+            return Err(malformed("spec.map_gen", format!("unknown map_gen `{map_gen}`")));
+        }
         let seeds_json = get(spec_json, "seeds", "spec.seeds")?;
         let JsonValue::Array(seed_items) = seeds_json else {
             return Err(malformed("spec.seeds", "must be an array"));
@@ -848,7 +840,6 @@ impl Recording {
                 Some(_) => return Err(malformed("spec.profile_cells", "must be a boolean")),
             },
             disturbance,
-            map_gen,
             seeds,
             threads: get_u64(spec_json, "threads", "spec.threads")? as usize,
             flip_log_capacity: get_u64(spec_json, "flip_log_capacity", "spec.flip_log_capacity")?

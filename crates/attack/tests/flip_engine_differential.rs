@@ -11,23 +11,15 @@ use cta_attack::spray::SprayAttack;
 use cta_attack::templating::TemplatingAttack;
 use cta_core::verify::verify_system;
 use cta_core::SystemBuilder;
-use cta_dram::{DisturbanceParams, FlipEngine, MapGen, StoreBackend};
+use cta_dram::{DisturbanceParams, FlipEngine, StoreBackend};
 use cta_vm::Kernel;
 
 /// Two machines identical in every respect except the flip engine.
 fn machines(seed: u64, pf: f64, backend: StoreBackend) -> (Kernel, Kernel) {
-    machines_with(seed, pf, backend, MapGen::default())
-}
-
-/// Same, pinning the vulnerability-map derivation version. Both machines
-/// share the derivation — the differential is engine-only, within either
-/// deterministic universe.
-fn machines_with(seed: u64, pf: f64, backend: StoreBackend, map_gen: MapGen) -> (Kernel, Kernel) {
     let base = SystemBuilder::new(8 << 20)
         .ptp_bytes(512 * 1024)
         .seed(seed)
         .backend(backend)
-        .map_gen(map_gen)
         .disturbance(DisturbanceParams { pf, ..DisturbanceParams::default() });
     let scalar = base.clone().flip_engine(FlipEngine::Scalar).build().unwrap();
     let wordwise = base.clone().flip_engine(FlipEngine::Wordwise).build().unwrap();
@@ -92,47 +84,6 @@ fn engines_agree_on_every_row_store_backend() {
         assert_eq!(out_s, out_w, "backend {backend}: spray outcomes diverged");
         assert_machines_identical(&scalar, &wordwise, &format!("backend {backend}"));
     }
-}
-
-#[test]
-fn campaigns_are_bit_identical_across_engines_under_counter_maps() {
-    // The counter-mode derivation picks different (equally valid) maps for
-    // the same seed; the engine differential must hold inside that universe
-    // too — the wordwise batched generator against the scalar per-bit
-    // reference, at both sparse and dense pf.
-    let attack = SprayAttack::default();
-    for (seed, pf) in [(0u64, 0.05), (5, 0.004)] {
-        let (mut scalar, mut wordwise) =
-            machines_with(seed, pf, StoreBackend::default(), MapGen::Counter);
-        let out_s = attack.run(&mut scalar).unwrap();
-        let out_w = attack.run(&mut wordwise).unwrap();
-        assert_eq!(out_s, out_w, "seed {seed}: counter-map spray outcomes diverged");
-        assert_machines_identical(&scalar, &wordwise, &format!("counter maps seed {seed}"));
-    }
-}
-
-#[test]
-fn map_gen_versions_are_distinct_deterministic_universes() {
-    // Stream and Counter derive different maps from one seed — campaigns
-    // may (and at this pf, do) diverge across versions, while each version
-    // reproduces itself exactly.
-    let attack = SprayAttack::default();
-    let run = |map_gen| {
-        let (_, mut machine) = machines_with(11, 0.05, StoreBackend::default(), map_gen);
-        let out = attack.run(&mut machine).unwrap();
-        (out, machine.dram().stats().total_flips())
-    };
-    let (out_stream, flips_stream) = run(MapGen::Stream);
-    let (out_stream2, flips_stream2) = run(MapGen::Stream);
-    let (out_counter, flips_counter) = run(MapGen::Counter);
-    assert_eq!(out_stream, out_stream2, "stream derivation must be reproducible");
-    assert_eq!(flips_stream, flips_stream2);
-    assert!(flips_stream > 0 && flips_counter > 0, "both universes must actually flip");
-    assert_ne!(
-        (out_stream, flips_stream),
-        (out_counter, flips_counter),
-        "distinct derivations should yield observably different campaigns"
-    );
 }
 
 #[test]

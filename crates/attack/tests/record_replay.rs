@@ -224,6 +224,28 @@ fn golden_fixtures() -> Vec<(String, Recording)> {
 }
 
 #[test]
+fn golden_fixtures_reserialize_byte_identically_and_refuse_other_map_gens() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../fixtures/recordings");
+    for name in ["spray-small", "templating-small"] {
+        let text = std::fs::read_to_string(dir.join(format!("{name}.recording.json"))).unwrap();
+        let recording = Recording::from_json_str(&text).unwrap();
+        let written = recording.to_json_string().unwrap();
+        assert_eq!(written, text.trim_end(), "{name} must re-serialize exactly");
+        // The per-row stream is the only map derivation; a recording made
+        // under any other one is refused, not replayed in the wrong universe.
+        for map_gen in ["counter", "bogus"] {
+            let other =
+                text.replacen("\"map_gen\": \"stream\"", &format!("\"map_gen\": \"{map_gen}\""), 1);
+            assert_ne!(other, text, "{name} names its map_gen");
+            match Recording::from_json_str(&other) {
+                Err(RecordingError::Malformed { path, .. }) => assert_eq!(path, "spec.map_gen"),
+                other => panic!("{name} with map_gen {map_gen}: expected Malformed, got {other:?}"),
+            }
+        }
+    }
+}
+
+#[test]
 fn golden_fixtures_replay_byte_identically_under_explicit_no_defense() {
     // The defense refactor's determinism contract: a replay target that
     // names `DefenseSpec::None` explicitly takes the pre-refactor code

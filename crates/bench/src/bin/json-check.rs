@@ -2,18 +2,16 @@
 //! artifacts.
 //!
 //! Parses every file named on the command line — or, with no arguments,
-//! `BENCH_baseline.json` plus every `*.json` under the telemetry directory
-//! — with the strict parser from `cta_telemetry::json`, and fails with the
-//! offending position if any of them is not standards-valid JSON. Wired
-//! into `scripts/check.sh` so a regressed emitter (the `{,` corruption
-//! that `BENCH_baseline.json` once accumulated) fails CI instead of
-//! silently rotting the machine-readable record.
+//! every `*.json` and `*.jsonl` under the telemetry directory — with the
+//! strict parser from `cta_telemetry::json`, and fails with the offending
+//! position if any of them is not standards-valid JSON. Wired into
+//! `scripts/check.sh` so a regressed emitter (a stray `{,` or a
+//! non-finite number) fails CI instead of silently rotting the
+//! machine-readable record.
 //!
 //! With `--schema`, each file must additionally have the right *shape*
 //! (`cta_telemetry::schema`), chosen by filename:
 //!
-//! * `BENCH_baseline.json` — labeled sections of exactly `quick` (bool)
-//!   and `metrics` (flat object of finite numbers);
 //! * `*.recording.json` — a campaign recording whose embedded `telemetry`
 //!   member must be a schema-valid snapshot;
 //! * `*.jsonl` — a JSON Lines stream (strict JSON per line) of campaign
@@ -34,25 +32,19 @@ use std::path::{Path, PathBuf};
 use cta_telemetry::json::{self, JsonValue};
 use cta_telemetry::schema;
 
-/// The default audit set: the baseline record plus every telemetry
-/// snapshot. A missing baseline file is fine (fresh checkout); a missing
+/// The default audit set: every telemetry snapshot and event stream. A
+/// missing telemetry directory yields no files; a missing
 /// explicitly-named file is an error.
 fn default_files() -> Vec<PathBuf> {
-    let mut files = Vec::new();
-    let baseline =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").join("BENCH_baseline.json");
-    if baseline.exists() {
-        files.push(baseline);
-    }
-    if let Ok(entries) = std::fs::read_dir(cta_bench::telemetry_dir()) {
-        let mut snapshots: Vec<PathBuf> = entries
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|ext| ext == "json" || ext == "jsonl"))
-            .collect();
-        snapshots.sort();
-        files.extend(snapshots);
-    }
+    let Ok(entries) = std::fs::read_dir(cta_bench::telemetry_dir()) else {
+        return Vec::new();
+    };
+    let mut files: Vec<PathBuf> = entries
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|ext| ext == "json" || ext == "jsonl"))
+        .collect();
+    files.sort();
     files
 }
 
@@ -80,9 +72,6 @@ fn jsonl_errors(text: &str, check_schema: bool) -> Vec<String> {
 /// returning every violation.
 fn schema_errors(path: &Path, doc: &JsonValue) -> Vec<schema::SchemaError> {
     let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-    if name == "BENCH_baseline.json" {
-        return schema::validate_baseline(doc);
-    }
     if name.ends_with(".recording.json") {
         // Full recording validation (spec, trials, transcript) is
         // replay-check's job; here the embedded snapshot must be shaped

@@ -1,4 +1,4 @@
-//! Shared harness code for the experiment binaries and benchmarks.
+//! Shared harness code for the experiment binaries.
 //!
 //! Every table and figure of the paper's evaluation has a runnable
 //! regenerator under `src/bin/` (see `DESIGN.md` section 5 and
@@ -30,8 +30,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod baseline;
 
 use std::path::PathBuf;
 

@@ -1,9 +1,7 @@
 //! One-stop construction of simulated machines, protected or not.
 
-use cta_dram::{
-    CellLayout, CellType, DisturbanceParams, DramConfig, FlipEngine, MapGen, StoreBackend,
-};
-use cta_mem::PtpSpec;
+use cta_dram::{CellLayout, CellType, DisturbanceParams, DramConfig, FlipEngine, StoreBackend};
+use cta_mem::{PtpSpec, PAGE_SIZE};
 use cta_vm::{Kernel, KernelConfig, VmError};
 
 use crate::defense::DefenseSpec;
@@ -41,7 +39,6 @@ pub struct SystemBuilder {
     backend: StoreBackend,
     psc_entries: usize,
     flip_engine: FlipEngine,
-    map_gen: MapGen,
     defense: DefenseSpec,
 }
 
@@ -67,7 +64,6 @@ impl SystemBuilder {
             backend: StoreBackend::default(),
             psc_entries: 16,
             flip_engine: FlipEngine::default(),
-            map_gen: MapGen::default(),
             defense: DefenseSpec::None,
         }
     }
@@ -165,13 +161,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Vulnerability-map derivation version (selects which deterministic
-    /// maps the seed fixes; see [`MapGen`]).
-    pub fn map_gen(mut self, map_gen: MapGen) -> Self {
-        self.map_gen = map_gen;
-        self
-    }
-
     /// Software RowHammer defense to install on the machine (see
     /// [`crate::defense`]): the spec's allocation hook rewrites the boot
     /// configuration, its activation hook lands on the DRAM module after
@@ -199,7 +188,6 @@ impl SystemBuilder {
             seed: self.seed,
             backend: self.backend,
             flip_engine: self.flip_engine,
-            map_gen: self.map_gen,
         };
         let cta = self.protected.then(|| {
             PtpSpec::paper_default()
@@ -229,7 +217,8 @@ impl SystemBuilder {
     /// # Errors
     ///
     /// [`VmError::BadMemorySize`] unless the memory size is a nonzero
-    /// whole number of DRAM rows (and, with CTA, a power of two);
+    /// whole number of DRAM rows (and, with CTA, a power of two holding a
+    /// smaller, page-aligned, power-of-two `ZONE_PTP`);
     /// otherwise propagates kernel boot failures (e.g. an infeasible
     /// `ZONE_PTP`).
     pub fn build(&self) -> Result<Kernel, VmError> {
@@ -251,6 +240,12 @@ impl SystemBuilder {
             "is not a whole number of DRAM rows"
         } else if self.protected && !bytes.is_power_of_two() {
             "is not a power of two, which CTA's zone layout requires"
+        } else if self.protected
+            && !(self.ptp_bytes.is_power_of_two() && self.ptp_bytes >= PAGE_SIZE)
+        {
+            "cannot host a ZONE_PTP whose size is not a page-aligned power of two"
+        } else if self.protected && self.ptp_bytes >= bytes {
+            "cannot host a ZONE_PTP that is not smaller than memory"
         } else {
             return Ok(());
         };
@@ -309,6 +304,20 @@ mod tests {
             assert!(matches!(err, VmError::BadMemorySize { bytes: b, .. } if b == bytes), "{err}");
         }
         assert!(SystemBuilder::new((3 << 20) + 1).build().is_err());
+        // CTA machines whose ZONE_PTP is not a power of two, not page
+        // aligned, or not smaller than memory (the 256 KiB machine's
+        // default zone is 256 KiB).
+        for builder in [
+            SystemBuilder::new(8 << 20).ptp_bytes(3 << 18),
+            SystemBuilder::new(8 << 20).ptp_bytes(2048),
+            SystemBuilder::new(256 << 10),
+        ] {
+            let err = builder.protected(true).build().unwrap_err();
+            assert!(
+                matches!(err, VmError::BadMemorySize { reason, .. } if reason.contains("ZONE_PTP")),
+                "{err}"
+            );
+        }
         // A stock machine needs whole rows, not a power of two.
         assert_eq!(SystemBuilder::new(3 << 20).build().unwrap().dram().capacity_bytes(), 3 << 20);
     }

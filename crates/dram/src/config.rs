@@ -79,33 +79,6 @@ impl Default for RetentionParams {
     }
 }
 
-/// Derivation version of the per-row vulnerability maps.
-///
-/// Unlike [`FlipEngine`] and [`StoreBackend`], which are pure
-/// implementation knobs, the map generation version *selects which
-/// deterministic universe the module lives in*: the two derivations
-/// produce different (equally valid) vulnerability maps for the same seed.
-/// Within either version, behavior is engine/backend-invariant, and the
-/// wordwise evaluation of [`MapGen::Counter`] is differentially pinned
-/// bit-for-bit against its scalar per-bit reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum MapGen {
-    /// v1 (default): per-row ChaCha stream — Poisson-sampled vulnerable-bit
-    /// count, then position/direction draws, emitted in bit order by a scan
-    /// of the row's drawn-bit bitmap. Cost is O(pf · bits_per_row) stream
-    /// draws plus O(bits_per_row / 64) words, which wins at sparse
-    /// paper-default `pf`.
-    #[default]
-    Stream,
-    /// v2: counter-mode per-cell Bernoulli — every cell is tested with one
-    /// block-generated hash (`to_unit(hash3(seed ^ VULN, row, bit)) < pf`,
-    /// direction by a second salted hash). Cost is O(bits_per_row) single
-    /// mixes with no sort, generated a word at a time; it wins at the dense
-    /// `pf` of templating stress experiments and is the derivation the
-    /// `datapath` benchmarks record.
-    Counter,
-}
-
 /// Implementation selector for the disturbance and decay inner loops.
 ///
 /// Both engines simulate *bit-identical* behavior — same row contents, same
@@ -143,10 +116,6 @@ pub struct DramConfig {
     /// Disturbance/decay inner-loop implementation. Changes performance
     /// only; both engines simulate bit-identical behavior.
     pub flip_engine: FlipEngine,
-    /// Vulnerability-map derivation version. Changes *which* deterministic
-    /// maps the seed fixes (see [`MapGen`]); within a version, behavior is
-    /// engine- and backend-invariant.
-    pub map_gen: MapGen,
 }
 
 /// JEDEC refresh interval: 64 ms.
@@ -180,7 +149,6 @@ impl DramConfig {
             seed,
             backend: StoreBackend::default(),
             flip_engine: FlipEngine::default(),
-            map_gen: MapGen::default(),
         }
     }
 
@@ -197,7 +165,6 @@ impl DramConfig {
             seed: 0xC0FFEE,
             backend: StoreBackend::default(),
             flip_engine: FlipEngine::default(),
-            map_gen: MapGen::default(),
         }
     }
 
@@ -228,12 +195,6 @@ impl DramConfig {
     /// Builder-style override of the flip engine.
     pub fn with_flip_engine(mut self, engine: FlipEngine) -> Self {
         self.flip_engine = engine;
-        self
-    }
-
-    /// Builder-style override of the map-generation version.
-    pub fn with_map_gen(mut self, map_gen: MapGen) -> Self {
-        self.map_gen = map_gen;
         self
     }
 }

@@ -65,7 +65,7 @@ mod store;
 mod vuln;
 
 pub use cells::{CellLayout, CellRegion, CellType, CellTypeMap};
-pub use config::{DisturbanceParams, DramConfig, FlipEngine, MapGen, RetentionParams};
+pub use config::{DisturbanceParams, DramConfig, FlipEngine, RetentionParams};
 pub use defense::{
     ActivationCtx, AnvilSamplerDefense, AnvilSamplerParams, BlockHammerDefense, BlockHammerParams,
     DefenseSnapshot, DefenseStats, ObserverDefense, RowDefense, SoftTrrDefense, SoftTrrParams,

@@ -159,13 +159,11 @@ impl std::fmt::Debug for DramModule {
 impl DramModule {
     /// Creates a module from its configuration. All cells start at logic `0`.
     pub fn new(config: DramConfig) -> Self {
-        let vuln = VulnerabilityModel::with_modes(
+        let vuln = VulnerabilityModel::new(
             &config.geometry,
             config.layout,
             config.disturbance,
             config.seed,
-            config.map_gen,
-            config.flip_engine,
         );
         let retention =
             RetentionModel::new(config.retention, config.geometry.bits_per_row(), config.seed);

@@ -42,10 +42,10 @@ pub(crate) fn to_unit(x: u64) -> f64 {
 ///
 /// so the generator derives whole 64-hash blocks — one per engine word of
 /// the row — at a third of the scalar mixing cost, while staying *equal*
-/// to the per-bit [`hash3`] reference hash for hash. The wordwise map and
-/// mask builders in `vuln.rs`/`retention.rs` consume these blocks; the
-/// scalar paths keep calling [`hash3`] directly, which is what the
-/// differential suites pin the block consumers against.
+/// to the per-bit [`hash3`] reference hash for hash. The wordwise
+/// retention-mask builder in `retention.rs` consumes these blocks; the
+/// scalar path keeps calling [`hash3`] directly, which is what the
+/// differential suites pin the block consumer against.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RowBlocks {
     prefix: u64,
@@ -62,34 +62,6 @@ impl RowBlocks {
     pub(crate) fn cell(&self, bit: u64) -> u64 {
         splitmix64(self.prefix ^ bit)
     }
-
-    /// One 64-bit Bernoulli block: bit `b` of the result is set iff cell
-    /// `64·word_idx + b` passes the integer threshold test
-    /// `(cell_hash >> 11) < cutoff` (see [`unit_cutoff`]). Bits at or past
-    /// `nbits` stay clear, so tail words never set padding bits.
-    #[inline]
-    pub(crate) fn bernoulli_word(&self, word_idx: u64, cutoff: u64, nbits: u64) -> u64 {
-        let base = 64 * word_idx;
-        let top = 64.min(nbits - base);
-        let mut mask = 0u64;
-        for b in 0..top {
-            mask |= u64::from(self.cell(base + b) >> 11 < cutoff) << b;
-        }
-        mask
-    }
-}
-
-/// The exact integer cutoff of a unit-interval threshold test: the unique
-/// `c` such that `to_unit(h) < p  ⟺  (h >> 11) < c` for every `h`.
-///
-/// `to_unit` is weakly monotone in the 53-bit mantissa `x = h >> 11`
-/// (int→float conversion, multiplication by a positive constant, and
-/// comparison all preserve order), so `to_unit < p` holds exactly on a
-/// prefix of `0..2^53`. Binary search with the genuine f64 predicate finds
-/// the prefix length, making the integer test bit-exact against the float
-/// reference by construction — no rounding analysis required.
-pub(crate) fn unit_cutoff(p: f64) -> u64 {
-    mantissa_cutoff(|x| to_unit(x << 11) < p)
 }
 
 /// Length of the true prefix of a downward-closed predicate over the
@@ -211,7 +183,8 @@ mod tests {
     }
 
     #[test]
-    fn unit_cutoff_is_bit_exact_around_the_boundary() {
+    fn mantissa_cutoff_is_bit_exact_around_the_boundary() {
+        let unit_cutoff = |p: f64| mantissa_cutoff(|x| to_unit(x << 11) < p);
         for p in [0.0, 1e-9, 1e-4, 0.002, 0.05, 0.4, 0.999, 1.0, 1.5] {
             let cutoff = unit_cutoff(p);
             // The float predicate and the integer predicate agree on hashes
@@ -226,21 +199,5 @@ mod tests {
         }
         assert_eq!(unit_cutoff(0.0), 0);
         assert_eq!(unit_cutoff(1.0), 1 << 53);
-    }
-
-    #[test]
-    fn bernoulli_word_matches_per_cell_threshold_and_respects_tails() {
-        let blocks = RowBlocks::new(7, 9);
-        let cutoff = unit_cutoff(0.3);
-        let nbits = 100u64; // word 1 is a 36-bit tail word
-        for w in 0..2u64 {
-            let mask = blocks.bernoulli_word(w, cutoff, nbits);
-            for b in 0..64u64 {
-                let bit = 64 * w + b;
-                let expect = bit < nbits && to_unit(hash3(7, 9, bit)) < 0.3;
-                assert_eq!(mask >> b & 1 == 1, expect, "bit {bit}");
-            }
-        }
-        assert_eq!(blocks.bernoulli_word(1, cutoff, nbits) >> 36, 0, "padding bits must stay 0");
     }
 }

@@ -5,21 +5,17 @@ use rand::Rng;
 
 use crate::bounded::RowMapCache;
 use crate::cells::{CellLayout, CellType};
-use crate::config::{DisturbanceParams, FlipEngine, MapGen};
+use crate::config::DisturbanceParams;
 use crate::geometry::{DramGeometry, RowId};
-use crate::rng::{hash3, poisson, stream_rng, to_unit, unit_cutoff, RowBlocks};
+use crate::rng::{poisson, stream_rng};
 
 /// Default capacity (in rows) of the per-row model caches. Generous enough
 /// that every workload in the repo runs eviction-free, small enough that a
 /// templating sweep over an arbitrarily large module stays O(capacity).
 pub(crate) const MODEL_CACHE_ROWS: usize = 4096;
 
-/// Seed salt of the vulnerability map ("VULN"): keys the per-row stream in
-/// [`MapGen::Stream`] and the per-cell Bernoulli hash in [`MapGen::Counter`].
+/// Seed salt of the vulnerability map ("VULN"): keys the per-row stream.
 const VULN_SALT: u64 = 0x5655_4C4E;
-
-/// Seed salt of the [`MapGen::Counter`] flip-direction hash ("DIRV").
-const DIR_SALT: u64 = 0x4449_5256;
 
 /// Direction of a disturbance-induced bit flip, in logic-value terms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -97,7 +93,7 @@ pub(crate) struct PlaneWord {
 /// experiments are reproducible. Maps are generated lazily per row and
 /// memoized. Clones of a model (a module's forks and journal snapshots)
 /// account their cached rows separately but share the built maps, which
-/// are pure functions of (seed, params, layout, map_gen, engine, row).
+/// are pure functions of (seed, params, layout, row).
 ///
 /// Per the measured statistics the model is parameterized on
 /// ([`DisturbanceParams`]): each cell is vulnerable with probability `pf`,
@@ -109,12 +105,6 @@ pub struct VulnerabilityModel {
     params: DisturbanceParams,
     layout: CellLayout,
     bits_per_row: u64,
-    map_gen: MapGen,
-    engine: FlipEngine,
-    /// Integer thresholds of the [`MapGen::Counter`] Bernoulli tests,
-    /// precomputed once from `params` (see [`unit_cutoff`]).
-    pf_cutoff: u64,
-    rev_cutoff: u64,
     cache: RowMapCache<VulnerableBit>,
     planes: RowMapCache<PlaneWord>,
 }
@@ -131,38 +121,18 @@ impl fmt::Debug for VulnerabilityModel {
 }
 
 impl VulnerabilityModel {
-    /// Creates the model for a module with the default [`MapGen::Stream`]
-    /// derivation.
+    /// Creates the model for a module.
     pub fn new(
         geometry: &DramGeometry,
         layout: CellLayout,
         params: DisturbanceParams,
         seed: u64,
     ) -> Self {
-        Self::with_modes(geometry, layout, params, seed, MapGen::default(), FlipEngine::default())
-    }
-
-    /// Creates the model with an explicit map derivation and (for
-    /// [`MapGen::Counter`]) evaluation engine. The engine never changes
-    /// *which* map a `(seed, map_gen)` pair fixes — only how it is built;
-    /// the differential suites pin the two engines byte-identical.
-    pub fn with_modes(
-        geometry: &DramGeometry,
-        layout: CellLayout,
-        params: DisturbanceParams,
-        seed: u64,
-        map_gen: MapGen,
-        engine: FlipEngine,
-    ) -> Self {
         VulnerabilityModel {
             seed,
             params,
             layout,
             bits_per_row: geometry.bits_per_row(),
-            map_gen,
-            engine,
-            pf_cutoff: unit_cutoff(params.pf),
-            rev_cutoff: unit_cutoff(params.reverse_rate),
             cache: RowMapCache::new(MODEL_CACHE_ROWS),
             planes: RowMapCache::new(MODEL_CACHE_ROWS),
         }
@@ -243,24 +213,15 @@ impl VulnerabilityModel {
         self.planes.set_byte_budget(budget);
     }
 
-    fn generate_row(&self, row: RowId) -> Rc<[VulnerableBit]> {
-        match self.map_gen {
-            MapGen::Stream => self.generate_row_stream(row),
-            MapGen::Counter => match self.engine {
-                FlipEngine::Scalar => self.generate_row_counter_scalar(row),
-                FlipEngine::Wordwise => self.generate_row_counter_wordwise(row),
-            },
-        }
-    }
-
-    /// The v1 ([`MapGen::Stream`]) derivation: Poisson count + position /
-    /// direction draws from a per-row ChaCha stream. O(pf · bits) draws.
+    /// Derives `row`'s map: Poisson count + position / direction draws
+    /// from a per-row ChaCha stream. O(pf · bits) draws plus
+    /// O(bits / 64) words.
     ///
     /// The draws are scattered into two row bitmaps (drawn, reversed) and
     /// emitted by a word scan, so the list comes out ascending without a
     /// sort. A bit drawn twice keeps its first draw's direction — what a
     /// stable sort by bit plus dedup keeps.
-    fn generate_row_stream(&self, row: RowId) -> Rc<[VulnerableBit]> {
+    fn generate_row(&self, row: RowId) -> Rc<[VulnerableBit]> {
         let mut rng = stream_rng(self.seed ^ VULN_SALT, row.0);
         let lambda = self.bits_per_row as f64 * self.params.pf;
         let n = poisson(&mut rng, lambda);
@@ -285,59 +246,6 @@ impl VulnerabilityModel {
                 mask &= mask - 1;
                 let direction = if reversed >> b & 1 == 1 { primary.opposite() } else { primary };
                 bits.push(VulnerableBit { bit: 64 * w as u64 + u64::from(b), direction });
-            }
-        }
-        bits.into()
-    }
-
-    /// The v2 ([`MapGen::Counter`]) derivation, scalar reference: one
-    /// `hash3` + genuine-f64 threshold test per cell for vulnerability, a
-    /// second salted hash for direction. The wordwise builder below must be
-    /// byte-identical to this loop.
-    fn generate_row_counter_scalar(&self, row: RowId) -> Rc<[VulnerableBit]> {
-        let primary = FlipDirection::primary_for(self.layout.cell_type(row));
-        let mut bits: Vec<VulnerableBit> = Vec::new();
-        for bit in 0..self.bits_per_row {
-            if to_unit(hash3(self.seed ^ VULN_SALT, row.0, bit)) < self.params.pf {
-                let reverse =
-                    to_unit(hash3(self.seed ^ DIR_SALT, row.0, bit)) < self.params.reverse_rate;
-                let direction = if reverse { primary.opposite() } else { primary };
-                bits.push(VulnerableBit { bit, direction });
-            }
-        }
-        bits.into()
-    }
-
-    /// The v2 derivation, wordwise builder: [`RowBlocks`] Bernoulli words
-    /// against the precomputed integer cutoffs, scanned a word at a time.
-    /// Emits bits in ascending order by construction (no sort); the
-    /// direction word is only derived for words with at least one
-    /// vulnerable cell.
-    fn generate_row_counter_wordwise(&self, row: RowId) -> Rc<[VulnerableBit]> {
-        let primary = FlipDirection::primary_for(self.layout.cell_type(row));
-        let vuln = RowBlocks::new(self.seed ^ VULN_SALT, row.0);
-        let dir = RowBlocks::new(self.seed ^ DIR_SALT, row.0);
-        // Expected pf · bits entries; the slack keeps dense templating maps
-        // (pf 0.4, ~13k bits) from reallocating mid-build.
-        let expected = (self.params.pf * self.bits_per_row as f64 * 1.1) as usize + 8;
-        let mut bits: Vec<VulnerableBit> =
-            Vec::with_capacity(expected.min(self.bits_per_row as usize));
-        for w in 0..self.bits_per_row.div_ceil(64) {
-            let mut mask = vuln.bernoulli_word(w, self.pf_cutoff, self.bits_per_row);
-            while mask != 0 {
-                let b = mask.trailing_zeros() as u64;
-                mask &= mask - 1;
-                let bit = 64 * w + b;
-                // Direction hash only for vulnerable cells — identical to
-                // the word-batched draw, which derives each lane from the
-                // same counter ([`RowBlocks::cell`]), but pays one mix per
-                // vulnerable bit instead of 64 per occupied word.
-                let direction = if dir.cell(bit) >> 11 < self.rev_cutoff {
-                    primary.opposite()
-                } else {
-                    primary
-                };
-                bits.push(VulnerableBit { bit, direction });
             }
         }
         bits.into()
@@ -464,93 +372,7 @@ mod tests {
         assert_eq!(m.evictions(), 2 * 12, "both caches evict in lockstep here");
     }
 
-    fn counter_model(
-        row_bytes: u64,
-        pf: f64,
-        layout: CellLayout,
-        engine: FlipEngine,
-    ) -> VulnerabilityModel {
-        let g = DramGeometry::new(row_bytes, 64, 1, AddressMapping::RowLinear);
-        let params = DisturbanceParams { pf, ..DisturbanceParams::default() };
-        VulnerabilityModel::with_modes(&g, layout, params, 0xABCD, MapGen::Counter, engine)
-    }
-
-    #[test]
-    fn counter_engines_bit_identical_including_tail_words() {
-        // 4096-byte rows exercise full 64-bit words; 4/2/1-byte rows force
-        // ragged tail words of 32/16/8 bits.
-        for row_bytes in [4096u64, 4, 2, 1] {
-            for layout in [CellLayout::AllTrue, CellLayout::AllAnti] {
-                let mut scalar = counter_model(row_bytes, 0.05, layout, FlipEngine::Scalar);
-                let mut wordwise = counter_model(row_bytes, 0.05, layout, FlipEngine::Wordwise);
-                for r in 0..64 {
-                    assert_eq!(
-                        &*scalar.vulnerable_bits(RowId(r)),
-                        &*wordwise.vulnerable_bits(RowId(r)),
-                        "row_bytes={row_bytes} row={r}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn counter_bits_stay_inside_the_row_and_sorted() {
-        let mut m = counter_model(4, 0.4, CellLayout::AllTrue, FlipEngine::Wordwise);
-        for r in 0..64 {
-            let bits = m.vulnerable_bits(RowId(r));
-            for w in bits.windows(2) {
-                assert!(w[0].bit < w[1].bit);
-            }
-            assert!(bits.iter().all(|b| b.bit < 32), "4-byte row has 32 cells");
-        }
-    }
-
-    #[test]
-    fn counter_density_tracks_pf_and_direction_tracks_polarity() {
-        let mut m = counter_model(4096, 0.01, CellLayout::AllTrue, FlipEngine::Wordwise);
-        let mut primary = 0usize;
-        let mut reverse = 0usize;
-        for r in 0..64 {
-            for b in m.vulnerable_bits(RowId(r)).iter() {
-                match b.direction {
-                    FlipDirection::OneToZero => primary += 1,
-                    FlipDirection::ZeroToOne => reverse += 1,
-                }
-            }
-        }
-        let total = (primary + reverse) as f64;
-        let expected = 64.0 * 4096.0 * 8.0 * 0.01;
-        assert!((total - expected).abs() < expected * 0.25, "expected≈{expected} got={total}");
-        assert!((reverse as f64 / total) < 0.02, "reverse fraction should be near 0.002");
-    }
-
-    #[test]
-    fn counter_and_stream_derivations_differ_but_are_each_deterministic() {
-        let g = DramGeometry::new(4096, 64, 1, AddressMapping::RowLinear);
-        let params = DisturbanceParams { pf: 0.01, ..DisturbanceParams::default() };
-        let make = |map_gen| {
-            VulnerabilityModel::with_modes(
-                &g,
-                CellLayout::AllTrue,
-                params,
-                0xABCD,
-                map_gen,
-                FlipEngine::Wordwise,
-            )
-        };
-        let (mut s1, mut s2) = (make(MapGen::Stream), make(MapGen::Stream));
-        let (mut c1, mut c2) = (make(MapGen::Counter), make(MapGen::Counter));
-        assert_eq!(&*s1.vulnerable_bits(RowId(3)), &*s2.vulnerable_bits(RowId(3)));
-        assert_eq!(&*c1.vulnerable_bits(RowId(3)), &*c2.vulnerable_bits(RowId(3)));
-        assert_ne!(
-            &*s1.vulnerable_bits(RowId(3)),
-            &*c1.vulnerable_bits(RowId(3)),
-            "the two derivations fix different universes for the same seed"
-        );
-    }
-
-    /// The raw [`MapGen::Stream`] draws of `row`, in stream order: the
+    /// The raw stream draws of `row`, in stream order: the
     /// input of the sort + dedup builder the bitmap builder replaced.
     fn stream_draws(m: &VulnerabilityModel, row: RowId) -> Vec<VulnerableBit> {
         let mut rng = stream_rng(m.seed ^ VULN_SALT, row.0);
@@ -590,7 +412,7 @@ mod tests {
                                 .count();
                             oracle.dedup_by_key(|b| b.bit);
                             assert_eq!(
-                                &*m.generate_row_stream(RowId(r)),
+                                &*m.generate_row(RowId(r)),
                                 &oracle[..],
                                 "row_bytes={row_bytes} pf={pf} {layout:?} seed={seed:#x} row={r}"
                             );

@@ -7,7 +7,7 @@
 
 use cta_dram::{
     AddressMapping, CellLayout, CellType, DisturbanceParams, DramConfig, DramGeometry, DramModule,
-    FlipEngine, MapGen, RowId, StoreBackend,
+    FlipEngine, RowId, StoreBackend,
 };
 use cta_telemetry::Counters;
 
@@ -139,17 +139,10 @@ fn diff_config() -> DramConfig {
 
 #[test]
 fn engines_bit_identical_across_all_backends() {
-    for map_gen in [MapGen::Stream, MapGen::Counter] {
-        for backend in StoreBackend::ALL {
-            for seed in [1u64, 42] {
-                let config =
-                    diff_config().with_seed(seed).with_backend(backend).with_map_gen(map_gen);
-                assert_engines_identical(
-                    config,
-                    seed,
-                    &format!("map_gen={map_gen:?} backend={backend} seed={seed}"),
-                );
-            }
+    for backend in StoreBackend::ALL {
+        for seed in [1u64, 42] {
+            let config = diff_config().with_seed(seed).with_backend(backend);
+            assert_engines_identical(config, seed, &format!("backend={backend} seed={seed}"));
         }
     }
 }
@@ -158,21 +151,14 @@ fn engines_bit_identical_across_all_backends() {
 fn engines_bit_identical_on_tail_word_rows() {
     // 4-byte rows: 32 bits per row, so every engine word is a zero-padded
     // tail word. High pf so the tiny rows still flip.
-    for map_gen in [MapGen::Stream, MapGen::Counter] {
-        for (row_bytes, seed) in [(4u64, 7u64), (2, 8), (1, 9)] {
-            let config = DramConfig {
-                geometry: DramGeometry::new(row_bytes, 64, 1, AddressMapping::RowLinear),
-                layout: CellLayout::Alternating { period_rows: 8, first: CellType::True },
-                disturbance: DisturbanceParams { pf: 0.2, ..DisturbanceParams::default() },
-                ..DramConfig::small_test()
-            }
-            .with_map_gen(map_gen);
-            assert_engines_identical(
-                config,
-                seed,
-                &format!("map_gen={map_gen:?} row_bytes={row_bytes}"),
-            );
-        }
+    for (row_bytes, seed) in [(4u64, 7u64), (2, 8), (1, 9)] {
+        let config = DramConfig {
+            geometry: DramGeometry::new(row_bytes, 64, 1, AddressMapping::RowLinear),
+            layout: CellLayout::Alternating { period_rows: 8, first: CellType::True },
+            disturbance: DisturbanceParams { pf: 0.2, ..DisturbanceParams::default() },
+            ..DramConfig::small_test()
+        };
+        assert_engines_identical(config, seed, &format!("row_bytes={row_bytes}"));
     }
 }
 

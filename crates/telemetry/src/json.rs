@@ -1,11 +1,11 @@
 //! A strict JSON parser for validating the workspace's emitted artifacts.
 //!
-//! Every machine-readable file this workspace writes — telemetry snapshots
-//! and `BENCH_baseline.json` — is emitted by hand-rolled string building
-//! (the workspace deliberately has no JSON dependency). Hand-rolled
-//! emitters can rot: `BENCH_baseline.json` once accumulated `{,` artifacts
-//! because its line-based merge re-appended separators. This module is the
-//! other half of the contract: a parser strict enough that "it parses" means
+//! Every machine-readable file this workspace writes — telemetry snapshots,
+//! executor event streams and campaign recordings — is emitted by
+//! hand-rolled string building (the workspace deliberately has no JSON
+//! dependency). Hand-rolled emitters can rot: a line-based merge once
+//! re-appended separators and left `{,` artifacts behind. This module is
+//! the other half of the contract: a parser strict enough that "it parses" means
 //! "any standards-compliant consumer can read it".
 //!
 //! Strictness, beyond RFC 8259 conformance:
@@ -26,8 +26,7 @@ use std::fmt;
 /// A parsed JSON value.
 ///
 /// Object members keep their source order (a `Vec`, not a map), so a file
-/// can be round-tripped without reshuffling sections — the baseline merge
-/// relies on this to keep `BENCH_baseline.json` in historical order.
+/// can be round-tripped without reshuffling sections.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null`.

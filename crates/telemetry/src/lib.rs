@@ -23,7 +23,7 @@
 //!   one snapshot at shutdown.
 //! * [`schema`] — shape validation on top of the parser: the universal
 //!   snapshot envelope, per-binary required groups/keys with declared
-//!   [`ValueKind`]s, and the bench-baseline record shape, so a snapshot
+//!   [`ValueKind`]s, and the executor's JSONL event shape, so a snapshot
 //!   that silently lost a group or turned a counter into a float fails CI
 //!   instead of misleading every downstream consumer.
 //!

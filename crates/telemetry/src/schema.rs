@@ -14,9 +14,8 @@
 //!   number/bool/text values — and then applies the per-binary
 //!   [`declarations`]: required groups and keys with declared
 //!   [`ValueKind`]s, matched by snapshot-label prefix.
-//! * [`validate_baseline`] checks the `BENCH_baseline.json` record: one
-//!   object per label, each with exactly `quick` (bool) and `metrics`
-//!   (flat object of finite numbers).
+//! * [`validate_executor_event`] checks one line of the campaign
+//!   executor's JSONL event stream.
 //!
 //! Kind checking is necessarily approximate for numbers — JSON has one
 //! number type, so a `UInt` declaration is enforced as "non-negative,
@@ -123,19 +122,6 @@ pub struct SnapshotSchema {
 /// with the declared kinds.
 #[must_use]
 pub fn declarations() -> &'static [SnapshotSchema] {
-    const BENCH_BASELINE: &[GroupReq] = &[
-        GroupReq {
-            group: "bench",
-            keys: &[
-                KeyReq { key: "quick", kind: ValueKind::Bool },
-                KeyReq { key: "total_wall_s", kind: ValueKind::Float },
-                KeyReq { key: "pte_walk_cold_stock_ns", kind: ValueKind::Float },
-                KeyReq { key: "dram_write_u64_ops_per_sec", kind: ValueKind::Float },
-            ],
-        },
-        GroupReq { group: "tlb", keys: &[KeyReq { key: "hit_rate", kind: ValueKind::Float }] },
-        GroupReq { group: "psc", keys: &[KeyReq { key: "hit_rate", kind: ValueKind::Float }] },
-    ];
     const EXP_TABLE4: &[GroupReq] = &[
         GroupReq { group: "tlb", keys: &[KeyReq { key: "hit_rate", kind: ValueKind::Float }] },
         GroupReq { group: "psc", keys: &[KeyReq { key: "hit_rate", kind: ValueKind::Float }] },
@@ -205,7 +191,6 @@ pub fn declarations() -> &'static [SnapshotSchema] {
     // requirements are shared.
     const EXECUTOR: &[GroupReq] = RECORDING;
     &[
-        SnapshotSchema { label_prefix: "bench-baseline", required: BENCH_BASELINE },
         SnapshotSchema { label_prefix: "exp-table4", required: EXP_TABLE4 },
         SnapshotSchema { label_prefix: "exp-matrix", required: EXP_MATRIX },
         SnapshotSchema { label_prefix: "recording", required: RECORDING },
@@ -416,81 +401,6 @@ pub fn validate_required(doc: &JsonValue, schema: &SnapshotSchema) -> Vec<Schema
     errors
 }
 
-/// Validates the `BENCH_baseline.json` record: a top-level object of
-/// labeled sections, each with exactly `quick` (bool) and `metrics` (a
-/// flat object of finite numbers). Returns every violation found.
-#[must_use]
-pub fn validate_baseline(doc: &JsonValue) -> Vec<SchemaError> {
-    let mut errors = Vec::new();
-    let Some(sections) = doc.as_object() else {
-        return vec![err("$", "baseline must be a JSON object")];
-    };
-    for (label, section) in sections {
-        let Some(members) = section.as_object() else {
-            errors.push(err(label, "section must be an object"));
-            continue;
-        };
-        for (key, _) in members {
-            if !matches!(key.as_str(), "quick" | "metrics") {
-                errors.push(err(
-                    format!("{label}.{key}"),
-                    "unknown section key (expected quick, metrics)",
-                ));
-            }
-        }
-        match section.get("quick") {
-            Some(JsonValue::Bool(_)) => {}
-            Some(_) => errors.push(err(format!("{label}.quick"), "must be a boolean")),
-            None => errors.push(err(format!("{label}.quick"), "missing")),
-        }
-        match section.get("metrics") {
-            Some(JsonValue::Object(metrics)) => {
-                for (metric, value) in metrics {
-                    if !matches!(value, JsonValue::Number(_)) {
-                        errors.push(err(
-                            format!("{label}.metrics.{metric}"),
-                            "metrics must be numbers",
-                        ));
-                    }
-                }
-                let required: &[&str] = match label.as_str() {
-                    "service" => SERVICE_BASELINE_METRICS,
-                    "rollback" => ROLLBACK_BASELINE_METRICS,
-                    _ => &[],
-                };
-                for required in required {
-                    if !metrics.iter().any(|(metric, _)| metric == required) {
-                        errors.push(err(
-                            format!("{label}.metrics.{required}"),
-                            format!("required {label} metric missing"),
-                        ));
-                    }
-                }
-            }
-            Some(_) => errors.push(err(format!("{label}.metrics"), "must be an object")),
-            None => errors.push(err(format!("{label}.metrics"), "missing")),
-        }
-    }
-    errors
-}
-
-/// Metrics the `service` baseline section must record: the saturating
-/// multi-tenant queue's sustained throughput, its tail latency, and the
-/// amortization win over booting per campaign (the label's whole point).
-pub const SERVICE_BASELINE_METRICS: &[&str] =
-    &["service_trials_per_sec", "service_p99_trial_latency_ms", "service_speedup_vs_reboot"];
-
-/// Metrics the `rollback` baseline section must record: journaled
-/// in-place trial throughput against the fork path it replaces, the tail
-/// latencies of both, and the speedup ratio (the label's whole point).
-pub const ROLLBACK_BASELINE_METRICS: &[&str] = &[
-    "rollback_trials_per_sec",
-    "fork_trials_per_sec",
-    "rollback_speedup_vs_fork",
-    "rollback_p50_trial_latency_ms",
-    "rollback_p99_trial_latency_ms",
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -534,11 +444,11 @@ mod tests {
 
     #[test]
     fn declared_snapshot_must_carry_required_groups() {
-        // A bench-baseline label without its bench group fails the
-        // per-binary declaration even though the envelope is fine.
-        let doc = parse(r#"{"label": "bench-baseline-check", "flags": [], "groups": {}}"#).unwrap();
+        // An exp-table4 label without its tlb group fails the per-binary
+        // declaration even though the envelope is fine.
+        let doc = parse(r#"{"label": "exp-table4-cta", "flags": [], "groups": {}}"#).unwrap();
         let errors = validate_snapshot(&doc);
-        assert!(errors.iter().any(|e| e.path == "groups.bench"), "{errors:?}");
+        assert!(errors.iter().any(|e| e.path == "groups.tlb"), "{errors:?}");
     }
 
     #[test]
@@ -571,7 +481,7 @@ mod tests {
 
     #[test]
     fn schema_for_picks_longest_prefix() {
-        assert_eq!(schema_for("bench-baseline-check").unwrap().label_prefix, "bench-baseline");
+        assert_eq!(schema_for("exp-table4-cta").unwrap().label_prefix, "exp-table4");
         assert_eq!(schema_for("recording").unwrap().label_prefix, "recording");
         assert!(schema_for("exp-fig1").is_none());
     }
@@ -662,72 +572,5 @@ mod tests {
         let errors = validate_snapshot(&doc);
         assert!(errors.iter().any(|e| e.path == "groups.campaign"), "{errors:?}");
         assert!(errors.iter().any(|e| e.path == "groups.dram"), "{errors:?}");
-    }
-
-    #[test]
-    fn service_baseline_section_requires_its_metrics() {
-        let missing =
-            parse(r#"{"service": {"quick": false, "metrics": {"service_trials_per_sec": 50.0}}}"#)
-                .unwrap();
-        let errors = validate_baseline(&missing);
-        let paths: Vec<&str> = errors.iter().map(|e| e.path.as_str()).collect();
-        assert!(paths.contains(&"service.metrics.service_p99_trial_latency_ms"), "{errors:?}");
-        assert!(paths.contains(&"service.metrics.service_speedup_vs_reboot"), "{errors:?}");
-
-        let complete = parse(
-            r#"{"service": {"quick": false, "metrics": {
-                "service_trials_per_sec": 50.0,
-                "service_p99_trial_latency_ms": 12.5,
-                "service_speedup_vs_reboot": 4.2}}}"#,
-        )
-        .unwrap();
-        assert_eq!(validate_baseline(&complete), vec![]);
-    }
-
-    #[test]
-    fn rollback_baseline_section_requires_its_metrics() {
-        let missing = parse(
-            r#"{"rollback": {"quick": false, "metrics": {"rollback_trials_per_sec": 90.0}}}"#,
-        )
-        .unwrap();
-        let errors = validate_baseline(&missing);
-        let paths: Vec<&str> = errors.iter().map(|e| e.path.as_str()).collect();
-        assert!(paths.contains(&"rollback.metrics.fork_trials_per_sec"), "{errors:?}");
-        assert!(paths.contains(&"rollback.metrics.rollback_speedup_vs_fork"), "{errors:?}");
-        assert!(paths.contains(&"rollback.metrics.rollback_p50_trial_latency_ms"), "{errors:?}");
-        assert!(paths.contains(&"rollback.metrics.rollback_p99_trial_latency_ms"), "{errors:?}");
-
-        let complete = parse(
-            r#"{"rollback": {"quick": false, "metrics": {
-                "rollback_trials_per_sec": 90.0,
-                "fork_trials_per_sec": 45.0,
-                "rollback_speedup_vs_fork": 2.0,
-                "rollback_p50_trial_latency_ms": 8.0,
-                "rollback_p99_trial_latency_ms": 20.0}}}"#,
-        )
-        .unwrap();
-        assert_eq!(validate_baseline(&complete), vec![]);
-    }
-
-    #[test]
-    fn baseline_shape_validates_and_rejects_drift() {
-        let good = parse(
-            r#"{"before": {"quick": false, "metrics": {"ns": 1.5, "hits": 936}},
-                "check": {"quick": true, "metrics": {}}}"#,
-        )
-        .unwrap();
-        assert_eq!(validate_baseline(&good), vec![]);
-
-        let bad = parse(
-            r#"{"before": {"quick": "yes", "metrics": {"ns": "fast"}, "notes": 1},
-                "late": {"metrics": {}}}"#,
-        )
-        .unwrap();
-        let errors = validate_baseline(&bad);
-        let paths: Vec<&str> = errors.iter().map(|e| e.path.as_str()).collect();
-        assert!(paths.contains(&"before.quick"), "{errors:?}");
-        assert!(paths.contains(&"before.metrics.ns"), "{errors:?}");
-        assert!(paths.contains(&"before.notes"), "{errors:?}");
-        assert!(paths.contains(&"late.quick"), "{errors:?}");
     }
 }

@@ -207,7 +207,6 @@ impl KernelConfig {
             seed: 0xBEEF,
             backend: cta_dram::StoreBackend::default(),
             flip_engine: cta_dram::FlipEngine::default(),
-            map_gen: cta_dram::MapGen::default(),
         };
         KernelConfig {
             dram,
@@ -1178,39 +1177,6 @@ impl Kernel {
         Ok(walk.phys)
     }
 
-    /// Translates a batch of addresses for one process, resolving the
-    /// process (and its CR3) once instead of per call. `phys_out` is
-    /// cleared and receives one physical address per input, in order —
-    /// bit-for-bit what N [`translate`](Self::translate) calls would
-    /// produce, including the simulated-time advance and all counters.
-    ///
-    /// # Errors
-    ///
-    /// The first fault aborts the batch; addresses before it have already
-    /// been translated (their clock and cache effects stand, exactly as
-    /// with individual calls).
-    pub fn translate_batch(
-        &mut self,
-        pid: Pid,
-        vas: &[VirtAddr],
-        access: Access,
-        phys_out: &mut Vec<u64>,
-    ) -> Result<(), VmError> {
-        phys_out.clear();
-        phys_out.reserve(vas.len());
-        let cr3 = self.process(pid)?.cr3().addr().0;
-        for &va in vas {
-            let phys = match self.tlb.lookup(pid, va) {
-                Some(hit) if (!access.write || hit.writable) && (!access.user || hit.user) => {
-                    hit.page_base + va.page_offset()
-                }
-                _ => self.translate_slow(cr3, pid, va, access)?,
-            };
-            phys_out.push(phys);
-        }
-        Ok(())
-    }
-
     /// Executes a batch of fixed-buffer user accesses against one process:
     /// for each `(va, is_write)` op, `buf` is written to or read from `va`
     /// exactly as the matching [`write_virt`](Self::write_virt) /
@@ -1891,33 +1857,6 @@ mod tests {
             matches!(k.translate(pid, interior, Access::user_read()), Err(VmError::Translate(_))),
             "interior vpn must not survive the huge unmap"
         );
-    }
-
-    #[test]
-    fn translate_batch_matches_per_call_translate_bit_for_bit() {
-        let mut serial = kernel();
-        let mut batched = kernel();
-        let vas: Vec<VirtAddr> = (0..24)
-            .map(|i| VirtAddr(0x10_0000 + (i % 6) * PAGE_SIZE))
-            .chain((0..8).map(|i| VirtAddr(0x4000_0000 + i * PAGE_SIZE)))
-            .collect();
-        let mut phys_serial = Vec::new();
-        let pid_s = serial.create_process(false).unwrap();
-        serial.mmap_anonymous(pid_s, VirtAddr(0x10_0000), 6 * PAGE_SIZE, true).unwrap();
-        serial.mmap_anonymous(pid_s, VirtAddr(0x4000_0000), 8 * PAGE_SIZE, true).unwrap();
-        for &va in &vas {
-            phys_serial.push(serial.translate(pid_s, va, Access::user_read()).unwrap());
-        }
-        let pid_b = batched.create_process(false).unwrap();
-        batched.mmap_anonymous(pid_b, VirtAddr(0x10_0000), 6 * PAGE_SIZE, true).unwrap();
-        batched.mmap_anonymous(pid_b, VirtAddr(0x4000_0000), 8 * PAGE_SIZE, true).unwrap();
-        let mut phys_batched = Vec::new();
-        batched.translate_batch(pid_b, &vas, Access::user_read(), &mut phys_batched).unwrap();
-        assert_eq!(phys_batched, phys_serial);
-        assert_eq!(batched.now_ns(), serial.now_ns(), "identical simulated time");
-        assert_eq!(batched.stats(), serial.stats());
-        assert_eq!(batched.tlb_stats(), serial.tlb_stats());
-        assert_eq!(batched.psc_stats(), serial.psc_stats());
     }
 
     #[test]

@@ -1,16 +1,18 @@
 #!/usr/bin/env sh
 # Tier-1 gate for monotonic-cta: formatting, build, full test suite,
-# clippy (deny warnings), rustdoc (deny warnings), a quick bench-baseline
-# smoke run, an examples smoke run, the repository benchmark's
-# self-tests, and a telemetry sanity sweep.
+# clippy (deny warnings), rustdoc (deny warnings), an examples smoke run,
+# the defense-matrix and campaign-executor smokes, strict JSON + schema
+# checks, golden recording replay, the repository benchmark's self-tests,
+# and a telemetry sanity sweep.
 # Everything here must pass before a change lands.
 #
 # Usage: scripts/check.sh
 #
-# The bench smoke writes under the "check" label in BENCH_baseline.json
-# so it never clobbers the recorded before/after sections; it also emits
-# telemetry/bench-baseline-check.telemetry.json, which the final gate
-# scans (alongside BENCH_baseline.json) for NaN/inf and sanitizer flags.
+# The exp-matrix and cta-evaluate smokes write
+# telemetry/exp-matrix.telemetry.json, telemetry/cta-evaluate.telemetry.json
+# and telemetry/cta-events.jsonl, which the final gate scans for NaN/inf
+# and sanitizer flags. Performance is measured by the repository benchmark
+# (perfbench/, named by BENCHMARK.json), not here.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -42,60 +44,6 @@ for pkg in $FIRST_PARTY; do
     RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps -p "$pkg"
 done
 
-echo "==> bench-baseline --quick smoke"
-# Snapshot the previous quick-smoke section (if any) before the fresh run
-# overwrites it, so the new numbers can be diffed against it below.
-PREV_CHECK=""
-if [ -f BENCH_baseline.json ]; then
-    PREV_CHECK=$(grep '"check"' BENCH_baseline.json || true)
-fi
-cargo run --release -q -p cta-bench --bin bench-baseline -- --label check --quick
-
-echo "==> bench regression watch (quick smoke vs previous check label)"
-# Warns loudly — never fails — when a watched metric regressed by more
-# than 30% relative to the previous run of this script. Direction-aware:
-# latency metrics (ns/ms, lower is better) warn when they grow; rate
-# metrics (ops/sec, MB/sec, samples/sec — higher is better) warn when
-# they shrink. Quick-mode numbers are noisy: treat a warning as a prompt
-# to re-run the full (non-quick) bench-baseline before trusting the
-# change.
-NEW_CHECK=$(grep '"check"' BENCH_baseline.json || true)
-drift_watch() {
-    # $1 = direction (lat|rate), $2 = metric name
-    old=$(printf '%s\n' "$PREV_CHECK" \
-        | sed -n "s/.*\"$2\": \([0-9.]*\).*/\1/p")
-    new=$(printf '%s\n' "$NEW_CHECK" \
-        | sed -n "s/.*\"$2\": \([0-9.]*\).*/\1/p")
-    if [ -n "$old" ] && [ -n "$new" ]; then
-        awk -v d="$1" -v m="$2" -v o="$old" -v n="$new" 'BEGIN {
-            worse = (d == "lat") ? (o > 0 && n > o * 1.3) \
-                                 : (n > 0 && o > n * 1.3)
-            if (worse) {
-                printf "##########################################\n"
-                printf "WARNING: %s regressed by >30%%\n", m
-                printf "WARNING:   previous %.3f -> now %.3f\n", o, n
-                printf "WARNING: re-run the full bench-baseline\n"
-                printf "##########################################\n"
-            }
-        }'
-    fi
-}
-if [ -n "$PREV_CHECK" ] && [ -n "$NEW_CHECK" ]; then
-    for metric in pte_walk_cold_stock_ns pte_walk_cold_cta_ns \
-        translate_tlb_hit_stock_ns translate_tlb_hit_cta_ns \
-        boot_dense_ms service_p99_trial_latency_ms; do
-        drift_watch lat "$metric"
-    done
-    for metric in dram_write_u64_ops_per_sec dram_fill_mb_per_sec \
-        mc_serial_samples_per_sec vuln_map_rows_per_sec \
-        partial_decay_mb_per_sec service_trials_per_sec \
-        rollback_trials_per_sec; do
-        drift_watch rate "$metric"
-    done
-else
-    echo "(no previous check label to diff against)"
-fi
-
 echo "==> examples smoke (release)"
 for ex in quickstart cell_profiling coldboot_and_popcount defended_system \
     privilege_escalation; do
@@ -112,11 +60,10 @@ cargo run --release -q -p cta-bench --bin exp-matrix -- --quick > /dev/null
 
 echo "==> campaign executor smoke (cta evaluate)"
 # The persistent executor end to end through its CLI front-end: a small
-# multi-tenant queue served boot-once/fork-per-trial, streaming one
-# executor event per campaign to telemetry/cta-events.jsonl. The stream
-# (and the cta-evaluate snapshot) is schema-checked by the json-check
-# gate below; the bench-baseline quick smoke above already recorded the
-# service_* metrics the drift watch tracks.
+# multi-tenant queue served from pooled parents with journaled trials,
+# streaming one executor event per campaign to telemetry/cta-events.jsonl.
+# The stream (and the cta-evaluate snapshot) is schema-checked by the
+# json-check gate below.
 cargo run --release -q -p cta-bench --bin cta -- evaluate \
     --tenants 2 --campaigns 1 --trials 2 --workers 2 \
     --jsonl telemetry/cta-events.jsonl > /dev/null
@@ -136,15 +83,13 @@ for args in "evaluate --tenants 0" "evaluate --trials 0" \
     fi
 done
 
-echo "==> strict JSON + schema validation (BENCH_baseline.json + telemetry/*)"
+echo "==> strict JSON + schema validation (telemetry/* + golden recordings)"
 # Every machine-readable artifact the workspace emits must parse as
 # standards-valid JSON (duplicate keys and non-finite numbers rejected)
 # AND have the right shape: snapshots carry exactly label/flags/groups
-# with flat scalar groups plus any per-binary required keys, the baseline
-# carries quick/metrics sections, and *.jsonl streams carry one
-# schema-valid executor event per line. With no arguments json-check
-# audits BENCH_baseline.json plus every *.json and *.jsonl under
-# telemetry/.
+# with flat scalar groups plus any per-binary required keys, and *.jsonl
+# streams carry one schema-valid executor event per line. With no
+# arguments json-check audits every *.json and *.jsonl under telemetry/.
 cargo run --release -q -p cta-bench --bin json-check -- --schema
 cargo run --release -q -p cta-bench --bin json-check -- --schema \
     fixtures/recordings/*.recording.json
@@ -178,7 +123,8 @@ echo "==> telemetry sanity: no NaN/inf, no sanitizer flags"
 # values (NaN/inf/Infinity as standalone tokens) and `non_finite:`
 # sanitizer flags do. `_` is a word character, so `\binf\b` cannot match
 # inside `flip_info`.
-for f in telemetry/bench-baseline-check.telemetry.json BENCH_baseline.json; do
+for f in telemetry/exp-matrix.telemetry.json telemetry/cta-evaluate.telemetry.json \
+    telemetry/cta-events.jsonl; do
     [ -f "$f" ] || { echo "missing $f"; exit 1; }
     if grep -nE '\bNaN\b|\bnan\b|\binf\b|\bInfinity\b|non_finite:' "$f"; then
         echo "non-finite value or sanitizer flag in $f"

@@ -1,9 +1,10 @@
 //! Cross-crate acceptance: every row-store backend produces bit-identical
-//! attack outcomes, campaign summaries, and telemetry JSON for the same
+//! attack outcomes, flip transcripts, and telemetry JSON for the same
 //! seeds, serial (`threads = 1`) and sharded (`threads = N`) alike.
 
 use monotonic_cta::attack::{
-    run_campaign_with_counters, CampaignSummary, SprayAttack, TemplatingAttack,
+    record_campaign, replay_recording, RecordedAttack, Recording, RecordingSpec, ReplayTarget,
+    SprayAttack, TemplatingAttack,
 };
 use monotonic_cta::core::SystemBuilder;
 use monotonic_cta::dram::{DisturbanceParams, StoreBackend};
@@ -21,38 +22,32 @@ fn build(seed: u64, protected: bool, backend: StoreBackend) -> Result<Kernel, Vm
 
 #[test]
 fn spray_campaigns_agree_across_backends_and_shards() {
-    let attack = SprayAttack::default();
     let seeds: Vec<u64> = (0..6).collect();
-    let mut reference: Option<(String, String, CampaignSummary)> = None;
-    for backend in StoreBackend::ALL {
-        for threads in [1usize, 4] {
-            let (outcomes, counters) = run_campaign_with_counters(
-                "parity",
-                &seeds,
-                threads,
-                |s| build(s, false, backend),
-                |k| attack.run(k),
-            )
-            .unwrap();
-            let outcome_repr = format!("{outcomes:?}");
-            let summary = CampaignSummary::from_outcomes(&outcomes);
-            let json = counters.to_json();
-            match &reference {
-                None => reference = Some((outcome_repr, json, summary)),
-                Some((ref_outcomes, ref_json, ref_summary)) => {
-                    assert_eq!(
-                        &outcome_repr, ref_outcomes,
-                        "outcomes differ: backend={backend} threads={threads}"
-                    );
-                    assert_eq!(
-                        &json, ref_json,
-                        "telemetry differs: backend={backend} threads={threads}"
-                    );
-                    assert_eq!(
-                        &summary, ref_summary,
-                        "summary differs: backend={backend} threads={threads}"
-                    );
-                }
+    let mut spec = RecordingSpec::new(RecordedAttack::Spray(SprayAttack::default()), seeds);
+    // The default spray flips tens of thousands of bits per trial; a
+    // recording must retain every one.
+    spec.flip_log_capacity = 1 << 17;
+    let mut reference: Option<Recording> = None;
+    for threads in [1usize, 4] {
+        spec.threads = threads;
+        let recording = record_campaign(&spec).unwrap();
+        // Every backend reproduces the campaign byte for byte at this
+        // thread count: outcomes, flip transcripts, contents hashes,
+        // clocks, and the merged telemetry (campaign summary included).
+        for backend in StoreBackend::ALL {
+            let target = ReplayTarget { backend, ..ReplayTarget::default() };
+            if let Err(e) = replay_recording(&recording, target) {
+                panic!("backend={backend} threads={threads}: {e}");
+            }
+        }
+        match &reference {
+            None => reference = Some(recording),
+            Some(r) => {
+                assert_eq!(recording.trials, r.trials, "trials differ: threads={threads}");
+                assert_eq!(
+                    recording.telemetry, r.telemetry,
+                    "telemetry differs: threads={threads}"
+                );
             }
         }
     }
