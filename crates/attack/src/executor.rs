@@ -16,8 +16,7 @@
 //! default) runs the trial **in place** on the parent under
 //! [`KernelPool::run_journaled`]'s undo journal and rolls it back —
 //! O(touched state) — while [`TrialIsolation::Fork`] serves it from a
-//! [`cta_vm::Kernel::fork`] of the parent, O(parent) on the sparse and
-//! dense backends. Rollback is byte-identical to a fresh fork (pinned by
+//! [`cta_vm::Kernel::fork`] of the parent, a deep copy. Rollback is byte-identical to a fresh fork (pinned by
 //! the isolation differential suites), so the two modes produce
 //! byte-identical campaign output and share the same pooled parents
 //! ([`TrialIsolation`] is deliberately absent from the parent key). Under
@@ -40,7 +39,7 @@
 //! * each trial runs [`crate::recording`]'s shared trial body on a
 //!   parent booted from the trial's own spec + seed, journaled or forked
 //!   (rollback ≡ fork of a fresh boot ≡ fresh boot, pinned by the
-//!   isolation and backend differential suites);
+//!   isolation differential and fork-isolation suites);
 //! * results carry their batch index, and the merge — identical to the
 //!   scoped path's — folds shards in seed order on whichever worker
 //!   completes the campaign;
@@ -118,11 +117,11 @@ pub struct TenantLimits {
 /// implementation knob, never part of the parent key or the result.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TrialIsolation {
-    /// Fork the parent per trial: O(materialized rows) per trial on the
-    /// CoW backend, O(parent) on the sparse and dense backends.
+    /// Fork the parent per trial: a deep copy, O(materialized rows) per
+    /// trial.
     Fork,
     /// Run the trial in place on the parent under an undo journal and
-    /// roll back: O(touched state) per trial on every backend.
+    /// roll back: O(touched state) per trial.
     #[default]
     Journal,
 }
@@ -162,7 +161,7 @@ pub struct CampaignRequest {
     pub label: String,
     /// The campaign spec (attack, machine, seeds).
     pub spec: RecordingSpec,
-    /// Implementation target (backend / flip engine / defense).
+    /// Implementation target (the installed defense).
     pub target: ReplayTarget,
     /// How each trial is isolated from its pooled parent.
     pub isolation: TrialIsolation,
@@ -380,7 +379,7 @@ fn parent_key(
 ) -> String {
     let d = &spec.disturbance;
     format!(
-        "m{}:r{}:c{}:p{}:prot{}:prof{}:pf{:016x}:rev{:016x}:ht{}:trc{}:s{}:be{}:fe{:?}:def{:?}:mcb{:?}",
+        "m{}:r{}:c{}:p{}:prot{}:prof{}:pf{:016x}:rev{:016x}:ht{}:trc{}:s{}:def{:?}:mcb{:?}",
         spec.memory_bytes,
         spec.row_bytes,
         spec.cell_period_rows,
@@ -392,8 +391,6 @@ fn parent_key(
         d.hammer_threshold,
         d.trc_ns,
         seed,
-        target.backend.name(),
-        target.flip_engine,
         target.defense,
         limits.model_cache_bytes,
     )

@@ -1,17 +1,16 @@
 //! Flip-log record/replay: capture a campaign's complete flip transcript,
-//! then prove any backend/engine combination reproduces it byte for byte.
+//! then prove every later build reproduces it byte for byte.
 //!
 //! The simulator's determinism contract says a campaign is a pure function
 //! of its spec: the same seeds produce the same flips, the same DRAM
-//! contents, and the same telemetry no matter which
-//! [`StoreBackend`](cta_dram::StoreBackend) stores the rows, which
-//! [`FlipEngine`](cta_dram::FlipEngine) computes the flips, or how many
-//! threads run the trials. The differential test suites check that
-//! contract pairwise at every commit; a [`Recording`] turns it into an
+//! contents, and the same telemetry no matter how many threads run the
+//! trials, or whether the executor serves them from pooled parents. The
+//! differential test suites check that contract pairwise at every commit;
+//! a [`Recording`] turns it into an
 //! *artifact*: a golden transcript checked into the repository that every
 //! future build must reproduce exactly. A regression that perturbs the
 //! simulation — a reordered hammer loop, an off-by-one in decay windows, a
-//! backend that drifts — fails replay with a positioned mismatch instead
+//! row store that drifts — fails replay with a positioned mismatch instead
 //! of silently changing every downstream experiment.
 //!
 //! The subsystem exists because the flip log is *bounded*: the
@@ -32,9 +31,8 @@
 //!
 //! What is — and is not — free to vary at replay:
 //!
-//! * **Backend, flip engine, threads**: implementation knobs, recorded
-//!   nowhere in the transcript's meaning; [`ReplayTarget::all`] enumerates
-//!   the backend × engine grid for exhaustive gates.
+//! * **Threads and trial isolation**: implementation knobs, recorded
+//!   nowhere in the transcript's meaning.
 //! * **`map_gen`**: the serialized spec names the vulnerability-map
 //!   derivation, which fixes the deterministic universe a seed selects.
 //!   The per-row stream (`"stream"`) is the only derivation, so it is
@@ -100,8 +98,8 @@ impl RecordedAttack {
 
 /// Everything needed to re-run a recorded campaign deterministically.
 ///
-/// Implementation knobs (backend, flip engine) are deliberately absent:
-/// they must not change the transcript, and replay exists to prove it.
+/// Implementation knobs (threads aside) are deliberately absent: they must
+/// not change the transcript, and replay exists to prove it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecordingSpec {
     /// The attack each trial runs.
@@ -164,20 +162,13 @@ impl RecordingSpec {
             .profile_cells(self.profile_cells)
             .disturbance(self.disturbance)
             .seed(seed)
-            .backend(target.backend)
-            .flip_engine(target.flip_engine)
             .defense(target.defense)
     }
 }
 
-/// The implementation combination a replay runs against. The recorded
-/// transcript must be invariant under every choice here.
+/// What a replay runs against beyond the recorded spec.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplayTarget {
-    /// Row-store backend.
-    pub backend: cta_dram::StoreBackend,
-    /// Disturbance/decay inner-loop implementation.
-    pub flip_engine: cta_dram::FlipEngine,
     /// Software defense installed on the trial machines. Golden gates
     /// replay under the default [`DefenseSpec::None`], which must be
     /// byte-identical to the recorded (undefended) campaign. Any installed
@@ -193,29 +184,7 @@ pub struct ReplayTarget {
 
 impl fmt::Display for ReplayTarget {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let engine = match self.flip_engine {
-            cta_dram::FlipEngine::Scalar => "scalar",
-            cta_dram::FlipEngine::Wordwise => "wordwise",
-        };
-        write!(f, "{}/{engine}", self.backend.name())?;
-        if !self.defense.is_none() {
-            write!(f, "+{}", self.defense)?;
-        }
-        Ok(())
-    }
-}
-
-impl ReplayTarget {
-    /// Every backend × flip-engine combination, for exhaustive gates.
-    #[must_use]
-    pub fn all() -> Vec<ReplayTarget> {
-        let mut targets = Vec::new();
-        for backend in cta_dram::StoreBackend::ALL {
-            for flip_engine in [cta_dram::FlipEngine::Scalar, cta_dram::FlipEngine::Wordwise] {
-                targets.push(ReplayTarget { backend, flip_engine, defense: DefenseSpec::None });
-            }
-        }
-        targets
+        write!(f, "defense={}", self.defense)
     }
 }
 
@@ -367,21 +336,11 @@ impl From<json::JsonError> for RecordingError {
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-/// FNV-1a 64-bit hash (dependency-free contents fingerprint).
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 /// Wordwise FNV-1a 64: one xor-multiply round per little-endian `u64`
 /// word instead of per byte, with a trailing partial word (if any)
-/// folded byte-at-a-time. Eight times fewer sequential multiplies than
-/// [`fnv1a64`]. This is the `contents_hash` function of recording format
+/// folded byte-at-a-time, so inputs shorter than a word hash exactly as
+/// byte-serial FNV-1a does. Eight times fewer sequential multiplies than
+/// the byte-serial form. This is the `contents_hash` function of recording format
 /// version 2, which trials compute without copying through
 /// [`cta_dram::DramModule::contents_hash`]; this whole-buffer form is its
 /// reference definition.
@@ -777,7 +736,15 @@ impl Recording {
         let attack = match kind.as_str() {
             "spray" => RecordedAttack::Spray(SprayAttack {
                 regions: get_u64(params, "regions", "spec.params.regions")?,
-                file_pages: get_u64(params, "file_pages", "spec.params.file_pages")?,
+                file_pages: match get_u64(params, "file_pages", "spec.params.file_pages")? {
+                    pages @ 2.. => pages,
+                    _ => {
+                        return Err(malformed(
+                            "spec.params.file_pages",
+                            "the spray exploit needs at least two file pages",
+                        ))
+                    }
+                },
                 max_hammer_rows: get_u64(params, "max_hammer_rows", "spec.params.max_hammer_rows")?,
                 flush_per_probe: get_bool(
                     params,
@@ -1002,10 +969,11 @@ mod tests {
 
     #[test]
     fn fnv1a64_matches_reference_vectors() {
-        // Published FNV-1a 64 vectors.
-        assert_eq!(fnv1a64(b""), 0xCBF2_9CE4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xAF63_DC4C_8601_EC8C);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171F73967E8);
+        // Published FNV-1a 64 vectors. Every input is shorter than one
+        // word, so the wordwise hash folds it byte-at-a-time.
+        assert_eq!(fnv1a64_wordwise(b""), 0xCBF2_9CE4_8422_2325);
+        assert_eq!(fnv1a64_wordwise(b"a"), 0xAF63_DC4C_8601_EC8C);
+        assert_eq!(fnv1a64_wordwise(b"foobar"), 0x85944171F73967E8);
     }
 
     #[test]
@@ -1026,15 +994,6 @@ mod tests {
             num("x", (1 << 53) + 1),
             Err(RecordingError::Unrepresentable { what: "x", .. })
         ));
-    }
-
-    #[test]
-    fn replay_target_grid_is_the_full_cross_product() {
-        let all = ReplayTarget::all();
-        assert_eq!(all.len(), 6);
-        let unique: std::collections::HashSet<String> = all.iter().map(|t| t.to_string()).collect();
-        assert_eq!(unique.len(), 6, "{unique:?}");
-        assert!(unique.contains("sparse/scalar") && unique.contains("cow/wordwise"));
     }
 
     #[test]

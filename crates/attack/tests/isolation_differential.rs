@@ -6,8 +6,7 @@
 //! forking the parent per trial. The executor's determinism contract says
 //! the choice is invisible: transcripts, merged counters, summaries, and
 //! contents hashes must be byte-identical to the fork path (and hence to
-//! the scoped serial path) on every backend × flip-engine combination.
-//! These tests pin that, plus the cancellation path and the
+//! the scoped serial path). These tests pin that, plus the cancellation path and the
 //! tenant-limits gauge parity the journal must preserve.
 
 use std::io::Write;
@@ -67,42 +66,39 @@ impl Write for SharedSink {
 }
 
 #[test]
-fn journal_matches_fork_on_every_backend_and_flip_engine() {
+fn journal_matches_fork() {
     // Two trials per seed value so the journal path serves repeat trials
     // from a rolled-back parent (the case a leaky rollback would corrupt).
     let spec = small_spec(vec![0, 1, 0, 1]);
-    for target in ReplayTarget::all() {
-        let run = |isolation: TrialIsolation| {
-            let exec = CampaignExecutor::new(ExecutorConfig { workers: 2, parents_per_worker: 2 });
-            let mut req = request("tenant", spec.clone(), isolation);
-            req.target = target;
-            let output = exec.run(req).expect("campaign completes");
-            (output, exec.stats())
-        };
-        let (forked, fork_stats) = run(TrialIsolation::Fork);
-        let (journaled, journal_stats) = run(TrialIsolation::Journal);
+    let run = |isolation: TrialIsolation| {
+        let exec = CampaignExecutor::new(ExecutorConfig { workers: 2, parents_per_worker: 2 });
+        let output =
+            exec.run(request("tenant", spec.clone(), isolation)).expect("campaign completes");
+        (output, exec.stats())
+    };
+    let (forked, fork_stats) = run(TrialIsolation::Fork);
+    let (journaled, journal_stats) = run(TrialIsolation::Journal);
 
-        assert_eq!(journaled.trials, forked.trials, "{target}: trial transcripts diverged");
-        assert_eq!(journaled.summary, forked.summary, "{target}: summaries diverged");
+    assert_eq!(journaled.trials, forked.trials, "trial transcripts diverged");
+    assert_eq!(journaled.summary, forked.summary, "summaries diverged");
+    assert_eq!(
+        journaled.counters.to_json(),
+        forked.counters.to_json(),
+        "merged telemetry diverged"
+    );
+    for (j, f) in journaled.trials.iter().zip(&forked.trials) {
         assert_eq!(
-            journaled.counters.to_json(),
-            forked.counters.to_json(),
-            "{target}: merged telemetry diverged"
-        );
-        for (j, f) in journaled.trials.iter().zip(&forked.trials) {
-            assert_eq!(
-                j.contents_hash, f.contents_hash,
-                "{target}: final module contents diverged at seed {}",
-                j.seed
-            );
-        }
-        // Both executors really took their own path.
-        assert_eq!(fork_stats.journal_runs, 0);
-        assert_eq!(
-            journal_stats.journal_runs, journal_stats.trials_completed,
-            "{target}: every journaled trial runs in place"
+            j.contents_hash, f.contents_hash,
+            "final module contents diverged at seed {}",
+            j.seed
         );
     }
+    // Both executors really took their own path.
+    assert_eq!(fork_stats.journal_runs, 0);
+    assert_eq!(
+        journal_stats.journal_runs, journal_stats.trials_completed,
+        "every journaled trial runs in place"
+    );
 }
 
 #[test]

@@ -1,6 +1,6 @@
-//! Record/replay backbone: a recorded campaign must replay byte-identically
-//! under every store backend × flip engine, a lossy or retention-disabled
-//! recording must be rejected loudly, the serialized form must round-trip
+//! Record/replay backbone: a recorded campaign must replay byte-identically,
+//! a lossy, retention-disabled or unbuildable recording must be rejected
+//! loudly with a typed error, the serialized form must round-trip
 //! through the strict JSON layer, and any tampering with the transcript
 //! must be detected.
 
@@ -9,11 +9,12 @@ use cta_attack::{
     RecordingError, RecordingSpec, ReplayTarget, SprayAttack, TemplatingAttack,
 };
 use cta_core::DefenseSpec;
-use cta_dram::{BlockHammerParams, FlipDirection, StoreBackend};
+use cta_dram::{BlockHammerParams, FlipDirection};
+use cta_vm::VmError;
 
 /// A deliberately small spray campaign: two trials, narrow spray, few
-/// hammer rows — enough to induce flips at `pf = 0.05` while keeping the
-/// 6-target replay grid fast.
+/// hammer rows — enough to induce flips at `pf = 0.05` while keeping
+/// replays fast.
 fn small_spray_spec() -> RecordingSpec {
     let attack =
         SprayAttack { regions: 8, file_pages: 2, max_hammer_rows: 4, flush_per_probe: false };
@@ -26,34 +27,23 @@ fn small_templating_spec() -> RecordingSpec {
 }
 
 #[test]
-fn spray_recording_replays_identically_on_every_backend_and_engine() {
+fn spray_recording_replays_identically() {
     let recording = record_campaign(&small_spray_spec()).unwrap();
     assert_eq!(recording.trials.len(), 2);
     let total_flips: u64 = recording.trials.iter().map(|t| t.flips.len() as u64).sum();
     assert!(total_flips > 0, "a recording with zero flips proves nothing");
 
-    for target in ReplayTarget::all() {
-        let report = replay_recording(&recording, target)
-            .unwrap_or_else(|e| panic!("replay failed on {target}: {e}"));
-        assert_eq!(report.trials, 2, "{target}");
-        assert_eq!(report.flips_verified, total_flips, "{target}");
-    }
+    let report = replay_recording(&recording, ReplayTarget::default())
+        .unwrap_or_else(|e| panic!("replay failed: {e}"));
+    assert_eq!(report.trials, 2);
+    assert_eq!(report.flips_verified, total_flips);
 }
 
 #[test]
 fn templating_recording_replays_identically() {
     let recording = record_campaign(&small_templating_spec()).unwrap();
-    for target in [
-        ReplayTarget::default(),
-        ReplayTarget {
-            backend: StoreBackend::Cow,
-            flip_engine: cta_dram::FlipEngine::Scalar,
-            defense: DefenseSpec::None,
-        },
-    ] {
-        replay_recording(&recording, target)
-            .unwrap_or_else(|e| panic!("replay failed on {target}: {e}"));
-    }
+    replay_recording(&recording, ReplayTarget::default())
+        .unwrap_or_else(|e| panic!("replay failed: {e}"));
 }
 
 #[test]
@@ -246,12 +236,43 @@ fn golden_fixtures_reserialize_byte_identically_and_refuse_other_map_gens() {
 }
 
 #[test]
+fn unbuildable_golden_mutations_are_typed_errors_not_panics() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../fixtures/recordings");
+    let text = std::fs::read_to_string(dir.join("spray-small.recording.json")).unwrap();
+    let mutate = |from: &str, to: &str| {
+        let mutated = text.replacen(from, to, 1);
+        assert_ne!(mutated, text, "the golden names `{from}`");
+        mutated
+    };
+
+    // A zero cell-type period parses, then fails to boot a trial machine.
+    let recording =
+        Recording::from_json_str(&mutate("\"cell_period_rows\": 64", "\"cell_period_rows\": 0"))
+            .unwrap();
+    match replay_recording(&recording, ReplayTarget::default()) {
+        Err(RecordingError::Vm(VmError::ZeroCellPeriod)) => {}
+        other => panic!("cell_period_rows 0: expected Vm(ZeroCellPeriod), got {other:?}"),
+    }
+
+    // The spray exploit needs two file pages; fewer is refused at load.
+    for pages in ["0", "1"] {
+        let mutated = mutate("\"file_pages\": 2", &format!("\"file_pages\": {pages}"));
+        match Recording::from_json_str(&mutated) {
+            Err(RecordingError::Malformed { path, .. }) => {
+                assert_eq!(path, "spec.params.file_pages");
+            }
+            other => panic!("file_pages {pages}: expected Malformed, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn golden_fixtures_replay_byte_identically_under_explicit_no_defense() {
     // The defense refactor's determinism contract: a replay target that
     // names `DefenseSpec::None` explicitly takes the pre-refactor code
     // path bit for bit, so the pre-refactor golden recordings replay
     // unchanged — transcript, contents hash, clock, outcome, telemetry.
-    let target = ReplayTarget { defense: DefenseSpec::None, ..ReplayTarget::default() };
+    let target = ReplayTarget { defense: DefenseSpec::None };
     for (name, recording) in golden_fixtures() {
         let report = replay_recording(&recording, target)
             .unwrap_or_else(|e| panic!("golden fixture {name} diverged under None: {e}"));
@@ -266,7 +287,7 @@ fn observer_defense_replays_the_transcript_but_marks_the_telemetry() {
     // and the only divergence is the campaign telemetry, where the
     // defended kernel emits its `defense` counter group.
     let recording = record_campaign(&small_spray_spec()).unwrap();
-    let target = ReplayTarget { defense: DefenseSpec::Observer, ..ReplayTarget::default() };
+    let target = ReplayTarget { defense: DefenseSpec::Observer };
     match replay_recording(&recording, target) {
         Err(RecordingError::Mismatch { what: "telemetry snapshot", .. }) => {}
         other => panic!("expected telemetry-only divergence, got {other:?}"),
@@ -276,11 +297,8 @@ fn observer_defense_replays_the_transcript_but_marks_the_telemetry() {
 #[test]
 fn an_acting_defense_diverges_in_the_flip_transcript_itself() {
     let recording = record_campaign(&small_spray_spec()).unwrap();
-    let target = ReplayTarget {
-        defense: DefenseSpec::BlockHammer(BlockHammerParams::default()),
-        ..ReplayTarget::default()
-    };
-    assert_eq!(target.to_string(), format!("{}+blockhammer", ReplayTarget::default()));
+    let target = ReplayTarget { defense: DefenseSpec::BlockHammer(BlockHammerParams::default()) };
+    assert_eq!(target.to_string(), "defense=blockhammer");
     match replay_recording(&recording, target) {
         Err(RecordingError::Mismatch { .. }) => {}
         Ok(_) => panic!("a throttling defense must not reproduce an undefended recording"),

@@ -20,8 +20,7 @@
 //! ```
 //!
 //! Machines default to the paper's protected (CTA) configuration with
-//! boot-time cell profiling on the copy-on-write backend; `--stock`
-//! drops protection. `cta evaluate --jsonl` streams one strict-JSON
+//! boot-time cell profiling; `--stock` drops protection. `cta evaluate --jsonl` streams one strict-JSON
 //! line per completed campaign (the `json-check --schema` gate validates
 //! the stream's shape). `--isolation fork|journal` (attack and evaluate)
 //! picks how trials are isolated from the pooled parent kernel:
@@ -37,7 +36,6 @@ use cta_attack::{
     SprayAttack, TemplatingAttack, TenantLimits, TrialIsolation,
 };
 use cta_bench::{emit_telemetry, header, kv};
-use cta_dram::StoreBackend;
 use cta_telemetry::Counters;
 
 const USAGE: &str = "usage: cta <profile|evaluate|attack> [options]
@@ -120,8 +118,7 @@ fn parse_num(s: &str) -> Result<u64, String> {
 }
 
 /// The spec every subcommand shares: the standard small experiment
-/// machine, profiled at boot, attack trials under the CoW backend (forks
-/// are O(changed rows), which is what `evaluate` amortizes).
+/// machine, profiled at boot.
 fn spec(opts: &Options) -> RecordingSpec {
     let attack = if opts.attack == "spray" {
         RecordedAttack::Spray(SprayAttack {
@@ -147,10 +144,6 @@ fn spec(opts: &Options) -> RecordingSpec {
     spec
 }
 
-fn target() -> ReplayTarget {
-    ReplayTarget { backend: StoreBackend::Cow, ..ReplayTarget::default() }
-}
-
 fn cmd_profile(opts: &Options) -> ExitCode {
     header(&format!(
         "cta profile — seed {} / {} MiB / {}",
@@ -159,7 +152,7 @@ fn cmd_profile(opts: &Options) -> ExitCode {
         if opts.protected { "cta" } else { "stock" }
     ));
     let start = Instant::now();
-    let kernel = match spec(opts).builder(opts.seed, target()).build() {
+    let kernel = match spec(opts).builder(opts.seed, ReplayTarget::default()).build() {
         Ok(k) => k,
         Err(e) => {
             eprintln!("cta profile: boot failed: {e}");
@@ -255,7 +248,6 @@ fn cmd_evaluate(opts: &Options) -> ExitCode {
             let mut spec = spec(opts);
             spec.seeds = vec![opts.seed + tenant_idx as u64; opts.trials];
             let mut request = CampaignRequest::new(tenant, spec);
-            request.target = target();
             request.isolation = opts.isolation;
             match exec.submit(request) {
                 Ok(ticket) => tickets.push((round, tenant_idx, ticket)),

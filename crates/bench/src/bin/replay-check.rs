@@ -2,17 +2,17 @@
 //!
 //! Loads every `*.recording.json` under the recordings directory
 //! (`fixtures/recordings/` by default, `$CTA_RECORDINGS_DIR` override) and
-//! replays each across the full store-backend × flip-engine grid,
-//! asserting byte-identical flip transcripts, DRAM contents hashes,
-//! simulated clocks, attack outcomes, and telemetry snapshots. Any
-//! simulation regression — in the DRAM model, the flip engines, the
-//! backends, the kernel, or the attacks — fails this gate with the first
-//! diverging observable instead of silently changing every experiment.
+//! replays each through the scoped serial path, asserting byte-identical
+//! flip transcripts, DRAM contents hashes, simulated clocks, attack
+//! outcomes, and telemetry snapshots. Any simulation regression — in the
+//! DRAM model, the flip engine, the row store, the kernel, or the attacks
+//! — fails this gate with the first diverging observable instead of
+//! silently changing every experiment.
 //!
 //! Usage:
 //!
 //! ```text
-//! replay-check                     # replay all fixtures across all targets
+//! replay-check                     # replay all fixtures
 //! replay-check --executor         # replay through the campaign executor too
 //! replay-check --isolation MODE   # restrict executor replays to fork|journal
 //! replay-check --record           # regenerate the fixtures from the specs
@@ -42,7 +42,7 @@ use cta_attack::{
 };
 
 /// The golden campaign set: deliberately tiny machines and narrow attacks
-/// so the full 6-target replay grid stays a fast tier-1 gate, while still
+/// so the replay grid stays a fast tier-1 gate, while still
 /// exercising both attack families, both trial outcomes (spray induces
 /// flips and escalates on some seeds; templating gives up on others), and
 /// a multi-trial merged telemetry snapshot.
@@ -146,49 +146,46 @@ fn replay_fixtures(
                 continue;
             }
         };
-        for target in ReplayTarget::all() {
-            match replay_recording(&recording, target) {
-                Ok(report) => {
-                    println!(
-                        "replay-check: ok   {} [{target}] {} trials, {} flips",
-                        path.display(),
-                        report.trials,
-                        report.flips_verified
-                    );
-                }
-                Err(e) => {
-                    eprintln!("replay-check: FAIL {} [{target}]: {e}", path.display());
-                    failures += 1;
-                }
+        match replay_recording(&recording, ReplayTarget::default()) {
+            Ok(report) => {
+                println!(
+                    "replay-check: ok   {} scoped, {} trials, {} flips",
+                    path.display(),
+                    report.trials,
+                    report.flips_verified
+                );
             }
-            if !executor {
-                continue;
+            Err(e) => {
+                eprintln!("replay-check: FAIL {} scoped: {e}", path.display());
+                failures += 1;
             }
-            for workers in EXECUTOR_WORKERS {
-                for mode in EXECUTOR_ISOLATIONS {
-                    if isolation.is_some_and(|only| only != mode) {
-                        continue;
+        }
+        if !executor {
+            continue;
+        }
+        for workers in EXECUTOR_WORKERS {
+            for mode in EXECUTOR_ISOLATIONS {
+                if isolation.is_some_and(|only| only != mode) {
+                    continue;
+                }
+                let exec = CampaignExecutor::new(ExecutorConfig { workers, parents_per_worker: 2 });
+                match exec.replay_isolated(&recording, ReplayTarget::default(), mode) {
+                    Ok(report) => {
+                        println!(
+                            "replay-check: ok   {} executor w={workers} iso={}, {} trials, {} flips",
+                            path.display(),
+                            mode.name(),
+                            report.trials,
+                            report.flips_verified
+                        );
                     }
-                    let exec =
-                        CampaignExecutor::new(ExecutorConfig { workers, parents_per_worker: 2 });
-                    match exec.replay_isolated(&recording, target, mode) {
-                        Ok(report) => {
-                            println!(
-                                "replay-check: ok   {} [{target}] executor w={workers} iso={}, {} trials, {} flips",
-                                path.display(),
-                                mode.name(),
-                                report.trials,
-                                report.flips_verified
-                            );
-                        }
-                        Err(e) => {
-                            eprintln!(
-                                "replay-check: FAIL {} [{target}] executor w={workers} iso={}: {e}",
-                                path.display(),
-                                mode.name()
-                            );
-                            failures += 1;
-                        }
+                    Err(e) => {
+                        eprintln!(
+                            "replay-check: FAIL {} executor w={workers} iso={}: {e}",
+                            path.display(),
+                            mode.name()
+                        );
+                        failures += 1;
                     }
                 }
             }
@@ -198,8 +195,7 @@ fn replay_fixtures(
         eprintln!("replay-check: {failures} replay failures");
         return ExitCode::FAILURE;
     }
-    let how =
-        if executor { "on all targets, scoped and through the executor" } else { "on all targets" };
+    let how = if executor { "scoped and through the executor" } else { "scoped" };
     println!("replay-check: {} recordings replayed {how}", files.len());
     ExitCode::SUCCESS
 }

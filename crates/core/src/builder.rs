@@ -1,6 +1,6 @@
 //! One-stop construction of simulated machines, protected or not.
 
-use cta_dram::{CellLayout, CellType, DisturbanceParams, DramConfig, FlipEngine, StoreBackend};
+use cta_dram::{CellLayout, CellType, DisturbanceParams, DramConfig};
 use cta_mem::{PtpSpec, PAGE_SIZE};
 use cta_vm::{Kernel, KernelConfig, VmError};
 
@@ -36,9 +36,7 @@ pub struct SystemBuilder {
     restrict_two_zeros: bool,
     profile_cells: bool,
     screen_ps_bit: bool,
-    backend: StoreBackend,
     psc_entries: usize,
-    flip_engine: FlipEngine,
     defense: DefenseSpec,
 }
 
@@ -61,9 +59,7 @@ impl SystemBuilder {
             restrict_two_zeros: false,
             profile_cells: false,
             screen_ps_bit: false,
-            backend: StoreBackend::default(),
             psc_entries: 16,
-            flip_engine: FlipEngine::default(),
             defense: DefenseSpec::None,
         }
     }
@@ -140,24 +136,10 @@ impl SystemBuilder {
         self
     }
 
-    /// DRAM row-storage backend (performance/fork-cost knob; simulated
-    /// behavior is backend-invariant).
-    pub fn backend(mut self, backend: StoreBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Per-level paging-structure-cache capacity in entries; 0 disables the
     /// PSC so every TLB miss walks from CR3 (the pre-PSC translation path).
     pub fn psc_entries(mut self, entries: usize) -> Self {
         self.psc_entries = entries;
-        self
-    }
-
-    /// Disturbance/decay inner-loop implementation (performance knob;
-    /// simulated behavior is engine-invariant).
-    pub fn flip_engine(mut self, engine: FlipEngine) -> Self {
-        self.flip_engine = engine;
         self
     }
 
@@ -186,8 +168,6 @@ impl SystemBuilder {
             retention: RetentionParams::default(),
             refresh_interval_ns: 64_000_000,
             seed: self.seed,
-            backend: self.backend,
-            flip_engine: self.flip_engine,
         };
         let cta = self.protected.then(|| {
             PtpSpec::paper_default()
@@ -219,10 +199,14 @@ impl SystemBuilder {
     /// [`VmError::BadMemorySize`] unless the memory size is a nonzero
     /// whole number of DRAM rows (and, with CTA, a power of two holding a
     /// smaller, page-aligned, power-of-two `ZONE_PTP`);
-    /// otherwise propagates kernel boot failures (e.g. an infeasible
+    /// [`VmError::ZeroCellPeriod`] if the cell-type alternation period is
+    /// zero rows; otherwise propagates kernel boot failures (e.g. an infeasible
     /// `ZONE_PTP`).
     pub fn build(&self) -> Result<Kernel, VmError> {
         self.check_memory_size()?;
+        if self.cell_period_rows == 0 {
+            return Err(VmError::ZeroCellPeriod);
+        }
         let mut kernel = Kernel::new(self.to_config())?;
         if let Some(hook) = self.defense.instantiate().row_hook() {
             kernel.install_row_defense(hook);
@@ -320,6 +304,18 @@ mod tests {
         }
         // A stock machine needs whole rows, not a power of two.
         assert_eq!(SystemBuilder::new(3 << 20).build().unwrap().dram().capacity_bytes(), 3 << 20);
+    }
+
+    #[test]
+    fn zero_cell_period_is_a_typed_error() {
+        for protected in [false, true] {
+            let err = SystemBuilder::small_test()
+                .protected(protected)
+                .cell_period(0)
+                .build()
+                .unwrap_err();
+            assert_eq!(err, VmError::ZeroCellPeriod);
+        }
     }
 
     #[test]

@@ -1,6 +1,5 @@
 use crate::cells::CellLayout;
 use crate::geometry::{AddressMapping, DramGeometry};
-use crate::store::StoreBackend;
 
 /// Parameters of the RowHammer disturbance model.
 ///
@@ -79,22 +78,6 @@ impl Default for RetentionParams {
     }
 }
 
-/// Implementation selector for the disturbance and decay inner loops.
-///
-/// Both engines simulate *bit-identical* behavior — same row contents, same
-/// flip-log order, same statistics, same simulated time. The scalar engine
-/// is the reference implementation the wordwise engine is differentially
-/// tested against; the wordwise engine compiles each row's vulnerability
-/// map into `u64` bitplane masks and applies them with AND/OR + popcount.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum FlipEngine {
-    /// Per-[`crate::VulnerableBit`] scalar loop (reference implementation).
-    Scalar,
-    /// Mask-compiled wordwise bitplane engine.
-    #[default]
-    Wordwise,
-}
-
 /// Full configuration of a simulated DRAM module.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DramConfig {
@@ -110,12 +93,6 @@ pub struct DramConfig {
     pub refresh_interval_ns: u64,
     /// Module seed fixing the vulnerability and retention maps.
     pub seed: u64,
-    /// Row-storage backend. Changes performance and fork cost only; every
-    /// backend simulates bit-identical behavior.
-    pub backend: StoreBackend,
-    /// Disturbance/decay inner-loop implementation. Changes performance
-    /// only; both engines simulate bit-identical behavior.
-    pub flip_engine: FlipEngine,
 }
 
 /// JEDEC refresh interval: 64 ms.
@@ -147,8 +124,6 @@ impl DramConfig {
             retention: RetentionParams::default(),
             refresh_interval_ns: REFRESH_INTERVAL_NS,
             seed,
-            backend: StoreBackend::default(),
-            flip_engine: FlipEngine::default(),
         }
     }
 
@@ -163,8 +138,6 @@ impl DramConfig {
             retention: RetentionParams::default(),
             refresh_interval_ns: REFRESH_INTERVAL_NS,
             seed: 0xC0FFEE,
-            backend: StoreBackend::default(),
-            flip_engine: FlipEngine::default(),
         }
     }
 
@@ -183,18 +156,6 @@ impl DramConfig {
     /// Builder-style override of the disturbance parameters.
     pub fn with_disturbance(mut self, disturbance: DisturbanceParams) -> Self {
         self.disturbance = disturbance;
-        self
-    }
-
-    /// Builder-style override of the row-storage backend.
-    pub fn with_backend(mut self, backend: StoreBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Builder-style override of the flip engine.
-    pub fn with_flip_engine(mut self, engine: FlipEngine) -> Self {
-        self.flip_engine = engine;
         self
     }
 }

@@ -9,7 +9,7 @@
 //!   disturbance — the row's full pre-image (cell bytes + charge
 //!   timestamp) is captured, or a `None` marker if the row had never been
 //!   materialized. Rollback restores captured rows byte-for-byte and
-//!   [`crate::RowStore::unmaterialize`]s the `None`-marked ones. This is
+//!   unmaterializes the `None`-marked ones. This is
 //!   the plane that makes journaling cheap: a trial that touches a few
 //!   dozen rows of a multi-megabyte machine journals a few dozen rows.
 //! - **Snapshots** (the eagerly-journaled plane): everything else the
@@ -47,7 +47,7 @@ use crate::geometry::RowId;
 use crate::remap::RemapTable;
 use crate::retention::RetentionModel;
 use crate::stats::DramStats;
-use crate::store::RowStore;
+use crate::store::SparseStore;
 use crate::vuln::VulnerabilityModel;
 
 /// Pre-image of one backing row at `journal_begin` time: `Some((bytes,
@@ -81,11 +81,8 @@ impl DramJournal {
     /// Captures `row`'s pre-image on first touch; later touches of the
     /// same row are O(1) no-ops. Must be called *before* the mutation.
     #[inline]
-    pub(crate) fn capture_row(&mut self, row: u64, store: &impl RowStore) {
+    pub(crate) fn capture_row(&mut self, row: u64, store: &SparseStore) {
         self.rows.entry(row).or_insert_with(|| {
-            // A row with a charge timestamp is materialized on every
-            // backend (a Dense store answers `bytes` even for untouched
-            // rows, so the charge plane is the materialization oracle).
             store.last_charge_ns(row).map(|charge| {
                 (store.bytes(row).expect("materialized row has bytes").into(), charge)
             })

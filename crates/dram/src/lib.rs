@@ -52,6 +52,8 @@ mod config;
 pub mod defense;
 mod ecc;
 mod error;
+#[cfg(test)]
+mod flip_differential;
 mod fnv;
 mod geometry;
 mod journal;
@@ -65,7 +67,7 @@ mod store;
 mod vuln;
 
 pub use cells::{CellLayout, CellRegion, CellType, CellTypeMap};
-pub use config::{DisturbanceParams, DramConfig, FlipEngine, RetentionParams};
+pub use config::{DisturbanceParams, DramConfig, RetentionParams};
 pub use defense::{
     ActivationCtx, AnvilSamplerDefense, AnvilSamplerParams, BlockHammerDefense, BlockHammerParams,
     DefenseSnapshot, DefenseStats, ObserverDefense, RowDefense, SoftTrrDefense, SoftTrrParams,
@@ -81,7 +83,6 @@ pub use profiler::{
 };
 pub use remap::RemapTable;
 pub use stats::{DramStats, FlipEvent, FlipLog};
-pub use store::{AnyRowStore, CowStore, DenseStore, RowMut, RowStore, SparseStore, StoreBackend};
 pub use vuln::{FlipDirection, VulnerabilityModel, VulnerableBit};
 
 /// Number of bits in a DRAM byte; used pervasively when converting between

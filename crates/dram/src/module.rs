@@ -2,16 +2,16 @@ use std::cell::Cell;
 
 use crate::bitplane::{load_word, store_word};
 use crate::cells::{CellLayout, CellType, CellTypeMap};
-use crate::config::{DramConfig, FlipEngine};
+use crate::config::DramConfig;
 use crate::defense::{ActivationCtx, DefenseSnapshot, DefenseStats, RowDefense, Verdict};
 use crate::error::DramError;
 use crate::fnv::ContentsHasher;
 use crate::geometry::{DramGeometry, RowId};
 use crate::journal::DramJournal;
 use crate::remap::RemapTable;
-use crate::retention::{get_bit, set_bit, RetentionModel};
+use crate::retention::RetentionModel;
 use crate::stats::{DramStats, FlipEvent, FlipLog};
-use crate::store::{AnyRowStore, RowStore, StoreBackend};
+use crate::store::SparseStore;
 use crate::vuln::{VulnerabilityModel, VulnerableBit};
 
 /// Column-access latency charged per read/write operation, nanoseconds.
@@ -96,9 +96,9 @@ impl Iterator for Spans {
 /// Ordinary accesses recharge the accessed row.
 pub struct DramModule {
     config: DramConfig,
-    /// Row storage ([`StoreBackend`]-selected), indexed by backing-row id;
-    /// unmaterialized rows have never been written (all cells at logic `0`).
-    store: AnyRowStore,
+    /// Row storage, indexed by backing-row id; unmaterialized rows have
+    /// never been written (all cells at logic `0`).
+    store: SparseStore,
     vuln: VulnerabilityModel,
     retention: RetentionModel,
     remap: RemapTable,
@@ -140,13 +140,17 @@ pub struct DramModule {
     /// row change or remap outside a journal clears them. `Cell` because
     /// `contents_hash` takes `&self` and extends them lazily.
     hash_checkpoints: Cell<Vec<ContentsHasher>>,
+    /// Flips disturbed cells with the per-bit scalar reference instead of
+    /// the wordwise path: the test oracle the production path is
+    /// differentially checked against.
+    #[cfg(test)]
+    scalar_reference: bool,
 }
 
 impl std::fmt::Debug for DramModule {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DramModule")
             .field("capacity", &self.config.geometry.capacity_bytes())
-            .field("backend", &self.store.backend())
             .field("clock_ns", &self.clock_ns)
             .field("materialized_rows", &self.store.materialized_count())
             .field("refresh_enabled", &self.refresh_disabled_at.is_none())
@@ -173,7 +177,7 @@ impl DramModule {
         DramModule {
             vuln,
             retention,
-            store: AnyRowStore::new(config.backend, total_rows, row_bytes),
+            store: SparseStore::new(total_rows, row_bytes),
             remap: RemapTable::new(),
             row_cache: Cell::new((ROW_NONE, ROW_NONE)),
             clock_ns: 0,
@@ -187,16 +191,26 @@ impl DramModule {
             defense_stats: DefenseStats::default(),
             journal: None,
             hash_checkpoints: Cell::new(Vec::new()),
+            #[cfg(test)]
+            scalar_reference: false,
             config,
         }
     }
 
-    /// Forks the module: an independent copy sharing no observable state
-    /// with the original. With [`StoreBackend::Cow`] the row contents are
-    /// shared copy-on-write, so the fork costs O(materialized rows)
-    /// reference bumps and each side later pays only for rows it changes;
-    /// the other backends deep-copy. Behavior after the fork is identical
-    /// for all backends.
+    /// A module whose disturbance and partial decay run the per-bit scalar
+    /// reference, for differential tests of the wordwise path.
+    #[cfg(test)]
+    pub(crate) fn scalar_reference(config: DramConfig) -> Self {
+        let mut m = DramModule::new(config);
+        m.scalar_reference = true;
+        m.retention.scalar_reference = true;
+        m
+    }
+
+    /// Forks the module: an independent deep copy sharing no observable
+    /// state with the original. It costs O(materialized rows) row copies;
+    /// trials isolate in place with [`Self::journal_begin`] instead, and
+    /// the fork stays as the oracle journal rollback is checked against.
     pub fn fork(&self) -> DramModule {
         assert!(self.journal.is_none(), "cannot fork a module with an active journal");
         DramModule {
@@ -217,6 +231,8 @@ impl DramModule {
             defense_stats: self.defense_stats.clone(),
             journal: None,
             hash_checkpoints: Cell::new(Vec::new()),
+            #[cfg(test)]
+            scalar_reference: self.scalar_reference,
         }
     }
 
@@ -313,21 +329,9 @@ impl DramModule {
         }
     }
 
-    /// The row-store backend this module runs on.
-    pub fn store_backend(&self) -> StoreBackend {
-        self.store.backend()
-    }
-
-    /// Number of rows currently materialized (identical across backends
-    /// for the same operation history).
+    /// Number of rows currently materialized.
     pub fn rows_materialized(&self) -> usize {
         self.store.materialized_count()
-    }
-
-    /// Number of materialized rows still shared copy-on-write with live
-    /// forks; `0` for non-Cow backends.
-    pub fn rows_shared_with_forks(&self) -> usize {
-        self.store.shared_rows()
     }
 
     /// The module's configuration.
@@ -358,11 +362,6 @@ impl DramModule {
     /// Accumulated statistics.
     pub fn stats(&self) -> &DramStats {
         &self.stats
-    }
-
-    /// The disturbance/decay engine this module runs on.
-    pub fn flip_engine(&self) -> FlipEngine {
-        self.config.flip_engine
     }
 
     /// Rebounds the per-row model caches (vulnerability maps, compiled
@@ -399,12 +398,12 @@ impl DramModule {
     }
 
     /// Payload bytes currently retained across all per-row model caches,
-    /// engine-local acceleration structures (compiled planes, expired
+    /// acceleration structures (compiled planes, expired
     /// masks, the sorted retention index) included. Vulnerability maps are
     /// counted in the row-map store this module shares with its forks and
     /// journal snapshots. The telemetry gauges
     /// `vuln_cache_bytes`/`retention_cache_bytes` report only the
-    /// engine-invariant subset (bit maps and long-cell lists) of what the
+    /// model-content subset (bit maps and long-cell lists) of what the
     /// module's own accounting holds.
     pub fn model_cache_bytes(&self) -> usize {
         self.vuln.cache_bytes() + self.retention.cache_bytes()
@@ -1190,9 +1189,8 @@ impl DramModule {
             return;
         }
         let cell_type = self.config.layout.cell_type(backing);
-        let engine = self.config.flip_engine;
         let row = self.store.materialize(backing.0, now);
-        let changed = self.retention.apply_decay(backing, cell_type, row.bytes, elapsed, engine);
+        let changed = self.retention.apply_decay(backing, cell_type, row.bytes, elapsed);
         *row.last_charge_ns = now;
         self.stats.decay_flips += changed;
         self.sync_model_stats();
@@ -1214,9 +1212,10 @@ impl DramModule {
 
     /// Applies the disturbance flip model to one victim row.
     ///
-    /// Both engines are observably identical — same row bytes, same flip
-    /// events in the same (ascending-bit) order, same statistics — which
-    /// `tests/flip_engine_differential.rs` proves over whole campaigns.
+    /// Each vulnerable word flips at once: the row's vulnerability map is
+    /// compiled into `u64` bitplane masks applied with AND/OR + popcount,
+    /// and flip events are logged in ascending bit order. A test-only
+    /// per-bit scalar loop is its oracle.
     fn disturb(&mut self, victim: RowId) {
         self.journal_capture(victim);
         let bits = self.vuln.vulnerable_bits(victim);
@@ -1230,71 +1229,75 @@ impl DramModule {
             self.apply_decay_to(victim, self.clock_ns);
         }
         let clock = self.clock_ns;
-        match self.config.flip_engine {
-            FlipEngine::Scalar => {
-                let row = self.store.materialize(victim.0, clock);
-                let mut events = Vec::new();
-                for vb in bits.iter() {
-                    let current = get_bit(row.bytes, vb.bit);
-                    if current == vb.direction.source_value() {
-                        set_bit(row.bytes, vb.bit, !current);
-                        events.push(FlipEvent {
-                            row: victim,
-                            bit: vb.bit,
-                            direction: vb.direction,
-                            time_ns: clock,
-                        });
-                    }
-                }
-                for e in events {
-                    self.stats.record_flip(e);
-                }
+        #[cfg(test)]
+        if self.scalar_reference {
+            self.disturb_scalar(victim, &bits, clock);
+            return;
+        }
+        let planes = self.vuln.planes(victim, &bits);
+        let row = self.store.materialize(victim.0, clock);
+        for pw in planes.iter() {
+            let w = pw.word as usize;
+            let word = load_word(row.bytes, w);
+            // A `1→0`-vulnerable cell fires where the word holds a 1; a
+            // `0→1` cell where it holds a 0. One AND/OR pass flips every
+            // firing cell of the word at once.
+            let fire_otz = word & pw.otz;
+            let fire_zto = !word & pw.zto;
+            let fired = fire_otz | fire_zto;
+            if fired == 0 {
+                continue;
             }
-            FlipEngine::Wordwise => {
-                let planes = self.vuln.planes(victim, &bits);
-                let row = self.store.materialize(victim.0, clock);
-                for pw in planes.iter() {
-                    let w = pw.word as usize;
-                    let word = load_word(row.bytes, w);
-                    // A `1→0`-vulnerable cell fires where the word holds a 1;
-                    // a `0→1` cell where it holds a 0. One AND/OR pass flips
-                    // every firing cell of the word at once.
-                    let fire_otz = word & pw.otz;
-                    let fire_zto = !word & pw.zto;
-                    let fired = fire_otz | fire_zto;
-                    if fired == 0 {
-                        continue;
-                    }
-                    store_word(row.bytes, w, (word & !fire_otz) | fire_zto);
-                    self.stats.flips_one_to_zero += u64::from(fire_otz.count_ones());
-                    self.stats.flips_zero_to_one += u64::from(fire_zto.count_ones());
-                    // Per-bit events in ascending bit order, exactly as the
-                    // scalar loop logs them (vulnerable bits are sorted).
-                    let base = 64 * w as u64;
-                    let mut rest = fired;
-                    while rest != 0 {
-                        let b = rest.trailing_zeros() as u64;
-                        let direction = if fire_otz >> b & 1 == 1 {
-                            crate::FlipDirection::OneToZero
-                        } else {
-                            crate::FlipDirection::ZeroToOne
-                        };
-                        self.stats.flip_log.push(FlipEvent {
-                            row: victim,
-                            bit: base + b,
-                            direction,
-                            time_ns: clock,
-                        });
-                        rest &= rest - 1;
-                    }
-                }
+            store_word(row.bytes, w, (word & !fire_otz) | fire_zto);
+            self.stats.flips_one_to_zero += u64::from(fire_otz.count_ones());
+            self.stats.flips_zero_to_one += u64::from(fire_zto.count_ones());
+            // Per-bit events in ascending bit order (vulnerable bits are
+            // sorted, so this is the scalar loop's order).
+            let base = 64 * w as u64;
+            let mut rest = fired;
+            while rest != 0 {
+                let b = rest.trailing_zeros() as u64;
+                let direction = if fire_otz >> b & 1 == 1 {
+                    crate::FlipDirection::OneToZero
+                } else {
+                    crate::FlipDirection::ZeroToOne
+                };
+                self.stats.flip_log.push(FlipEvent {
+                    row: victim,
+                    bit: base + b,
+                    direction,
+                    time_ns: clock,
+                });
+                rest &= rest - 1;
             }
         }
         self.stats.disturbances += 1;
         self.sync_model_stats();
     }
 
-    /// Mirrors the model-cache eviction counters and engine-invariant byte
+    /// The scalar reference of [`Self::disturb`]'s flip pass: one
+    /// vulnerable bit at a time.
+    #[cfg(test)]
+    fn disturb_scalar(&mut self, victim: RowId, bits: &[VulnerableBit], clock: u64) {
+        use crate::retention::{get_bit, set_bit};
+        let row = self.store.materialize(victim.0, clock);
+        for vb in bits {
+            let current = get_bit(row.bytes, vb.bit);
+            if current == vb.direction.source_value() {
+                set_bit(row.bytes, vb.bit, !current);
+                self.stats.record_flip(FlipEvent {
+                    row: victim,
+                    bit: vb.bit,
+                    direction: vb.direction,
+                    time_ns: clock,
+                });
+            }
+        }
+        self.stats.disturbances += 1;
+        self.sync_model_stats();
+    }
+
+    /// Mirrors the model-cache eviction counters and model-content byte
     /// gauges into the stats snapshot.
     fn sync_model_stats(&mut self) {
         self.stats.vuln_cache_evictions = self.vuln.evictions();
@@ -1642,34 +1645,30 @@ mod tests {
 
     #[test]
     fn journal_rollback_restores_the_module_byte_identically() {
-        for backend in StoreBackend::ALL {
-            let mut cfg = DramConfig::small_test();
-            cfg.backend = backend;
-            let mut m = DramModule::new(cfg);
-            m.fill(0, 128, 0xFF).unwrap();
-            m.write_u64(4096 + 16, 0x1234_5678).unwrap();
-            let before = observe(&m);
+        let mut m = module();
+        m.fill(0, 128, 0xFF).unwrap();
+        m.write_u64(4096 + 16, 0x1234_5678).unwrap();
+        let before = observe(&m);
 
-            m.journal_begin();
-            assert!(m.journal_active());
-            // A trial-shaped mutation mix: writes (materializing fresh
-            // rows), hammering past the threshold, a refresh outage with
-            // decay, a remap, a flip-log drain, and a power cycle.
-            m.fill(3 * 4096, 4096, 0xA5).unwrap();
-            m.hammer_double_sided(RowId(2)).unwrap();
-            m.disable_refresh();
-            m.advance(m.config().retention.max_ns + 1);
-            m.enable_refresh();
-            m.remap_row(RowId(4), RowId(6)).unwrap();
-            let _ = m.take_flip_log();
-            m.power_off(m.config().retention.min_ns / 2);
-            assert!(m.journal_dirty_rows() > 0);
+        m.journal_begin();
+        assert!(m.journal_active());
+        // A trial-shaped mutation mix: writes (materializing fresh
+        // rows), hammering past the threshold, a refresh outage with
+        // decay, a remap, a flip-log drain, and a power cycle.
+        m.fill(3 * 4096, 4096, 0xA5).unwrap();
+        m.hammer_double_sided(RowId(2)).unwrap();
+        m.disable_refresh();
+        m.advance(m.config().retention.max_ns + 1);
+        m.enable_refresh();
+        m.remap_row(RowId(4), RowId(6)).unwrap();
+        let _ = m.take_flip_log();
+        m.power_off(m.config().retention.min_ns / 2);
+        assert!(m.journal_dirty_rows() > 0);
 
-            m.journal_rollback();
-            assert!(!m.journal_active());
-            assert_eq!(observe(&m), before, "backend {backend}");
-            assert!(m.remap_table().is_empty());
-        }
+        m.journal_rollback();
+        assert!(!m.journal_active());
+        assert_eq!(observe(&m), before);
+        assert!(m.remap_table().is_empty());
     }
 
     #[test]
@@ -1681,6 +1680,25 @@ mod tests {
         assert!(m.rows_materialized() > base);
         m.journal_rollback();
         assert_eq!(m.rows_materialized(), base);
+    }
+
+    #[test]
+    fn forked_module_diverges_without_affecting_parent() {
+        let mut parent = module();
+        parent.fill(0, 4096, 0xFF).unwrap();
+        let before = parent.peek(0, 4096).unwrap();
+
+        let mut child = parent.fork();
+        assert_eq!(child.peek(0, 4096).unwrap(), before);
+        child.fill(0, 4096, 0x00).unwrap();
+        child.hammer_double_sided(RowId(2)).unwrap();
+
+        assert_eq!(parent.peek(0, 4096).unwrap(), before);
+        assert_eq!(parent.stats().total_flips(), 0);
+        // The child really diverged (zero-filled, modulo rare 0→1 reverse
+        // flips from the hammer): nothing close to the parent's all-ones.
+        let child_ones: u32 = child.peek(0, 4096).unwrap().iter().map(|b| b.count_ones()).sum();
+        assert!(child_ones < 100, "ones={child_ones}");
     }
 
     #[test]

@@ -6,9 +6,11 @@ use rand::Rng;
 use crate::bitplane::{count_ones, load_word, store_word, words_for_bits};
 use crate::bounded::BoundedCache;
 use crate::cells::CellType;
-use crate::config::{FlipEngine, RetentionParams};
+use crate::config::RetentionParams;
 use crate::geometry::RowId;
-use crate::rng::{hash3, mantissa_cutoff, poisson, stream_rng, to_unit, RowBlocks};
+#[cfg(test)]
+use crate::rng::hash3;
+use crate::rng::{mantissa_cutoff, poisson, stream_rng, to_unit, RowBlocks};
 use crate::vuln::MODEL_CACHE_ROWS;
 
 /// Seed salt of the ordinary retention draw ("ORDI").
@@ -67,6 +69,10 @@ pub(crate) struct RetentionModel {
     /// O(row bits) rescan. Byte-budgeted (8 bytes/cell, zero-weight
     /// markers) rather than entry-bounded.
     index: BoundedCache<(u64, u64), Rc<[u64]>>,
+    /// Decays partial windows with [`Self::apply_decay_scalar`], the test
+    /// oracle of the wordwise path.
+    #[cfg(test)]
+    pub(crate) scalar_reference: bool,
 }
 
 impl fmt::Debug for RetentionModel {
@@ -92,14 +98,15 @@ impl RetentionModel {
                 index.set_byte_budget(Some(INDEX_CACHE_BYTES));
                 index
             },
+            #[cfg(test)]
+            scalar_reference: false,
         }
     }
 
     /// Total cache evictions (long cells + expired masks) since creation.
-    /// Retention-index evictions are excluded: the index is an engine-local
-    /// acceleration structure whose byte budget can evict on one engine and
-    /// not the other, and the mirrored stats counter must stay
-    /// engine-invariant (the differential suites assert it byte for byte).
+    /// Retention-index evictions are excluded: the index is an acceleration
+    /// structure the scalar test oracle never builds, and the mirrored stats
+    /// counter must match that oracle byte for byte.
     pub(crate) fn evictions(&self) -> u64 {
         self.long_cache.evictions() + self.expired.evictions()
     }
@@ -109,14 +116,15 @@ impl RetentionModel {
         self.long_cache.len().max(self.expired.len()).max(self.index.len())
     }
 
-    /// Payload bytes retained across all retention caches, engine-local
-    /// acceleration structures included.
+    /// Payload bytes retained across all retention caches, acceleration
+    /// structures included.
     pub(crate) fn cache_bytes(&self) -> usize {
         self.long_cache.bytes() + self.expired.bytes() + self.index.bytes()
     }
 
-    /// Payload bytes of the long-cell cache alone — the engine-invariant
-    /// model content mirrored into the `retention_cache_bytes` gauge.
+    /// Payload bytes of the long-cell cache alone — the model content the
+    /// scalar test oracle shares, mirrored into the `retention_cache_bytes`
+    /// gauge.
     pub(crate) fn long_bytes(&self) -> usize {
         self.long_cache.bytes()
     }
@@ -161,12 +169,14 @@ impl RetentionModel {
     }
 
     /// Retention time of an ordinary (non-long) cell.
+    #[cfg(test)]
     fn ordinary_retention_ns(&self, row: RowId, bit: u64) -> u64 {
         let u = to_unit(hash3(self.seed ^ ORDI_SALT, row.0, bit));
         self.params.min_ns + (u * (self.params.max_ns - self.params.min_ns) as f64) as u64
     }
 
     /// Retention time of any cell (long cells shadow ordinary draws).
+    #[cfg(test)]
     pub(crate) fn retention_ns(&mut self, row: RowId, bit: u64) -> u64 {
         if let Ok(i) = self.long_cells(row).binary_search_by_key(&bit, |c| c.bit) {
             return self.long_cells(row)[i].retention_ns;
@@ -178,15 +188,14 @@ impl RetentionModel {
     ///
     /// Cells whose retention has expired read as the discharged value of the
     /// row's polarity. Returns the number of bits whose logic value changed.
-    /// A full window takes one path on both engines; in a partial window the
-    /// wordwise path is differentially tested against the scalar reference.
+    /// A partial window discharges the row's memoized expired-cell mask a
+    /// word at a time; a test-only per-bit scalar loop is its oracle.
     pub(crate) fn apply_decay(
         &mut self,
         row: RowId,
         cell_type: CellType,
         bytes: &mut [u8],
         elapsed_ns: u64,
-        engine: FlipEngine,
     ) -> u64 {
         if elapsed_ns < self.params.min_ns {
             return 0;
@@ -194,14 +203,13 @@ impl RetentionModel {
         if elapsed_ns >= self.params.max_ns {
             return self.apply_full_decay(row, cell_type, bytes, elapsed_ns);
         }
-        match engine {
-            FlipEngine::Scalar => self.apply_decay_scalar(row, cell_type, bytes, elapsed_ns),
-            FlipEngine::Wordwise => {
-                let target = if cell_type.discharged_value() { !0u64 } else { 0u64 };
-                let mask = self.expired_mask(row, elapsed_ns, bytes.len() * crate::BITS_PER_BYTE);
-                discharge_masked(bytes, &mask, target)
-            }
+        #[cfg(test)]
+        if self.scalar_reference {
+            return self.apply_decay_scalar(row, cell_type, bytes, elapsed_ns);
         }
+        let target = if cell_type.discharged_value() { !0u64 } else { 0u64 };
+        let mask = self.expired_mask(row, elapsed_ns, bytes.len() * crate::BITS_PER_BYTE);
+        discharge_masked(bytes, &mask, target)
     }
 
     /// Full decay (`elapsed ≥ max_ns`): every ordinary cell has expired, so
@@ -235,14 +243,19 @@ impl RetentionModel {
         changed
     }
 
-    /// Partial window, scalar reference: each bit's retention individually.
-    fn apply_decay_scalar(
+    /// Test oracle for [`Self::apply_decay`]: a partial window checks each
+    /// bit's retention individually; the other windows share its paths.
+    #[cfg(test)]
+    pub(crate) fn apply_decay_scalar(
         &mut self,
         row: RowId,
         cell_type: CellType,
         bytes: &mut [u8],
         elapsed_ns: u64,
     ) -> u64 {
+        if elapsed_ns < self.params.min_ns || elapsed_ns >= self.params.max_ns {
+            return self.apply_decay(row, cell_type, bytes, elapsed_ns);
+        }
         let discharged = cell_type.discharged_value();
         let mut changed = 0u64;
         for bit in 0..(bytes.len() as u64 * crate::BITS_PER_BYTE as u64) {
@@ -336,7 +349,7 @@ impl RetentionModel {
     /// first `nbits` cells: one `retention_ns << 21 | bit` key per ordinary
     /// cell, ascending. The per-cell hashes come from the counter-mode
     /// block generator, which is hash-for-hash equal to the scalar
-    /// [`hash3`] draw, so `partition_point` over the keys reproduces the
+    /// `hash3` draw, so `partition_point` over the keys reproduces the
     /// scalar per-bit expiry predicate exactly.
     fn build_index(&mut self, row: RowId, nbits: usize) -> Rc<[u64]> {
         let key = (row.0, nbits as u64);
@@ -428,8 +441,7 @@ mod tests {
     fn no_decay_before_min_retention() {
         let mut m = model();
         let mut bytes = vec![0xFFu8; 4096];
-        let changed =
-            m.apply_decay(RowId(0), CellType::True, &mut bytes, 1_000_000, FlipEngine::Wordwise);
+        let changed = m.apply_decay(RowId(0), CellType::True, &mut bytes, 1_000_000);
         assert_eq!(changed, 0);
         assert!(bytes.iter().all(|b| *b == 0xFF));
     }
@@ -439,8 +451,7 @@ mod tests {
         let mut m = model();
         let mut bytes = vec![0xFFu8; 4096];
         let elapsed = m.params.max_ns + 1;
-        let changed =
-            m.apply_decay(RowId(0), CellType::True, &mut bytes, elapsed, FlipEngine::Wordwise);
+        let changed = m.apply_decay(RowId(0), CellType::True, &mut bytes, elapsed);
         // All bits decay except surviving long cells.
         let surviving: u64 = bytes.iter().map(|b| b.count_ones() as u64).sum();
         let long = m.long_cells(RowId(0)).len() as u64;
@@ -453,7 +464,7 @@ mod tests {
         let mut m = model();
         let mut bytes = vec![0x00u8; 4096];
         let elapsed = m.params.max_ns + 1;
-        m.apply_decay(RowId(1), CellType::Anti, &mut bytes, elapsed, FlipEngine::Wordwise);
+        m.apply_decay(RowId(1), CellType::Anti, &mut bytes, elapsed);
         let zeros: u64 = bytes.iter().map(|b| b.count_zeros() as u64).sum();
         let long = m.long_cells(RowId(1)).len() as u64;
         assert!(zeros <= long, "zeros={zeros} long={long}");
@@ -465,20 +476,8 @@ mod tests {
         let p = m.params;
         let mut early = vec![0xFFu8; 4096];
         let mut late = vec![0xFFu8; 4096];
-        m.apply_decay(
-            RowId(2),
-            CellType::True,
-            &mut early,
-            p.min_ns + (p.max_ns - p.min_ns) / 4,
-            FlipEngine::Wordwise,
-        );
-        m.apply_decay(
-            RowId(2),
-            CellType::True,
-            &mut late,
-            p.min_ns + (p.max_ns - p.min_ns) / 2,
-            FlipEngine::Wordwise,
-        );
+        m.apply_decay(RowId(2), CellType::True, &mut early, p.min_ns + (p.max_ns - p.min_ns) / 4);
+        m.apply_decay(RowId(2), CellType::True, &mut late, p.min_ns + (p.max_ns - p.min_ns) / 2);
         let ones_early: u32 = early.iter().map(|b| b.count_ones()).sum();
         let ones_late: u32 = late.iter().map(|b| b.count_ones()).sum();
         assert!(ones_late <= ones_early);
@@ -489,13 +488,7 @@ mod tests {
     fn very_long_wait_kills_even_long_cells() {
         let mut m = model();
         let mut bytes = vec![0xFFu8; 4096];
-        m.apply_decay(
-            RowId(0),
-            CellType::True,
-            &mut bytes,
-            m.params.long_max_ns + 1,
-            FlipEngine::Wordwise,
-        );
+        m.apply_decay(RowId(0), CellType::True, &mut bytes, m.params.long_max_ns + 1);
         assert!(bytes.iter().all(|b| *b == 0));
     }
 
@@ -519,15 +512,8 @@ mod tests {
                 let mut wordwise = model();
                 let mut sb = vec![fill; 4096];
                 let mut wb = sb.clone();
-                let cs =
-                    scalar.apply_decay(RowId(3), cell_type, &mut sb, elapsed, FlipEngine::Scalar);
-                let cw = wordwise.apply_decay(
-                    RowId(3),
-                    cell_type,
-                    &mut wb,
-                    elapsed,
-                    FlipEngine::Wordwise,
-                );
+                let cs = scalar.apply_decay_scalar(RowId(3), cell_type, &mut sb, elapsed);
+                let cw = wordwise.apply_decay(RowId(3), cell_type, &mut wb, elapsed);
                 assert_eq!(cs, cw, "changed counts diverged at elapsed={elapsed} {cell_type:?}");
                 assert_eq!(sb, wb, "row bytes diverged at elapsed={elapsed} {cell_type:?}");
             }
@@ -545,20 +531,8 @@ mod tests {
                 let mut wordwise = RetentionModel::new(p, (len * 8) as u64, 0xFEED);
                 let mut sb = vec![0xFFu8; len];
                 let mut wb = sb.clone();
-                let cs = scalar.apply_decay(
-                    RowId(0),
-                    CellType::True,
-                    &mut sb,
-                    elapsed,
-                    FlipEngine::Scalar,
-                );
-                let cw = wordwise.apply_decay(
-                    RowId(0),
-                    CellType::True,
-                    &mut wb,
-                    elapsed,
-                    FlipEngine::Wordwise,
-                );
+                let cs = scalar.apply_decay_scalar(RowId(0), CellType::True, &mut sb, elapsed);
+                let cw = wordwise.apply_decay(RowId(0), CellType::True, &mut wb, elapsed);
                 assert_eq!(cs, cw, "len={len} elapsed={elapsed}");
                 assert_eq!(sb, wb, "len={len} elapsed={elapsed}");
             }
@@ -602,14 +576,13 @@ mod tests {
                                     survivors += 1;
                                 }
                             }
-                            for engine in [FlipEngine::Scalar, FlipEngine::Wordwise] {
-                                let mut bytes = before.clone();
-                                let changed =
-                                    m.apply_decay(row, cell_type, &mut bytes, elapsed, engine);
-                                let at = format!("len={len} row={r} elapsed={elapsed} {cell_type:?} fill={fill:#x} {engine:?}");
-                                assert_eq!(bytes, expected, "{at}");
-                                assert_eq!(changed, expected_changed, "{at}");
-                            }
+                            let mut bytes = before.clone();
+                            let changed = m.apply_decay(row, cell_type, &mut bytes, elapsed);
+                            let at = format!(
+                                "len={len} row={r} elapsed={elapsed} {cell_type:?} fill={fill:#x}"
+                            );
+                            assert_eq!(bytes, expected, "{at}");
+                            assert_eq!(changed, expected_changed, "{at}");
                         }
                     }
                 }
@@ -625,16 +598,16 @@ mod tests {
         let p = m.params;
         let elapsed = p.min_ns + (p.max_ns - p.min_ns) / 2;
         let mut reference = vec![0xFFu8; 4096];
-        m.apply_decay(RowId(0), CellType::True, &mut reference, elapsed, FlipEngine::Wordwise);
+        m.apply_decay(RowId(0), CellType::True, &mut reference, elapsed);
         // A second sweep of the same (row, elapsed) hits the mask cache and
         // must decay a fresh row identically.
         let mut again = vec![0xFFu8; 4096];
-        m.apply_decay(RowId(0), CellType::True, &mut again, elapsed, FlipEngine::Wordwise);
+        m.apply_decay(RowId(0), CellType::True, &mut again, elapsed);
         assert_eq!(reference, again);
         // Sweeping more rows than the capacity evicts deterministically.
         for r in 1..6 {
             let mut b = vec![0xFFu8; 4096];
-            m.apply_decay(RowId(r), CellType::True, &mut b, elapsed, FlipEngine::Wordwise);
+            m.apply_decay(RowId(r), CellType::True, &mut b, elapsed);
         }
         assert!(m.cached_rows() <= 2);
         assert!(m.evictions() > 0);
@@ -657,15 +630,8 @@ mod tests {
             let mut wordwise = RetentionModel::new(p, 4096 * 8, 0xFEED);
             let mut sb = vec![0xA5u8; 4096];
             let mut wb = sb.clone();
-            let cs =
-                scalar.apply_decay(RowId(7), CellType::True, &mut sb, elapsed, FlipEngine::Scalar);
-            let cw = wordwise.apply_decay(
-                RowId(7),
-                CellType::True,
-                &mut wb,
-                elapsed,
-                FlipEngine::Wordwise,
-            );
+            let cs = scalar.apply_decay_scalar(RowId(7), CellType::True, &mut sb, elapsed);
+            let cw = wordwise.apply_decay(RowId(7), CellType::True, &mut wb, elapsed);
             assert_eq!(cs, cw, "elapsed={elapsed}");
             assert_eq!(sb, wb, "elapsed={elapsed}");
             assert_eq!(wordwise.index.len(), 0, "unpackable params must not build an index");
@@ -688,20 +654,8 @@ mod tests {
             for elapsed in buckets {
                 let mut cb = vec![0xFFu8; 4096];
                 let mut ub = cb.clone();
-                capped.apply_decay(
-                    RowId(r),
-                    CellType::True,
-                    &mut cb,
-                    elapsed,
-                    FlipEngine::Wordwise,
-                );
-                uncapped.apply_decay(
-                    RowId(r),
-                    CellType::True,
-                    &mut ub,
-                    elapsed,
-                    FlipEngine::Wordwise,
-                );
+                capped.apply_decay(RowId(r), CellType::True, &mut cb, elapsed);
+                uncapped.apply_decay(RowId(r), CellType::True, &mut ub, elapsed);
                 assert_eq!(cb, ub, "row {r}");
             }
         }
@@ -710,7 +664,7 @@ mod tests {
         assert!(capped.index.len() <= 1, "capped index len {}", capped.index.len());
         assert_eq!(uncapped.index.len(), 4);
         assert!(capped.cache_bytes() < uncapped.cache_bytes());
-        // Index evictions stay out of the engine-invariant counter.
+        // Index evictions stay out of the mirrored stats counter.
         assert_eq!(capped.evictions(), uncapped.evictions());
     }
 

@@ -19,6 +19,7 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// Hashes a tuple of coordinates into a u64.
+#[cfg(test)]
 pub(crate) fn hash3(seed: u64, a: u64, b: u64) -> u64 {
     splitmix64(splitmix64(splitmix64(seed) ^ a) ^ b)
 }
@@ -42,9 +43,9 @@ pub(crate) fn to_unit(x: u64) -> f64 {
 ///
 /// so the generator derives whole 64-hash blocks — one per engine word of
 /// the row — at a third of the scalar mixing cost, while staying *equal*
-/// to the per-bit [`hash3`] reference hash for hash. The wordwise
+/// to the per-bit `hash3` reference hash for hash. The wordwise
 /// retention-mask builder in `retention.rs` consumes these blocks; the
-/// scalar path keeps calling [`hash3`] directly, which is what the
+/// scalar test oracle keeps calling `hash3` directly, which is what the
 /// differential suites pin the block consumer against.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RowBlocks {

@@ -97,13 +97,13 @@ pub struct DramStats {
     /// and expired-cell masks).
     pub retention_cache_evictions: u64,
     /// Payload bytes retained in the vulnerability bit-map cache. Counts
-    /// the maps themselves, not the engine-local compiled planes, so the
-    /// gauge is identical across flip engines (the differential suites
-    /// assert full telemetry identity).
+    /// the maps themselves, not the compiled planes that accelerate
+    /// disturbance, so the gauge measures model content only (the
+    /// scalar-reference differential asserts full telemetry identity).
     pub vuln_cache_bytes: u64,
     /// Payload bytes retained in the retention model's long-cell cache
-    /// (expired masks and the sorted retention index are engine-local and
-    /// excluded for the same reason).
+    /// (expired masks and the sorted retention index are acceleration
+    /// structures and excluded for the same reason).
     pub retention_cache_bytes: u64,
     /// Bounded log of the most recent disturbance flips, in order of
     /// occurrence. Older events beyond the capacity are evicted but counted
@@ -119,6 +119,7 @@ impl DramStats {
     }
 
     /// Records a flip in the counters and the log.
+    #[cfg(test)]
     pub(crate) fn record_flip(&mut self, event: FlipEvent) {
         match event.direction {
             FlipDirection::OneToZero => self.flips_one_to_zero += 1,

@@ -190,13 +190,12 @@ impl VulnerabilityModel {
     }
 
     /// Payload bytes the shared stores of both per-row caches retain, the
-    /// engine-local compiled planes included.
+    /// compiled planes included.
     pub(crate) fn cache_bytes(&self) -> usize {
         self.cache.stored_bytes() + self.planes.stored_bytes()
     }
 
-    /// Payload bytes the bit-map accounting holds — the engine-invariant
-    /// model content mirrored into the `vuln_cache_bytes` gauge.
+    /// Payload bytes the bit-map accounting holds — the model content mirrored into the `vuln_cache_bytes` gauge.
     pub(crate) fn map_bytes(&self) -> usize {
         self.cache.held_bytes()
     }

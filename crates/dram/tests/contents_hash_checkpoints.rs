@@ -1,15 +1,14 @@
 //! `contents_hash` under an undo journal resumes from a checkpoint at the
 //! journal's first dirty row. Whatever a trial does, and however many
 //! trials ran before it, the hash must equal the definition: wordwise
-//! FNV-1a 64 over a whole-capacity `peek`. Every scenario runs on every
-//! row-store backend, including row sizes that are not a multiple of 8
-//! (so words straddle rows and checkpoints carry a partial word).
+//! FNV-1a 64 over a whole-capacity `peek`. Every scenario runs on several
+//! row sizes, including ones that are not a multiple of 8 (so words
+//! straddle rows and checkpoints carry a partial word).
 
 mod common;
 
 use common::reference_contents_hash;
-use cta_dram::{AddressMapping, CellLayout, CellType, DramConfig, DramGeometry, DramModule};
-use cta_dram::{RowId, StoreBackend};
+use cta_dram::{AddressMapping, CellLayout, CellType, DramConfig, DramGeometry, DramModule, RowId};
 
 const ROWS: u64 = 64;
 
@@ -17,11 +16,10 @@ const ROWS: u64 = 64;
 /// unmaterialized), so any row that hashes at the wrong place or from
 /// stale contents changes the result. Cell type alternates every 8 rows,
 /// true first.
-fn parent(backend: StoreBackend, row_bytes: u64) -> DramModule {
+fn parent(row_bytes: u64) -> DramModule {
     let mut m = DramModule::new(DramConfig {
         geometry: DramGeometry::new(row_bytes, ROWS, 1, AddressMapping::RowLinear),
         layout: CellLayout::Alternating { period_rows: 8, first: CellType::True },
-        backend,
         ..DramConfig::small_test()
     });
     for row in (0..ROWS).filter(|row| row % 5 != 3) {
@@ -37,12 +35,10 @@ fn poke(m: &mut DramModule, row: u64, byte: u8) {
     m.write(row * row_bytes + row_bytes - 1, &[byte ^ 0x5A]).unwrap();
 }
 
-/// Runs `scenario` on a fresh parent for every backend and row size.
+/// Runs `scenario` on a fresh parent for every row size.
 fn for_each_parent(scenario: impl Fn(&mut DramModule)) {
     for row_bytes in [4096u64, 64, 4, 1] {
-        for backend in StoreBackend::ALL {
-            scenario(&mut parent(backend, row_bytes));
-        }
+        scenario(&mut parent(row_bytes));
     }
 }
 
@@ -51,8 +47,7 @@ fn check(m: &DramModule, what: &str) {
     assert_eq!(
         m.contents_hash(),
         reference_contents_hash(m),
-        "{what}: {} backend, {}-byte rows",
-        m.store_backend(),
+        "{what}: {}-byte rows",
         m.geometry().row_bytes()
     );
 }

@@ -100,6 +100,8 @@ pub enum VmError {
         /// What the size violates.
         reason: &'static str,
     },
+    /// The DRAM cell-type alternation period is zero rows.
+    ZeroCellPeriod,
 }
 
 impl fmt::Display for VmError {
@@ -115,6 +117,9 @@ impl fmt::Display for VmError {
             VmError::Unaligned { value } => write!(f, "{value:#x} is not page-aligned"),
             VmError::BadMemorySize { bytes, reason } => {
                 write!(f, "memory size of {bytes} bytes {reason}")
+            }
+            VmError::ZeroCellPeriod => {
+                f.write_str("cell-type alternation period must be at least one row")
             }
         }
     }

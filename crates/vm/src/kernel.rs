@@ -205,8 +205,6 @@ impl KernelConfig {
             retention: cta_dram::RetentionParams::default(),
             refresh_interval_ns: 64_000_000,
             seed: 0xBEEF,
-            backend: cta_dram::StoreBackend::default(),
-            flip_engine: cta_dram::FlipEngine::default(),
         };
         KernelConfig {
             dram,
@@ -231,12 +229,6 @@ impl KernelConfig {
     /// Builder-style CTA override.
     pub fn with_cta(mut self, spec: PtpSpec) -> Self {
         self.cta = Some(spec);
-        self
-    }
-
-    /// Builder-style DRAM row-store backend override.
-    pub fn with_backend(mut self, backend: cta_dram::StoreBackend) -> Self {
-        self.dram.backend = backend;
         self
     }
 }
@@ -389,12 +381,10 @@ impl Kernel {
     /// Nothing done to either side is ever visible to the other.
     ///
     /// Forking a freshly booted kernel is indistinguishable from booting a
-    /// second one with the same [`KernelConfig`] — the substrate of
-    /// boot-once/fork-per-trial campaigns. With the
-    /// [`cta_dram::StoreBackend::Cow`] backend the DRAM snapshot is
-    /// copy-on-write, so a fork costs O(materialized rows) reference bumps
-    /// and each trial pays only for the rows it actually changes; other
-    /// backends deep-copy the module.
+    /// second one with the same [`KernelConfig`]. The DRAM module is
+    /// deep-copied, so a fork costs O(materialized rows); campaigns isolate
+    /// trials in place with [`Self::journal_begin`] instead, and the fork
+    /// stays as the oracle journal rollback is checked against.
     pub fn fork(&self) -> Kernel {
         Kernel {
             dram: self.dram.fork(),
@@ -516,8 +506,6 @@ impl Kernel {
         c.record(&self.tlb.stats());
         c.record(&self.psc.stats());
         c.record(self.dram.stats());
-        // Materialized-row gauge: equal across store backends for the same
-        // operation history, so backend choice never perturbs telemetry.
         c.add_u64("dram", "rows_materialized", self.dram.rows_materialized() as u64);
         self.alloc.record_counters(c);
         // Only defended machines carry a `defense` group, so undefended

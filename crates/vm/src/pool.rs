@@ -1,13 +1,12 @@
 //! Boot-once parent-kernel pools for fork-per-trial services.
 //!
 //! Booting a kernel — building page tables, profiling true/anti-cells,
-//! compiling the vulnerability map — dominates a trial's cost, while
-//! [`Kernel::fork`] on the CoW backend is O(changed rows). A long-running
-//! campaign service therefore keeps *parent* kernels (one per distinct
-//! boot configuration) alive and hands out forks per trial — or, with
-//! [`KernelPool::run_journaled`], runs the trial **in place** on the
-//! parent under an undo journal and rolls it back, skipping the per-trial
-//! copy entirely.
+//! compiling the vulnerability map — dominates a trial's cost. A
+//! long-running campaign service therefore keeps *parent* kernels (one per
+//! distinct boot configuration) alive and, with
+//! [`KernelPool::run_journaled`], runs each trial **in place** on its
+//! parent under an undo journal and rolls it back — or hands out a
+//! [`Kernel::fork`], a deep copy of the parent, per trial.
 //!
 //! [`KernelPool`] is that cache: an LRU map from an opaque configuration
 //! key to a booted parent, order-indexed (hash map plus a recency-stamped
@@ -21,7 +20,7 @@
 //! O(parents + in-flight forks).
 //!
 //! Determinism: `fork()` of a freshly-booted kernel is bit-identical to a
-//! second boot from the same config (pinned by the backend differential
+//! second boot from the same config (pinned by the fork-isolation
 //! suites), and a journaled trial's rollback restores the parent
 //! byte-identically (pinned by the isolation differential suites), so
 //! *how* a trial's kernel was served — pool hit, fresh boot, fork, or

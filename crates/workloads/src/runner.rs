@@ -297,50 +297,6 @@ impl Runner {
         })
     }
 
-    /// Boot-once/fork-per-repetition variant of [`Runner::compare`]: each
-    /// repetition runs against a fresh [`Kernel::fork`] of the two
-    /// pre-booted parents instead of a fresh boot.
-    ///
-    /// Boot is deterministic, so the simulated-time fields are
-    /// bit-identical to [`Runner::compare`] with a `build` that boots the
-    /// parents' configurations — minus the per-repetition boot cost
-    /// (cheapest with the [`cta_dram::StoreBackend::Cow`] backend, where a
-    /// fork is O(materialized rows)).
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel errors from either machine.
-    pub fn compare_forked(
-        &self,
-        stock_parent: &Kernel,
-        cta_parent: &Kernel,
-        spec: &WorkloadSpec,
-    ) -> Result<OverheadRow, VmError> {
-        let mut baseline = 0f64;
-        let mut cta = 0f64;
-        let mut baseline_wall = 0f64;
-        let mut cta_wall = 0f64;
-        for _ in 0..self.repetitions {
-            let mut stock_kernel = stock_parent.fork();
-            let m = self.run(&mut stock_kernel, spec)?;
-            baseline += m.sim_ns as f64;
-            baseline_wall += m.wall_ns as f64;
-            let mut cta_kernel = cta_parent.fork();
-            let m = self.run(&mut cta_kernel, spec)?;
-            cta += m.sim_ns as f64;
-            cta_wall += m.wall_ns as f64;
-        }
-        let n = self.repetitions as f64;
-        Ok(OverheadRow {
-            name: spec.name.to_string(),
-            baseline_sim_ns: baseline / n,
-            cta_sim_ns: cta / n,
-            baseline_wall_ns: baseline_wall / n,
-            cta_wall_ns: cta_wall / n,
-            repetitions: self.repetitions,
-        })
-    }
-
     /// Runs the whole Table 4 harness — every benchmark × repetition ×
     /// {stock, CTA} cell — across up to `threads` worker threads
     /// (`0` = one per core), returning one [`OverheadRow`] per spec in
@@ -444,38 +400,6 @@ mod tests {
                 assert_eq!(a.cta_sim_ns.to_bits(), b.cta_sim_ns.to_bits());
                 assert_eq!(a.repetitions, b.repetitions);
             }
-        }
-    }
-
-    #[test]
-    fn compare_forked_is_bit_identical_to_compare() {
-        use cta_dram::StoreBackend;
-        let spec = &spec2006()[1];
-        let runner = Runner { repetitions: 2, seed: 0xF0F0 };
-        let rebooted = runner.compare(machine, spec).unwrap();
-        for backend in StoreBackend::ALL {
-            let parent = |protected: bool| {
-                SystemBuilder::new(16 << 20)
-                    .ptp_bytes(1 << 20)
-                    .seed(77)
-                    .protected(protected)
-                    .backend(backend)
-                    .build()
-                    .unwrap()
-            };
-            let forked = runner.compare_forked(&parent(false), &parent(true), spec).unwrap();
-            assert_eq!(forked.name, rebooted.name, "backend={backend}");
-            assert_eq!(
-                forked.baseline_sim_ns.to_bits(),
-                rebooted.baseline_sim_ns.to_bits(),
-                "backend={backend}"
-            );
-            assert_eq!(
-                forked.cta_sim_ns.to_bits(),
-                rebooted.cta_sim_ns.to_bits(),
-                "backend={backend}"
-            );
-            assert_eq!(forked.repetitions, rebooted.repetitions);
         }
     }
 

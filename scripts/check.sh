@@ -94,12 +94,12 @@ cargo run --release -q -p cta-bench --bin json-check -- --schema
 cargo run --release -q -p cta-bench --bin json-check -- --schema \
     fixtures/recordings/*.recording.json
 
-echo "==> golden recording replay (all backends x flip engines, scoped + executor)"
+echo "==> golden recording replay (scoped + executor at 1/3 workers x fork/journal)"
 # The checked-in campaign recordings must replay byte-identically — flip
-# transcripts, contents hashes, clocks, outcomes, telemetry — under every
-# store backend and flip engine, both through the scoped serial path and
-# through the campaign executor at 1 and 3 workers (scheduling must be
-# invisible in the bytes). After an *intentional* simulation change,
+# transcripts, contents hashes, clocks, outcomes, telemetry — both through
+# the scoped serial path and through the campaign executor at 1 and 3
+# workers under fork and journal isolation (scheduling and isolation must
+# be invisible in the bytes). After an *intentional* simulation change,
 # regenerate with `replay-check --record` and commit the diff.
 cargo run --release -q -p cta-bench --bin replay-check -- --executor
 
