@@ -780,6 +780,16 @@ impl Recording {
             )?,
             trc_ns: get_u64(disturbance_json, "trc_ns", "spec.disturbance.trc_ns")?,
         };
+        // Probabilities outside [0, 1] make no map: `pf` above 1 draws
+        // more cells per row than a row holds, forever.
+        for (value, path) in [
+            (disturbance.pf, "spec.disturbance.pf"),
+            (disturbance.reverse_rate, "spec.disturbance.reverse_rate"),
+        ] {
+            if !(0.0..=1.0).contains(&value) {
+                return Err(malformed(path, format!("{value} is not a probability in [0, 1]")));
+            }
+        }
         let map_gen = get_str(spec_json, "map_gen", "spec.map_gen")?;
         if map_gen != MAP_GEN {
             return Err(malformed("spec.map_gen", format!("unknown map_gen `{map_gen}`")));

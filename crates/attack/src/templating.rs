@@ -82,7 +82,11 @@ impl TemplatingAttack {
         let flips0 = kernel.dram().stats().total_flips();
         let pid = kernel.create_process(false)?;
         let arena = VirtAddr(ARENA_VA);
-        kernel.mmap_anonymous(pid, arena, self.arena_pages * PAGE_SIZE, true)?;
+        let arena_bytes = self
+            .arena_pages
+            .checked_mul(PAGE_SIZE)
+            .ok_or(VmError::RangeOverflow { va: arena, pages: self.arena_pages })?;
+        kernel.mmap_anonymous(pid, arena, arena_bytes, true)?;
         out.mappings_created = self.arena_pages;
 
         // --- Phase 1: template -----------------------------------------------
@@ -140,7 +144,9 @@ impl TemplatingAttack {
         let driver = HammerDriver::new();
         let mut templates = Vec::new();
         let zeros = vec![0u8; PAGE_SIZE as usize];
-        for v in 2..self.arena_pages - 2 {
+        // Victims need two arena pages of margin on each side; an arena of
+        // four pages or fewer has no victim to template.
+        for v in 2..self.arena_pages.saturating_sub(2) {
             let victim = arena.offset(v * PAGE_SIZE);
             // Probe the 0→1 direction: zero the page, double-sided hammer,
             // read back set bits. Earlier hammering may have corrupted our

@@ -267,6 +267,58 @@ fn unbuildable_golden_mutations_are_typed_errors_not_panics() {
 }
 
 #[test]
+fn out_of_range_probabilities_are_malformed_not_a_hang() {
+    // `pf` above 1 asks each row for more vulnerable cells than it has (the
+    // generator never finishes); below 0 it silently yields empty maps.
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../fixtures/recordings");
+    let text = std::fs::read_to_string(dir.join("spray-small.recording.json")).unwrap();
+    let cases = [
+        ("\"pf\": 0.05", "\"pf\": 1e9", "spec.disturbance.pf"),
+        ("\"pf\": 0.05", "\"pf\": -1", "spec.disturbance.pf"),
+        ("\"pf\": 0.05", "\"pf\": 1.5", "spec.disturbance.pf"),
+        ("\"reverse_rate\": 0.002", "\"reverse_rate\": -0.1", "spec.disturbance.reverse_rate"),
+        ("\"reverse_rate\": 0.002", "\"reverse_rate\": 2", "spec.disturbance.reverse_rate"),
+    ];
+    for (from, to, want) in cases {
+        let mutated = text.replacen(from, to, 1);
+        assert_ne!(mutated, text, "the golden names `{from}`");
+        match Recording::from_json_str(&mutated) {
+            Err(RecordingError::Malformed { path, .. }) => assert_eq!(path, want, "{to}"),
+            other => panic!("{to}: expected Malformed at {want}, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn templating_arena_of_unusable_size_replays_to_a_typed_result() {
+    // An arena of 0 or 1 pages once underflowed the templating loop bound
+    // (a panic in debug builds, a near-endless loop in release ones), one
+    // of 2^51 pages was checked for overlaps one page at a time, and one
+    // of 2^52 pages overflowed its byte size.
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../fixtures/recordings");
+    let text = std::fs::read_to_string(dir.join("templating-small.recording.json")).unwrap();
+    for pages in [0u64, 1, 1 << 51, 1 << 52] {
+        let mutated = text.replacen("\"arena_pages\": 96", &format!("\"arena_pages\": {pages}"), 1);
+        assert_ne!(mutated, text, "the golden names its arena");
+        let recording = Recording::from_json_str(&mutated).unwrap();
+        let started = std::time::Instant::now();
+        let err = replay_recording(&recording, ReplayTarget::default())
+            .expect_err("the golden transcript came from a 96-page arena");
+        match (pages, &err) {
+            (0, RecordingError::Vm(VmError::Unaligned { value: 0 })) => {}
+            (1, RecordingError::Mismatch { .. }) => {}
+            (p, RecordingError::Vm(VmError::Alloc(_))) if p == 1 << 51 => {}
+            (p, RecordingError::Vm(VmError::RangeOverflow { pages, .. })) if p == 1 << 52 => {
+                assert_eq!(*pages, p);
+            }
+            _ => panic!("arena_pages {pages}: unexpected {err:?}"),
+        }
+        let elapsed = started.elapsed();
+        assert!(elapsed.as_secs() < 30, "arena_pages {pages} took {elapsed:?}");
+    }
+}
+
+#[test]
 fn golden_fixtures_replay_byte_identically_under_explicit_no_defense() {
     // The defense refactor's determinism contract: a replay target that
     // names `DefenseSpec::None` explicitly takes the pre-refactor code

@@ -61,6 +61,12 @@ impl<K: Hash + Eq + Clone, V> BoundedCache<K, V> {
         self.map.get(key).map(|(v, _)| v)
     }
 
+    /// Looks up `key` and its payload weight without affecting the
+    /// eviction order.
+    pub(crate) fn get_weighted(&self, key: &K) -> Option<(&V, usize)> {
+        self.map.get(key).map(|(v, w)| (v, *w))
+    }
+
     /// Inserts `key → value` with zero payload weight (see
     /// [`Self::insert_weighted`]), evicting the oldest entry at capacity.
     /// Re-inserting an existing key replaces the value in place.
@@ -168,23 +174,25 @@ impl<T> RowMapCache<T> {
 
     /// The stored map of `row`, if any, which the accounting then holds.
     pub(crate) fn get(&mut self, row: u64) -> Option<Rc<[T]>> {
-        let map = self.maps.borrow().get(&row).cloned()?;
-        self.hold(row, &map);
+        let (map, weight) =
+            self.maps.borrow().get_weighted(&row).map(|(map, w)| (Rc::clone(map), w))?;
+        self.hold(row, weight);
         Some(map)
     }
 
-    /// Stores the freshly built map of `row` and holds it.
-    pub(crate) fn insert(&mut self, row: u64, map: Rc<[T]>) {
-        let weight = std::mem::size_of_val::<[T]>(&map);
-        self.maps.borrow_mut().insert_weighted(row, Rc::clone(&map), weight);
-        self.hold(row, &map);
+    /// Stores the freshly built map of `row`, whose payload the caller
+    /// weighs at `weight` bytes in both the store and the accounting, and
+    /// holds it.
+    pub(crate) fn insert(&mut self, row: u64, map: Rc<[T]>, weight: usize) {
+        self.maps.borrow_mut().insert_weighted(row, map, weight);
+        self.hold(row, weight);
     }
 
     /// Accounts `row` as held, exactly as a private memo cache would have
     /// on its first lookup of the row.
-    fn hold(&mut self, row: u64, map: &[T]) {
+    fn hold(&mut self, row: u64, weight: usize) {
         if self.held.get(&row).is_none() {
-            self.held.insert_weighted(row, (), std::mem::size_of_val(map));
+            self.held.insert_weighted(row, (), weight);
         }
     }
 
@@ -283,10 +291,10 @@ mod tests {
     #[test]
     fn row_maps_are_shared_but_accounting_is_not() {
         let mut parent = RowMapCache::<u64>::new(4);
-        parent.insert(1, Rc::from([10u64, 11]));
+        parent.insert(1, Rc::from([10u64, 11]), 16);
         let snapshot = parent.clone();
         let mut child = parent.clone();
-        child.insert(2, Rc::from([20u64]));
+        child.insert(2, Rc::from([20u64]), 8);
         // The child's map reaches the parent's store ...
         assert_eq!(parent.get(2).as_deref(), Some(&[20u64][..]));
         // ... while each side accounts only the rows it looked up.
@@ -304,9 +312,9 @@ mod tests {
         for row in 0..6u64 {
             // A second holder churns the store without touching `shared`'s
             // accounting.
-            other.insert(100 + row, Rc::from([row]));
+            other.insert(100 + row, Rc::from([row]), 8);
             if shared.get(row).is_none() {
-                shared.insert(row, Rc::from([row, row]));
+                shared.insert(row, Rc::from([row, row]), 16);
             }
             if plain.get(&row).is_none() {
                 plain.insert_weighted(row, (), 16);

@@ -186,7 +186,7 @@ fn wordwise_tail_flips_stay_inside_the_row() {
 
 #[test]
 fn forked_module_inherits_warm_planes_and_matches_scalar_reference() {
-    // A fork clones the model caches, so compiled planes carry over. The
+    // A fork clones the model caches, so warm plane maps carry over. The
     // fork must still be bit-identical to a cold scalar reference module
     // driven the same way.
     let config = diff_config();

@@ -364,8 +364,8 @@ impl DramModule {
         &self.stats
     }
 
-    /// Rebounds the per-row model caches (vulnerability maps, compiled
-    /// bitplanes, long-retention cells, expired-cell masks) to `rows`
+    /// Rebounds the per-row model caches (vulnerability bitplanes,
+    /// long-retention cells, expired-cell masks) to `rows`
     /// entries each. Purely a memory/performance knob: evicted rows are
     /// regenerated on demand from the module seed, so simulated behavior
     /// is unaffected.
@@ -398,13 +398,13 @@ impl DramModule {
     }
 
     /// Payload bytes currently retained across all per-row model caches,
-    /// acceleration structures (compiled planes, expired
-    /// masks, the sorted retention index) included. Vulnerability maps are
-    /// counted in the row-map store this module shares with its forks and
-    /// journal snapshots. The telemetry gauges
+    /// the retention model's acceleration structures (expired masks, the
+    /// sorted retention index) included. Vulnerability maps are counted in
+    /// the row-map store this module shares with its forks and journal
+    /// snapshots, each weighed as its sorted bit list. The telemetry gauges
     /// `vuln_cache_bytes`/`retention_cache_bytes` report only the
-    /// model-content subset (bit maps and long-cell lists) of what the
-    /// module's own accounting holds.
+    /// model-content subset (vulnerability maps and long-cell lists) of
+    /// what the module's own accounting holds.
     pub fn model_cache_bytes(&self) -> usize {
         self.vuln.cache_bytes() + self.retention.cache_bytes()
     }
@@ -980,7 +980,7 @@ impl DramModule {
             return Err(DramError::RowOutOfBounds { row, rows: self.config.geometry.total_rows() });
         }
         let backing = self.resolve_row(row);
-        let bits = self.vuln.vulnerable_bits(backing).to_vec();
+        let bits = self.vuln.vulnerable_bits(backing);
         self.sync_model_stats();
         Ok(bits)
     }
@@ -1213,13 +1213,13 @@ impl DramModule {
     /// Applies the disturbance flip model to one victim row.
     ///
     /// Each vulnerable word flips at once: the row's vulnerability map is
-    /// compiled into `u64` bitplane masks applied with AND/OR + popcount,
-    /// and flip events are logged in ascending bit order. A test-only
-    /// per-bit scalar loop is its oracle.
+    /// held as `u64` bitplane masks applied with AND/OR + popcount, and
+    /// flip events are logged in ascending bit order. A test-only per-bit
+    /// scalar loop over the decoded bit list is its oracle.
     fn disturb(&mut self, victim: RowId) {
         self.journal_capture(victim);
-        let bits = self.vuln.vulnerable_bits(victim);
-        if bits.is_empty() {
+        let planes = self.vuln.planes(victim);
+        if planes.is_empty() {
             self.stats.disturbances += 1;
             self.sync_model_stats();
             return;
@@ -1231,10 +1231,10 @@ impl DramModule {
         let clock = self.clock_ns;
         #[cfg(test)]
         if self.scalar_reference {
+            let bits = self.vuln.vulnerable_bits(victim);
             self.disturb_scalar(victim, &bits, clock);
             return;
         }
-        let planes = self.vuln.planes(victim, &bits);
         let row = self.store.materialize(victim.0, clock);
         for pw in planes.iter() {
             let w = pw.word as usize;
@@ -1251,8 +1251,8 @@ impl DramModule {
             store_word(row.bytes, w, (word & !fire_otz) | fire_zto);
             self.stats.flips_one_to_zero += u64::from(fire_otz.count_ones());
             self.stats.flips_zero_to_one += u64::from(fire_zto.count_ones());
-            // Per-bit events in ascending bit order (vulnerable bits are
-            // sorted, so this is the scalar loop's order).
+            // Per-bit events in ascending bit order (the scalar loop's
+            // order: the decoded bit list ascends too).
             let base = 64 * w as u64;
             let mut rest = fired;
             while rest != 0 {

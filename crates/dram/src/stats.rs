@@ -89,17 +89,17 @@ pub struct DramStats {
     pub flips_zero_to_one: u64,
     /// Bits whose logic value changed through retention decay.
     pub decay_flips: u64,
-    /// Evictions from the bounded vulnerability-model caches (bit maps and
-    /// compiled bitplanes). Non-zero means a sweep touched more rows than
-    /// the cache capacity and some maps were regenerated from seed.
+    /// Rows evicted from the bounded vulnerability-map cache. Non-zero
+    /// means a sweep touched more rows than the cache capacity and some
+    /// maps were regenerated from seed.
     pub vuln_cache_evictions: u64,
     /// Evictions from the bounded retention-model caches (long-cell lists
     /// and expired-cell masks).
     pub retention_cache_evictions: u64,
-    /// Payload bytes retained in the vulnerability bit-map cache. Counts
-    /// the maps themselves, not the compiled planes that accelerate
-    /// disturbance, so the gauge measures model content only (the
-    /// scalar-reference differential asserts full telemetry identity).
+    /// Payload bytes retained in the vulnerability-map cache, each row
+    /// weighed as its sorted `VulnerableBit` list (16 B per vulnerable
+    /// cell) rather than as the bitplanes that store it, so the gauge
+    /// measures model content only.
     pub vuln_cache_bytes: u64,
     /// Payload bytes retained in the retention model's long-cell cache
     /// (expired masks and the sorted retention index are acceleration

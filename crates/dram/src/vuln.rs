@@ -67,13 +67,14 @@ pub struct VulnerableBit {
     pub direction: FlipDirection,
 }
 
-/// One active word of a row's compiled bitplanes: the `1→0` and `0→1`
-/// vulnerability masks for row bits `[64·word, 64·word + 64)`.
+/// One active word of a row's vulnerability map: the `1→0` and `0→1`
+/// masks for row bits `[64·word, 64·word + 64)`.
 ///
-/// Vulnerable cells are sparse (`pf` of ~1e-4 puts ~3 bits in a 4 KiB row),
-/// so the planes are stored as the ascending list of words where either
-/// mask is non-zero rather than as dense arrays — the disturb loop then
-/// skips every untouched word of the row for free.
+/// A row's map is stored as the ascending list of words where either mask
+/// is non-zero rather than as dense bitplanes — the disturb loop then
+/// skips every untouched word of the row for free. The masks are disjoint
+/// (a cell flips in one direction only), and no mask bit lies at or past
+/// the row's last bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct PlaneWord {
     /// Word index within the row (bit `b` of the masks is row bit
@@ -90,10 +91,11 @@ pub(crate) struct PlaneWord {
 /// Which cells are flippable — and in which direction — is a *manufacturing
 /// property* of a DRAM module: stable across reboots, discoverable by
 /// "memory templating" (Drammer), and keyed here on the module seed so that
-/// experiments are reproducible. Maps are generated lazily per row and
-/// memoized. Clones of a model (a module's forks and journal snapshots)
-/// account their cached rows separately but share the built maps, which
-/// are pure functions of (seed, params, layout, row).
+/// experiments are reproducible. Maps are generated lazily per row, as
+/// `u64` bitplanes, and memoized. Clones of a model (a module's
+/// forks and journal snapshots) account their cached rows separately but
+/// share the built maps, which are pure functions of (seed, params,
+/// layout, row).
 ///
 /// Per the measured statistics the model is parameterized on
 /// ([`DisturbanceParams`]): each cell is vulnerable with probability `pf`,
@@ -105,7 +107,6 @@ pub struct VulnerabilityModel {
     params: DisturbanceParams,
     layout: CellLayout,
     bits_per_row: u64,
-    cache: RowMapCache<VulnerableBit>,
     planes: RowMapCache<PlaneWord>,
 }
 
@@ -115,7 +116,7 @@ impl fmt::Debug for VulnerabilityModel {
             .field("seed", &self.seed)
             .field("params", &self.params)
             .field("bits_per_row", &self.bits_per_row)
-            .field("cached_rows", &self.cache.len())
+            .field("cached_rows", &self.planes.len())
             .finish()
     }
 }
@@ -133,7 +134,6 @@ impl VulnerabilityModel {
             params,
             layout,
             bits_per_row: geometry.bits_per_row(),
-            cache: RowMapCache::new(MODEL_CACHE_ROWS),
             planes: RowMapCache::new(MODEL_CACHE_ROWS),
         }
     }
@@ -145,86 +145,83 @@ impl VulnerabilityModel {
 
     /// The vulnerable bits of `row`, sorted by bit index.
     ///
-    /// Results are memoized; the slice is shared, not recomputed.
-    pub fn vulnerable_bits(&mut self, row: RowId) -> Rc<[VulnerableBit]> {
-        if let Some(bits) = self.cache.get(row.0) {
-            return bits;
+    /// Decoded from the row's memoized bitplane map on every call; the
+    /// list itself is not memoized.
+    pub fn vulnerable_bits(&mut self, row: RowId) -> Vec<VulnerableBit> {
+        let mut bits = Vec::new();
+        for pw in self.planes(row).iter() {
+            let mut mask = pw.otz | pw.zto;
+            while mask != 0 {
+                let b = mask.trailing_zeros();
+                mask &= mask - 1;
+                let direction = if pw.otz >> b & 1 == 1 {
+                    FlipDirection::OneToZero
+                } else {
+                    FlipDirection::ZeroToOne
+                };
+                bits.push(VulnerableBit { bit: 64 * u64::from(pw.word) + u64::from(b), direction });
+            }
         }
-        let bits = self.generate_row(row);
-        self.cache.insert(row.0, Rc::clone(&bits));
         bits
     }
 
-    /// The compiled bitplanes of `row`, built from `bits` (which must be
-    /// the row's [`Self::vulnerable_bits`]) on first use and memoized.
-    pub(crate) fn planes(&mut self, row: RowId, bits: &[VulnerableBit]) -> Rc<[PlaneWord]> {
+    /// The bitplane map of `row`, generated on first use and memoized.
+    pub(crate) fn planes(&mut self, row: RowId) -> Rc<[PlaneWord]> {
         if let Some(planes) = self.planes.get(row.0) {
             return planes;
         }
-        let mut words: Vec<PlaneWord> = Vec::new();
-        for vb in bits {
-            let word = (vb.bit / 64) as u32;
-            if words.last().map(|pw| pw.word) != Some(word) {
-                words.push(PlaneWord { word, otz: 0, zto: 0 });
-            }
-            let mask = 1u64 << (vb.bit % 64);
-            let pw = words.last_mut().expect("pushed above");
-            match vb.direction {
-                FlipDirection::OneToZero => pw.otz |= mask,
-                FlipDirection::ZeroToOne => pw.zto |= mask,
-            }
-        }
-        let planes: Rc<[PlaneWord]> = words.into();
-        self.planes.insert(row.0, Rc::clone(&planes));
+        let (planes, bits) = self.generate_row(row);
+        // Weighed as the sorted bit list the map encodes, so the
+        // `vuln_cache_bytes` gauge and byte-budget eviction count model
+        // content, not the representation.
+        let weight = bits * std::mem::size_of::<VulnerableBit>();
+        self.planes.insert(row.0, Rc::clone(&planes), weight);
         planes
     }
 
-    /// Rows currently memoized (bit maps; the planes cache tracks it).
+    /// Rows currently memoized.
     pub(crate) fn cached_rows(&self) -> usize {
-        self.cache.len().max(self.planes.len())
+        self.planes.len()
     }
 
-    /// Total cache evictions (bit maps + compiled planes) since creation.
+    /// Rows the map cache evicted since creation.
     pub(crate) fn evictions(&self) -> u64 {
-        self.cache.evictions() + self.planes.evictions()
+        self.planes.evictions()
     }
 
-    /// Payload bytes the shared stores of both per-row caches retain, the
-    /// compiled planes included.
+    /// Payload bytes the shared map store retains.
     pub(crate) fn cache_bytes(&self) -> usize {
-        self.cache.stored_bytes() + self.planes.stored_bytes()
+        self.planes.stored_bytes()
     }
 
-    /// Payload bytes the bit-map accounting holds — the model content mirrored into the `vuln_cache_bytes` gauge.
+    /// Payload bytes the map accounting holds — the model content mirrored
+    /// into the `vuln_cache_bytes` gauge.
     pub(crate) fn map_bytes(&self) -> usize {
-        self.cache.held_bytes()
+        self.planes.held_bytes()
     }
 
-    /// Rebounds both per-row caches to `rows` entries.
+    /// Rebounds the map cache to `rows` entries.
     pub(crate) fn set_cache_capacity(&mut self, rows: usize) {
-        self.cache.set_capacity(rows);
         self.planes.set_capacity(rows);
     }
 
-    /// Sets or clears the payload-byte budget of both per-row caches.
+    /// Sets or clears the payload-byte budget of the map cache.
     pub(crate) fn set_cache_bytes(&mut self, budget: Option<usize>) {
-        self.cache.set_byte_budget(budget);
         self.planes.set_byte_budget(budget);
     }
 
-    /// Derives `row`'s map: Poisson count + position / direction draws
-    /// from a per-row ChaCha stream. O(pf · bits) draws plus
-    /// O(bits / 64) words.
+    /// Derives `row`'s map and its vulnerable-bit count: Poisson count +
+    /// position / direction draws from a per-row ChaCha stream. O(pf ·
+    /// bits) draws plus O(bits / 64) words.
     ///
     /// The draws are scattered into two row bitmaps (drawn, reversed) and
-    /// emitted by a word scan, so the list comes out ascending without a
+    /// emitted word by word, so the map comes out ascending without a
     /// sort. A bit drawn twice keeps its first draw's direction — what a
     /// stable sort by bit plus dedup keeps.
-    fn generate_row(&self, row: RowId) -> Rc<[VulnerableBit]> {
+    fn generate_row(&self, row: RowId) -> (Rc<[PlaneWord]>, usize) {
         let mut rng = stream_rng(self.seed ^ VULN_SALT, row.0);
         let lambda = self.bits_per_row as f64 * self.params.pf;
         let n = poisson(&mut rng, lambda);
-        let primary = FlipDirection::primary_for(self.layout.cell_type(row));
         let words = self.bits_per_row.div_ceil(64) as usize;
         let mut drawn = vec![0u64; words];
         let mut reversed = vec![0u64; words];
@@ -237,17 +234,19 @@ impl VulnerabilityModel {
                 reversed[w] |= mask * u64::from(reverse);
             }
         }
-        let mut bits: Vec<VulnerableBit> = Vec::with_capacity(n as usize);
+        let true_cells = self.layout.cell_type(row) == CellType::True;
+        let mut bits = 0usize;
+        let mut planes = Vec::with_capacity(words.min(n as usize));
         for (w, (&drawn, &reversed)) in drawn.iter().zip(&reversed).enumerate() {
-            let mut mask = drawn;
-            while mask != 0 {
-                let b = mask.trailing_zeros();
-                mask &= mask - 1;
-                let direction = if reversed >> b & 1 == 1 { primary.opposite() } else { primary };
-                bits.push(VulnerableBit { bit: 64 * w as u64 + u64::from(b), direction });
+            if drawn == 0 {
+                continue;
             }
+            bits += drawn.count_ones() as usize;
+            let (primary, opposite) = (drawn & !reversed, drawn & reversed);
+            let (otz, zto) = if true_cells { (primary, opposite) } else { (opposite, primary) };
+            planes.push(PlaneWord { word: w as u32, otz, zto });
         }
-        bits.into()
+        (planes.into(), bits)
     }
 }
 
@@ -332,31 +331,34 @@ mod tests {
     }
 
     #[test]
-    fn planes_compile_exactly_the_vulnerable_bits() {
-        let mut m = model(1e-3, CellLayout::AllTrue);
-        for r in 0..64 {
-            let bits = m.vulnerable_bits(RowId(r));
-            let planes = m.planes(RowId(r), &bits);
-            // Ascending, non-empty active words.
-            for w in planes.windows(2) {
-                assert!(w[0].word < w[1].word);
-            }
-            assert!(planes.iter().all(|pw| pw.otz | pw.zto != 0));
-            // Decompiling the planes recovers the bit list exactly.
-            let mut recovered = Vec::new();
-            for pw in planes.iter() {
-                for b in 0..64u64 {
-                    let bit = 64 * pw.word as u64 + b;
-                    if pw.otz >> b & 1 == 1 {
-                        recovered.push(VulnerableBit { bit, direction: FlipDirection::OneToZero });
+    fn planes_are_ascending_non_zero_disjoint_and_in_row() {
+        let params = DisturbanceParams { pf: 0.4, reverse_rate: 0.3, ..Default::default() };
+        let mut tail_words = 0;
+        // Rows under 8 bytes end in a ragged word with fewer than 64 bits.
+        for row_bytes in [1u64, 2, 4, 8, 256] {
+            let g = DramGeometry::new(row_bytes, 64, 1, AddressMapping::RowLinear);
+            let bits_per_row = g.bits_per_row();
+            for layout in [CellLayout::AllTrue, CellLayout::AllAnti] {
+                let mut m = VulnerabilityModel::new(&g, layout, params, 0xABCD);
+                for r in 0..64 {
+                    let planes = m.planes(RowId(r));
+                    for w in planes.windows(2) {
+                        assert!(w[0].word < w[1].word, "{row_bytes} B row {r}: words ascend");
                     }
-                    if pw.zto >> b & 1 == 1 {
-                        recovered.push(VulnerableBit { bit, direction: FlipDirection::ZeroToOne });
+                    for pw in planes.iter() {
+                        let live = pw.otz | pw.zto;
+                        assert_ne!(live, 0, "{row_bytes} B row {r}: word {} is empty", pw.word);
+                        assert_eq!(pw.otz & pw.zto, 0, "{row_bytes} B row {r}: one direction");
+                        assert!(u64::from(pw.word) < bits_per_row.div_ceil(64));
+                        if u64::from(pw.word) == bits_per_row / 64 {
+                            tail_words += 1;
+                            assert_eq!(live >> (bits_per_row % 64), 0, "{row_bytes} B row {r}");
+                        }
                     }
                 }
             }
-            assert_eq!(recovered, bits.to_vec(), "row {r}");
         }
+        assert!(tail_words > 0, "the ragged tail word must be exercised");
     }
 
     #[test]
@@ -364,15 +366,15 @@ mod tests {
         let mut m = model(1e-3, CellLayout::AllTrue);
         m.set_cache_capacity(4);
         for r in 0..16 {
-            let bits = m.vulnerable_bits(RowId(r));
-            let _ = m.planes(RowId(r), &bits);
+            let first = m.planes(RowId(r));
+            assert!(Rc::ptr_eq(&first, &m.planes(RowId(r))), "row {r} is memoized");
         }
         assert_eq!(m.cached_rows(), 4);
-        assert_eq!(m.evictions(), 2 * 12, "both caches evict in lockstep here");
+        assert_eq!(m.evictions(), 12, "one eviction per evicted row");
     }
 
-    /// The raw stream draws of `row`, in stream order: the
-    /// input of the sort + dedup builder the bitmap builder replaced.
+    /// The raw stream draws of `row`, in stream order: the input of the
+    /// sort + dedup oracle the decoded bitplane map is checked against.
     fn stream_draws(m: &VulnerabilityModel, row: RowId) -> Vec<VulnerableBit> {
         let mut rng = stream_rng(m.seed ^ VULN_SALT, row.0);
         let n = poisson(&mut rng, m.bits_per_row as f64 * m.params.pf);
@@ -399,7 +401,7 @@ mod tests {
                 let params = DisturbanceParams { pf, reverse_rate: 0.3, ..Default::default() };
                 for layout in [CellLayout::AllTrue, CellLayout::AllAnti] {
                     for seed in [0xABCD, 1, 0x5EED, u64::MAX] {
-                        let m = VulnerabilityModel::new(&g, layout, params, seed);
+                        let mut m = VulnerabilityModel::new(&g, layout, params, seed);
                         for r in 0..64 {
                             let mut oracle = stream_draws(&m, RowId(r));
                             oracle.sort_by_key(|b| b.bit);
@@ -411,8 +413,8 @@ mod tests {
                                 .count();
                             oracle.dedup_by_key(|b| b.bit);
                             assert_eq!(
-                                &*m.generate_row(RowId(r)),
-                                &oracle[..],
+                                m.vulnerable_bits(RowId(r)),
+                                oracle,
                                 "row_bytes={row_bytes} pf={pf} {layout:?} seed={seed:#x} row={r}"
                             );
                         }

@@ -29,7 +29,7 @@ fn templating_sweep_stays_within_cache_capacity() {
     let mut m = capped_module(capacity);
     let rows = m.geometry().total_rows();
     // The templating loop: reconstruct every row's vulnerability map, and
-    // hammer a sample of rows so compiled planes populate too.
+    // hammer a sample of rows so the disturb path looks maps up too.
     for row in 0..rows {
         let _ = m.vulnerable_bits(RowId(row)).unwrap();
         if row % 37 == 0 {
@@ -42,7 +42,7 @@ fn templating_sweep_stays_within_cache_capacity() {
         "cache grew past capacity: {} > {capacity}",
         m.model_cache_rows()
     );
-    // Sweeping 4096 rows through a 64-entry cache evicts ~4032 bit maps.
+    // Sweeping 4096 rows through a 64-entry cache evicts ~4032 maps.
     let stats = m.stats();
     assert!(
         stats.vuln_cache_evictions >= (rows - capacity as u64),
@@ -173,4 +173,21 @@ fn eviction_is_behavior_neutral() {
     );
     assert_eq!(capped.stats().total_flips(), uncapped.stats().total_flips());
     assert!(capped.stats().vuln_cache_evictions > uncapped.stats().vuln_cache_evictions);
+}
+
+#[test]
+fn vuln_cache_bytes_weighs_each_held_map_as_its_bit_list() {
+    // The gauge counts model content, not the bitplane representation:
+    // 16 B (one `VulnerableBit`) per vulnerable cell of every held row.
+    let mut m = capped_module(4096);
+    let mut victims = Vec::new();
+    for aggressor in [10u64, 20, 30] {
+        m.hammer_to_threshold(RowId(aggressor)).unwrap();
+        victims.extend(m.geometry().adjacent_rows(RowId(aggressor)).unwrap());
+    }
+    assert_eq!(m.model_cache_rows(), victims.len(), "only the victims' maps are held");
+    let bits: usize = victims.iter().map(|&row| m.vulnerable_bits(row).unwrap().len()).sum();
+    assert!(bits > 0, "pf = 2% leaves vulnerable cells in the victims");
+    assert_eq!(m.stats().vuln_cache_bytes, 16 * bits as u64);
+    assert_eq!(m.model_cache_rows(), victims.len(), "decoding holds no new rows");
 }

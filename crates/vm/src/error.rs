@@ -102,6 +102,14 @@ pub enum VmError {
     },
     /// The DRAM cell-type alternation period is zero rows.
     ZeroCellPeriod,
+    /// A range of `pages` pages at `va` runs past the end of the address
+    /// space.
+    RangeOverflow {
+        /// Start of the range.
+        va: VirtAddr,
+        /// Length of the range in pages.
+        pages: u64,
+    },
 }
 
 impl fmt::Display for VmError {
@@ -120,6 +128,9 @@ impl fmt::Display for VmError {
             }
             VmError::ZeroCellPeriod => {
                 f.write_str("cell-type alternation period must be at least one row")
+            }
+            VmError::RangeOverflow { va, pages } => {
+                write!(f, "{pages} pages at {va} overflow the address space")
             }
         }
     }

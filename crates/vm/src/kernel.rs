@@ -1067,15 +1067,14 @@ impl Kernel {
         if len == 0 || !len.is_multiple_of(PAGE_SIZE) {
             return Err(VmError::Unaligned { value: len });
         }
+        let end =
+            va.0.checked_add(len).ok_or(VmError::RangeOverflow { va, pages: len / PAGE_SIZE })?;
         let proc = self.process(pid)?;
-        for i in 0..len / PAGE_SIZE {
-            let page = va.0 + i * PAGE_SIZE;
-            if proc.mappings.contains_key(&page) {
-                return Err(VmError::AlreadyMapped { va: VirtAddr(page) });
-            }
+        if let Some((&page, _)) = proc.mappings.range(va.0..end).next() {
+            return Err(VmError::AlreadyMapped { va: VirtAddr(page) });
         }
         // Huge mappings cover 2 MiB each; reject any intersection.
-        for (base, _) in proc.huge_mappings.range(..va.0 + len) {
+        for (base, _) in proc.huge_mappings.range(..end) {
             if base + HUGE_PAGE_SIZE > va.0 {
                 return Err(VmError::AlreadyMapped { va: VirtAddr(*base) });
             }

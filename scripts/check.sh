@@ -83,6 +83,32 @@ for args in "evaluate --tenants 0" "evaluate --trials 0" \
     fi
 done
 
+echo "==> malformed recordings fail with an error, not a panic or a hang"
+# Mutated copies of the goldens, written to a scratch directory (never
+# under fixtures/): an unbounded `pf` must be refused at load, and a
+# one-page templating arena must replay to a typed error. Each replay must
+# exit non-zero, but neither 101 (a panic) nor 124 (`timeout` fired).
+mutants=$(mktemp -d)
+trap 'rm -rf "$mutants"' EXIT
+mutate() { # golden, sed expression, mutant name
+    sed "$2" "fixtures/recordings/$1.recording.json" > "$mutants/$3.recording.json"
+    if cmp -s "fixtures/recordings/$1.recording.json" "$mutants/$3.recording.json"; then
+        echo "mutation '$2' did not apply to $1"
+        exit 1
+    fi
+}
+mutate spray-small 's/"pf": 0.05/"pf": 1000000000/' spray-pf-1e9
+mutate templating-small 's/"arena_pages": 96/"arena_pages": 1/' templating-arena-1
+for f in "$mutants"/*.recording.json; do
+    status=0
+    timeout 60 cargo run --release -q -p cta-bench --bin replay-check -- "$f" \
+        > /dev/null 2>&1 || status=$?
+    if [ "$status" -eq 0 ] || [ "$status" -eq 101 ] || [ "$status" -eq 124 ]; then
+        echo "replay-check $(basename "$f"): exit status $status (want a typed error)"
+        exit 1
+    fi
+done
+
 echo "==> strict JSON + schema validation (telemetry/* + golden recordings)"
 # Every machine-readable artifact the workspace emits must parse as
 # standards-valid JSON (duplicate keys and non-finite numbers rejected)
