@@ -319,6 +319,21 @@ fn templating_arena_of_unusable_size_replays_to_a_typed_result() {
 }
 
 #[test]
+fn oversized_spray_file_replays_to_a_typed_error() {
+    // A file of 2^40 pages once reserved its frame list from the request
+    // (8 TiB), which aborted the process instead of failing allocation.
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../fixtures/recordings");
+    let text = std::fs::read_to_string(dir.join("spray-small.recording.json")).unwrap();
+    let mutated = text.replacen("\"file_pages\": 2", "\"file_pages\": 1099511627776", 1);
+    assert_ne!(mutated, text, "the golden names its file size");
+    let recording = Recording::from_json_str(&mutated).unwrap();
+    match replay_recording(&recording, ReplayTarget::default()) {
+        Err(RecordingError::Vm(VmError::Alloc(cta_mem::AllocError::OutOfMemory { .. }))) => {}
+        other => panic!("expected an out-of-memory error, got {other:?}"),
+    }
+}
+
+#[test]
 fn golden_fixtures_replay_byte_identically_under_explicit_no_defense() {
     // The defense refactor's determinism contract: a replay target that
     // names `DefenseSpec::None` explicitly takes the pre-refactor code

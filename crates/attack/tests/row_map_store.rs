@@ -6,7 +6,10 @@
 //! parameters are not part of the parent key. A builds vulnerability maps
 //! that stay in the parent's store after rollback or fork teardown; B must
 //! still account every map it looks up as its own first lookup — the
-//! `vuln_cache_bytes` and `vuln_cache_evictions` gauges included.
+//! `vuln_cache_bytes` and `vuln_cache_evictions` gauges included. Parents
+//! profile their cell types at boot, so the retention model's long-cell
+//! lists are in the store too, and the `retention_cache_*` gauges must
+//! match as well.
 
 use cta_attack::recording::RECORDING_LABEL;
 use cta_attack::{
@@ -80,7 +83,8 @@ fn dram_gauge(output: &CampaignOutput, name: &str) -> u64 {
 #[test]
 fn maps_left_by_an_earlier_trial_are_invisible_to_the_next() {
     // Unbounded, and under a byte budget small enough that B's own lookups
-    // evict: eviction order must not see A's maps either.
+    // evict, and that evicts long-cell lists: eviction order must not see
+    // A's maps either.
     for budget in [None, Some(16 * 1024)] {
         for isolation in [TrialIsolation::Journal, TrialIsolation::Fork] {
             let what = format!("{} isolation, budget {budget:?}", isolation.name());
@@ -89,10 +93,19 @@ fn maps_left_by_an_earlier_trial_are_invisible_to_the_next() {
 
             assert_eq!(after_a.trials, fresh.trials, "{what}: trial record");
             assert_eq!(after_a.counters.to_json(), fresh.counters.to_json(), "{what}: telemetry");
-            for gauge in ["vuln_cache_bytes", "vuln_cache_evictions"] {
+            for gauge in [
+                "vuln_cache_bytes",
+                "vuln_cache_evictions",
+                "retention_cache_bytes",
+                "retention_cache_evictions",
+            ] {
                 assert_eq!(dram_gauge(&after_a, gauge), dram_gauge(&fresh, gauge), "{what}");
             }
             assert!(dram_gauge(&fresh, "vuln_cache_bytes") > 0, "{what}: B builds maps");
+            assert!(
+                dram_gauge(&fresh, "retention_cache_bytes") > 0,
+                "{what}: profiling holds long-cell lists"
+            );
             match budget {
                 None => assert!(
                     shared_bytes > fresh_bytes,
@@ -100,6 +113,10 @@ fn maps_left_by_an_earlier_trial_are_invisible_to_the_next() {
                 ),
                 Some(_) => {
                     assert!(dram_gauge(&fresh, "vuln_cache_evictions") > 0, "{what}: B evicts");
+                    assert!(
+                        dram_gauge(&fresh, "retention_cache_evictions") > 0,
+                        "{what}: the budget evicts long-cell lists"
+                    );
                 }
             }
         }

@@ -246,7 +246,15 @@ fn cmd_evaluate(opts: &Options) -> ExitCode {
             let tenant = format!("tenant{tenant_idx}");
             exec.set_tenant_limits(&tenant, TenantLimits::default());
             let mut spec = spec(opts);
-            spec.seeds = vec![opts.seed + tenant_idx as u64; opts.trials];
+            // `--trials` sizes the seed list: reserve it fallibly, so a
+            // count too large for memory is a usage error, not an abort.
+            let mut seeds = Vec::new();
+            if seeds.try_reserve_exact(opts.trials).is_err() {
+                eprintln!("cta: --trials {} is too many to hold in memory\n{USAGE}", opts.trials);
+                return ExitCode::FAILURE;
+            }
+            seeds.resize(opts.trials, opts.seed + tenant_idx as u64);
+            spec.seeds = seeds;
             let mut request = CampaignRequest::new(tenant, spec);
             request.isolation = opts.isolation;
             match exec.submit(request) {

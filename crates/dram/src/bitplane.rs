@@ -18,9 +18,16 @@ pub(crate) fn words_for_bits(nbits: usize) -> usize {
 }
 
 /// Loads word `w` of `bytes`, zero-padding past the end of the slice.
+///
+/// A full word loads as one fixed-size read; only a tail word goes through
+/// the padded copy, whose variable length would otherwise cost a `memcpy`
+/// call per word.
 #[inline]
 pub(crate) fn load_word(bytes: &[u8], w: usize) -> u64 {
     let lo = w * 8;
+    if let Some(word) = bytes.get(lo..lo + 8) {
+        return u64::from_le_bytes(word.try_into().expect("8-byte word"));
+    }
     let hi = (lo + 8).min(bytes.len());
     let mut buf = [0u8; 8];
     buf[..hi - lo].copy_from_slice(&bytes[lo..hi]);
@@ -34,6 +41,10 @@ pub(crate) fn load_word(bytes: &[u8], w: usize) -> u64 {
 #[inline]
 pub(crate) fn store_word(bytes: &mut [u8], w: usize, word: u64) {
     let lo = w * 8;
+    if let Some(dst) = bytes.get_mut(lo..lo + 8) {
+        dst.copy_from_slice(&word.to_le_bytes());
+        return;
+    }
     let hi = (lo + 8).min(bytes.len());
     debug_assert!(
         hi - lo == 8 || word >> (8 * (hi - lo)) == 0,
@@ -81,6 +92,30 @@ mod tests {
         assert_eq!(load_word(&bytes, 0), 0xFFFF_FFFF);
         store_word(&mut bytes, 0, 0x1234_5678);
         assert_eq!(bytes, vec![0x78, 0x56, 0x34, 0x12]);
+    }
+
+    #[test]
+    fn word_access_matches_a_bytewise_reference() {
+        // Full words, ragged tails of every length, and a 4 KiB row.
+        for len in (1usize..=24).chain([4096]) {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 73 + 5) as u8).collect();
+            for w in 0..len.div_ceil(8) {
+                let in_row = (len - 8 * w).min(8);
+                let expected =
+                    (0..in_row).fold(0u64, |acc, i| acc | u64::from(bytes[8 * w + i]) << (8 * i));
+                assert_eq!(load_word(&bytes, w), expected, "load len={len} w={w}");
+
+                // A word with no padding bits set, stored byte by byte.
+                let word = 0x0123_4567_89AB_CDEFu64 & (u64::MAX >> (64 - 8 * in_row));
+                let mut expected_bytes = bytes.clone();
+                for i in 0..in_row {
+                    expected_bytes[8 * w + i] = (word >> (8 * i)) as u8;
+                }
+                let mut stored = bytes.clone();
+                store_word(&mut stored, w, word);
+                assert_eq!(stored, expected_bytes, "store len={len} w={w}");
+            }
+        }
     }
 
     #[test]

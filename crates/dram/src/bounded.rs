@@ -5,7 +5,8 @@ use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use std::rc::Rc;
 
-/// A bounded memoization cache with FIFO eviction.
+/// A bounded memoization cache with FIFO eviction: both halves of a
+/// [`RowMapCache`], its accounting and its shared store.
 ///
 /// The per-row caches in [`crate::VulnerabilityModel`] and the retention
 /// model used to be unbounded `HashMap`s, so a templating sweep over a large
@@ -26,7 +27,7 @@ use std::rc::Rc;
 /// With no budget set the byte accounting is purely observational and the
 /// entry-count bound behaves exactly as before.
 #[derive(Debug, Clone)]
-pub(crate) struct BoundedCache<K: Hash + Eq + Clone, V> {
+struct BoundedCache<K: Hash + Eq + Clone, V> {
     capacity: usize,
     map: HashMap<K, (V, usize)>,
     order: VecDeque<K>,
@@ -40,16 +41,20 @@ pub(crate) struct BoundedCache<K: Hash + Eq + Clone, V> {
 impl<K: Hash + Eq + Clone, V> BoundedCache<K, V> {
     /// Creates a cache holding at most `capacity` entries.
     ///
+    /// The tables start empty and grow on demand: every fork and journal
+    /// snapshot of a module copies its accounting's tables whole, so a
+    /// reservation the rows do not fill would cost every copy.
+    ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero; a cache that can hold nothing would
     /// silently disable memoization.
-    pub(crate) fn new(capacity: usize) -> Self {
+    fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
         BoundedCache {
             capacity,
-            map: HashMap::with_capacity(capacity.min(1024)),
-            order: VecDeque::with_capacity(capacity.min(1024)),
+            map: HashMap::new(),
+            order: VecDeque::new(),
             evictions: 0,
             bytes: 0,
             byte_budget: None,
@@ -57,13 +62,13 @@ impl<K: Hash + Eq + Clone, V> BoundedCache<K, V> {
     }
 
     /// Looks up `key` without affecting the eviction order.
-    pub(crate) fn get(&self, key: &K) -> Option<&V> {
+    fn get(&self, key: &K) -> Option<&V> {
         self.map.get(key).map(|(v, _)| v)
     }
 
     /// Looks up `key` and its payload weight without affecting the
     /// eviction order.
-    pub(crate) fn get_weighted(&self, key: &K) -> Option<(&V, usize)> {
+    fn get_weighted(&self, key: &K) -> Option<(&V, usize)> {
         self.map.get(key).map(|(v, w)| (v, *w))
     }
 
@@ -71,7 +76,7 @@ impl<K: Hash + Eq + Clone, V> BoundedCache<K, V> {
     /// [`Self::insert_weighted`]), evicting the oldest entry at capacity.
     /// Re-inserting an existing key replaces the value in place.
     #[cfg(test)]
-    pub(crate) fn insert(&mut self, key: K, value: V) {
+    fn insert(&mut self, key: K, value: V) {
         self.insert_weighted(key, value, 0);
     }
 
@@ -80,7 +85,7 @@ impl<K: Hash + Eq + Clone, V> BoundedCache<K, V> {
     /// while over the byte budget (if one is set). Re-inserting an existing
     /// key replaces the value (and weight) in place without touching its
     /// FIFO position.
-    pub(crate) fn insert_weighted(&mut self, key: K, value: V, weight: usize) {
+    fn insert_weighted(&mut self, key: K, value: V, weight: usize) {
         if let Some((_, old)) = self.map.insert(key.clone(), (value, weight)) {
             self.bytes = self.bytes - old + weight;
         } else {
@@ -106,22 +111,22 @@ impl<K: Hash + Eq + Clone, V> BoundedCache<K, V> {
     }
 
     /// Number of entries currently retained.
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.map.len()
     }
 
     /// Total entries evicted since creation.
-    pub(crate) fn evictions(&self) -> u64 {
+    fn evictions(&self) -> u64 {
         self.evictions
     }
 
     /// Sum of the payload weights (bytes) of retained entries.
-    pub(crate) fn bytes(&self) -> usize {
+    fn bytes(&self) -> usize {
         self.bytes
     }
 
     /// Changes the capacity, evicting oldest entries if shrinking.
-    pub(crate) fn set_capacity(&mut self, capacity: usize) {
+    fn set_capacity(&mut self, capacity: usize) {
         assert!(capacity > 0, "cache capacity must be positive");
         self.capacity = capacity;
         while self.order.len() > capacity {
@@ -132,7 +137,7 @@ impl<K: Hash + Eq + Clone, V> BoundedCache<K, V> {
     /// Sets or clears the payload-byte budget, evicting oldest-first until
     /// the retained total fits. A single over-budget entry is allowed to
     /// remain (evicting it would only force an immediate rebuild).
-    pub(crate) fn set_byte_budget(&mut self, budget: Option<usize>) {
+    fn set_byte_budget(&mut self, budget: Option<usize>) {
         self.byte_budget = budget;
         if let Some(budget) = budget {
             while self.bytes > budget && self.order.len() > 1 {
@@ -157,13 +162,16 @@ impl<K: Hash + Eq + Clone, V> BoundedCache<K, V> {
 /// earlier trial built instead of regenerating it. The store is bounded by
 /// the same row capacity and byte budget as the accounting; a row the
 /// accounting holds but the store has evicted is rebuilt on demand.
+///
+/// Keys are rows for row-keyed maps (`u64`); derived maps key on the row
+/// plus whatever else they are a pure function of, such as a decay window.
 #[derive(Debug, Clone)]
-pub(crate) struct RowMapCache<T> {
-    held: BoundedCache<u64, ()>,
-    maps: Rc<RefCell<BoundedCache<u64, Rc<[T]>>>>,
+pub(crate) struct RowMapCache<K: Hash + Eq + Clone, T> {
+    held: BoundedCache<K, ()>,
+    maps: Rc<RefCell<BoundedCache<K, Rc<[T]>>>>,
 }
 
-impl<T> RowMapCache<T> {
+impl<K: Hash + Eq + Clone, T> RowMapCache<K, T> {
     /// Creates an empty cache (and store) bounded to `capacity` rows.
     pub(crate) fn new(capacity: usize) -> Self {
         RowMapCache {
@@ -172,27 +180,40 @@ impl<T> RowMapCache<T> {
         }
     }
 
-    /// The stored map of `row`, if any, which the accounting then holds.
-    pub(crate) fn get(&mut self, row: u64) -> Option<Rc<[T]>> {
+    /// The stored map of `key`, if any, which the accounting then holds.
+    pub(crate) fn get(&mut self, key: &K) -> Option<Rc<[T]>> {
         let (map, weight) =
-            self.maps.borrow().get_weighted(&row).map(|(map, w)| (Rc::clone(map), w))?;
-        self.hold(row, weight);
+            self.maps.borrow().get_weighted(key).map(|(map, w)| (Rc::clone(map), w))?;
+        self.hold(key, weight);
         Some(map)
     }
 
-    /// Stores the freshly built map of `row`, whose payload the caller
+    /// Stores the freshly built map of `key`, whose payload the caller
     /// weighs at `weight` bytes in both the store and the accounting, and
-    /// holds it.
-    pub(crate) fn insert(&mut self, row: u64, map: Rc<[T]>, weight: usize) {
-        self.maps.borrow_mut().insert_weighted(row, map, weight);
-        self.hold(row, weight);
+    /// holds it. Re-inserting a held key replaces its weight in place, as
+    /// a private memo cache would.
+    pub(crate) fn insert(&mut self, key: K, map: Rc<[T]>, weight: usize) {
+        self.held.insert_weighted(key.clone(), (), weight);
+        self.maps.borrow_mut().insert_weighted(key, map, weight);
     }
 
-    /// Accounts `row` as held, exactly as a private memo cache would have
-    /// on its first lookup of the row.
-    fn hold(&mut self, row: u64, weight: usize) {
-        if self.held.get(&row).is_none() {
-            self.held.insert_weighted(row, (), weight);
+    /// Whether the accounting holds `key`: whether a private memo cache
+    /// would have found it, so a caller whose first lookup of a key makes
+    /// further lookups can tell a first lookup from a repeat.
+    pub(crate) fn holds(&self, key: &K) -> bool {
+        self.held.get(key).is_some()
+    }
+
+    /// The stored map of `key`, if any, without holding it.
+    pub(crate) fn peek(&self, key: &K) -> Option<Rc<[T]>> {
+        self.maps.borrow().get(key).map(Rc::clone)
+    }
+
+    /// Accounts `key` as held, exactly as a private memo cache would have
+    /// on its first lookup of the key.
+    fn hold(&mut self, key: &K, weight: usize) {
+        if !self.holds(key) {
+            self.held.insert_weighted(key.clone(), (), weight);
         }
     }
 
@@ -290,13 +311,13 @@ mod tests {
 
     #[test]
     fn row_maps_are_shared_but_accounting_is_not() {
-        let mut parent = RowMapCache::<u64>::new(4);
+        let mut parent = RowMapCache::<u64, u64>::new(4);
         parent.insert(1, Rc::from([10u64, 11]), 16);
         let snapshot = parent.clone();
         let mut child = parent.clone();
         child.insert(2, Rc::from([20u64]), 8);
         // The child's map reaches the parent's store ...
-        assert_eq!(parent.get(2).as_deref(), Some(&[20u64][..]));
+        assert_eq!(parent.get(&2).as_deref(), Some(&[20u64][..]));
         // ... while each side accounts only the rows it looked up.
         assert_eq!(snapshot.held_bytes(), 16);
         assert_eq!(child.held_bytes(), 24);
@@ -306,14 +327,14 @@ mod tests {
 
     #[test]
     fn held_rows_survive_store_eviction_and_accounting_matches_a_plain_cache() {
-        let mut shared = RowMapCache::<u64>::new(2);
+        let mut shared = RowMapCache::<u64, u64>::new(2);
         let mut other = shared.clone();
         let mut plain = BoundedCache::<u64, ()>::new(2);
         for row in 0..6u64 {
             // A second holder churns the store without touching `shared`'s
             // accounting.
             other.insert(100 + row, Rc::from([row]), 8);
-            if shared.get(row).is_none() {
+            if shared.get(&row).is_none() {
                 shared.insert(row, Rc::from([row, row]), 16);
             }
             if plain.get(&row).is_none() {

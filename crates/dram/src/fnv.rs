@@ -10,6 +10,12 @@
 //! by `P^k`. Never-materialized rows and all-zero 64-byte blocks therefore
 //! cost one multiply each instead of a round per word.
 //!
+//! An all-ones word is nearly as cheap: `h ^ !0 = -h - 1 (mod 2^64)`, so
+//! its round is the affine map `h ↦ -P·h - P`, and eight of them compose
+//! to `h ↦ P^8·h + C` for one constant `C`. An all-ones 64-byte block — a
+//! discharged anti-cell row is made of them — is therefore one
+//! multiply-add too.
+//!
 //! The state is small and `Copy`: the module keeps the state before each
 //! logical row as a checkpoint, so a journaled trial re-hashes only the
 //! rows from its first dirty row onward.
@@ -19,6 +25,19 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 /// Eight zero words: one all-zero 64-byte block.
 const FNV_PRIME_POW8: u64 = FNV_PRIME.wrapping_pow(8);
+
+/// The additive term of eight all-ones words: one all-ones 64-byte block
+/// maps `h` to `FNV_PRIME_POW8 · h + ONES_BLOCK_ADD`, the eight rounds'
+/// image of 0 (the multiplier is `(-P)^8 = P^8`).
+const ONES_BLOCK_ADD: u64 = {
+    let mut h = 0u64;
+    let mut i = 0;
+    while i < 8 {
+        h = (h ^ !0).wrapping_mul(FNV_PRIME);
+        i += 1;
+    }
+    h
+};
 
 /// Streaming state: chunk boundaries (row boundaries, for rows that are
 /// not a multiple of 8 bytes) are invisible in the result. `Copy`, so a
@@ -74,6 +93,8 @@ impl ContentsHasher {
             });
             if words.iter().fold(0, |acc, w| acc | w) == 0 {
                 self.hash = self.hash.wrapping_mul(FNV_PRIME_POW8);
+            } else if words.iter().fold(!0, |acc, w| acc & w) == !0 {
+                self.hash = self.hash.wrapping_mul(FNV_PRIME_POW8).wrapping_add(ONES_BLOCK_ADD);
             } else {
                 for word in words {
                     self.round(word);
@@ -135,21 +156,34 @@ mod tests {
     fn chunked_feeds_match_the_definition() {
         // Mostly zeros with scattered bytes, so zero blocks, zero runs and
         // non-zero words all occur at every alignment.
-        let data: Vec<u8> =
+        let sparse: Vec<u8> =
             (0..1000u32).map(|i| if i % 97 < 3 { (i % 251) as u8 + 1 } else { 0 }).collect();
-        for chunk in [1, 3, 7, 8, 13, 64, 65, 200] {
-            let mut streamed = ContentsHasher::new();
-            let mut zeroed = ContentsHasher::new();
-            for piece in data.chunks(chunk) {
-                streamed.update(piece);
-                if piece.iter().all(|&b| b == 0) {
-                    zeroed.zeros(piece.len());
-                } else {
-                    zeroed.update(piece);
+        // All ones, so every aligned block takes the all-ones fold.
+        let ones = vec![0xFFu8; 1000];
+        // Runs of zeros, ones and other bytes of uneven lengths, so zero,
+        // all-ones and mixed blocks alternate at every alignment.
+        let mixed: Vec<u8> = (0..1500u32)
+            .map(|i| match i / 70 % 3 {
+                0 => 0x00,
+                1 => 0xFF,
+                _ => (i % 251) as u8,
+            })
+            .collect();
+        for data in [sparse, ones, mixed] {
+            for chunk in [1, 3, 7, 8, 13, 64, 65, 200] {
+                let mut streamed = ContentsHasher::new();
+                let mut zeroed = ContentsHasher::new();
+                for piece in data.chunks(chunk) {
+                    streamed.update(piece);
+                    if piece.iter().all(|&b| b == 0) {
+                        zeroed.zeros(piece.len());
+                    } else {
+                        zeroed.update(piece);
+                    }
                 }
+                assert_eq!(streamed.finish(), reference(&data), "chunk {chunk}");
+                assert_eq!(zeroed.finish(), reference(&data), "chunk {chunk} with zero runs");
             }
-            assert_eq!(streamed.finish(), reference(&data), "chunk {chunk}");
-            assert_eq!(zeroed.finish(), reference(&data), "chunk {chunk} with zero runs");
         }
     }
 

@@ -22,13 +22,16 @@
 //!   rows) words of metadata, orders of magnitude smaller than the row
 //!   contents a fork would copy.
 //!
-//! **Not journaled:** the vulnerability maps themselves. They live in a
-//! row-map store the module shares with its forks and its journal
-//! snapshots, and a map is a pure function of the module's fixed inputs
-//! and the row, so rollback leaves the store as the trial left it. The
-//! next trial on the parent finds every map an earlier trial built
-//! instead of regenerating it, while its accounting — the only part
-//! telemetry can see — starts from the restored snapshot.
+//! **Not journaled:** the model maps themselves — vulnerability maps, and
+//! the retention model's long-cell lists, expired-cell masks and sorted
+//! retention index. They live in row-map stores the module shares with
+//! its forks and its journal snapshots, and each map is a pure function
+//! of the module's fixed inputs and its key (the row, plus the decay
+//! window and row bits for the retention maps), so rollback leaves the
+//! stores as the trial left them. The next trial on the parent finds
+//! every map an earlier trial built instead of regenerating it, while its
+//! accounting — the only part telemetry can see — starts from the
+//! restored snapshot.
 //!
 //! The rollback invariant — pinned by the differential suites — is that a
 //! module after `journal_begin → trial → journal_rollback` is

@@ -399,11 +399,11 @@ impl DramModule {
 
     /// Payload bytes currently retained across all per-row model caches,
     /// the retention model's acceleration structures (expired masks, the
-    /// sorted retention index) included. Vulnerability maps are counted in
-    /// the row-map store this module shares with its forks and journal
-    /// snapshots, each weighed as its sorted bit list. The telemetry gauges
-    /// `vuln_cache_bytes`/`retention_cache_bytes` report only the
-    /// model-content subset (vulnerability maps and long-cell lists) of
+    /// sorted retention index) included. Every map is counted in the
+    /// row-map store this module shares with its forks and journal
+    /// snapshots, a vulnerability map weighed as its sorted bit list. The
+    /// telemetry gauges `vuln_cache_bytes`/`retention_cache_bytes` report
+    /// only the model-content subset (vulnerability maps and long-cell lists) of
     /// what the module's own accounting holds.
     pub fn model_cache_bytes(&self) -> usize {
         self.vuln.cache_bytes() + self.retention.cache_bytes()

@@ -4,7 +4,7 @@ use std::rc::Rc;
 use rand::Rng;
 
 use crate::bitplane::{count_ones, load_word, store_word, words_for_bits};
-use crate::bounded::BoundedCache;
+use crate::bounded::RowMapCache;
 use crate::cells::CellType;
 use crate::config::RetentionParams;
 use crate::geometry::RowId;
@@ -46,12 +46,17 @@ pub struct LongCell {
 /// `[long_min_ns, long_max_ns]`. Both populations are functions of the
 /// module seed, so profiling results are stable — which the coldboot guard
 /// (section 8) depends on.
+///
+/// Every per-row cache is a [`RowMapCache`]: clones of the model (a
+/// module's forks and journal snapshots) account their cached rows
+/// separately but share the built maps, which are pure functions of
+/// (seed, params, row, elapsed window, row bits).
 #[derive(Clone)]
 pub(crate) struct RetentionModel {
     seed: u64,
     params: RetentionParams,
     bits_per_row: u64,
-    long_cache: BoundedCache<u64, Rc<[LongCell]>>,
+    long_cache: RowMapCache<u64, LongCell>,
     /// Expired-cell masks for the wordwise partial-decay path, keyed by
     /// `(row, elapsed_ns, row bits)`: bit `b` is set iff that cell's
     /// retention has expired after `elapsed_ns` without refresh. A mask is
@@ -59,7 +64,7 @@ pub(crate) struct RetentionModel {
     /// (one `partition_point`, then one bit-set per expired cell);
     /// memoizing it keeps repeated sweeps of the same elapsed bucket
     /// (profiling passes, forked campaigns) allocation-free.
-    expired: BoundedCache<(u64, u64, u64), Rc<[u64]>>,
+    expired: RowMapCache<(u64, u64, u64), u64>,
     /// Sorted per-row retention index, keyed by `(row, row bits)`: one
     /// packed `retention_ns << 21 | bit` key per *ordinary* cell, ascending.
     /// Built lazily — a row's first partial-decay window uses a direct
@@ -68,7 +73,7 @@ pub(crate) struct RetentionModel {
     /// first-build is a binary search plus O(expired bits) instead of an
     /// O(row bits) rescan. Byte-budgeted (8 bytes/cell, zero-weight
     /// markers) rather than entry-bounded.
-    index: BoundedCache<(u64, u64), Rc<[u64]>>,
+    index: RowMapCache<(u64, u64), u64>,
     /// Decays partial windows with [`Self::apply_decay_scalar`], the test
     /// oracle of the wordwise path.
     #[cfg(test)]
@@ -91,10 +96,10 @@ impl RetentionModel {
             seed,
             params,
             bits_per_row,
-            long_cache: BoundedCache::new(MODEL_CACHE_ROWS),
-            expired: BoundedCache::new(MODEL_CACHE_ROWS),
+            long_cache: RowMapCache::new(MODEL_CACHE_ROWS),
+            expired: RowMapCache::new(MODEL_CACHE_ROWS),
             index: {
-                let mut index = BoundedCache::new(MODEL_CACHE_ROWS);
+                let mut index = RowMapCache::new(MODEL_CACHE_ROWS);
                 index.set_byte_budget(Some(INDEX_CACHE_BYTES));
                 index
             },
@@ -103,7 +108,7 @@ impl RetentionModel {
         }
     }
 
-    /// Total cache evictions (long cells + expired masks) since creation.
+    /// Total accounting evictions (long cells + expired masks) since creation.
     /// Retention-index evictions are excluded: the index is an acceleration
     /// structure the scalar test oracle never builds, and the mirrored stats
     /// counter must match that oracle byte for byte.
@@ -116,17 +121,17 @@ impl RetentionModel {
         self.long_cache.len().max(self.expired.len()).max(self.index.len())
     }
 
-    /// Payload bytes retained across all retention caches, acceleration
-    /// structures included.
+    /// Payload bytes the shared stores of all retention caches retain,
+    /// acceleration structures included.
     pub(crate) fn cache_bytes(&self) -> usize {
-        self.long_cache.bytes() + self.expired.bytes() + self.index.bytes()
+        self.long_cache.stored_bytes() + self.expired.stored_bytes() + self.index.stored_bytes()
     }
 
-    /// Payload bytes of the long-cell cache alone — the model content the
-    /// scalar test oracle shares, mirrored into the `retention_cache_bytes`
-    /// gauge.
+    /// Payload bytes the long-cell accounting holds — the model content
+    /// the scalar test oracle shares, mirrored into the
+    /// `retention_cache_bytes` gauge.
     pub(crate) fn long_bytes(&self) -> usize {
-        self.long_cache.bytes()
+        self.long_cache.held_bytes()
     }
 
     /// Rebounds all caches to `rows` entries.
@@ -143,11 +148,24 @@ impl RetentionModel {
         self.index.set_byte_budget(budget);
     }
 
-    /// The long-retention cells of `row`, sorted by bit index.
+    /// The long-retention cells of `row`, sorted by bit index, generated on
+    /// first use and memoized.
     pub(crate) fn long_cells(&mut self, row: RowId) -> Rc<[LongCell]> {
         if let Some(cells) = self.long_cache.get(&row.0) {
-            return Rc::clone(cells);
+            return cells;
         }
+        let cells = self.generate_long_cells(row);
+        self.long_cache.insert(
+            row.0,
+            Rc::clone(&cells),
+            std::mem::size_of_val::<[LongCell]>(&cells),
+        );
+        cells
+    }
+
+    /// Draws the long-retention cells of `row`: a Poisson count, then
+    /// position and retention draws from a per-row ChaCha stream.
+    fn generate_long_cells(&self, row: RowId) -> Rc<[LongCell]> {
         let mut rng = stream_rng(self.seed ^ RETN_SALT, row.0);
         let n = poisson(&mut rng, self.bits_per_row as f64 * self.params.long_fraction);
         let span = self.params.long_max_ns - self.params.long_min_ns;
@@ -159,13 +177,7 @@ impl RetentionModel {
             .collect();
         cells.sort_by_key(|c| c.bit);
         cells.dedup_by_key(|c| c.bit);
-        let cells: Rc<[LongCell]> = cells.into();
-        self.long_cache.insert_weighted(
-            row.0,
-            Rc::clone(&cells),
-            std::mem::size_of_val::<[LongCell]>(&cells),
-        );
-        cells
+        cells.into()
     }
 
     /// Retention time of an ordinary (non-long) cell.
@@ -278,14 +290,29 @@ impl RetentionModel {
     /// predicate `ordinary_retention_ns(row, bit) < elapsed_ns` exactly.
     fn expired_mask(&mut self, row: RowId, elapsed_ns: u64, nbits: usize) -> Rc<[u64]> {
         let key = (row.0, elapsed_ns, nbits as u64);
-        if let Some(mask) = self.expired.get(&key) {
-            return Rc::clone(mask);
-        }
+        // The accounting must see exactly the lookups a private memo cache
+        // would make, whatever the shared store already holds: such a cache
+        // builds a mask only on the key's first lookup, and only that build
+        // looks up the row's long cells.
+        let long = if self.expired.holds(&key) {
+            if let Some(mask) = self.expired.get(&key) {
+                return mask;
+            }
+            // Held, but another holder churned it out of the store: rebuild
+            // without a lookup the private cache would not have made.
+            self.long_cache.peek(&row.0).unwrap_or_else(|| self.generate_long_cells(row))
+        } else {
+            let long = self.long_cells(row);
+            if let Some(mask) = self.expired.get(&key) {
+                return mask;
+            }
+            long
+        };
         let mut mask = vec![0u64; words_for_bits(nbits)];
         let packable =
             self.params.max_ns < 1 << (64 - INDEX_BIT_WIDTH) && nbits <= 1 << INDEX_BIT_WIDTH;
         let index_key = (row.0, nbits as u64);
-        let cached = if packable { self.index.get(&index_key).map(Rc::clone) } else { None };
+        let cached = if packable { self.index.get(&index_key) } else { None };
         match cached {
             Some(index) if !index.is_empty() => {
                 let expired = index.partition_point(|&k| k >> INDEX_BIT_WIDTH < elapsed_ns);
@@ -324,12 +351,12 @@ impl RetentionModel {
                     }
                 }
                 if packable {
-                    self.index.insert_weighted(index_key, Vec::new().into(), 0);
+                    self.index.insert(index_key, Vec::new().into(), 0);
                 }
             }
         }
         // Long cells shadow the ordinary draw at their positions.
-        for c in self.long_cells(row).iter() {
+        for c in long.iter() {
             if (c.bit as usize) >= nbits {
                 continue;
             }
@@ -341,7 +368,7 @@ impl RetentionModel {
             }
         }
         let mask: Rc<[u64]> = mask.into();
-        self.expired.insert_weighted(key, Rc::clone(&mask), std::mem::size_of_val::<[u64]>(&mask));
+        self.expired.insert(key, Rc::clone(&mask), std::mem::size_of_val::<[u64]>(&mask));
         mask
     }
 
@@ -363,7 +390,7 @@ impl RetentionModel {
             .collect();
         keys.sort_unstable();
         let keys: Rc<[u64]> = keys.into();
-        self.index.insert_weighted(key, Rc::clone(&keys), std::mem::size_of_val::<[u64]>(&keys));
+        self.index.insert(key, Rc::clone(&keys), std::mem::size_of_val::<[u64]>(&keys));
         keys
     }
 }

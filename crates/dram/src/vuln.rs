@@ -107,7 +107,7 @@ pub struct VulnerabilityModel {
     params: DisturbanceParams,
     layout: CellLayout,
     bits_per_row: u64,
-    planes: RowMapCache<PlaneWord>,
+    planes: RowMapCache<u64, PlaneWord>,
 }
 
 impl fmt::Debug for VulnerabilityModel {
@@ -167,7 +167,7 @@ impl VulnerabilityModel {
 
     /// The bitplane map of `row`, generated on first use and memoized.
     pub(crate) fn planes(&mut self, row: RowId) -> Rc<[PlaneWord]> {
-        if let Some(planes) = self.planes.get(row.0) {
+        if let Some(planes) = self.planes.get(&row.0) {
             return planes;
         }
         let (planes, bits) = self.generate_row(row);

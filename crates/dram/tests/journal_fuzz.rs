@@ -21,11 +21,17 @@
 //! `contents_hash` — checkpointed under a journal — must equal the
 //! reference hash of a full peek mid-sequence, after each sequence and
 //! after each rollback.
+//!
+//! The deterministic tests at the end pin partial-decay windows, whose
+//! expired masks, retention index and long-cell lists outlive a rollback
+//! in the row-map store a module shares with its forks: neither a later
+//! trial nor a fork may see them.
 
 mod common;
 
 use common::reference_contents_hash;
 use cta_dram::{DisturbanceParams, DramConfig, DramModule, RowId};
+use cta_telemetry::Counters;
 use proptest::prelude::*;
 
 /// One randomized mutation. Parameters are raw and clamped at apply time
@@ -207,4 +213,100 @@ proptest! {
         prop_assert_eq!(actual.0, expected.0, "decay probe contents diverged");
         prop_assert_eq!(actual.1, expected.1, "decay probe stats diverged");
     }
+}
+
+/// A module with every row materialized all-ones and an optional
+/// model-cache byte budget.
+fn decay_parent(budget: Option<usize>) -> DramModule {
+    let mut m = DramModule::new(DramConfig::small_test());
+    m.set_model_cache_bytes(budget);
+    m.fill(0, m.capacity_bytes() as usize, 0xFF).expect("whole-module fill");
+    m
+}
+
+/// Partial-decay windows (refresh off for `min_ns ≤ elapsed < max_ns`)
+/// over every row, one per elapsed value.
+fn decay_windows(m: &mut DramModule, fractions: &[u64]) {
+    let p = m.config().retention;
+    for &f in fractions {
+        m.disable_refresh();
+        m.advance(p.min_ns + (p.max_ns - p.min_ns) * f / 8);
+        m.enable_refresh();
+    }
+}
+
+/// Two distinct windows: each row's first builds its expired mask by a
+/// direct scan, the second from the sorted retention index it then builds.
+const TWO_WINDOWS: [u64; 2] = [2, 4];
+
+/// Contents hash (checkpointed and by definition), clock, and telemetry.
+fn observe_decay(m: &DramModule) -> (u64, u64, u64, String) {
+    let mut counters = Counters::new("decay");
+    counters.record(m.stats());
+    (m.contents_hash(), reference_contents_hash(m), m.now_ns(), counters.to_json())
+}
+
+#[test]
+fn partial_decay_windows_under_a_journal_leave_no_trace() {
+    // A budget of one expired mask (a 4 KiB row's mask is 4 KiB), which
+    // also evicts long-cell lists.
+    for budget in [None, Some(4096)] {
+        let mut parent = decay_parent(budget);
+        let before = observe_decay(&parent);
+
+        parent.journal_begin();
+        decay_windows(&mut parent, &TWO_WINDOWS);
+        let trial = observe_decay(&parent);
+        parent.journal_rollback();
+        assert_eq!(observe_decay(&parent), before, "budget {budget:?}: rollback");
+
+        // The trial's masks, index and long-cell lists stay in the store the
+        // parent shares with its forks; none of it may show.
+        let mut fresh = decay_parent(budget);
+        decay_windows(&mut fresh, &TWO_WINDOWS);
+        assert_eq!(observe_decay(&fresh), trial, "budget {budget:?}: a fresh module");
+        let mut fork = parent.fork();
+        decay_windows(&mut fork, &TWO_WINDOWS);
+        assert_eq!(observe_decay(&fork), trial, "budget {budget:?}: a fresh fork");
+        parent.journal_begin();
+        decay_windows(&mut parent, &TWO_WINDOWS);
+        assert_eq!(observe_decay(&parent), trial, "budget {budget:?}: the same trial again");
+        parent.journal_rollback();
+
+        let s = fresh.stats();
+        assert!(s.decay_flips > 0, "budget {budget:?}: the windows decay cells");
+        assert!(s.retention_cache_bytes > 0, "budget {budget:?}: long-cell lists are held");
+        if budget.is_some() {
+            assert!(s.retention_cache_evictions > 0, "budget {budget:?}: the budget evicts");
+        }
+    }
+}
+
+#[test]
+fn masks_churned_out_of_the_shared_store_rebuild_unseen() {
+    // The parent holds masks of rows 0..8 but not their long-cell lists; a
+    // fork, sharing the parent's store, then churns the masks out of it.
+    // The parent's next window rebuilds them, and must account exactly
+    // what a twin that never shared its store does: a mask the parent
+    // already holds is no first lookup, so it looks up no long cells.
+    let build = || {
+        let mut m = DramModule::new(DramConfig::small_test());
+        m.set_model_cache_capacity(8);
+        let row_bytes = m.geometry().row_bytes() as usize;
+        m.fill(0, 8 * row_bytes, 0xFF).expect("rows 0..8");
+        decay_windows(&mut m, &[2]);
+        // A full-decay outage over every row holds only long-cell lists,
+        // which evict those of rows 0..8.
+        m.fill(8 * row_bytes as u64, 56 * row_bytes, 0xFF).expect("rows 8..64");
+        m.power_off(m.config().retention.max_ns);
+        m
+    };
+    let mut parent = build();
+    let mut twin = build();
+    decay_windows(&mut parent.fork(), &[1, 3, 5]);
+    for m in [&mut parent, &mut twin] {
+        m.journal_begin();
+        decay_windows(m, &[2]);
+    }
+    assert_eq!(observe_decay(&parent), observe_decay(&twin));
 }

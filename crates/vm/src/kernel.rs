@@ -934,19 +934,31 @@ impl Kernel {
     ///
     /// # Errors
     ///
-    /// [`VmError::Unaligned`]; allocation failures.
+    /// [`VmError::Unaligned`]; allocation failures, after which every frame
+    /// the file had taken is free again.
     pub fn create_file(&mut self, len: u64) -> Result<FileId, VmError> {
         if len == 0 || !len.is_multiple_of(PAGE_SIZE) {
             return Err(VmError::Unaligned { value: len });
         }
+        // The list grows with the frames actually allocated: a request
+        // larger than memory fails allocation, not the list's reservation.
+        let mut frames = Vec::new();
+        for _ in 0..len / PAGE_SIZE {
+            match self.alloc.alloc_page(GfpFlags::HIGHUSER) {
+                Ok(pfn) => frames.push(pfn),
+                Err(e) => {
+                    for pfn in frames {
+                        self.alloc.free_pages(pfn, 0).expect("a frame just allocated frees");
+                    }
+                    return Err(e.into());
+                }
+            }
+        }
         let id = FileId(self.next_file);
         self.next_file += 1;
-        let mut frames = Vec::with_capacity((len / PAGE_SIZE) as usize);
-        for _ in 0..len / PAGE_SIZE {
-            let pfn = self.alloc.alloc_page(GfpFlags::HIGHUSER)?;
+        for &pfn in &frames {
             self.dram.fill(pfn.addr().0, PAGE_SIZE as usize, 0)?;
             self.owners.insert(pfn.0, FrameOwner::File { id });
-            frames.push(pfn);
         }
         self.files.insert(id.0, FileObject::new(id, frames));
         Ok(id)
@@ -1485,6 +1497,19 @@ mod tests {
         k.read_virt(pid, va2, &mut buf, Access::user_read()).unwrap();
         assert_eq!(&buf, b"shared!");
         assert_eq!(k.file(file).unwrap().mapping_count(), 2);
+    }
+
+    #[test]
+    fn failed_create_file_gives_every_frame_back() {
+        let mut k = kernel();
+        let _ = k.create_file(PAGE_SIZE).unwrap();
+        let free = k.allocator().free_page_count();
+        let owners = k.owners.clone();
+        // One page more than memory holds: allocation fails partway.
+        let err = k.create_file((free + 1) * PAGE_SIZE).unwrap_err();
+        assert!(matches!(err, VmError::Alloc(cta_mem::AllocError::OutOfMemory { .. })), "{err:?}");
+        assert_eq!(k.allocator().free_page_count(), free);
+        assert_eq!(k.owners, owners);
     }
 
     #[test]

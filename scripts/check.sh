@@ -68,26 +68,28 @@ cargo run --release -q -p cta-bench --bin cta -- evaluate \
     --tenants 2 --campaigns 1 --trials 2 --workers 2 \
     --jsonl telemetry/cta-events.jsonl > /dev/null
 
-echo "==> malformed cta invocations fail with an error, not a panic"
-# Each must be rejected with a message and a failing exit status; 101 is
-# Rust's panic exit code.
+echo "==> malformed cta invocations fail with an error, not a panic or an abort"
+# Each must be rejected with a message and exit status 1, cta's failure
+# status: a panic exits 101, and an abort (a failed allocation) 134.
 for args in "evaluate --tenants 0" "evaluate --trials 0" \
-    "evaluate --campaigns 0" "profile --memory-mb 0" "profile --memory-mb 3"; do
+    "evaluate --campaigns 0" "evaluate --trials 1000000000000" \
+    "profile --memory-mb 0" "profile --memory-mb 3"; do
     status=0
     # shellcheck disable=SC2086 # word-split the argument list on purpose
     cargo run --release -q -p cta-bench --bin cta -- $args > /dev/null 2>&1 \
         || status=$?
-    if [ "$status" -eq 0 ] || [ "$status" -eq 101 ]; then
-        echo "cta $args: exit status $status (want a usage or boot error)"
+    if [ "$status" -ne 1 ]; then
+        echo "cta $args: exit status $status (want 1, a usage or boot error)"
         exit 1
     fi
 done
 
-echo "==> malformed recordings fail with an error, not a panic or a hang"
+echo "==> malformed recordings fail with an error, not a panic, an abort or a hang"
 # Mutated copies of the goldens, written to a scratch directory (never
 # under fixtures/): an unbounded `pf` must be refused at load, and a
-# one-page templating arena must replay to a typed error. Each replay must
-# exit non-zero, but neither 101 (a panic) nor 124 (`timeout` fired).
+# one-page templating arena and a 2^40-page spray file must replay to a
+# typed error. Each replay must exit 1, replay-check's failure status:
+# not 101 (a panic), 134 (an abort) or 124 (`timeout` fired).
 mutants=$(mktemp -d)
 trap 'rm -rf "$mutants"' EXIT
 mutate() { # golden, sed expression, mutant name
@@ -99,12 +101,13 @@ mutate() { # golden, sed expression, mutant name
 }
 mutate spray-small 's/"pf": 0.05/"pf": 1000000000/' spray-pf-1e9
 mutate templating-small 's/"arena_pages": 96/"arena_pages": 1/' templating-arena-1
+mutate spray-small 's/"file_pages": 2/"file_pages": 1099511627776/' spray-file-2e40
 for f in "$mutants"/*.recording.json; do
     status=0
     timeout 60 cargo run --release -q -p cta-bench --bin replay-check -- "$f" \
         > /dev/null 2>&1 || status=$?
-    if [ "$status" -eq 0 ] || [ "$status" -eq 101 ] || [ "$status" -eq 124 ]; then
-        echo "replay-check $(basename "$f"): exit status $status (want a typed error)"
+    if [ "$status" -ne 1 ]; then
+        echo "replay-check $(basename "$f"): exit status $status (want 1, a typed error)"
         exit 1
     fi
 done
