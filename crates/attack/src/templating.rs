@@ -26,6 +26,26 @@ use crate::hammer::HammerDriver;
 use crate::outcome::AttackOutcome;
 
 const ARENA_VA: u64 = 0x4000_0000;
+/// Massage regions are mapped one per 2 MiB slot, starting at the first
+/// slot past the arena.
+const REGION_SLOT: u64 = 2 << 20;
+
+// The window a usable template can fall in. A flip of bit 12 + k turns a
+// PTE naming victim page v into one naming donor page v − 2^k, and `attempt`
+// is only tried on a template whose
+// - k is in 1..=6, i.e. bits 13..=18 of the word. k = 0 would free adjacent
+//   frames (donor next to victim), which the buddy allocator coalesces into
+//   a larger block and re-splits in a different order, breaking the massage
+//   (the real Drammer has the same constraint in disguise: it works in
+//   contiguous chunks);
+// - entry is in 1..=400;
+// - page satisfies v > 2^k + 2 and entry < (v − 2^k) / 2, so enough
+//   non-adjacent filler pages exist below the donor. This one depends on
+//   the victim, so `push_usable_templates` checks it per set bit.
+/// Bits 13..=18 of a 64-bit word: the frame-field bits a template may flip.
+const TEMPLATE_BITS: u64 = 0x7_E000;
+/// The last entry slot a template may hit.
+const LAST_TEMPLATE_ENTRY: usize = 400;
 
 /// A templated flip the attacker recorded in its own memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,7 +63,8 @@ pub struct Template {
 /// Configuration of the templating attack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TemplatingAttack {
-    /// Arena size in pages (templated region; must fit one 2 MiB slot).
+    /// Arena size in pages (the templated region). Massage regions are
+    /// mapped in the 2 MiB slots past it.
     pub arena_pages: u64,
     /// Maximum templates to try before giving up.
     pub max_attempts: usize,
@@ -102,7 +123,9 @@ impl TemplatingAttack {
         }
 
         // --- Phases 2–4 per template: massage, hammer, exploit ---------------
-        let mut region_seq = 0u64;
+        // Slot index of the last slot the arena touches; `attempt` maps each
+        // region one slot further.
+        let mut region_slot = arena_bytes.div_ceil(REGION_SLOT).max(1) - 1;
         let mut consumed: std::collections::HashSet<u64> = std::collections::HashSet::new();
         let mut tried_pages: std::collections::HashSet<u64> = std::collections::HashSet::new();
         let mut attempts = 0usize;
@@ -119,7 +142,7 @@ impl TemplatingAttack {
                 pid,
                 arena,
                 template,
-                &mut region_seq,
+                &mut region_slot,
                 &mut consumed,
                 &mut out,
             ) {
@@ -134,6 +157,12 @@ impl TemplatingAttack {
     }
 
     /// Hammers the arena and records `0→1` flips usable for a PTE attack.
+    ///
+    /// Each victim page is zeroed, hammered from both neighbors and read
+    /// back. Only bits 13..=18 of entries 1..=400 can pass `attempt`'s
+    /// preconditions (see `TEMPLATE_BITS`), so the read-back is scanned in
+    /// that window only; templates come out in ascending victim page, then
+    /// ascending bit position.
     fn template(
         &self,
         kernel: &mut Kernel,
@@ -143,7 +172,8 @@ impl TemplatingAttack {
     ) -> Result<Vec<Template>, VmError> {
         let driver = HammerDriver::new();
         let mut templates = Vec::new();
-        let zeros = vec![0u8; PAGE_SIZE as usize];
+        let zeros = [0u8; PAGE_SIZE as usize];
+        let mut buf = [0u8; PAGE_SIZE as usize];
         // Victims need two arena pages of margin on each side; an arena of
         // four pages or fewer has no victim to template.
         for v in 2..self.arena_pages.saturating_sub(2) {
@@ -166,45 +196,12 @@ impl TemplatingAttack {
                 continue;
             }
             out.rows_hammered += 2;
-            let mut buf = vec![0u8; PAGE_SIZE as usize];
             self.probe_sync(kernel);
             if kernel.read_virt(pid, victim, &mut buf, Access::user_read()).is_err() {
                 continue;
             }
-            for (byte_idx, byte) in buf.iter().enumerate() {
-                if *byte == 0 {
-                    continue;
-                }
-                for bit in 0..8u32 {
-                    if byte >> bit & 1 == 1 {
-                        let bitpos = byte_idx as u64 * 8 + bit as u64;
-                        let entry = bitpos / 64;
-                        let bit_in_word = (bitpos % 64) as u32;
-                        templates.push(Template { page: v, entry, bit_in_word, sets_bit: true });
-                    }
-                }
-            }
+            push_usable_templates(&mut templates, v, &buf);
         }
-        // Keep only templates a PTE attack can use: the flip must hit the
-        // frame field, the entry slot must leave room for lower file pages,
-        // and the implied donor page w = v − 2^k must exist in the arena.
-        templates.retain(|t| {
-            if !(12..=51).contains(&t.bit_in_word) || t.entry == 0 || t.entry > 400 {
-                return false;
-            }
-            let k = t.bit_in_word - 12;
-            // k = 0 would free *adjacent* frames (donor next to victim),
-            // which the buddy allocator coalesces into a larger block and
-            // re-splits in a different order, breaking the massage. The
-            // real Drammer has the same constraint in disguise (it works in
-            // contiguous chunks); we simply skip bit-12 templates.
-            if k == 0 || k >= 7 {
-                return false;
-            }
-            let span = 1u64 << k;
-            // Enough non-adjacent filler pages must exist below the donor.
-            t.page > span + 2 && t.entry < (t.page - span) / 2
-        });
         Ok(templates)
     }
 
@@ -216,7 +213,7 @@ impl TemplatingAttack {
         pid: Pid,
         arena: VirtAddr,
         template: Template,
-        region_seq: &mut u64,
+        region_slot: &mut u64,
         consumed: &mut std::collections::HashSet<u64>,
         out: &mut AttackOutcome,
     ) -> Result<bool, VmError> {
@@ -259,8 +256,12 @@ impl TemplatingAttack {
         // Massage: the new file takes the freed low frames (file page e on
         // w), and the fresh region's page table lands on v.
         let file = kernel.create_file(file_pages * PAGE_SIZE)?;
-        *region_seq += 1;
-        let region = VirtAddr(ARENA_VA + *region_seq * (2 << 20));
+        *region_slot += 1;
+        let region = region_slot
+            .checked_mul(REGION_SLOT)
+            .and_then(|offset| offset.checked_add(ARENA_VA))
+            .map(VirtAddr)
+            .ok_or(VmError::RangeOverflow { va: VirtAddr(ARENA_VA), pages: file_pages })?;
         kernel.mmap_file(pid, region, file, true)?;
         out.mappings_created += file_pages;
 
@@ -349,6 +350,33 @@ impl TemplatingAttack {
     }
 }
 
+/// Appends the templates of victim page `page`, whose `0→1` probe read back
+/// `bytes`, that `attempt` can use: set bits of `TEMPLATE_BITS` in entries
+/// `1..=LAST_TEMPLATE_ENTRY` whose donor page and fillers fit below `page`,
+/// in ascending bit position.
+fn push_usable_templates(
+    templates: &mut Vec<Template>,
+    page: u64,
+    bytes: &[u8; PAGE_SIZE as usize],
+) {
+    // No entry at or past (page − 2) / 2 leaves room for the smallest
+    // span, 2.
+    let end = (page.saturating_sub(2) / 2).min(LAST_TEMPLATE_ENTRY as u64 + 1) as usize;
+    let (words, _) = bytes.as_chunks::<8>();
+    for (entry, word) in words.iter().enumerate().take(end).skip(1) {
+        let entry = entry as u64;
+        let mut bits = u64::from_le_bytes(*word) & TEMPLATE_BITS;
+        while bits != 0 {
+            let bit_in_word = bits.trailing_zeros();
+            bits &= bits - 1;
+            let span = 1u64 << (bit_in_word - 12);
+            if page > span + 2 && entry < (page - span) / 2 {
+                templates.push(Template { page, entry, bit_in_word, sets_bit: true });
+            }
+        }
+    }
+}
+
 // `PtLevel` is referenced in documentation comments above.
 #[allow(unused_imports)]
 use PtLevel as _PtLevelDocOnly;
@@ -366,6 +394,149 @@ mod tests {
             .seed(seed)
             .protected(protected)
             .disturbance(DisturbanceParams { pf: 0.004, ..DisturbanceParams::default() })
+    }
+
+    /// The collect-then-filter scan `push_usable_templates` replaced: one
+    /// template per set bit of the page, then `attempt`'s preconditions.
+    fn reference_templates(page: u64, bytes: &[u8]) -> Vec<Template> {
+        let mut templates = Vec::new();
+        for (byte_idx, byte) in bytes.iter().enumerate() {
+            for bit in 0..8u32 {
+                if byte >> bit & 1 == 1 {
+                    let bitpos = byte_idx as u64 * 8 + bit as u64;
+                    let entry = bitpos / 64;
+                    let bit_in_word = (bitpos % 64) as u32;
+                    templates.push(Template { page, entry, bit_in_word, sets_bit: true });
+                }
+            }
+        }
+        templates.retain(|t| {
+            if !(12..=51).contains(&t.bit_in_word) || t.entry == 0 || t.entry > 400 {
+                return false;
+            }
+            let k = t.bit_in_word - 12;
+            if k == 0 || k >= 7 {
+                return false;
+            }
+            let span = 1u64 << k;
+            t.page > span + 2 && t.entry < (t.page - span) / 2
+        });
+        templates
+    }
+
+    fn assert_scan_matches_reference(page: u64, bytes: &[u8; PAGE_SIZE as usize]) {
+        let mut got = vec![Template { page: 0, entry: 0, bit_in_word: 0, sets_bit: false }];
+        push_usable_templates(&mut got, page, bytes);
+        assert_eq!(got.remove(0).page, 0, "appends after what the vector holds");
+        assert_eq!(got, reference_templates(page, bytes), "page {page}");
+    }
+
+    /// Victim pages on both sides of every `2^k + 2` bound, every
+    /// `(page − 2^k) / 2` bound of the hand-set entries, and the arena's
+    /// ends.
+    fn boundary_pages() -> Vec<u64> {
+        let mut pages = vec![0, 1, 2, 3, 4, 5, 190, 191, 510, 511, 900];
+        for k in 1..=7u32 {
+            let span = 1u64 << k;
+            pages.extend([span + 2, span + 3]);
+            for entry in [1u64, 2, 100, 399, 400] {
+                // entry < (page − span) / 2 first holds at page = 2·entry + 2 + span.
+                let first = 2 * entry + 2 + span;
+                pages.extend([first - 1, first]);
+            }
+        }
+        pages
+    }
+
+    #[test]
+    fn window_scan_matches_the_reference_on_edge_pages() {
+        let mut pages: Vec<[u8; PAGE_SIZE as usize]> =
+            vec![[0; PAGE_SIZE as usize], [0xFF; PAGE_SIZE as usize]];
+        for entry in [0usize, 1, 2, 100, 399, 400, 401, 511] {
+            let mut page = [0u8; PAGE_SIZE as usize];
+            page[entry * 8..entry * 8 + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            pages.push(page);
+            for bit in [11u32, 12, 13, 18, 19, 51] {
+                let mut page = [0u8; PAGE_SIZE as usize];
+                page[entry * 8..entry * 8 + 8].copy_from_slice(&(1u64 << bit).to_le_bytes());
+                pages.push(page);
+            }
+        }
+        for bytes in &pages {
+            for page in boundary_pages() {
+                assert_scan_matches_reference(page, bytes);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn window_scan_matches_the_reference_on_random_pages(
+            page in 0u64..600,
+            words in proptest::collection::vec(
+                (proptest::arbitrary::any::<u64>(), proptest::arbitrary::any::<u64>(), 0u8..3),
+                512..513,
+            ),
+        ) {
+            // Each word is dense (half its bits set), sparser (a quarter)
+            // or empty.
+            let mut bytes = [0u8; PAGE_SIZE as usize];
+            for (word, &(a, b, density)) in bytes.chunks_exact_mut(8).zip(&words) {
+                let w = match density {
+                    0 => a,
+                    1 => a & b,
+                    _ => 0,
+                };
+                word.copy_from_slice(&w.to_le_bytes());
+            }
+            assert_scan_matches_reference(page, &bytes);
+            for page in boundary_pages() {
+                assert_scan_matches_reference(page, &bytes);
+            }
+        }
+    }
+
+    /// The 16 MiB stock module at `pf = 0.05`, seed 1: dense enough that
+    /// the default arena finds hundreds of usable templates.
+    fn dense_stock_module() -> Kernel {
+        SystemBuilder::new(16 << 20)
+            .seed(1)
+            .protected(false)
+            .disturbance(DisturbanceParams { pf: 0.05, ..DisturbanceParams::default() })
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn default_attack_on_a_dense_stock_module_is_pinned() {
+        // The golden recordings find no usable template, so this pins what
+        // the scan's result drives: attempts, hammers, flips and contents.
+        let mut k = dense_stock_module();
+        let out = TemplatingAttack::default().run(&mut k).unwrap();
+        assert_eq!(out.log[0], "templating found 341 usable flips");
+        assert!(out.self_reference_found);
+        assert_eq!(out.flips_induced, 129_690);
+        assert_eq!(out.sim_time_ns, 12_259_364_155);
+        assert_eq!(k.dram().contents_hash(), 0x698b_299c_0be1_9637);
+    }
+
+    #[test]
+    fn massage_regions_clear_an_arena_larger_than_one_slot() {
+        // Regions once started at the slot after `ARENA_VA` whatever the
+        // arena size, so an arena past 512 pages overlapped region 1 and
+        // every massage failed silently.
+        for pages in [512u64, 513, 600] {
+            let mut k = dense_stock_module();
+            let out = TemplatingAttack { arena_pages: pages, ..TemplatingAttack::default() }
+                .run(&mut k)
+                .unwrap();
+            assert!(
+                out.log
+                    .iter()
+                    .any(|l| l == "template (page 48, entry 1, bit 16) produced a PTE self-map"),
+                "arena of {pages} pages:\n{out}"
+            );
+        }
     }
 
     #[test]

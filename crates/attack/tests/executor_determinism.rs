@@ -169,7 +169,7 @@ fn parent_pool_stays_bounded_over_a_long_campaign_stream() {
     // O(campaigns served). tenant0 is capped at 1 but runs 2 boot seeds,
     // so it must evict every round rather than grow.
     let caps_per_worker = 1 + 2 + 2;
-    let capacity = (stats.workers * caps_per_worker) as u64;
+    let capacity = stats.workers * caps_per_worker;
     assert!(
         stats.pool_parents <= capacity,
         "pool holds {} parents, capacity is {capacity}",

@@ -81,9 +81,9 @@ mod tests {
     fn round_trip_full_words() {
         let mut bytes = vec![0u8; 24];
         store_word(&mut bytes, 1, 0xDEAD_BEEF_CAFE_F00D);
-        assert_eq!(load_word(&mut bytes, 1), 0xDEAD_BEEF_CAFE_F00D);
-        assert_eq!(load_word(&mut bytes, 0), 0);
-        assert_eq!(load_word(&mut bytes, 2), 0);
+        assert_eq!(load_word(&bytes, 1), 0xDEAD_BEEF_CAFE_F00D);
+        assert_eq!(load_word(&bytes, 0), 0);
+        assert_eq!(load_word(&bytes, 2), 0);
     }
 
     #[test]

@@ -427,7 +427,8 @@ mod tests {
         assert_eq!(layout.low_water_mark(), 52 << 20);
         assert_eq!(layout.subzones().len(), 1);
         assert_eq!(layout.subzones()[0].0, (52 << 20)..(56 << 20));
-        assert_eq!(layout.reserved_anti_ranges(), &[(56 << 20)..(64 << 20)]);
+        assert_eq!(layout.reserved_anti_ranges().len(), 1);
+        assert_eq!(layout.reserved_anti_ranges()[0], (56 << 20)..(64 << 20));
         assert_eq!(layout.capacity_loss_bytes(), 8 << 20);
         assert!((layout.capacity_loss_fraction() - 0.125).abs() < 1e-12);
     }

@@ -103,9 +103,11 @@ mod tests {
 
     #[test]
     fn presets() {
-        assert!(GfpFlags::PTP.ptp);
-        assert!(GfpFlags::PTP.zero);
-        assert!(!GfpFlags::KERNEL.ptp);
+        const {
+            assert!(GfpFlags::PTP.ptp);
+            assert!(GfpFlags::PTP.zero);
+            assert!(!GfpFlags::KERNEL.ptp);
+        }
         assert_eq!(GfpFlags::HIGHUSER.zone, ZonePreference::HighUser);
     }
 

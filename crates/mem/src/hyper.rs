@@ -261,7 +261,12 @@ mod tests {
         let map = map();
         let mut plan = HypervisorPlan::build(&map, 64 << 20, &guests()).unwrap();
         // Tamper: move guest-a's slice below the base.
-        let bad = PtpLayout::manual(vec![0..(1 << 20)], plan.zone_base(), 64 << 20, 1 << 20);
+        let bad = PtpLayout::manual(
+            std::iter::once(0..(1 << 20)).collect(),
+            plan.zone_base(),
+            64 << 20,
+            1 << 20,
+        );
         plan.guests[0].layout = bad;
         assert!(!plan.check(&map).is_empty());
     }

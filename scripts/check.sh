@@ -36,8 +36,10 @@ cargo build --release --workspace
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -q -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+# All targets: libraries and binaries, plus unit tests, integration tests,
+# examples and benches, vendored crates included.
+cargo clippy --workspace --all-targets -q -- -D warnings
 
 echo "==> cargo doc --no-deps (first-party packages, deny warnings)"
 for pkg in $FIRST_PARTY; do
