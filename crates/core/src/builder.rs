@@ -240,6 +240,7 @@ impl SystemBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cta_dram::DramError;
 
     #[test]
     fn unprotected_build() {
@@ -304,6 +305,17 @@ mod tests {
         }
         // A stock machine needs whole rows, not a power of two.
         assert_eq!(SystemBuilder::new(3 << 20).build().unwrap().dram().capacity_bytes(), 3 << 20);
+    }
+
+    #[test]
+    fn a_module_too_large_for_its_row_tables_is_a_typed_error() {
+        // 2^50 rows: their tables need 2^55 bytes, past any host's address
+        // space, so the allocation fails on every overcommit policy.
+        let bytes = 1u64 << 62;
+        for protected in [false, true] {
+            let err = SystemBuilder::new(bytes).protected(protected).build().unwrap_err();
+            assert_eq!(err, VmError::Dram(DramError::RowTablesTooLarge { rows: 1 << 50 }), "{err}");
+        }
     }
 
     #[test]

@@ -47,6 +47,12 @@ pub enum DramError {
         /// Whether refresh was enabled at the time of the call.
         enabled: bool,
     },
+    /// The module's per-row tables (row slots and activation counters,
+    /// allocated eagerly at construction) do not fit in host memory.
+    RowTablesTooLarge {
+        /// Number of rows in the module.
+        rows: u64,
+    },
 }
 
 impl fmt::Display for DramError {
@@ -72,6 +78,9 @@ impl fmt::Display for DramError {
                 "operation conflicts with refresh state (refresh currently {})",
                 if *enabled { "enabled" } else { "disabled" }
             ),
+            DramError::RowTablesTooLarge { rows } => {
+                write!(f, "cannot allocate the per-row tables of a {rows}-row module")
+            }
         }
     }
 }

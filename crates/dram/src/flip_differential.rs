@@ -213,3 +213,71 @@ fn forked_module_inherits_warm_planes_and_matches_scalar_reference() {
     );
     assert_eq!(fork.now_ns(), scalar.now_ns());
 }
+
+/// One double-sided hammer of `victim` from the start of the next refresh
+/// window: `victim` is disturbed twice (once per aggressor), the second
+/// time unchanged.
+fn hammer_in_new_window(m: &mut DramModule, victim: RowId) {
+    let interval = m.config().refresh_interval_ns;
+    m.advance(interval - m.now_ns() % interval);
+    m.hammer_double_sided(victim).unwrap();
+}
+
+/// Repeat disturbances of one victim, with every kind of change that must
+/// make the next one run its flip pass again in between: a one-byte write
+/// under a vulnerable cell, a partial decay window, and a journaled trial
+/// rolled back. Returns the contents hash, flip count and clock after each
+/// step.
+fn repeat_disturbances(m: &mut DramModule, victim: RowId, addr: u64, fire: u8) -> Vec<[u64; 3]> {
+    let row_bytes = m.geometry().row_bytes();
+    let retention = m.config().retention;
+    let mut seen = Vec::new();
+    let snap = |m: &DramModule, seen: &mut Vec<[u64; 3]>| {
+        seen.push([m.contents_hash(), m.stats().total_flips(), m.now_ns()]);
+    };
+    m.fill((victim.0 - 2) * row_bytes, 5 * row_bytes as usize, 0xA5).unwrap();
+    for _ in 0..2 {
+        hammer_in_new_window(m, victim);
+        snap(m, &mut seen);
+    }
+    m.write(addr, &[fire]).unwrap();
+    hammer_in_new_window(m, victim);
+    snap(m, &mut seen);
+    m.disable_refresh();
+    m.advance(retention.min_ns + (retention.max_ns - retention.min_ns) / 2);
+    m.hammer_double_sided(victim).unwrap();
+    snap(m, &mut seen);
+    m.enable_refresh();
+    m.write(addr, &[fire]).unwrap();
+    m.journal_begin();
+    hammer_in_new_window(m, victim);
+    snap(m, &mut seen);
+    m.journal_rollback();
+    snap(m, &mut seen);
+    hammer_in_new_window(m, victim);
+    snap(m, &mut seen);
+    seen
+}
+
+#[test]
+fn repeat_disturbances_match_scalar_reference() {
+    for (seed, victim) in [(3u64, RowId(10)), (4, RowId(21))] {
+        let config = diff_config().with_seed(seed);
+        let mut scalar = DramModule::scalar_reference(config.clone());
+        let mut wordwise = DramModule::new(config);
+        // A byte under a leakage-direction cell, written to its firing value.
+        let cell = wordwise.layout().cell_type(victim);
+        let bit = wordwise.vulnerable_bits(victim).unwrap()[0];
+        let fire = if bit.direction.source_value() { 0xFF } else { 0x00 };
+        let addr = victim.0 * wordwise.geometry().row_bytes() + bit.bit / 8;
+        let s = repeat_disturbances(&mut scalar, victim, addr, fire);
+        let w = repeat_disturbances(&mut wordwise, victim, addr, fire);
+        let ctx = format!("seed={seed} {cell:?} victim={victim:?}");
+        assert_eq!(s, w, "{ctx}: hashes, flip counts or clocks diverged");
+        assert!(w.windows(2).any(|p| p[0][1] == p[1][1]), "{ctx}: a repeat fires nothing");
+        assert!(w[2][1] > w[1][1], "{ctx}: the write re-arms a cell");
+        assert!(w[6][1] > w[5][1], "{ctx}: rollback re-arms the cells its trial fired");
+        let (s, w) = (observe(&mut scalar, Vec::new()), observe(&mut wordwise, Vec::new()));
+        assert_eq!(s, w, "{ctx}: flip logs, contents or telemetry diverged");
+    }
+}

@@ -86,11 +86,10 @@ impl ContentsHasher {
         if self.npending > 0 {
             return;
         }
-        let mut blocks = bytes.chunks_exact(64);
-        for block in &mut blocks {
-            let words: [u64; 8] = std::array::from_fn(|i| {
-                u64::from_le_bytes(block[8 * i..8 * i + 8].try_into().expect("8-byte word"))
-            });
+        let (blocks, rest) = bytes.as_chunks::<64>();
+        for block in blocks {
+            let words: [u64; 8] =
+                std::array::from_fn(|i| u64::from_le_bytes(block.as_chunks::<8>().0[i]));
             if words.iter().fold(0, |acc, w| acc | w) == 0 {
                 self.hash = self.hash.wrapping_mul(FNV_PRIME_POW8);
             } else if words.iter().fold(!0, |acc, w| acc & w) == !0 {
@@ -101,11 +100,10 @@ impl ContentsHasher {
                 }
             }
         }
-        let mut words = blocks.remainder().chunks_exact(8);
-        for word in &mut words {
-            self.round(u64::from_le_bytes(word.try_into().expect("8-byte word")));
+        let (words, tail) = rest.as_chunks::<8>();
+        for &word in words {
+            self.round(u64::from_le_bytes(word));
         }
-        let tail = words.remainder();
         self.pending[..tail.len()].copy_from_slice(tail);
         self.npending = tail.len();
     }

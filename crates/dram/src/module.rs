@@ -162,7 +162,32 @@ impl std::fmt::Debug for DramModule {
 
 impl DramModule {
     /// Creates a module from its configuration. All cells start at logic `0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the per-row tables do not fit in memory; [`Self::try_new`]
+    /// returns that as an error.
     pub fn new(config: DramConfig) -> Self {
+        Self::try_new(config).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates a module from its configuration, allocating its per-row
+    /// tables fallibly. All cells start at logic `0`.
+    ///
+    /// # Errors
+    ///
+    /// [`DramError::RowTablesTooLarge`] if the row slots or activation
+    /// counters (a few dozen bytes per row, allocated up front) do not fit
+    /// in host memory.
+    pub fn try_new(config: DramConfig) -> Result<Self, DramError> {
+        let rows = config.geometry.total_rows();
+        let too_large = || DramError::RowTablesTooLarge { rows };
+        let total_rows = usize::try_from(rows).map_err(|_| too_large())?;
+        let store = SparseStore::try_new(total_rows, config.geometry.row_bytes() as usize)
+            .ok_or_else(too_large)?;
+        let mut activations = Vec::new();
+        activations.try_reserve_exact(total_rows).map_err(|_| too_large())?;
+        activations.resize(total_rows, NO_ACTIVATIONS);
         let vuln = VulnerabilityModel::new(
             &config.geometry,
             config.layout,
@@ -171,20 +196,18 @@ impl DramModule {
         );
         let retention =
             RetentionModel::new(config.retention, config.geometry.bits_per_row(), config.seed);
-        let total_rows = config.geometry.total_rows() as usize;
         let banks = config.geometry.banks() as usize;
-        let row_bytes = config.geometry.row_bytes() as usize;
-        DramModule {
+        Ok(DramModule {
             vuln,
             retention,
-            store: SparseStore::new(total_rows, row_bytes),
+            store,
             remap: RemapTable::new(),
             row_cache: Cell::new((ROW_NONE, ROW_NONE)),
             clock_ns: 0,
             window_end_ns: config.refresh_interval_ns,
             refresh_disabled_at: None,
             generation: 0,
-            activations: vec![NO_ACTIVATIONS; total_rows],
+            activations,
             open_rows: vec![ROW_NONE; banks],
             stats: DramStats::default(),
             defense: None,
@@ -194,7 +217,7 @@ impl DramModule {
             #[cfg(test)]
             scalar_reference: false,
             config,
-        }
+        })
     }
 
     /// A module whose disturbance and partial decay run the per-bit scalar
@@ -1216,6 +1239,11 @@ impl DramModule {
     /// held as `u64` bitplane masks applied with AND/OR + popcount, and
     /// flip events are logged in ascending bit order. A test-only per-bit
     /// scalar loop over the decoded bit list is its oracle.
+    ///
+    /// A pass leaves every vulnerable cell at the opposite of its firing
+    /// value, so a repeat pass over a row nothing has changed since fires
+    /// nothing: the store's settled bit (cleared by every mutable access)
+    /// skips it, counting the disturbance alone.
     fn disturb(&mut self, victim: RowId) {
         self.journal_capture(victim);
         let planes = self.vuln.planes(victim);
@@ -1233,6 +1261,11 @@ impl DramModule {
         if self.scalar_reference {
             let bits = self.vuln.vulnerable_bits(victim);
             self.disturb_scalar(victim, &bits, clock);
+            return;
+        }
+        if self.store.settled(victim.0) {
+            self.stats.disturbances += 1;
+            self.sync_model_stats();
             return;
         }
         let row = self.store.materialize(victim.0, clock);
@@ -1271,6 +1304,7 @@ impl DramModule {
                 rest &= rest - 1;
             }
         }
+        self.store.settle(victim.0);
         self.stats.disturbances += 1;
         self.sync_model_stats();
     }

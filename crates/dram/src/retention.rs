@@ -165,19 +165,52 @@ impl RetentionModel {
 
     /// Draws the long-retention cells of `row`: a Poisson count, then
     /// position and retention draws from a per-row ChaCha stream.
+    ///
+    /// A bit drawn twice keeps its first draw, as a stable sort by bit plus
+    /// dedup would: draw `i` of bit `b` sorts as the key `b << 32 | i`, so
+    /// one unstable sort of packed keys orders by bit, then by draw.
+    /// Rows of more than 2^32 bits (or more than 2^32 draws) sort
+    /// `(bit, draw)` pairs instead, in the same order.
     fn generate_long_cells(&self, row: RowId) -> Rc<[LongCell]> {
         let mut rng = stream_rng(self.seed ^ RETN_SALT, row.0);
         let n = poisson(&mut rng, self.bits_per_row as f64 * self.params.long_fraction);
+        let span = (self.params.long_max_ns - self.params.long_min_ns) as f64;
+        let (mut keys, mut retentions) =
+            (Vec::with_capacity(n as usize), Vec::with_capacity(n as usize));
+        for _ in 0..n {
+            keys.push(rng.gen_range(0..self.bits_per_row));
+            retentions.push(self.params.long_min_ns + (rng.gen::<f64>() * span) as u64);
+        }
+        let cell = |bit: u64, draw: usize| LongCell { bit, retention_ns: retentions[draw] };
+        if self.bits_per_row <= 1 << 32 && n <= 1 << 32 {
+            for (key, draw) in keys.iter_mut().zip(0..) {
+                *key = *key << 32 | draw;
+            }
+            keys.sort_unstable();
+            keys.dedup_by_key(|k| *k >> 32);
+            keys.iter().map(|&k| cell(k >> 32, k as u32 as usize)).collect()
+        } else {
+            let mut keys: Vec<(u64, usize)> = keys.into_iter().zip(0..).collect();
+            keys.sort_unstable();
+            keys.dedup_by_key(|k| k.0);
+            keys.iter().map(|&(bit, draw)| cell(bit, draw)).collect()
+        }
+    }
+
+    /// The long-cell draws of `row` in stream order, duplicates kept: a
+    /// stable sort by bit plus dedup of these is the oracle
+    /// [`Self::generate_long_cells`] is checked against.
+    #[cfg(test)]
+    fn long_cell_draws(&self, row: RowId) -> Vec<LongCell> {
+        let mut rng = stream_rng(self.seed ^ RETN_SALT, row.0);
+        let n = poisson(&mut rng, self.bits_per_row as f64 * self.params.long_fraction);
         let span = self.params.long_max_ns - self.params.long_min_ns;
-        let mut cells: Vec<LongCell> = (0..n)
+        (0..n)
             .map(|_| LongCell {
                 bit: rng.gen_range(0..self.bits_per_row),
                 retention_ns: self.params.long_min_ns + (rng.gen::<f64>() * span as f64) as u64,
             })
-            .collect();
-        cells.sort_by_key(|c| c.bit);
-        cells.dedup_by_key(|c| c.bit);
-        cells.into()
+            .collect()
     }
 
     /// Retention time of an ordinary (non-long) cell.
@@ -237,12 +270,13 @@ impl RetentionModel {
     ) -> u64 {
         let discharged = cell_type.discharged_value();
         let nbits = (bytes.len() * crate::BITS_PER_BYTE) as u64;
-        let survivors: Vec<(u64, bool)> = self
-            .long_cells(row)
-            .iter()
-            .filter(|c| c.retention_ns >= elapsed_ns && c.bit < nbits)
-            .map(|c| (c.bit, get_bit(bytes, c.bit)))
-            .collect();
+        let long = self.long_cells(row);
+        let mut survivors = Vec::with_capacity(long.len());
+        survivors.extend(
+            long.iter()
+                .filter(|c| c.retention_ns >= elapsed_ns && c.bit < nbits)
+                .map(|c| (c.bit, get_bit(bytes, c.bit))),
+        );
         let ones = count_ones(bytes);
         let mut changed = if discharged { nbits - ones } else { ones };
         bytes.fill(if discharged { 0xFF } else { 0x00 });
@@ -693,6 +727,38 @@ mod tests {
         assert!(capped.cache_bytes() < uncapped.cache_bytes());
         // Index evictions stay out of the mirrored stats counter.
         assert_eq!(capped.evictions(), uncapped.evictions());
+    }
+
+    #[test]
+    fn packed_key_long_cells_match_the_stable_sort_oracle() {
+        let mut conflicting_duplicates = 0usize;
+        // Dense populations on small rows draw the same bit twice with
+        // different retentions; rows past 2^32 bits take the pair sort.
+        for (nbits, long_fraction) in [
+            (8u64, 0.5),
+            (64, 0.5),
+            (512, 0.2),
+            (4096 * 8, 1e-3),
+            (4096 * 8, 0.05),
+            (1 << 33, 1e-8),
+        ] {
+            let p = RetentionParams { long_fraction, ..RetentionParams::default() };
+            for seed in [0xFEED, 1, u64::MAX] {
+                let m = RetentionModel::new(p, nbits, seed);
+                for r in 0..32 {
+                    let mut oracle = m.long_cell_draws(RowId(r));
+                    oracle.sort_by_key(|c| c.bit);
+                    conflicting_duplicates += oracle
+                        .windows(2)
+                        .filter(|w| w[0].bit == w[1].bit && w[0].retention_ns != w[1].retention_ns)
+                        .count();
+                    oracle.dedup_by_key(|c| c.bit);
+                    let cells = m.generate_long_cells(RowId(r));
+                    assert_eq!(&*cells, &oracle[..], "nbits={nbits} seed={seed:#x} row={r}");
+                }
+            }
+        }
+        assert!(conflicting_duplicates > 0, "first-draw-wins must be exercised");
     }
 
     #[test]

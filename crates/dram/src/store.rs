@@ -17,6 +17,9 @@ pub(crate) struct RowMut<'a> {
 struct RowBuf {
     bytes: Box<[u8]>,
     last_charge_ns: u64,
+    /// The row has not changed since its last disturb pass, so a repeat
+    /// pass fires nothing. Cleared by every [`SparseStore::materialize`].
+    settled: bool,
 }
 
 /// Rows materialize on first write, so memory scales with the number of
@@ -36,9 +39,12 @@ pub(crate) struct SparseStore {
 
 impl SparseStore {
     /// Creates a store of `total_rows` rows of `row_bytes` each, all
-    /// unmaterialized.
-    pub(crate) fn new(total_rows: usize, row_bytes: usize) -> Self {
-        SparseStore { rows: (0..total_rows).map(|_| None).collect(), row_bytes }
+    /// unmaterialized, or `None` if its row table does not fit in memory.
+    pub(crate) fn try_new(total_rows: usize, row_bytes: usize) -> Option<Self> {
+        let mut rows = Vec::new();
+        rows.try_reserve_exact(total_rows).ok()?;
+        rows.resize_with(total_rows, || None);
+        Some(SparseStore { rows, row_bytes })
     }
 
     /// Read-only view of a row's contents, `None` if never materialized
@@ -48,14 +54,31 @@ impl SparseStore {
     }
 
     /// Mutable view of a row, materializing it at all-zeros with charge
-    /// timestamp `now_ns` on first use.
+    /// timestamp `now_ns` on first use. The only mutable accessor, so it
+    /// also unsettles the row: whoever takes the view may change it.
     pub(crate) fn materialize(&mut self, row: u64, now_ns: u64) -> RowMut<'_> {
         let row_bytes = self.row_bytes;
         let buf = self.rows[row as usize].get_or_insert_with(|| RowBuf {
             bytes: vec![0u8; row_bytes].into_boxed_slice(),
             last_charge_ns: now_ns,
+            settled: false,
         });
+        buf.settled = false;
         RowMut { bytes: &mut buf.bytes, last_charge_ns: &mut buf.last_charge_ns }
+    }
+
+    /// Whether the row is materialized and unchanged since [`Self::settle`].
+    pub(crate) fn settled(&self, row: u64) -> bool {
+        self.rows[row as usize].as_ref().is_some_and(|r| r.settled)
+    }
+
+    /// Marks a materialized row as just disturbed: until the next
+    /// [`Self::materialize`], its vulnerable cells all hold their
+    /// non-firing values.
+    pub(crate) fn settle(&mut self, row: u64) {
+        if let Some(buf) = &mut self.rows[row as usize] {
+            buf.settled = true;
+        }
     }
 
     /// The row's charge timestamp, `None` if never materialized.
@@ -101,7 +124,7 @@ mod tests {
     use super::*;
 
     fn store() -> SparseStore {
-        SparseStore::new(8, 64)
+        SparseStore::try_new(8, 64).unwrap()
     }
 
     #[test]
@@ -151,6 +174,24 @@ mod tests {
             store.materialize(row, 0);
         }
         assert_eq!(store.materialized_rows(), vec![1, 3, 5]);
+    }
+
+    #[test]
+    fn materialize_unsettles_and_unmaterialize_forgets() {
+        let mut store = store();
+        store.settle(3);
+        assert!(!store.settled(3), "an unmaterialized row cannot settle");
+        store.materialize(3, 0);
+        store.settle(3);
+        assert!(store.settled(3));
+        store.touch(3, 50);
+        assert!(store.settled(3), "a recharge leaves the contents alone");
+        store.materialize(3, 0);
+        assert!(!store.settled(3), "a mutable view unsettles the row");
+        store.settle(3);
+        store.unmaterialize(3);
+        store.materialize(3, 0);
+        assert!(!store.settled(3));
     }
 
     #[test]

@@ -1,13 +1,13 @@
 use std::fmt;
 use std::rc::Rc;
 
-use rand::Rng;
+use rand::{Rng, RngCore};
 
 use crate::bounded::RowMapCache;
 use crate::cells::{CellLayout, CellType};
 use crate::config::DisturbanceParams;
 use crate::geometry::{DramGeometry, RowId};
-use crate::rng::{poisson, stream_rng};
+use crate::rng::{mantissa_cutoff, poisson, stream_rng, to_unit};
 
 /// Default capacity (in rows) of the per-row model caches. Generous enough
 /// that every workload in the repo runs eviction-free, small enough that a
@@ -71,10 +71,13 @@ pub struct VulnerableBit {
 /// masks for row bits `[64·word, 64·word + 64)`.
 ///
 /// A row's map is stored as the ascending list of words where either mask
-/// is non-zero rather than as dense bitplanes — the disturb loop then
-/// skips every untouched word of the row for free. The masks are disjoint
-/// (a cell flips in one direction only), and no mask bit lies at or past
-/// the row's last bit.
+/// is non-zero rather than as dense bitplanes. That skips untouched words
+/// only on sparse maps: at `pf = 0.05` about 491 of a 4 KiB row's 512
+/// words are in the list, so the disturb loop's cost is the list length,
+/// and a repeat disturbance of an unchanged row skips the pass altogether
+/// (see `DramModule::disturb`). The masks are disjoint (a cell flips in
+/// one direction only), and no mask bit lies at or past the row's last
+/// bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct PlaneWord {
     /// Word index within the row (bit `b` of the masks is row bit
@@ -107,6 +110,9 @@ pub struct VulnerabilityModel {
     params: DisturbanceParams,
     layout: CellLayout,
     bits_per_row: u64,
+    /// Integer form of the reverse-direction draw: a draw `x` reverses iff
+    /// `x >> 11 < reverse_cutoff`, bit for bit `to_unit(x) < reverse_rate`.
+    reverse_cutoff: u64,
     planes: RowMapCache<u64, PlaneWord>,
 }
 
@@ -134,6 +140,7 @@ impl VulnerabilityModel {
             params,
             layout,
             bits_per_row: geometry.bits_per_row(),
+            reverse_cutoff: mantissa_cutoff(|m| to_unit(m << 11) < params.reverse_rate),
             planes: RowMapCache::new(MODEL_CACHE_ROWS),
         }
     }
@@ -217,36 +224,39 @@ impl VulnerabilityModel {
     /// The draws are scattered into two row bitmaps (drawn, reversed) and
     /// emitted word by word, so the map comes out ascending without a
     /// sort. A bit drawn twice keeps its first draw's direction — what a
-    /// stable sort by bit plus dedup keeps.
+    /// stable sort by bit plus dedup keeps. The reverse draw is the same
+    /// `u64` a `gen::<f64>() < reverse_rate` test consumes, compared
+    /// against its precomputed mantissa cutoff.
     fn generate_row(&self, row: RowId) -> (Rc<[PlaneWord]>, usize) {
         let mut rng = stream_rng(self.seed ^ VULN_SALT, row.0);
         let lambda = self.bits_per_row as f64 * self.params.pf;
         let n = poisson(&mut rng, lambda);
-        let words = self.bits_per_row.div_ceil(64) as usize;
-        let mut drawn = vec![0u64; words];
-        let mut reversed = vec![0u64; words];
+        // Per word: the drawn bits and, among them, the reversed ones.
+        let mut map = vec![[0u64; 2]; self.bits_per_row.div_ceil(64) as usize];
+        let mut bits = 0usize;
         for _ in 0..n {
             let bit = rng.gen_range(0..self.bits_per_row);
-            let reverse = rng.gen::<f64>() < self.params.reverse_rate;
-            let (w, mask) = ((bit / 64) as usize, 1u64 << (bit % 64));
-            if drawn[w] & mask == 0 {
-                drawn[w] |= mask;
-                reversed[w] |= mask * u64::from(reverse);
+            let reverse = rng.next_u64() >> 11 < self.reverse_cutoff;
+            let ([drawn, reversed], mask) = (&mut map[(bit / 64) as usize], 1u64 << (bit % 64));
+            if *drawn & mask == 0 {
+                *drawn |= mask;
+                *reversed |= mask * u64::from(reverse);
+                bits += 1;
             }
         }
+        // One `PlaneWord` per word with a drawn bit, ascending. Counted
+        // first, so the map is collected straight into its final
+        // allocation from an iterator of known length.
         let true_cells = self.layout.cell_type(row) == CellType::True;
-        let mut bits = 0usize;
-        let mut planes = Vec::with_capacity(words.min(n as usize));
-        for (w, (&drawn, &reversed)) in drawn.iter().zip(&reversed).enumerate() {
-            if drawn == 0 {
-                continue;
-            }
-            bits += drawn.count_ones() as usize;
+        let mut live = map.iter().enumerate().filter(|(_, [drawn, _])| *drawn != 0);
+        let words = live.clone().count();
+        let planes = (0..words).map(|_| {
+            let (w, &[drawn, reversed]) = live.next().expect("counted above");
             let (primary, opposite) = (drawn & !reversed, drawn & reversed);
             let (otz, zto) = if true_cells { (primary, opposite) } else { (opposite, primary) };
-            planes.push(PlaneWord { word: w as u32, otz, zto });
-        }
-        (planes.into(), bits)
+            PlaneWord { word: w as u32, otz, zto }
+        });
+        (planes.collect(), bits)
     }
 }
 
@@ -373,23 +383,34 @@ mod tests {
         assert_eq!(m.evictions(), 12, "one eviction per evicted row");
     }
 
-    /// The raw stream draws of `row`, in stream order: the input of the
-    /// sort + dedup oracle the decoded bitplane map is checked against.
-    fn stream_draws(m: &VulnerabilityModel, row: RowId) -> Vec<VulnerableBit> {
+    /// The raw stream draws of `row`, in stream order: each cell's bit and
+    /// the `[0, 1)` value of its reverse draw.
+    fn stream_draws(m: &VulnerabilityModel, row: RowId) -> Vec<(u64, f64)> {
         let mut rng = stream_rng(m.seed ^ VULN_SALT, row.0);
         let n = poisson(&mut rng, m.bits_per_row as f64 * m.params.pf);
+        (0..n).map(|_| (rng.gen_range(0..m.bits_per_row), rng.gen::<f64>())).collect()
+    }
+
+    /// Checks `row`'s decoded map against the sort + dedup oracle over its
+    /// stream draws, whose reverse test is the float `u < reverse_rate`.
+    /// Returns how many duplicate draws disagreed on direction.
+    fn check_against_oracle(m: &mut VulnerabilityModel, row: RowId, at: &str) -> usize {
         let primary = FlipDirection::primary_for(m.layout.cell_type(row));
-        (0..n)
-            .map(|_| {
-                let bit = rng.gen_range(0..m.bits_per_row);
-                let direction = if rng.gen::<f64>() < m.params.reverse_rate {
-                    primary.opposite()
-                } else {
-                    primary
-                };
-                VulnerableBit { bit, direction }
+        let mut oracle: Vec<VulnerableBit> = stream_draws(m, row)
+            .into_iter()
+            .map(|(bit, u)| {
+                let reverse = u < m.params.reverse_rate;
+                VulnerableBit { bit, direction: if reverse { primary.opposite() } else { primary } }
             })
-            .collect()
+            .collect();
+        oracle.sort_by_key(|b| b.bit);
+        let conflicting = oracle
+            .windows(2)
+            .filter(|w| w[0].bit == w[1].bit && w[0].direction != w[1].direction)
+            .count();
+        oracle.dedup_by_key(|b| b.bit);
+        assert_eq!(m.vulnerable_bits(row), oracle, "{at} row={}", row.0);
+        conflicting
     }
 
     #[test]
@@ -402,27 +423,38 @@ mod tests {
                 for layout in [CellLayout::AllTrue, CellLayout::AllAnti] {
                     for seed in [0xABCD, 1, 0x5EED, u64::MAX] {
                         let mut m = VulnerabilityModel::new(&g, layout, params, seed);
+                        let at = format!("row_bytes={row_bytes} pf={pf} {layout:?} seed={seed:#x}");
                         for r in 0..64 {
-                            let mut oracle = stream_draws(&m, RowId(r));
-                            oracle.sort_by_key(|b| b.bit);
-                            conflicting_duplicates += oracle
-                                .windows(2)
-                                .filter(|w| {
-                                    w[0].bit == w[1].bit && w[0].direction != w[1].direction
-                                })
-                                .count();
-                            oracle.dedup_by_key(|b| b.bit);
-                            assert_eq!(
-                                m.vulnerable_bits(RowId(r)),
-                                oracle,
-                                "row_bytes={row_bytes} pf={pf} {layout:?} seed={seed:#x} row={r}"
-                            );
+                            conflicting_duplicates += check_against_oracle(&mut m, RowId(r), &at);
                         }
                     }
                 }
             }
         }
         assert!(conflicting_duplicates > 0, "first-draw-wins must be exercised");
+
+        // The integer reverse cutoff against the float test at the extreme
+        // rates, and at rates that sit exactly on a mantissa boundary,
+        // each equal to a reverse draw the stream really makes: `u < rate`
+        // is false there, and an off-by-one cutoff would reverse that cell.
+        let g = DramGeometry::new(256, 64, 1, AddressMapping::RowLinear);
+        let base = DisturbanceParams { pf: 0.05, ..Default::default() };
+        let probe = VulnerabilityModel::new(&g, CellLayout::AllTrue, base, 0x5EED);
+        let on_draws: Vec<f64> =
+            (0..4).map(|r| stream_draws(&probe, RowId(r))[r as usize].1).collect();
+        let mut boundary_hits = 0usize;
+        for reverse_rate in [0.0, 1.0, 0.3].into_iter().chain(on_draws.iter().copied()) {
+            let params = DisturbanceParams { reverse_rate, ..base };
+            for layout in [CellLayout::AllTrue, CellLayout::AllAnti] {
+                let mut m = VulnerabilityModel::new(&g, layout, params, 0x5EED);
+                for r in 0..8 {
+                    let draws = stream_draws(&m, RowId(r));
+                    boundary_hits += draws.iter().filter(|d| d.1 == reverse_rate).count();
+                    check_against_oracle(&mut m, RowId(r), &format!("rate={reverse_rate}"));
+                }
+            }
+        }
+        assert!(boundary_hits >= 8, "draws landing on the cutoff must be exercised");
     }
 
     #[test]

@@ -310,3 +310,34 @@ fn masks_churned_out_of_the_shared_store_rebuild_unseen() {
     }
     assert_eq!(observe_decay(&parent), observe_decay(&twin));
 }
+
+#[test]
+fn a_rolled_back_disturbance_fires_again_in_the_next_trial() {
+    // The parent's victim rows were written after their last disturbance,
+    // so a trial's hammering flips them. Rollback restores those bytes, and
+    // the next identical trial must flip them again: the rows a trial left
+    // settled are settled no more once their pre-images are back.
+    let hammer = |m: &mut DramModule| {
+        let interval = m.config().refresh_interval_ns;
+        m.advance(interval - m.now_ns() % interval);
+        m.hammer_double_sided(RowId(5)).expect("in bounds");
+    };
+    let mut parent = DramModule::new(DramConfig::small_test());
+    let row_bytes = parent.geometry().row_bytes();
+    parent.fill(0, 16 * row_bytes as usize, 0xFF).expect("rows 0..16");
+    hammer(&mut parent);
+    parent.fill(3 * row_bytes, 5 * row_bytes as usize, 0xFF).expect("rows 3..8");
+    parent.take_flip_log();
+    let trial = |m: &mut DramModule| {
+        m.journal_begin();
+        hammer(m);
+        hammer(m);
+        let flips: Vec<String> = m.take_flip_log().iter().map(|e| format!("{e:?}")).collect();
+        let transcript = (flips, m.contents_hash(), format!("{:?}", m.stats()), m.now_ns());
+        m.journal_rollback();
+        transcript
+    };
+    let first = trial(&mut parent);
+    assert!(!first.0.is_empty(), "the trial flips cells");
+    assert_eq!(trial(&mut parent), first, "a second identical trial");
+}

@@ -299,10 +299,11 @@ impl Kernel {
     ///
     /// # Errors
     ///
-    /// Propagates DRAM errors from profiling and allocation errors from an
+    /// Propagates DRAM errors (a module whose per-row tables do not fit in
+    /// host memory, profiling failures) and allocation errors from an
     /// infeasible `ZONE_PTP` spec.
     pub fn new(config: KernelConfig) -> Result<Self, VmError> {
-        let mut dram = DramModule::new(config.dram.clone());
+        let mut dram = DramModule::try_new(config.dram.clone())?;
         let total_bytes = dram.capacity_bytes();
         let map = if let Some(map) = config.memory_map_override.clone() {
             assert_eq!(

@@ -36,6 +36,14 @@ cargo build --release --workspace
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
+echo "==> every test is registered once per test binary"
+# A test listed twice in one binary runs twice (the vendored proptest! once
+# added a #[test] of its own to bodies that already carried one).
+cargo test --workspace -- --list 2>&1 | awk '
+    /^ *(Running|Doc-tests) / { bin++; name = $0; next }
+    / test$/ && seen[bin, $0]++ == 1 { print name ": " $0 " listed twice"; dup = 1 }
+    END { exit dup }'
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 # All targets: libraries and binaries, plus unit tests, integration tests,
 # examples and benches, vendored crates included.
@@ -75,7 +83,8 @@ echo "==> malformed cta invocations fail with an error, not a panic or an abort"
 # status: a panic exits 101, and an abort (a failed allocation) 134.
 for args in "evaluate --tenants 0" "evaluate --trials 0" \
     "evaluate --campaigns 0" "evaluate --trials 1000000000000" \
-    "profile --memory-mb 0" "profile --memory-mb 3"; do
+    "profile --memory-mb 0" "profile --memory-mb 3" \
+    "profile --memory-mb 1073741824"; do
     status=0
     # shellcheck disable=SC2086 # word-split the argument list on purpose
     cargo run --release -q -p cta-bench --bin cta -- $args > /dev/null 2>&1 \
@@ -89,7 +98,8 @@ done
 echo "==> malformed recordings fail with an error, not a panic, an abort or a hang"
 # Mutated copies of the goldens, written to a scratch directory (never
 # under fixtures/): an unbounded `pf` must be refused at load, and a
-# one-page templating arena and a 2^40-page spray file must replay to a
+# one-page templating arena, a 2^40-page spray file and a 2^50-byte
+# machine (whose per-row tables cannot be allocated) must replay to a
 # typed error. Each replay must exit 1, replay-check's failure status:
 # not 101 (a panic), 134 (an abort) or 124 (`timeout` fired).
 mutants=$(mktemp -d)
@@ -104,6 +114,8 @@ mutate() { # golden, sed expression, mutant name
 mutate spray-small 's/"pf": 0.05/"pf": 1000000000/' spray-pf-1e9
 mutate templating-small 's/"arena_pages": 96/"arena_pages": 1/' templating-arena-1
 mutate spray-small 's/"file_pages": 2/"file_pages": 1099511627776/' spray-file-2e40
+mutate templating-small 's/"memory_bytes": 8388608/"memory_bytes": 1125899906842624/' \
+    templating-memory-2e50
 for f in "$mutants"/*.recording.json; do
     status=0
     timeout 60 cargo run --release -q -p cta-bench --bin replay-check -- "$f" \
