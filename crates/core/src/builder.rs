@@ -196,8 +196,8 @@ impl SystemBuilder {
     ///
     /// # Errors
     ///
-    /// [`VmError::BadMemorySize`] unless the memory size is a nonzero
-    /// whole number of DRAM rows (and, with CTA, a power of two holding a
+    /// [`VmError::BadMemorySize`] unless the row size is a power of two and
+    /// the memory size a nonzero whole number of DRAM rows (and, with CTA, a power of two holding a
     /// smaller, page-aligned, power-of-two `ZONE_PTP`);
     /// [`VmError::ZeroCellPeriod`] if the cell-type alternation period is
     /// zero rows; otherwise propagates kernel boot failures (e.g. an infeasible
@@ -218,7 +218,9 @@ impl SystemBuilder {
     /// would otherwise assert.
     fn check_memory_size(&self) -> Result<(), VmError> {
         let bytes = self.memory_bytes;
-        let reason = if bytes < self.row_bytes {
+        let reason = if !self.row_bytes.is_power_of_two() {
+            "cannot be split into DRAM rows whose size is not a power of two"
+        } else if bytes < self.row_bytes {
             "does not hold one DRAM row"
         } else if !bytes.is_multiple_of(self.row_bytes) {
             "is not a whole number of DRAM rows"
@@ -300,6 +302,15 @@ mod tests {
             let err = builder.protected(true).build().unwrap_err();
             assert!(
                 matches!(err, VmError::BadMemorySize { reason, .. } if reason.contains("ZONE_PTP")),
+                "{err}"
+            );
+        }
+        // Rows must be a power of two wide, even when memory holds a whole
+        // number of them.
+        for row_bytes in [0, 3, 3072] {
+            let err = SystemBuilder::new(6 << 20).row_bytes(row_bytes).build().unwrap_err();
+            assert!(
+                matches!(err, VmError::BadMemorySize { reason, .. } if reason.contains("row")),
                 "{err}"
             );
         }

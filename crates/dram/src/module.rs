@@ -97,8 +97,27 @@ impl Iterator for Spans {
 pub struct DramModule {
     config: DramConfig,
     /// Row storage, indexed by backing-row id; unmaterialized rows have
-    /// never been written (all cells at logic `0`).
+    /// never been written (all cells at logic `0`). It journals its own
+    /// row changes and keeps the `contents_hash` checkpoints.
     store: SparseStore,
+    /// Everything else a trial may change, in one struct so that forks,
+    /// journal snapshots and rollbacks copy all of it by construction.
+    state: ModuleState,
+    /// Active undo journal, if a trial is running in place on this module
+    /// (see [`crate::journal`]).
+    journal: Option<Box<DramJournal>>,
+    /// Flips disturbed cells with the per-bit scalar reference instead of
+    /// the wordwise path: the test oracle the production path is
+    /// differentially checked against.
+    #[cfg(test)]
+    scalar_reference: bool,
+}
+
+/// The module's mutable state outside its row store: what
+/// [`DramModule::fork`] copies and an undo journal snapshots and restores
+/// besides the rows.
+#[derive(Clone)]
+pub(crate) struct ModuleState {
     vuln: VulnerabilityModel,
     retention: RetentionModel,
     remap: RemapTable,
@@ -131,31 +150,17 @@ pub struct DramModule {
     /// Intervention accounting for the installed defense, separate from
     /// [`DramStats`] so undefended telemetry is unchanged.
     defense_stats: DefenseStats,
-    /// Active undo journal, if a trial is running in place on this module
-    /// (see [`crate::journal`]). `None` on the hot path costs one branch.
-    journal: Option<Box<DramJournal>>,
-    /// `contents_hash` checkpoints: entry `i` is the hasher state before
-    /// logical row `i` of the contents no journal has touched. Rollback
-    /// restores those contents, so the checkpoints outlive a journal; any
-    /// row change or remap outside a journal clears them. `Cell` because
-    /// `contents_hash` takes `&self` and extends them lazily.
-    hash_checkpoints: Cell<Vec<ContentsHasher>>,
-    /// Flips disturbed cells with the per-bit scalar reference instead of
-    /// the wordwise path: the test oracle the production path is
-    /// differentially checked against.
-    #[cfg(test)]
-    scalar_reference: bool,
 }
 
 impl std::fmt::Debug for DramModule {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DramModule")
             .field("capacity", &self.config.geometry.capacity_bytes())
-            .field("clock_ns", &self.clock_ns)
+            .field("clock_ns", &self.state.clock_ns)
             .field("materialized_rows", &self.store.materialized_count())
-            .field("refresh_enabled", &self.refresh_disabled_at.is_none())
-            .field("defense", &self.defense.as_ref().map(|d| d.name()))
-            .field("stats", &format_args!("{}", self.stats))
+            .field("refresh_enabled", &self.state.refresh_disabled_at.is_none())
+            .field("defense", &self.state.defense.as_ref().map(|d| d.name()))
+            .field("stats", &format_args!("{}", self.state.stats))
             .finish()
     }
 }
@@ -198,22 +203,23 @@ impl DramModule {
             RetentionModel::new(config.retention, config.geometry.bits_per_row(), config.seed);
         let banks = config.geometry.banks() as usize;
         Ok(DramModule {
-            vuln,
-            retention,
             store,
-            remap: RemapTable::new(),
-            row_cache: Cell::new((ROW_NONE, ROW_NONE)),
-            clock_ns: 0,
-            window_end_ns: config.refresh_interval_ns,
-            refresh_disabled_at: None,
-            generation: 0,
-            activations,
-            open_rows: vec![ROW_NONE; banks],
-            stats: DramStats::default(),
-            defense: None,
-            defense_stats: DefenseStats::default(),
+            state: ModuleState {
+                vuln,
+                retention,
+                remap: RemapTable::new(),
+                row_cache: Cell::new((ROW_NONE, ROW_NONE)),
+                clock_ns: 0,
+                window_end_ns: config.refresh_interval_ns,
+                refresh_disabled_at: None,
+                generation: 0,
+                activations,
+                open_rows: vec![ROW_NONE; banks],
+                stats: DramStats::default(),
+                defense: None,
+                defense_stats: DefenseStats::default(),
+            },
             journal: None,
-            hash_checkpoints: Cell::new(Vec::new()),
             #[cfg(test)]
             scalar_reference: false,
             config,
@@ -226,7 +232,7 @@ impl DramModule {
     pub(crate) fn scalar_reference(config: DramConfig) -> Self {
         let mut m = DramModule::new(config);
         m.scalar_reference = true;
-        m.retention.scalar_reference = true;
+        m.state.retention.scalar_reference = true;
         m
     }
 
@@ -239,21 +245,8 @@ impl DramModule {
         DramModule {
             config: self.config.clone(),
             store: self.store.clone(),
-            vuln: self.vuln.clone(),
-            retention: self.retention.clone(),
-            remap: self.remap.clone(),
-            row_cache: self.row_cache.clone(),
-            clock_ns: self.clock_ns,
-            window_end_ns: self.window_end_ns,
-            refresh_disabled_at: self.refresh_disabled_at,
-            generation: self.generation,
-            activations: self.activations.clone(),
-            open_rows: self.open_rows.clone(),
-            stats: self.stats.clone(),
-            defense: self.defense.clone(),
-            defense_stats: self.defense_stats.clone(),
+            state: self.state.clone(),
             journal: None,
-            hash_checkpoints: Cell::new(Vec::new()),
             #[cfg(test)]
             scalar_reference: self.scalar_reference,
         }
@@ -263,93 +256,41 @@ impl DramModule {
     // Undo journal
     // ------------------------------------------------------------------
 
-    /// Starts an undo journal: snapshots the module's metadata planes
-    /// (model-cache accounting, remap, clock/window state, activation counters,
-    /// stats including the flip log, defense) and begins capturing row
-    /// pre-images on first touch. Until [`Self::journal_rollback`], the
-    /// module may be mutated freely in place; rollback restores it
-    /// byte-identically. See the `journal` module for the cost model.
+    /// Starts an undo journal: snapshots the module state (model-cache
+    /// accounting, remap, clock/window state, activation counters, stats
+    /// including the flip log, defense) and opens the row store's journal,
+    /// which saves each row before its first change. Until
+    /// [`Self::journal_rollback`], the module may be mutated freely in
+    /// place; rollback restores it byte-identically. See the `journal`
+    /// module for the cost model.
     ///
     /// # Panics
     ///
     /// Panics if a journal is already active (journals do not nest).
     pub fn journal_begin(&mut self) {
         assert!(self.journal.is_none(), "DRAM journal already active");
-        self.journal = Some(Box::new(DramJournal {
-            rows: std::collections::HashMap::new(),
-            remapped: ROW_NONE,
-            vuln: self.vuln.clone(),
-            retention: self.retention.clone(),
-            remap: self.remap.clone(),
-            row_cache: self.row_cache.get(),
-            clock_ns: self.clock_ns,
-            window_end_ns: self.window_end_ns,
-            refresh_disabled_at: self.refresh_disabled_at,
-            generation: self.generation,
-            activations: self.activations.clone(),
-            open_rows: self.open_rows.clone(),
-            stats: self.stats.clone(),
-            defense: self.defense.clone(),
-            defense_stats: self.defense_stats.clone(),
-        }));
+        self.store.journal_begin();
+        self.journal =
+            Some(Box::new(DramJournal { snapshot: self.state.clone(), remapped: ROW_NONE }));
     }
 
-    /// Rolls the module back to its [`Self::journal_begin`] state: every
-    /// captured row pre-image is restored (rows that were unmaterialized
-    /// are unmaterialized again), and all snapshotted metadata planes are
-    /// reinstated. O(touched rows) plus the metadata restore.
+    /// Rolls the module back to its [`Self::journal_begin`] state: the row
+    /// store moves every saved row back (rows that were unmaterialized are
+    /// unmaterialized again), and the state snapshot is reinstated.
+    /// O(touched rows) plus the state restore.
     ///
     /// # Panics
     ///
     /// Panics if no journal is active.
     pub fn journal_rollback(&mut self) {
-        let j = *self.journal.take().expect("journal_rollback without journal_begin");
-        for (row, pre) in j.rows {
-            match pre {
-                Some((bytes, charge)) => {
-                    let r = self.store.materialize(row, charge);
-                    r.bytes.copy_from_slice(&bytes);
-                    *r.last_charge_ns = charge;
-                }
-                None => self.store.unmaterialize(row),
-            }
-        }
-        self.vuln = j.vuln;
-        self.retention = j.retention;
-        self.remap = j.remap;
-        self.row_cache.set(j.row_cache);
-        self.clock_ns = j.clock_ns;
-        self.window_end_ns = j.window_end_ns;
-        self.refresh_disabled_at = j.refresh_disabled_at;
-        self.generation = j.generation;
-        self.activations = j.activations;
-        self.open_rows = j.open_rows;
-        self.stats = j.stats;
-        self.defense = j.defense;
-        self.defense_stats = j.defense_stats;
+        let j = self.journal.take().expect("journal_rollback without journal_begin");
+        self.store.journal_rollback();
+        self.state = j.snapshot;
     }
 
     /// Whether an undo journal is currently active.
     pub fn journal_active(&self) -> bool {
         self.journal.is_some()
-    }
-
-    /// Distinct backing rows captured by the active journal (`0` without
-    /// one) — the dirty-row footprint a rollback will restore.
-    pub fn journal_dirty_rows(&self) -> usize {
-        self.journal.as_ref().map_or(0, |j| j.dirty_rows())
-    }
-
-    /// Captures `backing`'s pre-image if a journal is active; without one
-    /// the row is about to change outside any journal, which invalidates
-    /// the hash checkpoints. Must run *before* any mutation of the row's
-    /// bytes or charge timestamp.
-    #[inline]
-    fn journal_capture(&mut self, backing: RowId) {
-        match self.journal.as_deref_mut() {
-            Some(j) => j.capture_row(backing.0, &self.store),
-            None => self.hash_checkpoints.get_mut().clear(),
-        }
     }
 
     /// Number of rows currently materialized.
@@ -379,12 +320,12 @@ impl DramModule {
 
     /// Current simulated time in nanoseconds.
     pub fn now_ns(&self) -> u64 {
-        self.clock_ns
+        self.state.clock_ns
     }
 
     /// Accumulated statistics.
     pub fn stats(&self) -> &DramStats {
-        &self.stats
+        &self.state.stats
     }
 
     /// Rebounds the per-row model caches (vulnerability bitplanes,
@@ -397,8 +338,8 @@ impl DramModule {
     ///
     /// Panics if `rows` is zero.
     pub fn set_model_cache_capacity(&mut self, rows: usize) {
-        self.vuln.set_cache_capacity(rows);
-        self.retention.set_cache_capacity(rows);
+        self.state.vuln.set_cache_capacity(rows);
+        self.state.retention.set_cache_capacity(rows);
         self.sync_model_stats();
     }
 
@@ -409,15 +350,15 @@ impl DramModule {
     /// memory/performance knob — evicted entries are regenerated from the
     /// module seed on demand.
     pub fn set_model_cache_bytes(&mut self, budget: Option<usize>) {
-        self.vuln.set_cache_bytes(budget);
-        self.retention.set_cache_bytes(budget);
+        self.state.vuln.set_cache_bytes(budget);
+        self.state.retention.set_cache_bytes(budget);
         self.sync_model_stats();
     }
 
     /// Rows currently retained in the largest per-row model cache — what
     /// the O(capacity) memory-bound test watches during a templating sweep.
     pub fn model_cache_rows(&self) -> usize {
-        self.vuln.cached_rows().max(self.retention.cached_rows())
+        self.state.vuln.cached_rows().max(self.state.retention.cached_rows())
     }
 
     /// Payload bytes currently retained across all per-row model caches,
@@ -429,12 +370,12 @@ impl DramModule {
     /// only the model-content subset (vulnerability maps and long-cell lists) of
     /// what the module's own accounting holds.
     pub fn model_cache_bytes(&self) -> usize {
-        self.vuln.cache_bytes() + self.retention.cache_bytes()
+        self.state.vuln.cache_bytes() + self.state.retention.cache_bytes()
     }
 
     /// Clears the per-flip event log, keeping counters.
     pub fn clear_flip_log(&mut self) {
-        self.stats.clear_flip_log();
+        self.state.stats.clear_flip_log();
     }
 
     /// Takes the retained flip log (oldest first) together with the exact
@@ -444,7 +385,7 @@ impl DramModule {
     /// faithful transcript (record/replay) must check
     /// [`FlipLog::is_complete`] instead of assuming it.
     pub fn take_flip_log(&mut self) -> FlipLog {
-        let (events, dropped) = self.stats.flip_log.drain_to_vec();
+        let (events, dropped) = self.state.stats.flip_log.drain_to_vec();
         FlipLog { events, dropped }
     }
 
@@ -452,12 +393,12 @@ impl DramModule {
     /// disables event retention entirely (counters still accumulate);
     /// shrinking evicts the oldest retained events.
     pub fn set_flip_log_capacity(&mut self, capacity: usize) {
-        self.stats.flip_log.set_capacity(capacity);
+        self.state.stats.flip_log.set_capacity(capacity);
     }
 
     /// Whether auto-refresh is currently running.
     pub fn refresh_enabled(&self) -> bool {
-        self.refresh_disabled_at.is_none()
+        self.state.refresh_disabled_at.is_none()
     }
 
     /// Ground-truth cell type of a (logical) row.
@@ -505,20 +446,20 @@ impl DramModule {
             }
         }
         // Re-remapping `faulty` also releases its previous spare.
-        let released = self.remap.resolve(faulty);
-        self.remap.remap(faulty, spare, self.config.layout)?;
+        let released = self.state.remap.resolve(faulty);
+        self.state.remap.remap(faulty, spare, self.config.layout)?;
         // Either side of the new swap may be the cached resolution.
-        self.row_cache.set((ROW_NONE, ROW_NONE));
+        self.state.row_cache.set((ROW_NONE, ROW_NONE));
         match self.journal.as_deref_mut() {
             Some(j) => j.remapped = j.remapped.min(faulty.0).min(spare.0).min(released.0),
-            None => self.hash_checkpoints.get_mut().clear(),
+            None => self.store.checkpoints.get_mut().clear(),
         }
         Ok(())
     }
 
     /// The active remap table.
     pub fn remap_table(&self) -> &RemapTable {
-        &self.remap
+        &self.state.remap
     }
 
     // ------------------------------------------------------------------
@@ -532,8 +473,8 @@ impl DramModule {
     /// Returns [`DramError::OutOfBounds`] if the range exceeds capacity.
     pub fn read_into(&mut self, addr: u64, buf: &mut [u8]) -> Result<(), DramError> {
         self.check_range(addr, buf.len())?;
-        self.stats.reads += 1;
-        self.set_clock(self.clock_ns + COL_ACCESS_NS);
+        self.state.stats.reads += 1;
+        self.set_clock(self.state.clock_ns + COL_ACCESS_NS);
         for span in Spans::new(self.config.geometry.row_bytes(), addr, buf.len()) {
             let backing = self.resolve_row(span.row);
             self.touch_row(backing);
@@ -564,12 +505,12 @@ impl DramModule {
     /// Returns [`DramError::OutOfBounds`] if the range exceeds capacity.
     pub fn write(&mut self, addr: u64, data: &[u8]) -> Result<(), DramError> {
         self.check_range(addr, data.len())?;
-        self.stats.writes += 1;
-        self.set_clock(self.clock_ns + COL_ACCESS_NS);
+        self.state.stats.writes += 1;
+        self.set_clock(self.state.clock_ns + COL_ACCESS_NS);
         for span in Spans::new(self.config.geometry.row_bytes(), addr, data.len()) {
             let backing = self.resolve_row(span.row);
             self.touch_row(backing);
-            let row = self.store.materialize(backing.0, self.clock_ns);
+            let row = self.store.materialize(backing.0, self.state.clock_ns);
             row.bytes[span.col..span.col + span.take]
                 .copy_from_slice(&data[span.off..span.off + span.take]);
         }
@@ -589,8 +530,8 @@ impl DramModule {
         let col = (addr % row_bytes) as usize;
         if row_bytes - col as u64 >= 8 {
             self.check_range(addr, 8)?;
-            self.stats.reads += 1;
-            self.set_clock(self.clock_ns + COL_ACCESS_NS);
+            self.state.stats.reads += 1;
+            self.set_clock(self.state.clock_ns + COL_ACCESS_NS);
             let backing = self.resolve_row(RowId(addr / row_bytes));
             self.touch_row(backing);
             return Ok(match self.store.bytes(backing.0) {
@@ -616,11 +557,11 @@ impl DramModule {
         let col = (addr % row_bytes) as usize;
         if row_bytes - col as u64 >= 8 {
             self.check_range(addr, 8)?;
-            self.stats.writes += 1;
-            self.set_clock(self.clock_ns + COL_ACCESS_NS);
+            self.state.stats.writes += 1;
+            self.set_clock(self.state.clock_ns + COL_ACCESS_NS);
             let backing = self.resolve_row(RowId(addr / row_bytes));
             self.touch_row(backing);
-            let row = self.store.materialize(backing.0, self.clock_ns);
+            let row = self.store.materialize(backing.0, self.state.clock_ns);
             row.bytes[col..col + 8].copy_from_slice(&value.to_le_bytes());
             return Ok(());
         }
@@ -637,12 +578,11 @@ impl DramModule {
         // One write's worth of accounting per row span — the historical
         // delegate-to-`write` semantics — without staging a chunk buffer.
         for span in Spans::new(self.config.geometry.row_bytes(), addr, len) {
-            self.stats.writes += 1;
-            self.set_clock(self.clock_ns + COL_ACCESS_NS);
+            self.state.stats.writes += 1;
+            self.set_clock(self.state.clock_ns + COL_ACCESS_NS);
             let backing = self.resolve_row(span.row);
             self.touch_row(backing);
-            let row = self.store.materialize(backing.0, self.clock_ns);
-            row.bytes[span.col..span.col + span.take].fill(byte);
+            self.store.fill(backing.0, self.state.clock_ns, span.col..span.col + span.take, byte);
         }
         Ok(())
     }
@@ -685,8 +625,8 @@ impl DramModule {
             self.hash_rows(&mut hasher, 0..total_rows);
             return hasher.finish();
         };
-        let first_dirty = journal.first_dirty_row(&self.remap).min(total_rows);
-        let mut checkpoints = self.hash_checkpoints.take();
+        let first_dirty = journal.first_dirty_row(&self.store, &self.state.remap).min(total_rows);
+        let mut checkpoints = self.store.checkpoints.borrow_mut();
         if checkpoints.is_empty() {
             checkpoints.push(ContentsHasher::new());
         }
@@ -697,7 +637,7 @@ impl DramModule {
             checkpoints.push(hasher);
         }
         let mut hasher = checkpoints[first_dirty as usize];
-        self.hash_checkpoints.set(checkpoints);
+        drop(checkpoints);
         self.hash_rows(&mut hasher, first_dirty..total_rows);
         // Leave the resolve cache where a full sweep leaves it.
         self.resolve_row(RowId(total_rows - 1));
@@ -748,14 +688,14 @@ impl DramModule {
 
     /// Advances the simulated clock by `ns`.
     pub fn advance(&mut self, ns: u64) {
-        self.set_clock(self.clock_ns + ns);
+        self.set_clock(self.state.clock_ns + ns);
     }
 
     /// Disables auto-refresh (for profiling). Idempotent.
     pub fn disable_refresh(&mut self) {
-        if self.refresh_disabled_at.is_none() {
-            self.refresh_disabled_at = Some(self.clock_ns);
-            self.generation += 1;
+        if self.state.refresh_disabled_at.is_none() {
+            self.state.refresh_disabled_at = Some(self.state.clock_ns);
+            self.state.generation += 1;
             self.reset_window_end();
         }
     }
@@ -763,10 +703,10 @@ impl DramModule {
     /// Re-enables auto-refresh, locking in any decay that occurred while it
     /// was off. Idempotent.
     pub fn enable_refresh(&mut self) {
-        if self.refresh_disabled_at.is_some() {
+        if self.state.refresh_disabled_at.is_some() {
             self.decay_all_materialized();
-            self.refresh_disabled_at = None;
-            self.generation += 1;
+            self.state.refresh_disabled_at = None;
+            self.state.generation += 1;
             self.reset_window_end();
         }
     }
@@ -793,17 +733,18 @@ impl DramModule {
         // While power is off every row decays relative to its last charge;
         // cooling divides the *effective* elapsed time.
         let effective = (duration_ns as f64 / retention_factor) as u64;
-        self.clock_ns += duration_ns;
-        let decay_until = self.clock_ns.saturating_sub(duration_ns - effective.min(duration_ns));
+        self.state.clock_ns += duration_ns;
+        let decay_until =
+            self.state.clock_ns.saturating_sub(duration_ns - effective.min(duration_ns));
         for idx in self.store.materialized_rows() {
             self.apply_decay_to(RowId(idx), decay_until);
         }
         // After power-up, refresh resumes: whatever survived is recharged.
-        self.store.recharge_all(self.clock_ns);
-        self.open_rows.fill(ROW_NONE);
-        self.activations.fill(NO_ACTIVATIONS);
-        self.generation += 1;
-        self.refresh_disabled_at = None;
+        self.store.recharge_all(self.state.clock_ns);
+        self.state.open_rows.fill(ROW_NONE);
+        self.state.activations.fill(NO_ACTIVATIONS);
+        self.state.generation += 1;
+        self.state.refresh_disabled_at = None;
         self.reset_window_end();
     }
 
@@ -841,10 +782,11 @@ impl DramModule {
         let trc = self.config.disturbance.trc_ns.max(1);
         let mut remaining = count;
         while remaining > 0 {
-            let fit_by_time = ((self.window_end_ns.saturating_sub(self.clock_ns)) / trc).max(1);
+            let fit_by_time =
+                ((self.state.window_end_ns.saturating_sub(self.state.clock_ns)) / trc).max(1);
             let fit = remaining.min(fit_by_time);
-            self.stats.activations += fit;
-            self.set_clock(self.clock_ns + fit * trc);
+            self.state.stats.activations += fit;
+            self.set_clock(self.state.clock_ns + fit * trc);
             self.record_activation(backing, fit);
             remaining -= fit;
         }
@@ -893,7 +835,7 @@ impl DramModule {
             return 0;
         }
         let backing = self.resolve_row(row);
-        let (gen, win, count) = self.activations[backing.0 as usize];
+        let (gen, win, count) = self.state.activations[backing.0 as usize];
         if (gen, win) == self.current_window_key() {
             count
         } else {
@@ -906,6 +848,7 @@ impl DramModule {
     pub fn hottest_rows(&self, n: usize) -> Vec<(RowId, u64)> {
         let key = self.current_window_key();
         let mut rows: Vec<(RowId, u64)> = self
+            .state
             .activations
             .iter()
             .enumerate()
@@ -930,10 +873,9 @@ impl DramModule {
         }
         let backing = self.resolve_row(row);
         for victim in self.config.geometry.adjacent_rows(backing)? {
-            self.journal_capture(victim);
-            self.store.touch(victim.0, self.clock_ns);
+            self.store.touch(victim.0, self.state.clock_ns);
         }
-        self.activations[backing.0 as usize] = NO_ACTIVATIONS;
+        self.state.activations[backing.0 as usize] = NO_ACTIVATIONS;
         Ok(())
     }
 
@@ -944,32 +886,32 @@ impl DramModule {
     /// Installs a software defense on the activation path, replacing any
     /// previous one. See [`crate::defense`] for the hook contract.
     pub fn install_defense(&mut self, defense: Box<dyn RowDefense>) {
-        self.defense = Some(defense);
-        self.defense_stats = DefenseStats::default();
+        self.state.defense = Some(defense);
+        self.state.defense_stats = DefenseStats::default();
     }
 
     /// Removes and returns the installed defense, if any. The accumulated
     /// [`DefenseStats`] are kept until the next install.
     pub fn uninstall_defense(&mut self) -> Option<Box<dyn RowDefense>> {
-        self.defense.take()
+        self.state.defense.take()
     }
 
     /// The installed defense, if any.
     pub fn defense(&self) -> Option<&dyn RowDefense> {
-        self.defense.as_deref()
+        self.state.defense.as_deref()
     }
 
     /// Module-side accounting of defense interventions.
     pub fn defense_stats(&self) -> &DefenseStats {
-        &self.defense_stats
+        &self.state.defense_stats
     }
 
     /// Telemetry snapshot of the installed defense (`None` when no defense
     /// is installed, so undefended snapshots carry no `defense` group).
     pub fn defense_snapshot(&self) -> Option<DefenseSnapshot> {
-        self.defense.as_ref().map(|d| DefenseSnapshot {
+        self.state.defense.as_ref().map(|d| DefenseSnapshot {
             name: d.name(),
-            stats: self.defense_stats.clone(),
+            stats: self.state.defense_stats.clone(),
             counters: d.counters(),
         })
     }
@@ -986,7 +928,7 @@ impl DramModule {
             return Err(DramError::RowOutOfBounds { row, rows: self.config.geometry.total_rows() });
         }
         let backing = self.resolve_row(row);
-        if let Some(defense) = self.defense.as_mut() {
+        if let Some(defense) = self.state.defense.as_mut() {
             defense.on_protect_row(backing);
         }
         Ok(())
@@ -1003,7 +945,7 @@ impl DramModule {
             return Err(DramError::RowOutOfBounds { row, rows: self.config.geometry.total_rows() });
         }
         let backing = self.resolve_row(row);
-        let bits = self.vuln.vulnerable_bits(backing);
+        let bits = self.state.vuln.vulnerable_bits(backing);
         self.sync_model_stats();
         Ok(bits)
     }
@@ -1021,9 +963,9 @@ impl DramModule {
     }
 
     fn current_window_key(&self) -> (u64, u64) {
-        match self.refresh_disabled_at {
-            None => (self.generation, self.clock_ns / self.config.refresh_interval_ns),
-            Some(t0) => (self.generation, t0 / self.config.refresh_interval_ns),
+        match self.state.refresh_disabled_at {
+            None => (self.state.generation, self.state.clock_ns / self.config.refresh_interval_ns),
+            Some(t0) => (self.state.generation, t0 / self.config.refresh_interval_ns),
         }
     }
 
@@ -1032,36 +974,36 @@ impl DramModule {
     /// hit the same row repeatedly, so the common case skips the table.
     #[inline]
     fn resolve_row(&self, row: RowId) -> RowId {
-        let (cached_row, cached_backing) = self.row_cache.get();
+        let (cached_row, cached_backing) = self.state.row_cache.get();
         if cached_row == row.0 {
             return RowId(cached_backing);
         }
-        let backing = self.remap.resolve(row);
-        self.row_cache.set((row.0, backing.0));
+        let backing = self.state.remap.resolve(row);
+        self.state.row_cache.set((row.0, backing.0));
         backing
     }
 
     fn set_clock(&mut self, new: u64) {
-        debug_assert!(new >= self.clock_ns);
-        if new < self.window_end_ns {
+        debug_assert!(new >= self.state.clock_ns);
+        if new < self.state.window_end_ns {
             // Common case: still inside the current refresh window (or
             // refresh is off, `window_end_ns == u64::MAX`) — no completed
             // windows to account, no divisions.
-            self.clock_ns = new;
+            self.state.clock_ns = new;
             return;
         }
         let interval = self.config.refresh_interval_ns;
-        self.stats.refresh_windows += new / interval - self.clock_ns / interval;
-        self.clock_ns = new;
-        self.window_end_ns = (new / interval + 1) * interval;
+        self.state.stats.refresh_windows += new / interval - self.state.clock_ns / interval;
+        self.state.clock_ns = new;
+        self.state.window_end_ns = (new / interval + 1) * interval;
     }
 
     /// Recomputes [`Self::window_end_ns`] after a refresh-state change.
     fn reset_window_end(&mut self) {
-        self.window_end_ns = match self.refresh_disabled_at {
+        self.state.window_end_ns = match self.state.refresh_disabled_at {
             None => {
                 let interval = self.config.refresh_interval_ns;
-                (self.clock_ns / interval + 1) * interval
+                (self.state.clock_ns / interval + 1) * interval
             }
             Some(_) => u64::MAX,
         };
@@ -1070,30 +1012,29 @@ impl DramModule {
     /// Ordinary-access bookkeeping for `row` (already remap-resolved):
     /// pending decay, row-buffer hit/miss, recharge.
     fn touch_row(&mut self, backing: RowId) {
-        self.journal_capture(backing);
-        if self.refresh_disabled_at.is_some() {
-            self.apply_decay_to(backing, self.clock_ns);
+        if self.state.refresh_disabled_at.is_some() {
+            self.apply_decay_to(backing, self.state.clock_ns);
         }
         let bank =
             self.config.geometry.bank_coord(backing).expect("backing row in bounds").bank as usize;
-        let miss = self.open_rows[bank] != backing.0;
+        let miss = self.state.open_rows[bank] != backing.0;
         if miss {
-            self.open_rows[bank] = backing.0;
-            self.stats.activations += 1;
-            self.set_clock(self.clock_ns + self.config.disturbance.trc_ns);
+            self.state.open_rows[bank] = backing.0;
+            self.state.stats.activations += 1;
+            self.set_clock(self.state.clock_ns + self.config.disturbance.trc_ns);
             // Ordinary activations count toward the disturbance threshold
             // too: this is what lets Algorithm 1 hammer page-table rows
             // through the MMU's own walk reads.
             self.record_activation(backing, 1);
         }
-        self.store.touch(backing.0, self.clock_ns);
+        self.store.touch(backing.0, self.state.clock_ns);
     }
 
     /// Adds `count` activations to `backing`'s within-window counter and
     /// disturbs neighbors on a threshold crossing, consulting the installed
     /// defense first. Without a defense this is exactly the pre-hook path.
     fn record_activation(&mut self, backing: RowId, count: u64) {
-        if self.defense.is_some() {
+        if self.state.defense.is_some() {
             self.record_activation_defended(backing, count);
             return;
         }
@@ -1106,10 +1047,10 @@ impl DramModule {
     fn apply_activations(&mut self, backing: RowId, count: u64) {
         let threshold = self.config.disturbance.hammer_threshold;
         let key = self.current_window_key();
-        let (gen, win, have) = self.activations[backing.0 as usize];
+        let (gen, win, have) = self.state.activations[backing.0 as usize];
         let before = if (gen, win) == key { have } else { 0 };
         let after = before + count;
-        self.activations[backing.0 as usize] = (key.0, key.1, after);
+        self.state.activations[backing.0 as usize] = (key.0, key.1, after);
         if before < threshold && after >= threshold {
             let _ = self.disturb_neighbors(backing);
         }
@@ -1120,7 +1061,7 @@ impl DramModule {
     /// targeted refreshes. Re-consulting on the remainder lets a defense
     /// break up even a single burst larger than its own threshold.
     fn record_activation_defended(&mut self, backing: RowId, count: u64) {
-        self.defense_stats.activations_seen += count;
+        self.state.defense_stats.activations_seen += count;
         let neighbors = self.config.geometry.adjacent_rows(backing).unwrap_or_default();
         let mut remaining = count;
         // Guards against a defense that neither permits progress nor resets
@@ -1128,22 +1069,22 @@ impl DramModule {
         let mut stalled_rounds = 0u32;
         while remaining > 0 {
             let key = self.current_window_key();
-            let (gen, win, have) = self.activations[backing.0 as usize];
+            let (gen, win, have) = self.state.activations[backing.0 as usize];
             let before = if (gen, win) == key { have } else { 0 };
             let ctx = ActivationCtx {
                 row: backing,
                 count: remaining,
                 window_activations: before,
-                now_ns: self.clock_ns,
+                now_ns: self.state.clock_ns,
                 hammer_threshold: self.config.disturbance.hammer_threshold,
                 neighbors: &neighbors,
             };
             // Take the box out for the call so the defense's `&mut self`
             // cannot alias the module state it reads through `ctx`.
-            let mut defense = self.defense.take().expect("defended path has a defense");
+            let mut defense = self.state.defense.take().expect("defended path has a defense");
             let verdict = defense.on_activation(&ctx);
-            self.defense = Some(defense);
-            self.defense_stats.consultations += 1;
+            self.state.defense = Some(defense);
+            self.state.defense_stats.consultations += 1;
             match verdict {
                 Verdict::Allow => {
                     self.apply_activations(backing, remaining);
@@ -1154,7 +1095,7 @@ impl DramModule {
                     if take > 0 {
                         self.apply_activations(backing, take);
                     }
-                    self.defense_stats.activations_denied += remaining - take;
+                    self.state.defense_stats.activations_denied += remaining - take;
                     remaining = 0;
                 }
                 Verdict::Refresh { permitted, targets } => {
@@ -1189,19 +1130,17 @@ impl DramModule {
         }
         if let Ok(victims) = self.config.geometry.adjacent_rows(backing) {
             for victim in victims {
-                self.journal_capture(victim);
-                self.store.touch(victim.0, self.clock_ns);
+                self.store.touch(victim.0, self.state.clock_ns);
             }
         }
-        self.activations[backing.0 as usize] = NO_ACTIVATIONS;
-        self.defense_stats.targeted_refreshes += 1;
+        self.state.activations[backing.0 as usize] = NO_ACTIVATIONS;
+        self.state.defense_stats.targeted_refreshes += 1;
     }
 
     /// Applies retention decay to a materialized row up to time `now`.
     fn apply_decay_to(&mut self, backing: RowId, now: u64) {
         let Some(last_charge) = self.store.last_charge_ns(backing.0) else { return };
-        self.journal_capture(backing);
-        let since = match self.refresh_disabled_at {
+        let since = match self.state.refresh_disabled_at {
             Some(t0) => last_charge.max(t0),
             // Power-off path calls with refresh nominally enabled; decay
             // accrues from the last charge directly.
@@ -1213,15 +1152,15 @@ impl DramModule {
         }
         let cell_type = self.config.layout.cell_type(backing);
         let row = self.store.materialize(backing.0, now);
-        let changed = self.retention.apply_decay(backing, cell_type, row.bytes, elapsed);
+        let changed = self.state.retention.apply_decay(backing, cell_type, row.bytes, elapsed);
         *row.last_charge_ns = now;
-        self.stats.decay_flips += changed;
+        self.state.stats.decay_flips += changed;
         self.sync_model_stats();
     }
 
     fn decay_all_materialized(&mut self) {
         for idx in self.store.materialized_rows() {
-            self.apply_decay_to(RowId(idx), self.clock_ns);
+            self.apply_decay_to(RowId(idx), self.state.clock_ns);
         }
     }
 
@@ -1245,26 +1184,25 @@ impl DramModule {
     /// nothing: the store's settled bit (cleared by every mutable access)
     /// skips it, counting the disturbance alone.
     fn disturb(&mut self, victim: RowId) {
-        self.journal_capture(victim);
-        let planes = self.vuln.planes(victim);
+        let planes = self.state.vuln.planes(victim);
         if planes.is_empty() {
-            self.stats.disturbances += 1;
+            self.state.stats.disturbances += 1;
             self.sync_model_stats();
             return;
         }
         // Disturbance acts on the decayed state if refresh is off.
-        if self.refresh_disabled_at.is_some() {
-            self.apply_decay_to(victim, self.clock_ns);
+        if self.state.refresh_disabled_at.is_some() {
+            self.apply_decay_to(victim, self.state.clock_ns);
         }
-        let clock = self.clock_ns;
+        let clock = self.state.clock_ns;
         #[cfg(test)]
         if self.scalar_reference {
-            let bits = self.vuln.vulnerable_bits(victim);
+            let bits = self.state.vuln.vulnerable_bits(victim);
             self.disturb_scalar(victim, &bits, clock);
             return;
         }
         if self.store.settled(victim.0) {
-            self.stats.disturbances += 1;
+            self.state.stats.disturbances += 1;
             self.sync_model_stats();
             return;
         }
@@ -1282,8 +1220,8 @@ impl DramModule {
                 continue;
             }
             store_word(row.bytes, w, (word & !fire_otz) | fire_zto);
-            self.stats.flips_one_to_zero += u64::from(fire_otz.count_ones());
-            self.stats.flips_zero_to_one += u64::from(fire_zto.count_ones());
+            self.state.stats.flips_one_to_zero += u64::from(fire_otz.count_ones());
+            self.state.stats.flips_zero_to_one += u64::from(fire_zto.count_ones());
             // Per-bit events in ascending bit order (the scalar loop's
             // order: the decoded bit list ascends too).
             let base = 64 * w as u64;
@@ -1295,7 +1233,7 @@ impl DramModule {
                 } else {
                     crate::FlipDirection::ZeroToOne
                 };
-                self.stats.flip_log.push(FlipEvent {
+                self.state.stats.flip_log.push(FlipEvent {
                     row: victim,
                     bit: base + b,
                     direction,
@@ -1305,7 +1243,7 @@ impl DramModule {
             }
         }
         self.store.settle(victim.0);
-        self.stats.disturbances += 1;
+        self.state.stats.disturbances += 1;
         self.sync_model_stats();
     }
 
@@ -1319,7 +1257,7 @@ impl DramModule {
             let current = get_bit(row.bytes, vb.bit);
             if current == vb.direction.source_value() {
                 set_bit(row.bytes, vb.bit, !current);
-                self.stats.record_flip(FlipEvent {
+                self.state.stats.record_flip(FlipEvent {
                     row: victim,
                     bit: vb.bit,
                     direction: vb.direction,
@@ -1327,17 +1265,17 @@ impl DramModule {
                 });
             }
         }
-        self.stats.disturbances += 1;
+        self.state.stats.disturbances += 1;
         self.sync_model_stats();
     }
 
     /// Mirrors the model-cache eviction counters and model-content byte
     /// gauges into the stats snapshot.
     fn sync_model_stats(&mut self) {
-        self.stats.vuln_cache_evictions = self.vuln.evictions();
-        self.stats.retention_cache_evictions = self.retention.evictions();
-        self.stats.vuln_cache_bytes = self.vuln.map_bytes() as u64;
-        self.stats.retention_cache_bytes = self.retention.long_bytes() as u64;
+        self.state.stats.vuln_cache_evictions = self.state.vuln.evictions();
+        self.state.stats.retention_cache_evictions = self.state.retention.evictions();
+        self.state.stats.vuln_cache_bytes = self.state.vuln.map_bytes() as u64;
+        self.state.stats.retention_cache_bytes = self.state.retention.long_bytes() as u64;
     }
 }
 
@@ -1697,7 +1635,7 @@ mod tests {
         m.remap_row(RowId(4), RowId(6)).unwrap();
         let _ = m.take_flip_log();
         m.power_off(m.config().retention.min_ns / 2);
-        assert!(m.journal_dirty_rows() > 0);
+        assert!(m.store.journaled_rows().next().is_some());
 
         m.journal_rollback();
         assert!(!m.journal_active());
@@ -1714,6 +1652,18 @@ mod tests {
         assert!(m.rows_materialized() > base);
         m.journal_rollback();
         assert_eq!(m.rows_materialized(), base);
+    }
+
+    #[test]
+    fn reading_unwritten_rows_journals_nothing() {
+        let mut m = module();
+        m.journal_begin();
+        m.read(5 * 4096, 16).unwrap();
+        m.refresh_neighbors_of(RowId(5)).unwrap();
+        assert_eq!(m.store.journaled_rows().count(), 0);
+        m.write(5 * 4096, &[1]).unwrap();
+        assert_eq!(m.store.journaled_rows().collect::<Vec<_>>(), vec![5]);
+        m.journal_rollback();
     }
 
     #[test]

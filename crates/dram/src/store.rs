@@ -3,6 +3,11 @@
 //! from, indexed by *backing* row id (remap resolution happens above this
 //! layer, in `DramModule`).
 
+use std::cell::RefCell;
+use std::ops::Range;
+
+use crate::fnv::ContentsHasher;
+
 /// Mutable view of one materialized row: its cell bytes plus the charge
 /// timestamp the retention model decays from.
 pub(crate) struct RowMut<'a> {
@@ -13,13 +18,17 @@ pub(crate) struct RowMut<'a> {
 }
 
 /// One materialized row: contents plus charge timestamp.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 struct RowBuf {
     bytes: Box<[u8]>,
     last_charge_ns: u64,
     /// The row has not changed since its last disturb pass, so a repeat
     /// pass fires nothing. Cleared by every [`SparseStore::materialize`].
     settled: bool,
+    /// The open journal holds this row's pre-image. Never set outside a
+    /// journal: rollback replaces every row that set it with its
+    /// pre-image, taken before the bit was set.
+    saved: bool,
 }
 
 /// Rows materialize on first write, so memory scales with the number of
@@ -31,10 +40,26 @@ struct RowBuf {
 /// count as materialized. [`Self::materialized_rows`] yields exactly the
 /// rows with a charge timestamp, in ascending order: decay application
 /// order is part of the determinism contract.
-#[derive(Debug, Clone)]
+///
+/// Every change to a row — its bytes, its charge timestamp or its
+/// existence — goes through one private funnel, so the store journals
+/// itself: while a journal is open, a row's slot is saved before its
+/// first change, and [`Self::journal_rollback`] moves the saved slots
+/// back. Outside a journal the same funnel clears [`Self::checkpoints`].
+#[derive(Clone)]
 pub(crate) struct SparseStore {
     rows: Vec<Option<RowBuf>>,
     row_bytes: usize,
+    /// Each row changed since [`Self::journal_begin`], once, with its slot
+    /// as it was before that change; `None` while no journal is open.
+    journal: Option<Vec<(u64, Option<RowBuf>)>>,
+    /// `contents_hash` checkpoints: entry `i` is the hasher state before
+    /// logical row `i` of the contents no journal has changed. Rollback
+    /// restores those contents, so the checkpoints outlive a journal; a
+    /// row change outside a journal clears them here, and an unjournaled
+    /// remap clears them in the module. A `RefCell` because
+    /// `contents_hash` takes `&self` and extends them lazily.
+    pub(crate) checkpoints: RefCell<Vec<ContentsHasher>>,
 }
 
 impl SparseStore {
@@ -44,7 +69,7 @@ impl SparseStore {
         let mut rows = Vec::new();
         rows.try_reserve_exact(total_rows).ok()?;
         rows.resize_with(total_rows, || None);
-        Some(SparseStore { rows, row_bytes })
+        Some(SparseStore { rows, row_bytes, journal: None, checkpoints: RefCell::default() })
     }
 
     /// Read-only view of a row's contents, `None` if never materialized
@@ -54,17 +79,26 @@ impl SparseStore {
     }
 
     /// Mutable view of a row, materializing it at all-zeros with charge
-    /// timestamp `now_ns` on first use. The only mutable accessor, so it
-    /// also unsettles the row: whoever takes the view may change it.
+    /// timestamp `now_ns` on first use. The only mutable view, so it also
+    /// unsettles the row: whoever takes the view may change it.
     pub(crate) fn materialize(&mut self, row: u64, now_ns: u64) -> RowMut<'_> {
-        let row_bytes = self.row_bytes;
-        let buf = self.rows[row as usize].get_or_insert_with(|| RowBuf {
-            bytes: vec![0u8; row_bytes].into_boxed_slice(),
-            last_charge_ns: now_ns,
-            settled: false,
-        });
+        if self.rows[row as usize].is_none() {
+            self.create(row, 0, now_ns);
+        }
+        let buf = self.buf_mut(row).expect("materialized above");
         buf.settled = false;
         RowMut { bytes: &mut buf.bytes, last_charge_ns: &mut buf.last_charge_ns }
+    }
+
+    /// Fills columns `cols` of a row with `byte`, as a write through
+    /// [`Self::materialize`] would. A never-materialized row that `cols`
+    /// covers whole is created at `byte` instead of at zeros first.
+    pub(crate) fn fill(&mut self, row: u64, now_ns: u64, cols: Range<usize>, byte: u8) {
+        if cols.len() == self.row_bytes && self.rows[row as usize].is_none() {
+            self.create(row, byte, now_ns);
+        } else {
+            self.materialize(row, now_ns).bytes[cols].fill(byte);
+        }
     }
 
     /// Whether the row is materialized and unchanged since [`Self::settle`].
@@ -76,7 +110,7 @@ impl SparseStore {
     /// [`Self::materialize`], its vulnerable cells all hold their
     /// non-firing values.
     pub(crate) fn settle(&mut self, row: u64) {
-        if let Some(buf) = &mut self.rows[row as usize] {
+        if let Some(buf) = self.buf_mut(row) {
             buf.settled = true;
         }
     }
@@ -89,7 +123,7 @@ impl SparseStore {
     /// Restores the row's charge to `now_ns` if (and only if) it is
     /// materialized — an ordinary access or targeted refresh.
     pub(crate) fn touch(&mut self, row: u64, now_ns: u64) {
-        if let Some(buf) = &mut self.rows[row as usize] {
+        if let Some(buf) = self.buf_mut(row) {
             buf.last_charge_ns = now_ns;
         }
     }
@@ -97,8 +131,8 @@ impl SparseStore {
     /// Restores every materialized row's charge to `now_ns` (refresh
     /// resuming after power-up).
     pub(crate) fn recharge_all(&mut self, now_ns: u64) {
-        for buf in self.rows.iter_mut().flatten() {
-            buf.last_charge_ns = now_ns;
+        for row in 0..self.rows.len() as u64 {
+            self.touch(row, now_ns);
         }
     }
 
@@ -112,10 +146,60 @@ impl SparseStore {
         self.rows.iter().filter(|r| r.is_some()).count()
     }
 
-    /// Returns the row to the never-materialized state. The undo journal
-    /// uses this to roll back rows a trial materialized.
-    pub(crate) fn unmaterialize(&mut self, row: u64) {
-        self.rows[row as usize] = None;
+    /// Opens a journal: from now on each row's slot is saved before its
+    /// first change.
+    pub(crate) fn journal_begin(&mut self) {
+        self.journal = Some(Vec::new());
+    }
+
+    /// Closes the journal, moving every saved slot back: changed rows get
+    /// their pre-image buffers (settled bit included), rows the journal
+    /// materialized are unmaterialized again.
+    pub(crate) fn journal_rollback(&mut self) {
+        for (row, pre) in self.journal.take().expect("row store journal not open") {
+            self.rows[row as usize] = pre;
+        }
+    }
+
+    /// Backing ids of the rows changed under the open journal, in the
+    /// order of their first change (none without a journal).
+    pub(crate) fn journaled_rows(&self) -> impl Iterator<Item = u64> + '_ {
+        self.journal.iter().flatten().map(|&(row, _)| row)
+    }
+
+    /// The funnel every change to a materialized row passes: saves the
+    /// row's pre-image on its first change under a journal, and clears
+    /// the hash checkpoints on a change outside one. `None` if the row was
+    /// never materialized.
+    #[inline]
+    fn buf_mut(&mut self, row: u64) -> Option<&mut RowBuf> {
+        let buf = self.rows[row as usize].as_mut()?;
+        if !buf.saved {
+            match &mut self.journal {
+                Some(journal) => {
+                    journal.push((row, Some(buf.clone())));
+                    buf.saved = true;
+                }
+                None => self.checkpoints.get_mut().clear(),
+            }
+        }
+        Some(buf)
+    }
+
+    /// The funnel for a never-materialized row: creates it at `byte`
+    /// throughout with charge timestamp `now_ns`, first saving its empty
+    /// slot under a journal or clearing the hash checkpoints outside one.
+    fn create(&mut self, row: u64, byte: u8, now_ns: u64) {
+        match &mut self.journal {
+            Some(journal) => journal.push((row, None)),
+            None => self.checkpoints.get_mut().clear(),
+        }
+        self.rows[row as usize] = Some(RowBuf {
+            bytes: vec![byte; self.row_bytes].into_boxed_slice(),
+            last_charge_ns: now_ns,
+            settled: false,
+            saved: self.journal.is_some(),
+        });
     }
 }
 
@@ -177,7 +261,7 @@ mod tests {
     }
 
     #[test]
-    fn materialize_unsettles_and_unmaterialize_forgets() {
+    fn materialize_unsettles_and_rollback_restores_the_settled_bit() {
         let mut store = store();
         store.settle(3);
         assert!(!store.settled(3), "an unmaterialized row cannot settle");
@@ -189,23 +273,100 @@ mod tests {
         store.materialize(3, 0);
         assert!(!store.settled(3), "a mutable view unsettles the row");
         store.settle(3);
-        store.unmaterialize(3);
+        store.journal_begin();
         store.materialize(3, 0);
-        assert!(!store.settled(3));
+        store.materialize(5, 0);
+        store.settle(5);
+        store.journal_rollback();
+        assert!(store.settled(3), "the settled bit travels with its pre-image");
+        assert!(!store.settled(5), "a row the journal created is gone");
     }
 
     #[test]
-    fn unmaterialize_restores_the_fresh_row_state() {
+    fn rollback_moves_every_saved_slot_back() {
         let mut store = store();
         store.materialize(2, 100).bytes[5] = 0xAB;
         store.materialize(4, 200).bytes[0] = 0xCD;
-        store.unmaterialize(2);
-        assert_eq!(store.bytes(2), None);
-        assert_eq!(store.last_charge_ns(2), None);
-        assert_eq!(store.materialized_rows(), vec![4]);
-        assert_eq!(store.materialized_count(), 1);
-        // Unmaterializing a never-touched row is a no-op.
-        store.unmaterialize(7);
-        assert_eq!(store.materialized_count(), 1);
+        store.journal_begin();
+        store.materialize(2, 300).bytes[5] = 0x11;
+        *store.materialize(2, 300).last_charge_ns = 300;
+        store.touch(4, 400);
+        store.materialize(6, 500).bytes[1] = 0xEF;
+        store.recharge_all(600);
+        assert_eq!(store.journaled_rows().collect::<Vec<_>>(), vec![2, 4, 6]);
+        store.journal_rollback();
+        assert_eq!(store.journaled_rows().count(), 0);
+        assert_eq!(store.bytes(2).unwrap()[5], 0xAB);
+        assert_eq!(store.last_charge_ns(2), Some(100));
+        assert_eq!(store.last_charge_ns(4), Some(200));
+        assert_eq!(store.bytes(6), None);
+        assert_eq!(store.last_charge_ns(6), None);
+        assert_eq!(store.materialized_rows(), vec![2, 4]);
+        // A second journal saves the restored rows afresh.
+        store.journal_begin();
+        store.materialize(2, 700).bytes[5] = 0x22;
+        store.journal_rollback();
+        assert_eq!(store.bytes(2).unwrap()[5], 0xAB);
+    }
+
+    #[test]
+    fn unwritten_rows_and_reads_are_not_journaled() {
+        let mut store = store();
+        store.materialize(1, 0);
+        store.journal_begin();
+        store.touch(3, 50);
+        store.settle(3);
+        store.recharge_all(60);
+        assert_eq!(store.journaled_rows().collect::<Vec<_>>(), vec![1], "only the live row");
+        store.journal_rollback();
+        assert_eq!(store.materialized_rows(), vec![1]);
+        assert_eq!(store.last_charge_ns(1), Some(0));
+    }
+
+    #[test]
+    fn checkpoints_clear_on_a_change_outside_a_journal_only() {
+        let mut store = store();
+        store.materialize(1, 0);
+        let stale = || vec![ContentsHasher::new(); 4];
+        store.checkpoints.replace(stale());
+        store.journal_begin();
+        store.materialize(1, 10).bytes[0] = 1;
+        store.fill(2, 10, 0..64, 0xFF);
+        store.journal_rollback();
+        assert_eq!(store.checkpoints.borrow().len(), 4, "a journaled change keeps them");
+        let changes: [fn(&mut SparseStore); 4] = [
+            |s| s.touch(1, 20),
+            |s| s.fill(5, 20, 0..64, 0xFF),
+            |s| {
+                s.materialize(6, 20);
+            },
+            |s| s.recharge_all(30),
+        ];
+        for change in changes {
+            store.checkpoints.replace(stale());
+            change(&mut store);
+            assert!(store.checkpoints.borrow().is_empty());
+        }
+    }
+
+    #[test]
+    fn fill_creates_a_fresh_row_at_the_fill_byte() {
+        let mut store = store();
+        store.journal_begin();
+        store.fill(2, 100, 0..64, 0xA5);
+        assert_eq!(store.bytes(2).unwrap(), &[0xA5; 64][..]);
+        assert_eq!(store.last_charge_ns(2), Some(100));
+        assert!(!store.settled(2));
+        // A partial fill of a fresh row leaves the rest of it at zeros, and
+        // a fill of a live row leaves its other columns alone.
+        store.fill(3, 100, 8..16, 0x5A);
+        let mut want = [0u8; 64];
+        want[8..16].fill(0x5A);
+        assert_eq!(store.bytes(3).unwrap(), &want[..]);
+        store.fill(2, 200, 0..8, 0x00);
+        assert_eq!(&store.bytes(2).unwrap()[..10], &[0, 0, 0, 0, 0, 0, 0, 0, 0xA5, 0xA5]);
+        assert_eq!(store.last_charge_ns(2), Some(100), "a fill keeps the charge");
+        store.journal_rollback();
+        assert_eq!(store.materialized_count(), 0, "rollback forgets the created rows");
     }
 }

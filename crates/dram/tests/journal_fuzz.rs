@@ -6,15 +6,22 @@
 //! interleaving of every journaled mutation class — writes, fills,
 //! hammering, reads (charge touches), clock advances, refresh
 //! enable/disable, decay windows, row remapping, flip-log drains and
-//! capacity changes, power-off remanence — against a reference fork taken
-//! before the journal opened, then compares:
+//! capacity changes, power-off remanence, neighbor refreshes, and rows
+//! registered with a defense — against a reference fork taken before the
+//! journal opened, then compares:
 //!
 //! * the full contents fingerprint (wordwise FNV-1a over a full peek),
 //! * the simulated clock, statistics, remap table, and materialization
 //!   footprint,
+//! * the activation counters and the installed defense's accounting and
+//!   counters,
 //! * and, to expose charge-plane divergence that identical contents could
 //!   mask, the contents again after an identical decay probe (refresh
 //!   off, clock past the retention horizon) applied to both modules.
+//!
+//! Each case runs undefended, under SoftTRR or under BlockHammer, with
+//! thresholds low enough that the fuzzed hammering trips them, so the
+//! defense-issued targeted refreshes and throttles are fuzzed too.
 //!
 //! Two journals run back to back on the same module, so the second trial
 //! hashes from checkpoints the first one built. The module's own
@@ -30,7 +37,10 @@
 mod common;
 
 use common::reference_contents_hash;
-use cta_dram::{DisturbanceParams, DramConfig, DramModule, RowId};
+use cta_dram::{
+    BlockHammerDefense, BlockHammerParams, DisturbanceParams, DramConfig, DramModule, RowId,
+    SoftTrrDefense, SoftTrrParams,
+};
 use cta_telemetry::Counters;
 use proptest::prelude::*;
 
@@ -51,6 +61,8 @@ enum Op {
     TakeFlipLog,
     SetFlipLogCapacity { capacity: u8 },
     PowerOff { ns: u32 },
+    RefreshNeighbors { row: u64 },
+    ProtectRow { row: u64 },
     ContentsHash,
 }
 
@@ -77,6 +89,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         Just(Op::TakeFlipLog),
         any::<u8>().prop_map(|capacity| Op::SetFlipLogCapacity { capacity }),
         any::<u32>().prop_map(|ns| Op::PowerOff { ns }),
+        any::<u64>().prop_map(|row| Op::RefreshNeighbors { row }),
+        any::<u64>().prop_map(|row| Op::ProtectRow { row }),
         Just(Op::ContentsHash),
     ]
 }
@@ -127,6 +141,10 @@ fn apply(m: &mut DramModule, op: &Op) {
             m.set_flip_log_capacity(*capacity as usize % 128 + 1);
         }
         Op::PowerOff { ns } => m.power_off(u64::from(*ns) % 5_000_000_000),
+        Op::RefreshNeighbors { row } => {
+            m.refresh_neighbors_of(RowId(row % rows)).expect("valid row");
+        }
+        Op::ProtectRow { row } => m.defense_protect_row(RowId(row % rows)).expect("valid row"),
         // Hashing mid-trial builds checkpoints that later ops may dirty.
         Op::ContentsHash => {
             assert_eq!(m.contents_hash(), reference_contents_hash(m), "mid-trial contents hash");
@@ -135,14 +153,38 @@ fn apply(m: &mut DramModule, op: &Op) {
 }
 
 /// Everything cheaply observable about a module, as one comparable blob.
-fn observe(m: &DramModule) -> (u64, u64, String, usize, usize) {
+fn observe(m: &DramModule) -> (u64, u64, String, usize, usize, String) {
     (
         reference_contents_hash(m),
         m.now_ns(),
         format!("{:?}|{:?}", m.stats(), m.remap_table()),
         m.rows_materialized(),
         m.remap_table().len(),
+        format!(
+            "{:?}|{:?}|{:?}",
+            m.hottest_rows(m.geometry().total_rows() as usize),
+            m.defense_stats(),
+            m.defense_snapshot().map(|d| d.counters),
+        ),
     )
+}
+
+/// Installs no defense (0), SoftTRR (1) or BlockHammer (2), with
+/// thresholds the fuzzed bursts of up to 512 activations cross; SoftTRR
+/// guards rows 2 and 9 from the start.
+fn install_defense(m: &mut DramModule, defense: u8) {
+    match defense {
+        1 => {
+            m.install_defense(Box::new(SoftTrrDefense::new(SoftTrrParams { trr_threshold: 256 })));
+            for row in [2, 9] {
+                m.defense_protect_row(RowId(row)).expect("valid row");
+            }
+        }
+        2 => m.install_defense(Box::new(BlockHammerDefense::new(BlockHammerParams {
+            blacklist_threshold: 256,
+        }))),
+        _ => {}
+    }
 }
 
 proptest! {
@@ -154,6 +196,7 @@ proptest! {
     #[test]
     fn rollback_restores_the_module_for_any_op_sequence(
         seed in any::<u64>(),
+        defense in 0u8..3,
         ops in proptest::collection::vec(op_strategy(), 1..40),
         next_ops in proptest::collection::vec(op_strategy(), 1..40),
     ) {
@@ -161,6 +204,7 @@ proptest! {
             .with_seed(seed)
             .with_disturbance(DisturbanceParams { pf: 0.05, ..DisturbanceParams::default() });
         let mut m = DramModule::new(cfg);
+        install_defense(&mut m, defense);
         // Pre-trial state with some materialized rows and history, so
         // rollback must restore *dirty* pre-images, not just blanks.
         m.fill(0, 4096, 0x5A).expect("prefill");
@@ -207,6 +251,17 @@ proptest! {
             }
             (contents, m.stats().clone())
         };
+        // The probe above stays inside the shortest retention time, so a
+        // power-off into the partial-decay range probes the charge plane
+        // too: it decays each row from its own charge timestamp, and a
+        // timestamp off by a trial's few milliseconds flips different cells.
+        let outage = |m: &DramModule| {
+            let mut m = m.fork();
+            let p = m.config().retention;
+            m.power_off((p.min_ns + p.max_ns) / 2);
+            (reference_contents_hash(&m), m.stats().decay_flips)
+        };
+        prop_assert_eq!(outage(&m), outage(&reference), "partial-decay outage diverged");
         let mut reference = reference;
         let expected = probe(&mut reference);
         let actual = probe(&mut m);

@@ -126,20 +126,24 @@ impl PtpLayout {
     ///
     /// # Errors
     ///
+    /// [`AllocError::BadPtpSize`] unless `total_bytes` and `ptp_bytes` are
+    /// page-aligned powers of two with `ptp_bytes < total_bytes`;
     /// [`AllocError::InsufficientTrueCells`] if the map does not contain
     /// `ptp_bytes` of true-cell capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `total_bytes`/`ptp_bytes` are not powers of two, if
-    /// `ptp_bytes >= total_bytes`, or if either is not page-aligned — these
-    /// are configuration errors.
     pub fn build(map: &CellTypeMap, total_bytes: u64, spec: &PtpSpec) -> Result<Self, AllocError> {
-        assert!(total_bytes.is_power_of_two(), "total memory must be a power of two");
-        assert!(spec.ptp_bytes.is_power_of_two(), "ZONE_PTP size must be a power of two");
-        assert!(spec.ptp_bytes < total_bytes, "ZONE_PTP must be smaller than memory");
-        assert_eq!(spec.ptp_bytes % PAGE_SIZE, 0, "ZONE_PTP size must be page aligned");
-        assert_eq!(total_bytes % PAGE_SIZE, 0, "memory size must be page aligned");
+        let page_aligned_power = |bytes: u64| bytes.is_power_of_two() && bytes >= PAGE_SIZE;
+        let reason = if !page_aligned_power(total_bytes) {
+            Some("memory size must be a page-aligned power of two")
+        } else if !page_aligned_power(spec.ptp_bytes) {
+            Some("ZONE_PTP size must be a page-aligned power of two")
+        } else if spec.ptp_bytes >= total_bytes {
+            Some("ZONE_PTP must be smaller than memory")
+        } else {
+            None
+        };
+        if let Some(reason) = reason {
+            return Err(AllocError::BadPtpSize { ptp_bytes: spec.ptp_bytes, total_bytes, reason });
+        }
 
         // Walk true-cell regions from the top down, collecting capacity.
         let mut needed = spec.ptp_bytes;
@@ -465,6 +469,27 @@ mod tests {
         let spec = PtpSpec::paper_default().with_size(4 << 20);
         let err = PtpLayout::build(&map, 64 << 20, &spec).unwrap_err();
         assert!(matches!(err, AllocError::InsufficientTrueCells { .. }));
+    }
+
+    #[test]
+    fn impossible_zone_sizes_are_typed_errors() {
+        let map = alternating_map();
+        for (total, ptp) in [
+            (48 << 20, 4 << 20),
+            ((64 << 20) + 1, 4 << 20),
+            (64 << 20, 3 << 20),
+            (64 << 20, 2048),
+            (64 << 20, 64 << 20),
+            (64 << 20, 128 << 20),
+        ] {
+            let spec = PtpSpec::paper_default().with_size(ptp);
+            let err = PtpLayout::build(&map, total, &spec).unwrap_err();
+            assert!(
+                matches!(err, AllocError::BadPtpSize { ptp_bytes, total_bytes, .. }
+                    if ptp_bytes == ptp && total_bytes == total),
+                "{total}/{ptp}: {err}"
+            );
+        }
     }
 
     #[test]

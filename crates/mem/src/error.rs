@@ -50,6 +50,15 @@ pub enum AllocError {
         /// True-cell bytes available.
         available: u64,
     },
+    /// A `ZONE_PTP` layout was requested with sizes it cannot have.
+    BadPtpSize {
+        /// Requested `ZONE_PTP` bytes.
+        ptp_bytes: u64,
+        /// Physical memory bytes.
+        total_bytes: u64,
+        /// What the sizes violate.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for AllocError {
@@ -71,6 +80,9 @@ impl fmt::Display for AllocError {
                 f,
                 "ZONE_PTP wants {requested} bytes of true-cells but only {available} are available"
             ),
+            AllocError::BadPtpSize { ptp_bytes, total_bytes, reason } => {
+                write!(f, "a {ptp_bytes}-byte ZONE_PTP in {total_bytes} bytes of memory: {reason}")
+            }
         }
     }
 }

@@ -243,32 +243,26 @@ impl KernelConfig {
 /// the precondition of every PTE-based privilege-escalation attack.
 pub struct Kernel {
     dram: DramModule,
-    alloc: ZonedAllocator,
-    walker: Walker,
-    tlb: Tlb,
-    psc: Psc,
-    processes: BTreeMap<u64, Process>,
-    files: BTreeMap<u64, FileObject>,
-    owners: HashMap<u64, FrameOwner>,
-    next_pid: u64,
-    next_file: u64,
-    stats: KernelStats,
+    /// Everything else a trial may change, in one struct so that forks,
+    /// journal snapshots and rollbacks copy all of it by construction.
+    state: KernelState,
     multi_level: bool,
-    secret: Option<(Pfn, [u8; 16])>,
-    /// Active undo journal, if a trial is running in place on this kernel
-    /// (see [`Self::journal_begin`]). `None` outside journaled trials.
-    journal: Option<Box<KernelJournal>>,
+    /// Snapshot of [`Self::state`] taken by [`Self::journal_begin`], if a
+    /// trial is running in place on this kernel. `None` outside journaled
+    /// trials.
+    journal: Option<Box<KernelState>>,
 }
 
-/// Snapshot of every kernel-side plane a journaled trial may mutate. The
-/// DRAM module journals itself (row pre-images plus metadata snapshots,
-/// see `cta_dram`'s journal); this struct covers the seams above it: PTE
+/// Every kernel-side plane a journaled trial may mutate. The DRAM module
+/// journals itself (row pre-images plus its own state snapshot, see
+/// `cta_dram`'s journal); this struct covers the seams above it: PTE
 /// stores land in DRAM rows (journaled there), but the allocator's
 /// free-lists, the TLB/PSC arrays, and the process/file/owner maps live
 /// outside DRAM and must be restored exactly — they are all O(machine
 /// metadata), orders of magnitude smaller than the row contents a fork
 /// would deep-copy.
-struct KernelJournal {
+#[derive(Clone)]
+struct KernelState {
     alloc: ZonedAllocator,
     walker: Walker,
     tlb: Tlb,
@@ -285,10 +279,10 @@ struct KernelJournal {
 impl fmt::Debug for Kernel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Kernel")
-            .field("processes", &self.processes.len())
-            .field("files", &self.files.len())
-            .field("cta", &self.alloc.cta_enabled())
-            .field("stats", &self.stats)
+            .field("processes", &self.state.processes.len())
+            .field("files", &self.state.files.len())
+            .field("cta", &self.state.alloc.cta_enabled())
+            .field("stats", &self.state.stats)
             .finish()
     }
 }
@@ -335,29 +329,31 @@ impl Kernel {
         let multi_level = config.cta.as_ref().map(|s| s.multi_level).unwrap_or(false);
         let mut kernel = Kernel {
             dram,
-            alloc: ZonedAllocator::new(map),
-            walker: Walker::new(),
-            tlb: Tlb::new(config.tlb_entries),
-            psc: Psc::new(config.psc_entries),
-            processes: BTreeMap::new(),
-            files: BTreeMap::new(),
-            owners: HashMap::new(),
-            next_pid: 1,
-            next_file: 1,
-            stats: KernelStats::default(),
+            state: KernelState {
+                alloc: ZonedAllocator::new(map),
+                walker: Walker::new(),
+                tlb: Tlb::new(config.tlb_entries),
+                psc: Psc::new(config.psc_entries),
+                processes: BTreeMap::new(),
+                files: BTreeMap::new(),
+                owners: HashMap::new(),
+                next_pid: 1,
+                next_file: 1,
+                stats: KernelStats::default(),
+                secret: None,
+            },
             multi_level,
-            secret: None,
             journal: None,
         };
         // Reserve the zero frame so that pfn 0 never appears in a PTE, and
         // plant the kernel secret used to verify privilege escalation.
-        let zero = kernel.alloc.alloc_page(GfpFlags::KERNEL)?;
-        kernel.owners.insert(zero.0, FrameOwner::Kernel);
-        let secret_pfn = kernel.alloc.alloc_page(GfpFlags::KERNEL)?;
-        kernel.owners.insert(secret_pfn.0, FrameOwner::Kernel);
+        let zero = kernel.state.alloc.alloc_page(GfpFlags::KERNEL)?;
+        kernel.state.owners.insert(zero.0, FrameOwner::Kernel);
+        let secret_pfn = kernel.state.alloc.alloc_page(GfpFlags::KERNEL)?;
+        kernel.state.owners.insert(secret_pfn.0, FrameOwner::Kernel);
         let pattern = *b"KERNEL-SECRET-#1";
         kernel.dram.write(secret_pfn.addr().0, &pattern)?;
-        kernel.secret = Some((secret_pfn, pattern));
+        kernel.state.secret = Some((secret_pfn, pattern));
         Ok(kernel)
     }
 
@@ -389,18 +385,8 @@ impl Kernel {
     pub fn fork(&self) -> Kernel {
         Kernel {
             dram: self.dram.fork(),
-            alloc: self.alloc.clone(),
-            walker: self.walker,
-            tlb: self.tlb.clone(),
-            psc: self.psc.clone(),
-            processes: self.processes.clone(),
-            files: self.files.clone(),
-            owners: self.owners.clone(),
-            next_pid: self.next_pid,
-            next_file: self.next_file,
-            stats: self.stats,
+            state: self.state.clone(),
             multi_level: self.multi_level,
-            secret: self.secret,
             journal: None,
         }
     }
@@ -412,10 +398,11 @@ impl Kernel {
     /// Starts an undo journal so a trial can run **in place** on this
     /// kernel and be rolled back with [`Self::journal_rollback`] instead
     /// of paying a full [`Self::fork`] per trial. The DRAM module journals
-    /// its own planes (row pre-images captured on first touch, metadata
-    /// snapshots); this layer snapshots the allocator, TLB, page-structure
-    /// cache, and the process/file/owner maps — O(machine metadata), not
-    /// O(machine memory).
+    /// its own planes (row pre-images its row store saves on first change,
+    /// plus a snapshot of its state); this layer snapshots its one state
+    /// struct — the allocator, TLB, page-structure cache, and the
+    /// process/file/owner maps — O(machine metadata), not O(machine
+    /// memory).
     ///
     /// # Panics
     ///
@@ -423,19 +410,7 @@ impl Kernel {
     pub fn journal_begin(&mut self) {
         assert!(self.journal.is_none(), "kernel journal already active");
         self.dram.journal_begin();
-        self.journal = Some(Box::new(KernelJournal {
-            alloc: self.alloc.clone(),
-            walker: self.walker,
-            tlb: self.tlb.clone(),
-            psc: self.psc.clone(),
-            processes: self.processes.clone(),
-            files: self.files.clone(),
-            owners: self.owners.clone(),
-            next_pid: self.next_pid,
-            next_file: self.next_file,
-            stats: self.stats,
-            secret: self.secret,
-        }));
+        self.journal = Some(Box::new(self.state.clone()));
     }
 
     /// Rolls the kernel back to its [`Self::journal_begin`] state:
@@ -448,19 +423,9 @@ impl Kernel {
     ///
     /// Panics if no journal is active.
     pub fn journal_rollback(&mut self) {
-        let j = *self.journal.take().expect("journal_rollback without journal_begin");
+        let snapshot = self.journal.take().expect("journal_rollback without journal_begin");
         self.dram.journal_rollback();
-        self.alloc = j.alloc;
-        self.walker = j.walker;
-        self.tlb = j.tlb;
-        self.psc = j.psc;
-        self.processes = j.processes;
-        self.files = j.files;
-        self.owners = j.owners;
-        self.next_pid = j.next_pid;
-        self.next_file = j.next_file;
-        self.stats = j.stats;
-        self.secret = j.secret;
+        self.state = *snapshot;
     }
 
     /// Whether an undo journal is currently active on this kernel.
@@ -470,32 +435,32 @@ impl Kernel {
 
     /// The zoned allocator.
     pub fn allocator(&self) -> &ZonedAllocator {
-        &self.alloc
+        &self.state.alloc
     }
 
     /// Whether CTA is active.
     pub fn cta_enabled(&self) -> bool {
-        self.alloc.cta_enabled()
+        self.state.alloc.cta_enabled()
     }
 
     /// The active `ZONE_PTP` layout, if CTA is on.
     pub fn ptp_layout(&self) -> Option<&PtpLayout> {
-        self.alloc.ptp_layout()
+        self.state.alloc.ptp_layout()
     }
 
     /// Kernel counters.
     pub fn stats(&self) -> KernelStats {
-        self.stats
+        self.state.stats
     }
 
     /// TLB counters.
     pub fn tlb_stats(&self) -> crate::tlb::TlbStats {
-        self.tlb.stats()
+        self.state.tlb.stats()
     }
 
     /// Paging-structure-cache counters.
     pub fn psc_stats(&self) -> crate::psc::PscStats {
-        self.psc.stats()
+        self.state.psc.stats()
     }
 
     /// Snapshots every stat source this machine owns into `c`: kernel
@@ -503,12 +468,12 @@ impl Kernel {
     /// global plus per-zone counters. Recording several kernels into the
     /// same registry aggregates them by addition.
     pub fn record_counters(&self, c: &mut cta_telemetry::Counters) {
-        c.record(&self.stats);
-        c.record(&self.tlb.stats());
-        c.record(&self.psc.stats());
+        c.record(&self.state.stats);
+        c.record(&self.state.tlb.stats());
+        c.record(&self.state.psc.stats());
         c.record(self.dram.stats());
         c.add_u64("dram", "rows_materialized", self.dram.rows_materialized() as u64);
-        self.alloc.record_counters(c);
+        self.state.alloc.record_counters(c);
         // Only defended machines carry a `defense` group, so undefended
         // snapshots stay byte-identical to pre-hook telemetry.
         if let Some(snapshot) = self.dram.defense_snapshot() {
@@ -530,8 +495,8 @@ impl Kernel {
     /// set (not added) at emission time, with non-finite values sanitized
     /// by [`cta_telemetry::Counters::set_f64`].
     pub fn record_rate_gauges(&self, c: &mut cta_telemetry::Counters) {
-        c.set_f64("tlb", "hit_rate", self.tlb.stats().hit_rate());
-        c.set_f64("psc", "hit_rate", self.psc.stats().hit_rate());
+        c.set_f64("tlb", "hit_rate", self.state.tlb.stats().hit_rate());
+        c.set_f64("psc", "hit_rate", self.state.psc.stats().hit_rate());
     }
 
     /// A process by pid.
@@ -540,24 +505,24 @@ impl Kernel {
     ///
     /// [`VmError::NoSuchProcess`] if it does not exist.
     pub fn process(&self, pid: Pid) -> Result<&Process, VmError> {
-        self.processes.get(&pid.0).ok_or(VmError::NoSuchProcess { pid })
+        self.state.processes.get(&pid.0).ok_or(VmError::NoSuchProcess { pid })
     }
 
     /// All live pids.
     pub fn pids(&self) -> Vec<Pid> {
-        self.processes.keys().map(|p| Pid(*p)).collect()
+        self.state.processes.keys().map(|p| Pid(*p)).collect()
     }
 
     /// Owner of a physical frame, if tracked.
     pub fn frame_owner(&self, pfn: Pfn) -> Option<FrameOwner> {
-        self.owners.get(&pfn.0).copied()
+        self.state.owners.get(&pfn.0).copied()
     }
 
     /// The kernel secret planted at boot: its frame and its 16-byte
     /// content. An attacker that can read or overwrite this page through
     /// its own mappings has escalated privileges.
     pub fn kernel_secret(&self) -> (Pfn, [u8; 16]) {
-        self.secret.expect("planted at boot")
+        self.state.secret.expect("planted at boot")
     }
 
     /// A file object by id.
@@ -566,7 +531,7 @@ impl Kernel {
     ///
     /// [`VmError::NoSuchFile`] if it does not exist.
     pub fn file(&self, id: FileId) -> Result<&FileObject, VmError> {
-        self.files.get(&id.0).ok_or(VmError::NoSuchFile)
+        self.state.files.get(&id.0).ok_or(VmError::NoSuchFile)
     }
 
     // ------------------------------------------------------------------
@@ -580,9 +545,9 @@ impl Kernel {
     ///
     /// Allocation failure.
     pub fn create_process(&mut self, trusted: bool) -> Result<Pid, VmError> {
-        let pid = Pid(self.next_pid);
-        self.next_pid += 1;
-        self.processes.insert(
+        let pid = Pid(self.state.next_pid);
+        self.state.next_pid += 1;
+        self.state.processes.insert(
             pid.0,
             Process {
                 pid,
@@ -594,7 +559,7 @@ impl Kernel {
             },
         );
         let cr3 = self.pte_alloc(pid, PtLevel::Pml4)?;
-        self.processes.get_mut(&pid.0).expect("just inserted").cr3 = cr3;
+        self.state.processes.get_mut(&pid.0).expect("just inserted").cr3 = cr3;
         Ok(pid)
     }
 
@@ -605,15 +570,15 @@ impl Kernel {
     ///
     /// [`VmError::NoSuchProcess`]; allocator errors on inconsistent state.
     pub fn destroy_process(&mut self, pid: Pid) -> Result<(), VmError> {
-        let proc = self.processes.remove(&pid.0).ok_or(VmError::NoSuchProcess { pid })?;
+        let proc = self.state.processes.remove(&pid.0).ok_or(VmError::NoSuchProcess { pid })?;
         for (va, kind) in &proc.mappings {
             match kind {
                 MappingKind::Anonymous { pfn } => {
-                    self.owners.remove(&pfn.0);
-                    self.alloc.free_pages(*pfn, 0)?;
+                    self.state.owners.remove(&pfn.0);
+                    self.state.alloc.free_pages(*pfn, 0)?;
                 }
                 MappingKind::File { id, .. } => {
-                    if let Some(f) = self.files.get_mut(&id.0) {
+                    if let Some(f) = self.state.files.get_mut(&id.0) {
                         f.remove_mapping();
                     }
                 }
@@ -624,16 +589,16 @@ impl Kernel {
         }
         for block in proc.huge_mappings.values() {
             for f in 0..HUGE_PAGE_SIZE / PAGE_SIZE {
-                self.owners.remove(&(block.0 + f));
+                self.state.owners.remove(&(block.0 + f));
             }
-            self.alloc.free_pages(*block, 9)?;
+            self.state.alloc.free_pages(*block, 9)?;
         }
         for (pfn, _) in &proc.pt_pages {
-            self.owners.remove(&pfn.0);
-            self.alloc.free_pages(*pfn, 0)?;
+            self.state.owners.remove(&pfn.0);
+            self.state.alloc.free_pages(*pfn, 0)?;
         }
-        self.tlb.flush_pid(pid);
-        self.psc.flush_pid(pid);
+        self.state.tlb.flush_pid(pid);
+        self.state.psc.flush_pid(pid);
         Ok(())
     }
 
@@ -647,7 +612,7 @@ impl Kernel {
     /// Allocation failure ­— under CTA a full `ZONE_PTP` is a hard failure
     /// (Rule 1 forbids falling back to ordinary zones).
     pub fn pte_alloc(&mut self, pid: Pid, level: PtLevel) -> Result<Pfn, VmError> {
-        let gfp = if self.alloc.cta_enabled() {
+        let gfp = if self.state.alloc.cta_enabled() {
             if self.multi_level {
                 GfpFlags::ptp_for_level(level)
             } else {
@@ -656,15 +621,16 @@ impl Kernel {
         } else {
             GfpFlags::KERNEL.zeroed()
         };
-        let pfn = self.alloc.alloc_page(gfp)?;
+        let pfn = self.state.alloc.alloc_page(gfp)?;
         self.dram.fill(pfn.addr().0, PAGE_SIZE as usize, 0)?;
-        self.owners.insert(pfn.0, FrameOwner::PageTable { pid, level });
-        self.processes
+        self.state.owners.insert(pfn.0, FrameOwner::PageTable { pid, level });
+        self.state
+            .processes
             .get_mut(&pid.0)
             .ok_or(VmError::NoSuchProcess { pid })?
             .pt_pages
             .push((pfn, level));
-        self.stats.pt_pages_allocated += 1;
+        self.state.stats.pt_pages_allocated += 1;
         // Page-table rows are the victims SoftTRR-style defenses watch:
         // register this frame's row(s) with any installed row defense.
         self.notify_defense_pt_frame(pfn);
@@ -690,8 +656,12 @@ impl Kernel {
     /// allocated, so installing after boot still protects existing tables.
     pub fn install_row_defense(&mut self, defense: Box<dyn cta_dram::RowDefense>) {
         self.dram.install_defense(defense);
-        let frames: Vec<Pfn> =
-            self.processes.values().flat_map(|p| p.pt_pages.iter().map(|(pfn, _)| *pfn)).collect();
+        let frames: Vec<Pfn> = self
+            .state
+            .processes
+            .values()
+            .flat_map(|p| p.pt_pages.iter().map(|(pfn, _)| *pfn))
+            .collect();
         for pfn in frames {
             self.notify_defense_pt_frame(pfn);
         }
@@ -727,7 +697,7 @@ impl Kernel {
         let leaf_addr = table + va.index(PtLevel::Pt) * 8;
         self.dram.write_u64(leaf_addr, Pte::new(pfn, flags).0)?;
         self.invalidate_translation(pid, va);
-        self.stats.maps += 1;
+        self.state.stats.maps += 1;
         Ok(())
     }
 
@@ -750,13 +720,14 @@ impl Kernel {
         for i in 0..pages {
             let page_va = va.offset(i * PAGE_SIZE);
             let gfp = if trusted { GfpFlags::KERNEL } else { GfpFlags::HIGHUSER };
-            let pfn = self.alloc.alloc_page(gfp)?;
+            let pfn = self.state.alloc.alloc_page(gfp)?;
             self.dram.fill(pfn.addr().0, PAGE_SIZE as usize, 0)?;
-            self.owners.insert(pfn.0, FrameOwner::Anonymous { pid });
-            self.stats.user_pages_allocated += 1;
+            self.state.owners.insert(pfn.0, FrameOwner::Anonymous { pid });
+            self.state.stats.user_pages_allocated += 1;
             let flags = if writable { PteFlags::user_data() } else { PteFlags::user_readonly() };
             self.map_page(pid, page_va, pfn, flags)?;
-            self.processes
+            self.state
+                .processes
                 .get_mut(&pid.0)
                 .expect("checked")
                 .mappings
@@ -790,17 +761,18 @@ impl Kernel {
         self.check_range(pid, va, len)?;
         for i in 0..len / HUGE_PAGE_SIZE {
             let chunk_va = va.offset(i * HUGE_PAGE_SIZE);
-            let block = self.alloc.alloc_pages(GfpFlags::HIGHUSER, 9)?;
+            let block = self.state.alloc.alloc_pages(GfpFlags::HIGHUSER, 9)?;
             self.dram.fill(block.addr().0, HUGE_PAGE_SIZE as usize, 0)?;
             for f in 0..HUGE_PAGE_SIZE / PAGE_SIZE {
-                self.owners.insert(block.0 + f, FrameOwner::Anonymous { pid });
+                self.state.owners.insert(block.0 + f, FrameOwner::Anonymous { pid });
             }
-            self.stats.user_pages_allocated += HUGE_PAGE_SIZE / PAGE_SIZE;
+            self.state.stats.user_pages_allocated += HUGE_PAGE_SIZE / PAGE_SIZE;
             let mut flags =
                 if writable { PteFlags::user_data() } else { PteFlags::user_readonly() };
             flags.huge = true;
             self.map_huge_entry(pid, chunk_va, block, flags)?;
-            self.processes
+            self.state
+                .processes
                 .get_mut(&pid.0)
                 .expect("checked")
                 .huge_mappings
@@ -834,7 +806,7 @@ impl Kernel {
         let pd_entry = table + va.index(PtLevel::Pd) * 8;
         self.dram.write_u64(pd_entry, Pte::new(block, flags).0)?;
         self.invalidate_translation(pid, va);
-        self.stats.maps += 1;
+        self.state.stats.maps += 1;
         Ok(())
     }
 
@@ -852,6 +824,7 @@ impl Kernel {
         for i in 0..len / HUGE_PAGE_SIZE {
             let chunk_va = va.offset(i * HUGE_PAGE_SIZE);
             let block = self
+                .state
                 .processes
                 .get_mut(&pid.0)
                 .ok_or(VmError::NoSuchProcess { pid })?
@@ -877,14 +850,14 @@ impl Kernel {
             // each caching its own vpn — invalidate every one of them, not
             // just the chunk base (one invlpg per covered page).
             for f in 0..HUGE_PAGE_SIZE / PAGE_SIZE {
-                self.tlb.flush_page(pid, chunk_va.offset(f * PAGE_SIZE));
+                self.state.tlb.flush_page(pid, chunk_va.offset(f * PAGE_SIZE));
             }
-            self.psc.invalidate_page(pid, chunk_va);
-            self.stats.unmaps += 1;
+            self.state.psc.invalidate_page(pid, chunk_va);
+            self.state.stats.unmaps += 1;
             for f in 0..HUGE_PAGE_SIZE / PAGE_SIZE {
-                self.owners.remove(&(block.0 + f));
+                self.state.owners.remove(&(block.0 + f));
             }
-            self.alloc.free_pages(block, 9)?;
+            self.state.alloc.free_pages(block, 9)?;
         }
         Ok(())
     }
@@ -896,9 +869,9 @@ impl Kernel {
     ///
     /// Allocation failures.
     pub fn create_shared_kernel_page(&mut self) -> Result<Pfn, VmError> {
-        let pfn = self.alloc.alloc_page(GfpFlags::KERNEL)?;
+        let pfn = self.state.alloc.alloc_page(GfpFlags::KERNEL)?;
         self.dram.fill(pfn.addr().0, PAGE_SIZE as usize, 0)?;
-        self.owners.insert(pfn.0, FrameOwner::Kernel);
+        self.state.owners.insert(pfn.0, FrameOwner::Kernel);
         Ok(pfn)
     }
 
@@ -917,13 +890,14 @@ impl Kernel {
         pfn: Pfn,
         writable: bool,
     ) -> Result<(), VmError> {
-        if !matches!(self.owners.get(&pfn.0), Some(FrameOwner::Kernel)) {
+        if !matches!(self.state.owners.get(&pfn.0), Some(FrameOwner::Kernel)) {
             return Err(VmError::NotMapped { va });
         }
         self.check_range(pid, va, PAGE_SIZE)?;
         let flags = if writable { PteFlags::user_data() } else { PteFlags::user_readonly() };
         self.map_page(pid, va, pfn, flags)?;
-        self.processes
+        self.state
+            .processes
             .get_mut(&pid.0)
             .ok_or(VmError::NoSuchProcess { pid })?
             .mappings
@@ -945,23 +919,23 @@ impl Kernel {
         // larger than memory fails allocation, not the list's reservation.
         let mut frames = Vec::new();
         for _ in 0..len / PAGE_SIZE {
-            match self.alloc.alloc_page(GfpFlags::HIGHUSER) {
+            match self.state.alloc.alloc_page(GfpFlags::HIGHUSER) {
                 Ok(pfn) => frames.push(pfn),
                 Err(e) => {
                     for pfn in frames {
-                        self.alloc.free_pages(pfn, 0).expect("a frame just allocated frees");
+                        self.state.alloc.free_pages(pfn, 0).expect("a frame just allocated frees");
                     }
                     return Err(e.into());
                 }
             }
         }
-        let id = FileId(self.next_file);
-        self.next_file += 1;
+        let id = FileId(self.state.next_file);
+        self.state.next_file += 1;
         for &pfn in &frames {
             self.dram.fill(pfn.addr().0, PAGE_SIZE as usize, 0)?;
-            self.owners.insert(pfn.0, FrameOwner::File { id });
+            self.state.owners.insert(pfn.0, FrameOwner::File { id });
         }
-        self.files.insert(id.0, FileObject::new(id, frames));
+        self.state.files.insert(id.0, FileObject::new(id, frames));
         Ok(id)
     }
 
@@ -979,19 +953,20 @@ impl Kernel {
         writable: bool,
     ) -> Result<(), VmError> {
         let frames: Vec<Pfn> =
-            self.files.get(&file.0).ok_or(VmError::NoSuchFile)?.frames().to_vec();
+            self.state.files.get(&file.0).ok_or(VmError::NoSuchFile)?.frames().to_vec();
         self.check_range(pid, va, frames.len() as u64 * PAGE_SIZE)?;
         for (i, pfn) in frames.iter().enumerate() {
             let page_va = va.offset(i as u64 * PAGE_SIZE);
             let flags = if writable { PteFlags::user_data() } else { PteFlags::user_readonly() };
             self.map_page(pid, page_va, *pfn, flags)?;
-            self.processes
+            self.state
+                .processes
                 .get_mut(&pid.0)
                 .expect("checked")
                 .mappings
                 .insert(page_va.0, MappingKind::File { id: file, page_index: i });
         }
-        self.files.get_mut(&file.0).expect("checked").add_mapping();
+        self.state.files.get_mut(&file.0).expect("checked").add_mapping();
         Ok(())
     }
 
@@ -1043,6 +1018,7 @@ impl Kernel {
         for i in 0..len / PAGE_SIZE {
             let page_va = va.offset(i * PAGE_SIZE);
             let kind = self
+                .state
                 .processes
                 .get_mut(&pid.0)
                 .ok_or(VmError::NoSuchProcess { pid })?
@@ -1055,14 +1031,14 @@ impl Kernel {
                 self.dram.write_u64(leaf_addr, Pte::EMPTY.0)?;
             }
             self.invalidate_translation(pid, page_va);
-            self.stats.unmaps += 1;
+            self.state.stats.unmaps += 1;
             match kind {
                 MappingKind::Anonymous { pfn } => {
-                    self.owners.remove(&pfn.0);
-                    self.alloc.free_pages(pfn, 0)?;
+                    self.state.owners.remove(&pfn.0);
+                    self.state.alloc.free_pages(pfn, 0)?;
                 }
                 MappingKind::File { id, .. } => {
-                    if let Some(f) = self.files.get_mut(&id.0) {
+                    if let Some(f) = self.state.files.get_mut(&id.0) {
                         f.remove_mapping();
                     }
                 }
@@ -1124,7 +1100,7 @@ impl Kernel {
     ///
     /// Translation faults; [`VmError::NoSuchProcess`].
     pub fn translate(&mut self, pid: Pid, va: VirtAddr, access: Access) -> Result<u64, VmError> {
-        if let Some(hit) = self.tlb.lookup(pid, va) {
+        if let Some(hit) = self.state.tlb.lookup(pid, va) {
             let ok = (!access.write || hit.writable) && (!access.user || hit.user);
             if ok {
                 return Ok(hit.page_base + va.page_offset());
@@ -1144,28 +1120,28 @@ impl Kernel {
         va: VirtAddr,
         access: Access,
     ) -> Result<u64, VmError> {
-        let start = match self.psc.lookup(pid, va) {
+        let start = match self.state.psc.lookup(pid, va) {
             Some((level, e)) => {
                 WalkStart { level, table: e.table, user: e.user, writable: e.writable }
             }
             None => WalkStart::root(cr3),
         };
-        let walk = self.walker.walk_phys(&mut self.dram, start, va, access)?;
-        self.stats.walks += 1;
+        let walk = self.state.walker.walk_phys(&mut self.dram, start, va, access)?;
+        self.state.stats.walks += 1;
         // Cache each non-leaf entry with the cumulative permission AND
         // folded down from the resume point, as hardware does.
         let (mut user, mut writable) = (start.user, start.writable);
         for (level, pte) in walk.intermediates.into_iter().flatten() {
             user &= pte.user();
             writable &= pte.writable();
-            self.psc.insert(
+            self.state.psc.insert(
                 pid,
                 va,
                 level,
                 PscEntry { table: pte.pfn().0 * PAGE_SIZE, user, writable },
             );
         }
-        self.tlb.insert(
+        self.state.tlb.insert(
             pid,
             va,
             TlbEntry {
@@ -1199,7 +1175,7 @@ impl Kernel {
             let mut off = 0usize;
             while off < buf.len() {
                 let cur = va.offset(off as u64);
-                let phys = match self.tlb.lookup(pid, cur) {
+                let phys = match self.state.tlb.lookup(pid, cur) {
                     Some(hit) if (!access.write || hit.writable) && (!access.user || hit.user) => {
                         hit.page_base + cur.page_offset()
                     }
@@ -1270,8 +1246,8 @@ impl Kernel {
     /// reload semantics, and what an attacker does between hammer reads:
     /// after this every translation re-walks live DRAM from the root.
     pub fn flush_tlb(&mut self) {
-        self.tlb.flush_all();
-        self.psc.flush_all();
+        self.state.tlb.flush_all();
+        self.state.psc.flush_all();
     }
 
     /// `invlpg` for one page: drops `va`'s TLB entry and every
@@ -1287,8 +1263,8 @@ impl Kernel {
     /// requires invalidating both the TLB entry and the paging-structure
     /// caches for the affected range.
     fn invalidate_translation(&mut self, pid: Pid, va: VirtAddr) {
-        self.tlb.flush_page(pid, va);
-        self.psc.invalidate_page(pid, va);
+        self.state.tlb.flush_page(pid, va);
+        self.state.psc.invalidate_page(pid, va);
     }
 
     /// The DRAM row backing `va` for `pid` — what repeated, cache-defeating
@@ -1332,7 +1308,7 @@ impl Kernel {
                         // anywhere), and following them would mislabel
                         // levels or loop.
                         let is_expected_child = matches!(
-                            self.owners.get(&pte.pfn().0),
+                            self.state.owners.get(&pte.pfn().0),
                             Some(FrameOwner::PageTable { pid: p, level: l })
                                 if *p == pid && *l == child
                         );
@@ -1505,12 +1481,12 @@ mod tests {
         let mut k = kernel();
         let _ = k.create_file(PAGE_SIZE).unwrap();
         let free = k.allocator().free_page_count();
-        let owners = k.owners.clone();
+        let owners = k.state.owners.clone();
         // One page more than memory holds: allocation fails partway.
         let err = k.create_file((free + 1) * PAGE_SIZE).unwrap_err();
         assert!(matches!(err, VmError::Alloc(cta_mem::AllocError::OutOfMemory { .. })), "{err:?}");
         assert_eq!(k.allocator().free_page_count(), free);
-        assert_eq!(k.owners, owners);
+        assert_eq!(k.state.owners, owners);
     }
 
     #[test]

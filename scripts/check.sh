@@ -98,9 +98,9 @@ done
 echo "==> malformed recordings fail with an error, not a panic, an abort or a hang"
 # Mutated copies of the goldens, written to a scratch directory (never
 # under fixtures/): an unbounded `pf` must be refused at load, and a
-# one-page templating arena, a 2^40-page spray file and a 2^50-byte
-# machine (whose per-row tables cannot be allocated) must replay to a
-# typed error. Each replay must exit 1, replay-check's failure status:
+# one-page templating arena, a 2^40-page spray file, a 2^50-byte
+# machine (whose per-row tables cannot be allocated) and a machine of
+# 3 KiB rows (not a power of two) must replay to a typed error. Each replay must exit 1, replay-check's failure status:
 # not 101 (a panic), 134 (an abort) or 124 (`timeout` fired).
 mutants=$(mktemp -d)
 trap 'rm -rf "$mutants"' EXIT
@@ -116,6 +116,8 @@ mutate templating-small 's/"arena_pages": 96/"arena_pages": 1/' templating-arena
 mutate spray-small 's/"file_pages": 2/"file_pages": 1099511627776/' spray-file-2e40
 mutate templating-small 's/"memory_bytes": 8388608/"memory_bytes": 1125899906842624/' \
     templating-memory-2e50
+mutate spray-small 's/"memory_bytes": 8388608, "row_bytes": 4096/"memory_bytes": 6291456, "row_bytes": 3072/' \
+    spray-rows-3072
 for f in "$mutants"/*.recording.json; do
     status=0
     timeout 60 cargo run --release -q -p cta-bench --bin replay-check -- "$f" \
