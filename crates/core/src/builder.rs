@@ -1,6 +1,6 @@
 //! One-stop construction of simulated machines, protected or not.
 
-use cta_dram::{CellLayout, CellType, DisturbanceParams, DramConfig};
+use cta_dram::{CellLayout, CellType, DisturbanceParams, DramConfig, MAX_ROW_BYTES};
 use cta_mem::{PtpSpec, PAGE_SIZE};
 use cta_vm::{Kernel, KernelConfig, VmError};
 
@@ -196,9 +196,10 @@ impl SystemBuilder {
     ///
     /// # Errors
     ///
-    /// [`VmError::BadMemorySize`] unless the row size is a power of two and
-    /// the memory size a nonzero whole number of DRAM rows (and, with CTA, a power of two holding a
-    /// smaller, page-aligned, power-of-two `ZONE_PTP`);
+    /// [`VmError::BadMemorySize`] unless the row size is a power of two of
+    /// at most [`MAX_ROW_BYTES`] and the memory size a nonzero whole number
+    /// of DRAM rows (and, with CTA, a power of two holding a smaller,
+    /// page-aligned, power-of-two `ZONE_PTP`);
     /// [`VmError::ZeroCellPeriod`] if the cell-type alternation period is
     /// zero rows; otherwise propagates kernel boot failures (e.g. an infeasible
     /// `ZONE_PTP`).
@@ -220,6 +221,8 @@ impl SystemBuilder {
         let bytes = self.memory_bytes;
         let reason = if !self.row_bytes.is_power_of_two() {
             "cannot be split into DRAM rows whose size is not a power of two"
+        } else if self.row_bytes > MAX_ROW_BYTES {
+            "cannot be split into DRAM rows wider than 256 MiB"
         } else if bytes < self.row_bytes {
             "does not hold one DRAM row"
         } else if !bytes.is_multiple_of(self.row_bytes) {
@@ -314,6 +317,12 @@ mod tests {
                 "{err}"
             );
         }
+        // Rows past 2^28 bytes are refused before any model sizes one.
+        let err = SystemBuilder::new(1 << 30).row_bytes(1 << 29).build().unwrap_err();
+        assert!(
+            matches!(err, VmError::BadMemorySize { reason, .. } if reason.contains("wider")),
+            "{err}"
+        );
         // A stock machine needs whole rows, not a power of two.
         assert_eq!(SystemBuilder::new(3 << 20).build().unwrap().dram().capacity_bytes(), 3 << 20);
     }

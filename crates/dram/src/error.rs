@@ -47,6 +47,12 @@ pub enum DramError {
         /// Whether refresh was enabled at the time of the call.
         enabled: bool,
     },
+    /// A row is wider than [`MAX_ROW_BYTES`](crate::MAX_ROW_BYTES), past
+    /// what the row models and the contents hash index.
+    RowTooWide {
+        /// The requested row size in bytes.
+        row_bytes: u64,
+    },
     /// The module's per-row tables (row slots and activation counters,
     /// allocated eagerly at construction) do not fit in host memory.
     RowTablesTooLarge {
@@ -77,6 +83,11 @@ impl fmt::Display for DramError {
                 f,
                 "operation conflicts with refresh state (refresh currently {})",
                 if *enabled { "enabled" } else { "disabled" }
+            ),
+            DramError::RowTooWide { row_bytes } => write!(
+                f,
+                "{row_bytes}-byte rows are wider than the {}-byte maximum",
+                crate::MAX_ROW_BYTES
             ),
             DramError::RowTablesTooLarge { rows } => {
                 write!(f, "cannot allocate the per-row tables of a {rows}-row module")

@@ -19,6 +19,21 @@
 //! The state is small and `Copy`: the module keeps the state before each
 //! logical row as a checkpoint, so a journaled trial re-hashes only the
 //! rows from its first dirty row onward.
+//!
+//! Those rows are mostly ones the trial never changed, and FNV-1a is not
+//! linear in its state, so the checkpoint cannot skip them. A row whose
+//! words are mostly uniform compiles instead to a [`RowDigest`]: every
+//! zero and all-ones word is one of the affine maps above, and affine
+//! maps compose (`(a, c)` then `(a', c')` is `(a'·a, a'·c + c')`), so a
+//! run of uniform words between two mixed words (words neither all-zero
+//! nor all-ones) is one map. A mixed word `w`'s round is "xor `w`, then
+//! multiply by `P`"; the multiply joins the run after it. The digest
+//! stores, for each mixed word, the map of the run before it plus `w`,
+//! and ends with the map of the trailing run, so
+//! [`ContentsHasher::apply`] costs one multiply-add and one xor per mixed
+//! word plus one multiply-add — an all-ones row just the last — and reads
+//! none of the row's bytes. Rows with partial words, or more than a
+//! quarter of their words mixed, get no digest.
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
@@ -38,6 +53,95 @@ const ONES_BLOCK_ADD: u64 = {
     }
     h
 };
+
+/// The little-endian words of a 64-byte block.
+fn block_words(block: &[u8; 64]) -> [u64; 8] {
+    std::array::from_fn(|i| u64::from_le_bytes(block.as_chunks::<8>().0[i]))
+}
+
+/// An affine map `h ↦ mul·h + add` of the hash state (mod 2^64).
+#[derive(Clone, Copy)]
+struct Affine {
+    mul: u64,
+    add: u64,
+}
+
+impl Affine {
+    const IDENTITY: Affine = Affine { mul: 1, add: 0 };
+    /// One zero word's round, and the multiply of a mixed word's round.
+    const ZERO_WORD: Affine = Affine { mul: FNV_PRIME, add: 0 };
+    /// One all-ones word's round: `(h ^ !0)·P = -P·h - P`.
+    const ONES_WORD: Affine =
+        Affine { mul: FNV_PRIME.wrapping_neg(), add: FNV_PRIME.wrapping_neg() };
+    const ZERO_BLOCK: Affine = Affine { mul: FNV_PRIME_POW8, add: 0 };
+    const ONES_BLOCK: Affine = Affine { mul: FNV_PRIME_POW8, add: ONES_BLOCK_ADD };
+
+    /// This map followed by `next`.
+    fn then(self, next: Affine) -> Affine {
+        Affine {
+            mul: next.mul.wrapping_mul(self.mul),
+            add: next.mul.wrapping_mul(self.add).wrapping_add(next.add),
+        }
+    }
+
+    fn apply(self, h: u64) -> u64 {
+        self.mul.wrapping_mul(h).wrapping_add(self.add)
+    }
+}
+
+/// A row's effect on the hash state, compiled from its bytes: what
+/// [`ContentsHasher::update`] does with them, without reading them again.
+/// See the module doc for the algebra.
+#[derive(Clone)]
+pub(crate) struct RowDigest {
+    /// Each mixed word, after the map of the uniform run before it (the
+    /// previous mixed word's multiply included).
+    steps: Box<[(Affine, u64)]>,
+    /// The map of the trailing run.
+    tail: Affine,
+}
+
+impl RowDigest {
+    /// Compiles `row`, or `None` if it ends in a partial word or more than
+    /// a quarter of its words are mixed (it hashes as fast from its bytes).
+    pub(crate) fn compile(row: &[u8]) -> Option<RowDigest> {
+        let (blocks, rest) = row.as_chunks::<64>();
+        let (rest, tail) = rest.as_chunks::<8>();
+        if !tail.is_empty() {
+            return None;
+        }
+        let max_steps = row.len() / 32;
+        let mut steps = Vec::new();
+        let mut run = Affine::IDENTITY;
+        let push = |steps: &mut Vec<_>, run: &mut Affine, word: u64| match word {
+            0 => *run = run.then(Affine::ZERO_WORD),
+            u64::MAX => *run = run.then(Affine::ONES_WORD),
+            _ => {
+                steps.push((*run, word));
+                *run = Affine::ZERO_WORD;
+            }
+        };
+        for block in blocks {
+            let words = block_words(block);
+            if words.iter().fold(0, |acc, w| acc | w) == 0 {
+                run = run.then(Affine::ZERO_BLOCK);
+            } else if words.iter().fold(!0, |acc, w| acc & w) == !0 {
+                run = run.then(Affine::ONES_BLOCK);
+            } else {
+                for w in words {
+                    push(&mut steps, &mut run, w);
+                }
+                if steps.len() > max_steps {
+                    return None;
+                }
+            }
+        }
+        for &w in rest {
+            push(&mut steps, &mut run, u64::from_le_bytes(w));
+        }
+        (steps.len() <= max_steps).then(|| RowDigest { steps: steps.into_boxed_slice(), tail: run })
+    }
+}
 
 /// Streaming state: chunk boundaries (row boundaries, for rows that are
 /// not a multiple of 8 bytes) are invisible in the result. `Copy`, so a
@@ -88,8 +192,7 @@ impl ContentsHasher {
         }
         let (blocks, rest) = bytes.as_chunks::<64>();
         for block in blocks {
-            let words: [u64; 8] =
-                std::array::from_fn(|i| u64::from_le_bytes(block.as_chunks::<8>().0[i]));
+            let words = block_words(block);
             if words.iter().fold(0, |acc, w| acc | w) == 0 {
                 self.hash = self.hash.wrapping_mul(FNV_PRIME_POW8);
             } else if words.iter().fold(!0, |acc, w| acc & w) == !0 {
@@ -108,16 +211,26 @@ impl ContentsHasher {
         self.npending = tail.len();
     }
 
-    /// Feeds `len` zero bytes.
-    pub(crate) fn zeros(&mut self, len: usize) {
-        let len = len - self.top_up(None, len);
+    /// Feeds `len` zero bytes (a row: rows are at most 2^28 bytes).
+    pub(crate) fn zeros(&mut self, len: u32) {
+        let len = len - self.top_up(None, len as usize) as u32;
         if self.npending > 0 {
             return;
         }
-        let words = u32::try_from(len / 8).expect("a row has fewer than 2^32 words");
-        self.hash = self.hash.wrapping_mul(FNV_PRIME.wrapping_pow(words));
-        self.pending[..len % 8].fill(0);
-        self.npending = len % 8;
+        self.hash = self.hash.wrapping_mul(FNV_PRIME.wrapping_pow(len / 8));
+        self.npending = (len % 8) as usize;
+        self.pending[..self.npending].fill(0);
+    }
+
+    /// Feeds the row `digest` was compiled from. Rows of whole words
+    /// start on a word boundary, so no partial word is pending.
+    pub(crate) fn apply(&mut self, digest: &RowDigest) {
+        debug_assert_eq!(self.npending, 0, "a digested row starts on a word boundary");
+        let mut h = self.hash;
+        for &(run, word) in &digest.steps {
+            h = run.apply(h) ^ word;
+        }
+        self.hash = digest.tail.apply(h);
     }
 
     /// The hash of everything fed: the trailing partial word goes in byte
@@ -174,7 +287,7 @@ mod tests {
                 for piece in data.chunks(chunk) {
                     streamed.update(piece);
                     if piece.iter().all(|&b| b == 0) {
-                        zeroed.zeros(piece.len());
+                        zeroed.zeros(piece.len() as u32);
                     } else {
                         zeroed.update(piece);
                     }
@@ -183,6 +296,47 @@ mod tests {
                 assert_eq!(zeroed.finish(), reference(&data), "chunk {chunk} with zero runs");
             }
         }
+    }
+
+    #[test]
+    fn a_digest_applies_as_its_row_updates_from_any_state() {
+        // Mixed words at every position of a block and in the trailing
+        // words past the last whole block, between zero and all-ones runs.
+        let row = |len: usize, mixed: &[usize], ones: std::ops::Range<usize>| -> Vec<u8> {
+            let mut words = vec![0u64; len / 8];
+            words[ones].fill(!0);
+            for &i in mixed {
+                words[i] = 0x0123_4567_89AB_CDEF ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            }
+            words.iter().flat_map(|w| w.to_le_bytes()).collect()
+        };
+        let rows = [
+            row(4096, &[], 0..0),
+            row(4096, &[], 0..512),
+            row(4096, &[0, 7, 8, 63, 64, 200, 511], 100..300),
+            row(4096, &(0..128).map(|i| i * 4).collect::<Vec<_>>(), 1..512),
+            row(64, &[3, 7], 0..3),
+            row(32, &[3], 0..2),
+            row(16, &[], 0..1),
+            row(8, &[], 0..0),
+        ];
+        for bytes in &rows {
+            let digest = RowDigest::compile(bytes).expect("a quarter of words or fewer is mixed");
+            for start in [0u64, 1, !0, FNV_OFFSET, 0xDEAD_BEEF_0BAD_F00D] {
+                let state = ContentsHasher { hash: start, pending: [0; 8], npending: 0 };
+                let (mut fed, mut applied) = (state, state);
+                fed.update(bytes);
+                applied.apply(&digest);
+                assert_eq!(applied.hash, fed.hash, "{}-byte row from {start:#x}", bytes.len());
+                assert_eq!(applied.npending, 0);
+            }
+        }
+        // Past a quarter mixed, or ending in a partial word: no digest.
+        assert!(RowDigest::compile(&row(4096, &(0..129).collect::<Vec<_>>(), 0..0)).is_none());
+        assert!(RowDigest::compile(&row(64, &[1, 2, 3], 0..0)).is_none());
+        assert!(RowDigest::compile(&row(8, &[0], 0..0)).is_none());
+        assert!(RowDigest::compile(&[0xFF; 4]).is_none());
+        assert!(RowDigest::compile(&[0; 12]).is_none());
     }
 
     #[test]

@@ -2,6 +2,11 @@ use std::fmt;
 
 use crate::error::DramError;
 
+/// The widest row a module accepts: 256 MiB, or 2^31 bits, so a bit index
+/// within a row fits in 31 bits and a row's word count in a `u32`. Real
+/// rows are 1–8 KiB.
+pub const MAX_ROW_BYTES: u64 = 1 << 28;
+
 /// Index of a DRAM row, global across all banks of the module.
 ///
 /// Global row indices order rows by ascending physical address under the

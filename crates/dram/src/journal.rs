@@ -37,7 +37,11 @@
 //! stores as the trial left them. The next trial on the parent finds
 //! every map an earlier trial built instead of regenerating it, while its
 //! accounting — the only part telemetry can see — starts from the
-//! restored snapshot.
+//! restored snapshot. Likewise the row store's `contents_hash`
+//! checkpoints and row digests: both describe the contents no journal
+//! has changed, which rollback restores, so a trial leaves them (a row it
+//! changes is saved and hashes from its bytes meanwhile) and the next
+//! trial reuses them. Only a change outside a journal drops them.
 //!
 //! The rollback invariant — pinned by the differential suites — is that a
 //! module after `journal_begin → trial → journal_rollback` is

@@ -6,7 +6,7 @@ use crate::config::DramConfig;
 use crate::defense::{ActivationCtx, DefenseSnapshot, DefenseStats, RowDefense, Verdict};
 use crate::error::DramError;
 use crate::fnv::ContentsHasher;
-use crate::geometry::{DramGeometry, RowId};
+use crate::geometry::{DramGeometry, RowId, MAX_ROW_BYTES};
 use crate::journal::DramJournal;
 use crate::remap::RemapTable;
 use crate::retention::RetentionModel;
@@ -181,15 +181,20 @@ impl DramModule {
     ///
     /// # Errors
     ///
+    /// [`DramError::RowTooWide`] if a row is wider than
+    /// [`MAX_ROW_BYTES`];
     /// [`DramError::RowTablesTooLarge`] if the row slots or activation
     /// counters (a few dozen bytes per row, allocated up front) do not fit
     /// in host memory.
     pub fn try_new(config: DramConfig) -> Result<Self, DramError> {
+        let row_bytes = config.geometry.row_bytes();
+        if row_bytes > MAX_ROW_BYTES {
+            return Err(DramError::RowTooWide { row_bytes });
+        }
         let rows = config.geometry.total_rows();
         let too_large = || DramError::RowTablesTooLarge { rows };
         let total_rows = usize::try_from(rows).map_err(|_| too_large())?;
-        let store = SparseStore::try_new(total_rows, config.geometry.row_bytes() as usize)
-            .ok_or_else(too_large)?;
+        let store = SparseStore::try_new(total_rows, row_bytes as u32).ok_or_else(too_large)?;
         let mut activations = Vec::new();
         activations.try_reserve_exact(total_rows).map_err(|_| too_large())?;
         activations.resize(total_rows, NO_ACTIVATIONS);
@@ -296,6 +301,12 @@ impl DramModule {
     /// Number of rows currently materialized.
     pub fn rows_materialized(&self) -> usize {
         self.store.materialized_count()
+    }
+
+    /// Number of rows holding a compiled contents-hash digest (see
+    /// [`Self::contents_hash`]).
+    pub fn rows_digested(&self) -> usize {
+        self.store.digested_count()
     }
 
     /// The module's configuration.
@@ -617,7 +628,9 @@ impl DramModule {
     /// resumes from the checkpoint at the journal's first dirty row,
     /// filling in missing checkpoints below it from the (clean) current
     /// rows, so a pooled trial re-hashes only the rows it could have
-    /// changed and everything after them.
+    /// changed and everything after them. Of those, a row the journal has
+    /// not saved feeds its cached digest instead of its bytes, once a
+    /// second journaled hash has compiled one.
     pub fn contents_hash(&self) -> u64 {
         let total_rows = self.config.geometry.total_rows();
         let Some(journal) = self.journal.as_deref() else {
@@ -646,12 +659,8 @@ impl DramModule {
 
     /// Feeds logical `rows` to `hasher` in order.
     fn hash_rows(&self, hasher: &mut ContentsHasher, rows: std::ops::Range<u64>) {
-        let row_bytes = self.config.geometry.row_bytes() as usize;
         for row in rows {
-            match self.store.bytes(self.resolve_row(RowId(row)).0) {
-                Some(bytes) => hasher.update(bytes),
-                None => hasher.zeros(row_bytes),
-            }
+            self.store.hash_row(self.resolve_row(RowId(row)).0, hasher);
         }
     }
 
@@ -1691,6 +1700,20 @@ mod tests {
         let mut m = module();
         m.journal_begin();
         let _ = m.fork();
+    }
+
+    #[test]
+    fn rows_wider_than_the_cap_are_a_typed_error() {
+        let config = |row_bytes| DramConfig {
+            geometry: DramGeometry::new(row_bytes, 2, 1, AddressMapping::RowLinear),
+            ..DramConfig::small_test()
+        };
+        // Sparse rows cost nothing until written, so the widest row is cheap.
+        assert!(DramModule::try_new(config(MAX_ROW_BYTES)).is_ok());
+        for row_bytes in [MAX_ROW_BYTES * 2, 1 << 40] {
+            let err = DramModule::try_new(config(row_bytes)).err();
+            assert_eq!(err, Some(DramError::RowTooWide { row_bytes }));
+        }
     }
 
     #[test]

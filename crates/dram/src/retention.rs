@@ -168,9 +168,8 @@ impl RetentionModel {
     ///
     /// A bit drawn twice keeps its first draw, as a stable sort by bit plus
     /// dedup would: draw `i` of bit `b` sorts as the key `b << 32 | i`, so
-    /// one unstable sort of packed keys orders by bit, then by draw.
-    /// Rows of more than 2^32 bits (or more than 2^32 draws) sort
-    /// `(bit, draw)` pairs instead, in the same order.
+    /// one unstable sort of packed keys orders by bit, then by draw. A row
+    /// has at most 2^31 bits (`MAX_ROW_BYTES`), so `b` fits above the draw.
     fn generate_long_cells(&self, row: RowId) -> Rc<[LongCell]> {
         let mut rng = stream_rng(self.seed ^ RETN_SALT, row.0);
         let n = poisson(&mut rng, self.bits_per_row as f64 * self.params.long_fraction);
@@ -181,20 +180,14 @@ impl RetentionModel {
             keys.push(rng.gen_range(0..self.bits_per_row));
             retentions.push(self.params.long_min_ns + (rng.gen::<f64>() * span) as u64);
         }
-        let cell = |bit: u64, draw: usize| LongCell { bit, retention_ns: retentions[draw] };
-        if self.bits_per_row <= 1 << 32 && n <= 1 << 32 {
-            for (key, draw) in keys.iter_mut().zip(0..) {
-                *key = *key << 32 | draw;
-            }
-            keys.sort_unstable();
-            keys.dedup_by_key(|k| *k >> 32);
-            keys.iter().map(|&k| cell(k >> 32, k as u32 as usize)).collect()
-        } else {
-            let mut keys: Vec<(u64, usize)> = keys.into_iter().zip(0..).collect();
-            keys.sort_unstable();
-            keys.dedup_by_key(|k| k.0);
-            keys.iter().map(|&(bit, draw)| cell(bit, draw)).collect()
+        for (key, draw) in keys.iter_mut().zip(0..) {
+            *key = *key << 32 | draw;
         }
+        keys.sort_unstable();
+        keys.dedup_by_key(|k| *k >> 32);
+        keys.iter()
+            .map(|&k| LongCell { bit: k >> 32, retention_ns: retentions[k as u32 as usize] })
+            .collect()
     }
 
     /// The long-cell draws of `row` in stream order, duplicates kept: a
@@ -733,15 +726,10 @@ mod tests {
     fn packed_key_long_cells_match_the_stable_sort_oracle() {
         let mut conflicting_duplicates = 0usize;
         // Dense populations on small rows draw the same bit twice with
-        // different retentions; rows past 2^32 bits take the pair sort.
-        for (nbits, long_fraction) in [
-            (8u64, 0.5),
-            (64, 0.5),
-            (512, 0.2),
-            (4096 * 8, 1e-3),
-            (4096 * 8, 0.05),
-            (1 << 33, 1e-8),
-        ] {
+        // different retentions.
+        for (nbits, long_fraction) in
+            [(8u64, 0.5), (64, 0.5), (512, 0.2), (4096 * 8, 1e-3), (4096 * 8, 0.05)]
+        {
             let p = RetentionParams { long_fraction, ..RetentionParams::default() };
             for seed in [0xFEED, 1, u64::MAX] {
                 let m = RetentionModel::new(p, nbits, seed);

@@ -3,10 +3,10 @@
 //! from, indexed by *backing* row id (remap resolution happens above this
 //! layer, in `DramModule`).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::ops::Range;
 
-use crate::fnv::ContentsHasher;
+use crate::fnv::{ContentsHasher, RowDigest};
 
 /// Mutable view of one materialized row: its cell bytes plus the charge
 /// timestamp the retention model decays from.
@@ -29,6 +29,10 @@ struct RowBuf {
     /// journal: rollback replaces every row that set it with its
     /// pre-image, taken before the bit was set.
     saved: bool,
+    /// Clean hashes of the row (see [`SparseStore::hash_row`]) since its
+    /// last change outside a journal, counted up to 2: the second compiles
+    /// its digest.
+    clean_hashes: Cell<u8>,
 }
 
 /// Rows materialize on first write, so memory scales with the number of
@@ -45,11 +49,12 @@ struct RowBuf {
 /// existence — goes through one private funnel, so the store journals
 /// itself: while a journal is open, a row's slot is saved before its
 /// first change, and [`Self::journal_rollback`] moves the saved slots
-/// back. Outside a journal the same funnel clears [`Self::checkpoints`].
+/// back. Outside a journal the same funnel clears [`Self::checkpoints`]
+/// and drops the changed row's digest.
 #[derive(Clone)]
 pub(crate) struct SparseStore {
     rows: Vec<Option<RowBuf>>,
-    row_bytes: usize,
+    row_bytes: u32,
     /// Each row changed since [`Self::journal_begin`], once, with its slot
     /// as it was before that change; `None` while no journal is open.
     journal: Option<Vec<(u64, Option<RowBuf>)>>,
@@ -60,16 +65,30 @@ pub(crate) struct SparseStore {
     /// remap clears them in the module. A `RefCell` because
     /// `contents_hash` takes `&self` and extends them lazily.
     pub(crate) checkpoints: RefCell<Vec<ContentsHasher>>,
+    /// Row digests by backing row, allocated by the first compile; `None`
+    /// for a row too mixed to digest. Like the checkpoints, a digest
+    /// describes the row's contents as no journal has changed them: a
+    /// journaled change leaves it, since the changed row is saved and
+    /// hashes from its bytes until rollback restores the bytes the digest
+    /// describes, and a change outside a journal drops it. A row the
+    /// journal created is saved too, so an unmaterialized row has none.
+    digests: RefCell<Vec<Option<Box<RowDigest>>>>,
 }
 
 impl SparseStore {
     /// Creates a store of `total_rows` rows of `row_bytes` each, all
     /// unmaterialized, or `None` if its row table does not fit in memory.
-    pub(crate) fn try_new(total_rows: usize, row_bytes: usize) -> Option<Self> {
+    pub(crate) fn try_new(total_rows: usize, row_bytes: u32) -> Option<Self> {
         let mut rows = Vec::new();
         rows.try_reserve_exact(total_rows).ok()?;
         rows.resize_with(total_rows, || None);
-        Some(SparseStore { rows, row_bytes, journal: None, checkpoints: RefCell::default() })
+        Some(SparseStore {
+            rows,
+            row_bytes,
+            journal: None,
+            checkpoints: RefCell::default(),
+            digests: RefCell::default(),
+        })
     }
 
     /// Read-only view of a row's contents, `None` if never materialized
@@ -94,7 +113,7 @@ impl SparseStore {
     /// [`Self::materialize`] would. A never-materialized row that `cols`
     /// covers whole is created at `byte` instead of at zeros first.
     pub(crate) fn fill(&mut self, row: u64, now_ns: u64, cols: Range<usize>, byte: u8) {
-        if cols.len() == self.row_bytes && self.rows[row as usize].is_none() {
+        if cols.len() == self.row_bytes as usize && self.rows[row as usize].is_none() {
             self.create(row, byte, now_ns);
         } else {
             self.materialize(row, now_ns).bytes[cols].fill(byte);
@@ -146,6 +165,41 @@ impl SparseStore {
         self.rows.iter().filter(|r| r.is_some()).count()
     }
 
+    /// Feeds a row to `hasher`: a never-materialized row as zeros, and a
+    /// materialized one from its bytes — unless a journal is open and has
+    /// not saved the row. That clean row's second such hash compiles its
+    /// digest, and from then on the digest stands in for its bytes, so a
+    /// module hashed once (a single-use parent) compiles none.
+    pub(crate) fn hash_row(&self, row: u64, hasher: &mut ContentsHasher) {
+        let Some(buf) = &self.rows[row as usize] else {
+            return hasher.zeros(self.row_bytes);
+        };
+        if self.journal.is_none() || buf.saved {
+            return hasher.update(&buf.bytes);
+        }
+        let mut digests = self.digests.borrow_mut();
+        match buf.clean_hashes.get() {
+            0 => buf.clean_hashes.set(1),
+            1 => {
+                buf.clean_hashes.set(2);
+                if digests.is_empty() {
+                    digests.resize_with(self.rows.len(), || None);
+                }
+                digests[row as usize] = RowDigest::compile(&buf.bytes).map(Box::new);
+            }
+            _ => {}
+        }
+        match digests.get(row as usize).and_then(Option::as_deref) {
+            Some(digest) => hasher.apply(digest),
+            None => hasher.update(&buf.bytes),
+        }
+    }
+
+    /// Number of rows holding a compiled digest.
+    pub(crate) fn digested_count(&self) -> usize {
+        self.digests.borrow().iter().flatten().count()
+    }
+
     /// Opens a journal: from now on each row's slot is saved before its
     /// first change.
     pub(crate) fn journal_begin(&mut self) {
@@ -169,7 +223,7 @@ impl SparseStore {
 
     /// The funnel every change to a materialized row passes: saves the
     /// row's pre-image on its first change under a journal, and clears
-    /// the hash checkpoints on a change outside one. `None` if the row was
+    /// the hash checkpoints and the row's digest on a change outside one. `None` if the row was
     /// never materialized.
     #[inline]
     fn buf_mut(&mut self, row: u64) -> Option<&mut RowBuf> {
@@ -180,7 +234,13 @@ impl SparseStore {
                     journal.push((row, Some(buf.clone())));
                     buf.saved = true;
                 }
-                None => self.checkpoints.get_mut().clear(),
+                None => {
+                    self.checkpoints.get_mut().clear();
+                    if let Some(digest) = self.digests.get_mut().get_mut(row as usize) {
+                        *digest = None;
+                    }
+                    buf.clean_hashes.set(0);
+                }
             }
         }
         Some(buf)
@@ -195,10 +255,11 @@ impl SparseStore {
             None => self.checkpoints.get_mut().clear(),
         }
         self.rows[row as usize] = Some(RowBuf {
-            bytes: vec![byte; self.row_bytes].into_boxed_slice(),
+            bytes: vec![byte; self.row_bytes as usize].into_boxed_slice(),
             last_charge_ns: now_ns,
             settled: false,
             saved: self.journal.is_some(),
+            clean_hashes: Cell::new(0),
         });
     }
 }
@@ -209,6 +270,13 @@ mod tests {
 
     fn store() -> SparseStore {
         SparseStore::try_new(8, 64).unwrap()
+    }
+
+    #[test]
+    fn a_row_slot_stays_four_words() {
+        // The row table is allocated for every row, materialized or not;
+        // the digest counter fits in the slot's padding.
+        assert_eq!(std::mem::size_of::<Option<RowBuf>>(), 32);
     }
 
     #[test]

@@ -99,8 +99,9 @@ echo "==> malformed recordings fail with an error, not a panic, an abort or a ha
 # Mutated copies of the goldens, written to a scratch directory (never
 # under fixtures/): an unbounded `pf` must be refused at load, and a
 # one-page templating arena, a 2^40-page spray file, a 2^50-byte
-# machine (whose per-row tables cannot be allocated) and a machine of
-# 3 KiB rows (not a power of two) must replay to a typed error. Each replay must exit 1, replay-check's failure status:
+# machine (whose per-row tables cannot be allocated), a machine of
+# 3 KiB rows (not a power of two) and one of 512 MiB rows (past the row
+# cap) must replay to a typed error. Each replay must exit 1, replay-check's failure status:
 # not 101 (a panic), 134 (an abort) or 124 (`timeout` fired).
 mutants=$(mktemp -d)
 trap 'rm -rf "$mutants"' EXIT
@@ -118,6 +119,8 @@ mutate templating-small 's/"memory_bytes": 8388608/"memory_bytes": 1125899906842
     templating-memory-2e50
 mutate spray-small 's/"memory_bytes": 8388608, "row_bytes": 4096/"memory_bytes": 6291456, "row_bytes": 3072/' \
     spray-rows-3072
+mutate spray-small 's/"memory_bytes": 8388608, "row_bytes": 4096/"memory_bytes": 1073741824, "row_bytes": 536870912/' \
+    spray-rows-2e29
 for f in "$mutants"/*.recording.json; do
     status=0
     timeout 60 cargo run --release -q -p cta-bench --bin replay-check -- "$f" \
