@@ -405,9 +405,12 @@ fn run_trials(
     if spec.flip_log_capacity == 0 {
         return Err(RecordingError::RetentionDisabled);
     }
-    let shards = cta_parallel::try_parallel_map(spec.seeds.len(), spec.threads.max(1), |i| {
-        run_trial(spec, target, spec.seeds[i])
-    })?;
+    let shards = cta_parallel::try_parallel_map(
+        spec.seeds.len(),
+        spec.threads.max(1),
+        || (),
+        |_, i| run_trial(spec, target, spec.seeds[i]),
+    )?;
 
     let mut counters = Counters::new(RECORDING_LABEL);
     let mut trials = Vec::with_capacity(shards.len());

@@ -2,10 +2,13 @@
 //! shapes (the paper's 8 GiB and 128 GiB hosts, scaled to simulator size
 //! while preserving the `ZONE_PTP`:memory ratio).
 //!
-//! Benchmark×repetition cells run through [`Runner::compare_many`], which
-//! parallelizes across worker threads while keeping simulated results
-//! bit-identical to the serial loop (`--threads 1` *is* the serial loop).
-//! Wall-clock deltas are host measurements and remain noisy either way.
+//! Benchmark×repetition cells run through [`Runner::compare_many`]: each
+//! worker thread boots one stock and one CTA parent per machine shape and
+//! runs every cell on them under an undo journal, rolled back after the
+//! cell. Simulated results are bit-identical to booting a fresh machine
+//! per cell, at any `--threads` (`--threads 1` runs the cells serially on
+//! the calling thread). Wall-clock deltas are host measurements and remain
+//! noisy either way.
 
 use cta_bench::{emit_telemetry, header, kv};
 use cta_core::SystemBuilder;

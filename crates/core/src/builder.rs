@@ -1,6 +1,6 @@
 //! One-stop construction of simulated machines, protected or not.
 
-use cta_dram::{CellLayout, CellType, DisturbanceParams, DramConfig, MAX_ROW_BYTES};
+use cta_dram::{CellLayout, CellType, DisturbanceParams, DramConfig, DramError, MAX_ROW_BYTES};
 use cta_mem::{PtpSpec, PAGE_SIZE};
 use cta_vm::{Kernel, KernelConfig, VmError};
 
@@ -198,8 +198,9 @@ impl SystemBuilder {
     ///
     /// [`VmError::BadMemorySize`] unless the row size is a power of two of
     /// at most [`MAX_ROW_BYTES`] and the memory size a nonzero whole number
-    /// of DRAM rows (and, with CTA, a power of two holding a smaller,
-    /// page-aligned, power-of-two `ZONE_PTP`);
+    /// of at most [`MAX_ROWS`](cta_dram::MAX_ROWS) DRAM rows (and, with
+    /// CTA, a power of two holding a smaller, page-aligned, power-of-two
+    /// `ZONE_PTP`);
     /// [`VmError::ZeroCellPeriod`] if the cell-type alternation period is
     /// zero rows; otherwise propagates kernel boot failures (e.g. an infeasible
     /// `ZONE_PTP`).
@@ -208,7 +209,13 @@ impl SystemBuilder {
         if self.cell_period_rows == 0 {
             return Err(VmError::ZeroCellPeriod);
         }
-        let mut kernel = Kernel::new(self.to_config())?;
+        let mut kernel = Kernel::new(self.to_config()).map_err(|e| match e {
+            VmError::Dram(DramError::TooManyRows { .. }) => VmError::BadMemorySize {
+                bytes: self.memory_bytes,
+                reason: "holds more than 2^32 DRAM rows",
+            },
+            e => e,
+        })?;
         if let Some(hook) = self.defense.instantiate().row_hook() {
             kernel.install_row_defense(hook);
         }
@@ -245,7 +252,6 @@ impl SystemBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cta_dram::DramError;
 
     #[test]
     fn unprotected_build() {
@@ -328,13 +334,18 @@ mod tests {
     }
 
     #[test]
-    fn a_module_too_large_for_its_row_tables_is_a_typed_error() {
-        // 2^50 rows: their tables need 2^55 bytes, past any host's address
-        // space, so the allocation fails on every overcommit policy.
-        let bytes = 1u64 << 62;
-        for protected in [false, true] {
-            let err = SystemBuilder::new(bytes).protected(protected).build().unwrap_err();
-            assert_eq!(err, VmError::Dram(DramError::RowTablesTooLarge { rows: 1 << 50 }), "{err}");
+    fn a_module_of_more_than_2_32_rows_is_a_typed_error() {
+        // 2^33 and 2^50 rows of 4 KiB: refused by the row cap before any
+        // per-row table is reserved.
+        for bytes in [1u64 << 45, 1 << 62] {
+            for protected in [false, true] {
+                let err = SystemBuilder::new(bytes).protected(protected).build().unwrap_err();
+                assert!(
+                    matches!(err, VmError::BadMemorySize { bytes: b, reason }
+                        if b == bytes && reason.contains("2^32 DRAM rows")),
+                    "{err}"
+                );
+            }
         }
     }
 

@@ -53,6 +53,11 @@ pub enum DramError {
         /// The requested row size in bytes.
         row_bytes: u64,
     },
+    /// A module has more than [`MAX_ROWS`](crate::MAX_ROWS) rows.
+    TooManyRows {
+        /// Number of rows in the module.
+        rows: u64,
+    },
     /// The module's per-row tables (row slots and activation counters,
     /// allocated eagerly at construction) do not fit in host memory.
     RowTablesTooLarge {
@@ -89,6 +94,9 @@ impl fmt::Display for DramError {
                 "{row_bytes}-byte rows are wider than the {}-byte maximum",
                 crate::MAX_ROW_BYTES
             ),
+            DramError::TooManyRows { rows } => {
+                write!(f, "{rows} rows are more than the {}-row maximum", crate::MAX_ROWS)
+            }
             DramError::RowTablesTooLarge { rows } => {
                 write!(f, "cannot allocate the per-row tables of a {rows}-row module")
             }

@@ -7,6 +7,9 @@ use crate::error::DramError;
 /// rows are 1–8 KiB.
 pub const MAX_ROW_BYTES: u64 = 1 << 28;
 
+/// The most rows a module accepts: 2^32, so a row index fits in a `u32`.
+pub const MAX_ROWS: u64 = 1 << 32;
+
 /// Index of a DRAM row, global across all banks of the module.
 ///
 /// Global row indices order rows by ascending physical address under the

@@ -75,7 +75,7 @@ pub use defense::{
 };
 pub use ecc::{EccRegion, EccResult, EccScrubStats, Secded};
 pub use error::DramError;
-pub use geometry::{AddressMapping, BankCoord, DramGeometry, RowId, MAX_ROW_BYTES};
+pub use geometry::{AddressMapping, BankCoord, DramGeometry, RowId, MAX_ROWS, MAX_ROW_BYTES};
 pub use module::DramModule;
 pub use profiler::{
     profile_cell_types, profile_retention, CellTypeProfile, ProfilerConfig, RetentionCanary,

@@ -6,7 +6,7 @@ use crate::config::DramConfig;
 use crate::defense::{ActivationCtx, DefenseSnapshot, DefenseStats, RowDefense, Verdict};
 use crate::error::DramError;
 use crate::fnv::ContentsHasher;
-use crate::geometry::{DramGeometry, RowId, MAX_ROW_BYTES};
+use crate::geometry::{DramGeometry, RowId, MAX_ROWS, MAX_ROW_BYTES};
 use crate::journal::DramJournal;
 use crate::remap::RemapTable;
 use crate::retention::RetentionModel;
@@ -183,6 +183,7 @@ impl DramModule {
     ///
     /// [`DramError::RowTooWide`] if a row is wider than
     /// [`MAX_ROW_BYTES`];
+    /// [`DramError::TooManyRows`] if it has more than [`MAX_ROWS`] rows;
     /// [`DramError::RowTablesTooLarge`] if the row slots or activation
     /// counters (a few dozen bytes per row, allocated up front) do not fit
     /// in host memory.
@@ -192,6 +193,9 @@ impl DramModule {
             return Err(DramError::RowTooWide { row_bytes });
         }
         let rows = config.geometry.total_rows();
+        if rows > MAX_ROWS {
+            return Err(DramError::TooManyRows { rows });
+        }
         let too_large = || DramError::RowTablesTooLarge { rows };
         let total_rows = usize::try_from(rows).map_err(|_| too_large())?;
         let store = SparseStore::try_new(total_rows, row_bytes as u32).ok_or_else(too_large)?;
@@ -1713,6 +1717,21 @@ mod tests {
         for row_bytes in [MAX_ROW_BYTES * 2, 1 << 40] {
             let err = DramModule::try_new(config(row_bytes)).err();
             assert_eq!(err, Some(DramError::RowTooWide { row_bytes }));
+        }
+    }
+
+    #[test]
+    fn more_rows_than_the_cap_are_a_typed_error() {
+        // Refused before any per-row table is reserved, so no host memory
+        // is asked for.
+        for (rows_per_bank, banks) in [(MAX_ROWS + 1, 1), (MAX_ROWS / 2 + 1, 2), (1 << 50, 4)] {
+            let config = DramConfig {
+                geometry: DramGeometry::new(4096, rows_per_bank, banks, AddressMapping::RowLinear),
+                ..DramConfig::small_test()
+            };
+            let rows = rows_per_bank * banks as u64;
+            let err = DramModule::try_new(config).err();
+            assert_eq!(err, Some(DramError::TooManyRows { rows }));
         }
     }
 

@@ -198,19 +198,24 @@ pub struct ZonedAllocator {
 
 impl ZonedAllocator {
     /// Builds the allocator for a memory map.
-    pub fn new(map: MemoryMap) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`AllocError::FrameTableTooLarge`] if a zone's buddy tables do not
+    /// fit in host memory.
+    pub fn new(map: MemoryMap) -> Result<Self, AllocError> {
         let zones = map
             .zones
             .iter()
             .map(|(kind, specs)| Zone::from_subzones(*kind, specs.clone()))
-            .collect();
-        ZonedAllocator {
+            .collect::<Result<_, _>>()?;
+        Ok(ZonedAllocator {
             zones,
             total_bytes: map.total_bytes,
             ptp: map.ptp,
             strict_user: map.strict_user,
             stats: AllocStats::default(),
-        }
+        })
     }
 
     /// Whether user allocations are hard-partitioned (CATT layout).
@@ -397,7 +402,7 @@ mod tests {
     #[test]
     fn normal_request_falls_back_downward() {
         let map = MemoryMap::x86_64(32 * MIB); // DMA 16 MiB + DMA32 16 MiB
-        let mut a = ZonedAllocator::new(map);
+        let mut a = ZonedAllocator::new(map).unwrap();
         // Preference NORMAL: no NORMAL zone; served by DMA32 (fallback count
         // starts after the first *existing* zone attempt).
         let p = a.alloc_pages(GfpFlags::KERNEL, 0).unwrap();
@@ -415,7 +420,7 @@ mod tests {
     #[test]
     fn dma_request_never_climbs() {
         let map = MemoryMap::x86_64(32 * MIB);
-        let mut a = ZonedAllocator::new(map);
+        let mut a = ZonedAllocator::new(map).unwrap();
         let dma_pages = a.zone(ZoneKind::Dma).unwrap().free_pages();
         for _ in 0..dma_pages {
             let p = a.alloc_pages(GfpFlags::DMA, 0).unwrap();
@@ -434,7 +439,7 @@ mod tests {
         let layout =
             PtpLayout::build(&cells, 64 * MIB, &PtpSpec::paper_default().with_size(4 * MIB))
                 .unwrap();
-        ZonedAllocator::new(MemoryMap::x86_64(64 * MIB).with_cta(layout))
+        ZonedAllocator::new(MemoryMap::x86_64(64 * MIB).with_cta(layout)).unwrap()
     }
 
     #[test]
@@ -476,7 +481,7 @@ mod tests {
 
     #[test]
     fn ptp_request_without_cta_fails() {
-        let mut a = ZonedAllocator::new(MemoryMap::x86_64(32 * MIB));
+        let mut a = ZonedAllocator::new(MemoryMap::x86_64(32 * MIB)).unwrap();
         assert!(matches!(a.alloc_pages(GfpFlags::PTP, 0), Err(AllocError::NoPtpZone)));
     }
 
@@ -491,7 +496,7 @@ mod tests {
         )
         .unwrap();
         let trusted = layout.trusted_ranges().to_vec();
-        let mut a = ZonedAllocator::new(MemoryMap::x86_64(64 * MIB).with_cta(layout));
+        let mut a = ZonedAllocator::new(MemoryMap::x86_64(64 * MIB).with_cta(layout)).unwrap();
         while let Ok(p) = a.alloc_pages(GfpFlags::HIGHUSER, 0) {
             let addr = p.addr().0;
             for r in &trusted {
@@ -512,7 +517,7 @@ mod tests {
         let total = 32 * MIB;
         let user = 8 * MIB;
         let guard = 64 * 1024;
-        let mut a = ZonedAllocator::new(MemoryMap::x86_64_with_catt(total, user, guard));
+        let mut a = ZonedAllocator::new(MemoryMap::x86_64_with_catt(total, user, guard)).unwrap();
         assert!(a.strict_user());
         let user_base = total - user;
         let kernel_top = total - user - guard;

@@ -59,6 +59,12 @@ pub enum AllocError {
         /// What the sizes violate.
         reason: &'static str,
     },
+    /// A per-frame table (allocator bookkeeping or the frame-owner map) of
+    /// a range of `frames` frames does not fit in host memory.
+    FrameTableTooLarge {
+        /// Frames the table covers.
+        frames: u64,
+    },
 }
 
 impl fmt::Display for AllocError {
@@ -82,6 +88,9 @@ impl fmt::Display for AllocError {
             ),
             AllocError::BadPtpSize { ptp_bytes, total_bytes, reason } => {
                 write!(f, "a {ptp_bytes}-byte ZONE_PTP in {total_bytes} bytes of memory: {reason}")
+            }
+            AllocError::FrameTableTooLarge { frames } => {
+                write!(f, "cannot allocate the per-frame tables of {frames} frames")
             }
         }
     }

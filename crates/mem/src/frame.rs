@@ -1,5 +1,7 @@
 use std::fmt;
 
+use crate::error::AllocError;
+
 /// Page size in bytes (x86-64 base pages).
 pub const PAGE_SIZE: u64 = 4096;
 
@@ -64,9 +66,40 @@ impl From<u64> for Pfn {
     }
 }
 
+/// A table of `len` entries set to `fill`, or `None` if it cannot be
+/// reserved in host memory.
+pub(crate) fn reserved<T: Clone>(len: u64, fill: T) -> Option<Vec<T>> {
+    let len = usize::try_from(len).ok()?;
+    let mut table = Vec::new();
+    table.try_reserve_exact(len).ok()?;
+    table.resize(len, fill);
+    Some(table)
+}
+
+/// A per-frame table (the simulator's `mem_map`): one `fill` entry for
+/// each of `frames` frames, indexed by frame number.
+///
+/// # Errors
+///
+/// [`AllocError::FrameTableTooLarge`] if the table does not fit in host
+/// memory — a typed error, never an abort.
+pub fn frame_table<T: Clone>(frames: u64, fill: T) -> Result<Vec<T>, AllocError> {
+    reserved(frames, fill).ok_or(AllocError::FrameTableTooLarge { frames })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_frame_table_that_cannot_be_reserved_is_a_typed_error() {
+        // Past `isize::MAX` bytes: refused before any allocator is asked.
+        for frames in [u64::MAX, 1 << 62] {
+            let err = frame_table(frames, 0u16).unwrap_err();
+            assert_eq!(err, AllocError::FrameTableTooLarge { frames });
+        }
+        assert_eq!(frame_table(3, 7u8), Ok(vec![7, 7, 7]));
+    }
 
     #[test]
     fn addr_pfn_round_trip() {

@@ -23,7 +23,7 @@
 //! # fn main() -> Result<(), cta_mem::AllocError> {
 //! // 64 MiB of physical memory, no CTA: the classic x86-64 zone layout.
 //! let map = MemoryMap::x86_64(64 << 20);
-//! let mut alloc = ZonedAllocator::new(map);
+//! let mut alloc = ZonedAllocator::new(map)?;
 //! let page = alloc.alloc_pages(GfpFlags::KERNEL, 0)?;
 //! alloc.free_pages(page, 0)?;
 //! # Ok(())
@@ -48,7 +48,7 @@ pub use allocator::{MemoryMap, ZonedAllocator};
 pub use buddy::{BuddyAllocator, MAX_ORDER};
 pub use cta::{PtLevel, PtpLayout, PtpSpec};
 pub use error::AllocError;
-pub use frame::{Pfn, PhysAddr, PAGE_SIZE};
+pub use frame::{frame_table, Pfn, PhysAddr, PAGE_SIZE};
 pub use gfp::{GfpFlags, ZonePreference};
 pub use hyper::{GuestPlan, GuestSpec, HypervisorPlan};
 pub use screening::screen_page_size_bit;

@@ -116,32 +116,44 @@ pub struct Zone {
 impl Zone {
     /// Creates an ordinary single-sub-zone zone over frames `[start, end)`.
     ///
+    /// # Errors
+    ///
+    /// [`AllocError::FrameTableTooLarge`] if the buddy's tables do not fit
+    /// in host memory.
+    ///
     /// # Panics
     ///
     /// Panics if the range is empty.
-    pub fn contiguous(kind: ZoneKind, start: Pfn, end: Pfn) -> Self {
+    pub fn contiguous(kind: ZoneKind, start: Pfn, end: Pfn) -> Result<Self, AllocError> {
         Zone::from_subzones(kind, vec![SubZoneSpec::plain(start.0..end.0)])
     }
 
     /// Creates a zone from explicit sub-zone specs in ascending address
     /// order (used for `ZONE_PTP` and for zones with trusted stripes).
     ///
+    /// # Errors
+    ///
+    /// [`AllocError::FrameTableTooLarge`] if a sub-zone's buddy tables do
+    /// not fit in host memory.
+    ///
     /// # Panics
     ///
     /// Panics if `specs` is empty or any range is empty.
-    pub fn from_subzones(kind: ZoneKind, specs: Vec<SubZoneSpec>) -> Self {
+    pub fn from_subzones(kind: ZoneKind, specs: Vec<SubZoneSpec>) -> Result<Self, AllocError> {
         assert!(!specs.is_empty(), "a zone needs at least one sub-zone");
         let span_start = specs.iter().map(|s| s.pfn_range.start).min().expect("nonempty");
         let span_end = specs.iter().map(|s| s.pfn_range.end).max().expect("nonempty");
         let subzones = specs
             .into_iter()
-            .map(|s| SubZone {
-                buddy: BuddyAllocator::new(Pfn(s.pfn_range.start), Pfn(s.pfn_range.end)),
-                level: s.level,
-                trusted_only: s.trusted_only,
+            .map(|s| {
+                Ok(SubZone {
+                    buddy: BuddyAllocator::new(Pfn(s.pfn_range.start), Pfn(s.pfn_range.end))?,
+                    level: s.level,
+                    trusted_only: s.trusted_only,
+                })
             })
-            .collect();
-        Zone { kind, span: span_start..span_end, subzones, stats: ZoneStats::default() }
+            .collect::<Result<_, AllocError>>()?;
+        Ok(Zone { kind, span: span_start..span_end, subzones, stats: ZoneStats::default() })
     }
 
     /// The zone kind.
@@ -247,7 +259,7 @@ mod tests {
 
     #[test]
     fn contiguous_zone_basics() {
-        let z = Zone::contiguous(ZoneKind::Normal, Pfn(0), Pfn(256));
+        let z = Zone::contiguous(ZoneKind::Normal, Pfn(0), Pfn(256)).unwrap();
         assert_eq!(z.kind(), ZoneKind::Normal);
         assert_eq!(z.total_pages(), 256);
         assert_eq!(z.free_pages(), 256);
@@ -257,7 +269,7 @@ mod tests {
 
     #[test]
     fn alloc_free_updates_stats() {
-        let mut z = Zone::contiguous(ZoneKind::Dma, Pfn(0), Pfn(64));
+        let mut z = Zone::contiguous(ZoneKind::Dma, Pfn(0), Pfn(64)).unwrap();
         let p = z.alloc(2, None, true).unwrap();
         assert_eq!(z.stats().allocations, 1);
         assert_eq!(z.stats().pages_allocated, 4);
@@ -271,7 +283,8 @@ mod tests {
         let mut z = Zone::from_subzones(
             ZoneKind::Ptp,
             vec![SubZoneSpec::plain(100..164), SubZoneSpec::plain(300..364)],
-        );
+        )
+        .unwrap();
         let p = z.alloc(0, None, true).unwrap();
         assert_eq!(p, Pfn(100));
         assert_eq!(z.span(), 100..364);
@@ -283,7 +296,8 @@ mod tests {
         let mut z = Zone::from_subzones(
             ZoneKind::Ptp,
             vec![SubZoneSpec::plain(0..4), SubZoneSpec::plain(8..12)],
-        );
+        )
+        .unwrap();
         let mut got = Vec::new();
         for _ in 0..8 {
             got.push(z.alloc(0, None, true).unwrap().0);
@@ -301,7 +315,8 @@ mod tests {
                 SubZoneSpec { pfn_range: 0..16, level: Some(PtLevel::Pt), trusted_only: false },
                 SubZoneSpec { pfn_range: 16..32, level: Some(PtLevel::Pd), trusted_only: false },
             ],
-        );
+        )
+        .unwrap();
         let p = z.alloc(0, Some(PtLevel::Pd), true).unwrap();
         assert!(p.0 >= 16);
         let q = z.alloc(0, Some(PtLevel::Pt), true).unwrap();
@@ -318,7 +333,8 @@ mod tests {
                 SubZoneSpec::plain(0..4),
                 SubZoneSpec { pfn_range: 4..8, level: None, trusted_only: true },
             ],
-        );
+        )
+        .unwrap();
         for _ in 0..4 {
             z.alloc(0, None, false).unwrap();
         }
@@ -332,7 +348,8 @@ mod tests {
         let mut z = Zone::from_subzones(
             ZoneKind::Ptp,
             vec![SubZoneSpec::plain(0..4), SubZoneSpec::plain(8..12)],
-        );
+        )
+        .unwrap();
         assert!(matches!(z.free(Pfn(5), 0), Err(AllocError::UnknownFrame { .. })));
     }
 

@@ -21,7 +21,7 @@ proptest! {
     #[test]
     fn buddy_blocks_never_overlap(ops in ops()) {
         let total = 256u64;
-        let mut b = BuddyAllocator::new(Pfn(0), Pfn(total));
+        let mut b = BuddyAllocator::new(Pfn(0), Pfn(total)).unwrap();
         let mut live: Vec<(Pfn, u8)> = Vec::new();
         for (order, idx) in ops {
             if idx % 3 == 0 && !live.is_empty() {
@@ -52,7 +52,7 @@ proptest! {
     /// Freeing everything always coalesces back to the pristine state.
     #[test]
     fn buddy_free_all_restores_pristine(orders in proptest::collection::vec(0u8..6, 1..40)) {
-        let mut b = BuddyAllocator::new(Pfn(0), Pfn(512));
+        let mut b = BuddyAllocator::new(Pfn(0), Pfn(512)).unwrap();
         let pristine = b.clone();
         let mut live = Vec::new();
         for o in orders {
@@ -88,7 +88,7 @@ proptest! {
         )
         .unwrap();
         let mark = layout.low_water_mark();
-        let mut a = ZonedAllocator::new(MemoryMap::x86_64(total).with_cta(layout));
+        let mut a = ZonedAllocator::new(MemoryMap::x86_64(total).with_cta(layout)).unwrap();
         for want_ptp in ops {
             let gfp = if want_ptp { GfpFlags::PTP } else { GfpFlags::HIGHUSER };
             match a.alloc_pages(gfp, 0) {
@@ -117,7 +117,7 @@ proptest! {
         let cells = CellTypeMap::from_layout(&g, layout_cells);
         let ptp = PtpLayout::build(&cells, total, &PtpSpec::paper_default().with_size(4 << 20))
             .unwrap();
-        let mut a = ZonedAllocator::new(MemoryMap::x86_64(total).with_cta(ptp));
+        let mut a = ZonedAllocator::new(MemoryMap::x86_64(total).with_cta(ptp)).unwrap();
         for _ in 0..64 {
             let Ok(p) = a.alloc_pages(GfpFlags::PTP, 0) else { break };
             let row = cta_dram::RowId(p.addr().0 / (64 * 1024));
@@ -129,7 +129,7 @@ proptest! {
     #[test]
     fn page_conservation(ops in proptest::collection::vec((any::<bool>(), 0u8..4), 1..80)) {
         let total_bytes = 32u64 << 20;
-        let mut a = ZonedAllocator::new(MemoryMap::x86_64(total_bytes));
+        let mut a = ZonedAllocator::new(MemoryMap::x86_64(total_bytes)).unwrap();
         let total_pages = total_bytes / PAGE_SIZE;
         let mut live: Vec<(Pfn, u8)> = Vec::new();
         for (do_free, order) in ops {

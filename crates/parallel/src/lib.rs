@@ -134,20 +134,28 @@ where
 /// (`threads <= 1`) short-circuits at the first error, which is the same
 /// error by construction (indices run in order).
 ///
+/// Each worker first builds its own state with `init` and hands it to
+/// every job it runs (the `map_init` idiom): a worker-local cache, such as
+/// a pool of booted machines, that never crosses threads — `init` runs on
+/// the worker, so the state need not be `Send`. Results must not depend on
+/// which worker's state served a job. Stateless callers pass `|| ()`.
+///
 /// # Errors
 ///
 /// The lowest-index job error, if any job failed.
-pub fn try_parallel_map<T, E, F>(n: usize, threads: usize, f: F) -> Result<Vec<T>, E>
+pub fn try_parallel_map<S, T, E, I, F>(n: usize, threads: usize, init: I, f: F) -> Result<Vec<T>, E>
 where
     T: Send,
     E: Send,
-    F: Fn(usize) -> Result<T, E> + Sync,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> Result<T, E> + Sync,
 {
     let threads = worker_count(threads).min(n.max(1));
     if threads <= 1 || n <= 1 {
+        let mut state = init();
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
-            out.push(f(i)?);
+            out.push(f(&mut state, i)?);
         }
         return Ok(out);
     }
@@ -160,19 +168,22 @@ where
     let first_err = AtomicUsize::new(usize::MAX);
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
+            scope.spawn(|| {
+                let mut state = init();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    if i > first_err.load(Ordering::Acquire) {
+                        continue;
+                    }
+                    let value = f(&mut state, i);
+                    if value.is_err() {
+                        first_err.fetch_min(i, Ordering::AcqRel);
+                    }
+                    *slots[i].lock().expect("result slot poisoned") = Some(value);
                 }
-                if i > first_err.load(Ordering::Acquire) {
-                    continue;
-                }
-                let value = f(i);
-                if value.is_err() {
-                    first_err.fetch_min(i, Ordering::AcqRel);
-                }
-                *slots[i].lock().expect("result slot poisoned") = Some(value);
             });
         }
     });
@@ -256,7 +267,7 @@ mod tests {
     #[test]
     fn try_map_returns_lowest_index_error() {
         let out: Result<Vec<u32>, usize> =
-            try_parallel_map(10, 4, |i| if i % 3 == 2 { Err(i) } else { Ok(i as u32) });
+            try_parallel_map(10, 4, || (), |_, i| if i % 3 == 2 { Err(i) } else { Ok(i as u32) });
         assert_eq!(out, Err(2));
     }
 
@@ -266,14 +277,19 @@ mod tests {
         // watermark in place, workers skip (almost) everything queued
         // behind the failure instead of running all 64 jobs.
         let executed = AtomicUsize::new(0);
-        let out: Result<Vec<usize>, &str> = try_parallel_map(64, 4, |i| {
-            if i == 0 {
-                return Err("boom");
-            }
-            executed.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            Ok(i)
-        });
+        let out: Result<Vec<usize>, &str> = try_parallel_map(
+            64,
+            4,
+            || (),
+            |_, i| {
+                if i == 0 {
+                    return Err("boom");
+                }
+                executed.fetch_add(1, Ordering::Relaxed);
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                Ok(i)
+            },
+        );
         assert_eq!(out, Err("boom"));
         let ran = executed.load(Ordering::Relaxed);
         assert!(ran < 64, "early-cancel skipped nothing: {ran}/64 jobs ran");
@@ -284,16 +300,21 @@ mod tests {
         // Two failing indices; the high one is fast and fails first in
         // wall-clock terms, but selection must still pick index 3.
         for _ in 0..16 {
-            let out: Result<Vec<usize>, usize> = try_parallel_map(12, 4, |i| {
-                if i == 3 {
-                    std::thread::sleep(std::time::Duration::from_millis(2));
-                    Err(i)
-                } else if i == 9 {
-                    Err(i)
-                } else {
-                    Ok(i)
-                }
-            });
+            let out: Result<Vec<usize>, usize> = try_parallel_map(
+                12,
+                4,
+                || (),
+                |_, i| {
+                    if i == 3 {
+                        std::thread::sleep(std::time::Duration::from_millis(2));
+                        Err(i)
+                    } else if i == 9 {
+                        Err(i)
+                    } else {
+                        Ok(i)
+                    }
+                },
+            );
             assert_eq!(out, Err(3));
         }
     }
@@ -301,16 +322,52 @@ mod tests {
     #[test]
     fn try_map_serial_short_circuits() {
         let executed = AtomicUsize::new(0);
-        let out: Result<Vec<usize>, usize> = try_parallel_map(10, 1, |i| {
-            executed.fetch_add(1, Ordering::Relaxed);
-            if i == 4 {
-                Err(i)
-            } else {
-                Ok(i)
-            }
-        });
+        let out: Result<Vec<usize>, usize> = try_parallel_map(
+            10,
+            1,
+            || (),
+            |_, i| {
+                executed.fetch_add(1, Ordering::Relaxed);
+                if i == 4 {
+                    Err(i)
+                } else {
+                    Ok(i)
+                }
+            },
+        );
         assert_eq!(out, Err(4));
         assert_eq!(executed.load(Ordering::Relaxed), 5);
+    }
+
+    #[test]
+    fn try_map_builds_one_state_per_worker() {
+        // Each job counts into its worker's state: the counts over all
+        // states sum to the jobs, and at most `threads` states exist.
+        for threads in [1, 3] {
+            let states = AtomicUsize::new(0);
+            let out: Result<Vec<(usize, usize)>, ()> = try_parallel_map(
+                24,
+                threads,
+                || {
+                    states.fetch_add(1, Ordering::Relaxed);
+                    0usize
+                },
+                |seen, i| {
+                    *seen += 1;
+                    Ok((i, *seen))
+                },
+            );
+            let out = out.unwrap();
+            assert_eq!(
+                out.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
+                (0..24).collect::<Vec<_>>()
+            );
+            let built = states.load(Ordering::Relaxed);
+            assert!((1..=threads).contains(&built), "{built} states for {threads} workers");
+            if threads == 1 {
+                assert_eq!(out.last(), Some(&(23, 24)), "the serial path shares one state");
+            }
+        }
     }
 
     #[test]

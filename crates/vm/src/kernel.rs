@@ -1,4 +1,4 @@
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use cta_dram::{profile_cell_types, CellTypeMap, DramConfig, DramModule, ProfilerConfig, RowId};
@@ -269,7 +269,9 @@ struct KernelState {
     psc: Psc,
     processes: BTreeMap<u64, Process>,
     files: BTreeMap<u64, FileObject>,
-    owners: HashMap<u64, FrameOwner>,
+    /// Who owns each frame, indexed by frame number: the simulator's
+    /// `mem_map`, sized once at boot.
+    owners: Vec<Option<FrameOwner>>,
     next_pid: u64,
     next_file: u64,
     stats: KernelStats,
@@ -294,8 +296,9 @@ impl Kernel {
     /// # Errors
     ///
     /// Propagates DRAM errors (a module whose per-row tables do not fit in
-    /// host memory, profiling failures) and allocation errors from an
-    /// infeasible `ZONE_PTP` spec.
+    /// host memory, profiling failures) and allocation errors: an
+    /// infeasible `ZONE_PTP` spec, or per-frame tables (the allocator's,
+    /// the frame-owner map) that do not fit in host memory.
     pub fn new(config: KernelConfig) -> Result<Self, VmError> {
         let mut dram = DramModule::try_new(config.dram.clone())?;
         let total_bytes = dram.capacity_bytes();
@@ -330,13 +333,13 @@ impl Kernel {
         let mut kernel = Kernel {
             dram,
             state: KernelState {
-                alloc: ZonedAllocator::new(map),
+                alloc: ZonedAllocator::new(map)?,
                 walker: Walker::new(),
                 tlb: Tlb::new(config.tlb_entries),
                 psc: Psc::new(config.psc_entries),
                 processes: BTreeMap::new(),
                 files: BTreeMap::new(),
-                owners: HashMap::new(),
+                owners: cta_mem::frame_table(total_bytes / PAGE_SIZE, None)?,
                 next_pid: 1,
                 next_file: 1,
                 stats: KernelStats::default(),
@@ -348,9 +351,9 @@ impl Kernel {
         // Reserve the zero frame so that pfn 0 never appears in a PTE, and
         // plant the kernel secret used to verify privilege escalation.
         let zero = kernel.state.alloc.alloc_page(GfpFlags::KERNEL)?;
-        kernel.state.owners.insert(zero.0, FrameOwner::Kernel);
+        kernel.state.owners[zero.0 as usize] = Some(FrameOwner::Kernel);
         let secret_pfn = kernel.state.alloc.alloc_page(GfpFlags::KERNEL)?;
-        kernel.state.owners.insert(secret_pfn.0, FrameOwner::Kernel);
+        kernel.state.owners[secret_pfn.0 as usize] = Some(FrameOwner::Kernel);
         let pattern = *b"KERNEL-SECRET-#1";
         kernel.dram.write(secret_pfn.addr().0, &pattern)?;
         kernel.state.secret = Some((secret_pfn, pattern));
@@ -515,7 +518,7 @@ impl Kernel {
 
     /// Owner of a physical frame, if tracked.
     pub fn frame_owner(&self, pfn: Pfn) -> Option<FrameOwner> {
-        self.state.owners.get(&pfn.0).copied()
+        self.state.owners.get(pfn.0 as usize).copied().flatten()
     }
 
     /// The kernel secret planted at boot: its frame and its 16-byte
@@ -574,7 +577,7 @@ impl Kernel {
         for (va, kind) in &proc.mappings {
             match kind {
                 MappingKind::Anonymous { pfn } => {
-                    self.state.owners.remove(&pfn.0);
+                    self.state.owners[pfn.0 as usize] = None;
                     self.state.alloc.free_pages(*pfn, 0)?;
                 }
                 MappingKind::File { id, .. } => {
@@ -589,12 +592,12 @@ impl Kernel {
         }
         for block in proc.huge_mappings.values() {
             for f in 0..HUGE_PAGE_SIZE / PAGE_SIZE {
-                self.state.owners.remove(&(block.0 + f));
+                self.state.owners[(block.0 + f) as usize] = None;
             }
             self.state.alloc.free_pages(*block, 9)?;
         }
         for (pfn, _) in &proc.pt_pages {
-            self.state.owners.remove(&pfn.0);
+            self.state.owners[pfn.0 as usize] = None;
             self.state.alloc.free_pages(*pfn, 0)?;
         }
         self.state.tlb.flush_pid(pid);
@@ -623,7 +626,7 @@ impl Kernel {
         };
         let pfn = self.state.alloc.alloc_page(gfp)?;
         self.dram.fill(pfn.addr().0, PAGE_SIZE as usize, 0)?;
-        self.state.owners.insert(pfn.0, FrameOwner::PageTable { pid, level });
+        self.state.owners[pfn.0 as usize] = Some(FrameOwner::PageTable { pid, level });
         self.state
             .processes
             .get_mut(&pid.0)
@@ -722,7 +725,7 @@ impl Kernel {
             let gfp = if trusted { GfpFlags::KERNEL } else { GfpFlags::HIGHUSER };
             let pfn = self.state.alloc.alloc_page(gfp)?;
             self.dram.fill(pfn.addr().0, PAGE_SIZE as usize, 0)?;
-            self.state.owners.insert(pfn.0, FrameOwner::Anonymous { pid });
+            self.state.owners[pfn.0 as usize] = Some(FrameOwner::Anonymous { pid });
             self.state.stats.user_pages_allocated += 1;
             let flags = if writable { PteFlags::user_data() } else { PteFlags::user_readonly() };
             self.map_page(pid, page_va, pfn, flags)?;
@@ -764,7 +767,7 @@ impl Kernel {
             let block = self.state.alloc.alloc_pages(GfpFlags::HIGHUSER, 9)?;
             self.dram.fill(block.addr().0, HUGE_PAGE_SIZE as usize, 0)?;
             for f in 0..HUGE_PAGE_SIZE / PAGE_SIZE {
-                self.state.owners.insert(block.0 + f, FrameOwner::Anonymous { pid });
+                self.state.owners[(block.0 + f) as usize] = Some(FrameOwner::Anonymous { pid });
             }
             self.state.stats.user_pages_allocated += HUGE_PAGE_SIZE / PAGE_SIZE;
             let mut flags =
@@ -855,7 +858,7 @@ impl Kernel {
             self.state.psc.invalidate_page(pid, chunk_va);
             self.state.stats.unmaps += 1;
             for f in 0..HUGE_PAGE_SIZE / PAGE_SIZE {
-                self.state.owners.remove(&(block.0 + f));
+                self.state.owners[(block.0 + f) as usize] = None;
             }
             self.state.alloc.free_pages(block, 9)?;
         }
@@ -871,7 +874,7 @@ impl Kernel {
     pub fn create_shared_kernel_page(&mut self) -> Result<Pfn, VmError> {
         let pfn = self.state.alloc.alloc_page(GfpFlags::KERNEL)?;
         self.dram.fill(pfn.addr().0, PAGE_SIZE as usize, 0)?;
-        self.state.owners.insert(pfn.0, FrameOwner::Kernel);
+        self.state.owners[pfn.0 as usize] = Some(FrameOwner::Kernel);
         Ok(pfn)
     }
 
@@ -890,7 +893,7 @@ impl Kernel {
         pfn: Pfn,
         writable: bool,
     ) -> Result<(), VmError> {
-        if !matches!(self.state.owners.get(&pfn.0), Some(FrameOwner::Kernel)) {
+        if self.frame_owner(pfn) != Some(FrameOwner::Kernel) {
             return Err(VmError::NotMapped { va });
         }
         self.check_range(pid, va, PAGE_SIZE)?;
@@ -933,7 +936,7 @@ impl Kernel {
         self.state.next_file += 1;
         for &pfn in &frames {
             self.dram.fill(pfn.addr().0, PAGE_SIZE as usize, 0)?;
-            self.state.owners.insert(pfn.0, FrameOwner::File { id });
+            self.state.owners[pfn.0 as usize] = Some(FrameOwner::File { id });
         }
         self.state.files.insert(id.0, FileObject::new(id, frames));
         Ok(id)
@@ -1034,7 +1037,7 @@ impl Kernel {
             self.state.stats.unmaps += 1;
             match kind {
                 MappingKind::Anonymous { pfn } => {
-                    self.state.owners.remove(&pfn.0);
+                    self.state.owners[pfn.0 as usize] = None;
                     self.state.alloc.free_pages(pfn, 0)?;
                 }
                 MappingKind::File { id, .. } => {
@@ -1307,11 +1310,8 @@ impl Kernel {
                         // corrupted entries may point at other tables (or
                         // anywhere), and following them would mislabel
                         // levels or loop.
-                        let is_expected_child = matches!(
-                            self.state.owners.get(&pte.pfn().0),
-                            Some(FrameOwner::PageTable { pid: p, level: l })
-                                if *p == pid && *l == child
-                        );
+                        let is_expected_child = self.frame_owner(pte.pfn())
+                            == Some(FrameOwner::PageTable { pid, level: child });
                         if is_expected_child {
                             frontier.push((pte.pfn(), child));
                         }

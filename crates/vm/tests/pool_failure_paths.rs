@@ -11,34 +11,37 @@ fn boot() -> Result<Kernel, VmError> {
     Kernel::new(KernelConfig::small_test_cta())
 }
 
-/// Dirties the parent's first row and hashes it, so the trial's hash
-/// resumes from row 0 and checkpoints exist when it fails.
-fn dirty_row_zero(kernel: &mut Kernel, fresh: u64) {
-    kernel.dram_mut().fill(0, 4096, 0xEE).expect("fill row 0");
+/// Overwrites one of the parent's data rows and hashes it, so the
+/// trial's hash resumes from that row and checkpoints exist when it fails.
+fn dirty_a_data_row(kernel: &mut Kernel, fresh: u64) {
+    let row_bytes = kernel.dram().geometry().row_bytes();
+    let row = DATA_ROWS.start + 1;
+    kernel.dram_mut().fill(row * row_bytes, row_bytes as usize, 0xEE).expect("fill a data row");
     assert_ne!(kernel.dram().contents_hash(), fresh, "the trial changed the contents");
 }
 
 #[test]
 fn the_trial_after_a_failed_one_hashes_like_a_fresh_boot() {
-    let fresh = boot().expect("boot").dram().contents_hash();
+    let fresh = boot_with_data().expect("boot").dram().contents_hash();
     for panics in [false, true] {
         let mut pool: KernelPool<u32> = KernelPool::new(1);
         // A clean trial builds a checkpoint before every row.
-        let clean = pool.run_journaled(&0, boot, |k| k.dram().contents_hash()).expect("boot");
+        let clean =
+            pool.run_journaled(&0, boot_with_data, |k| k.dram().contents_hash()).expect("boot");
         assert_eq!(clean, fresh);
 
         if panics {
             let unwound = catch_unwind(AssertUnwindSafe(|| {
-                pool.run_journaled(&0, boot, |k| {
-                    dirty_row_zero(k, fresh);
+                pool.run_journaled(&0, boot_with_data, |k| {
+                    dirty_a_data_row(k, fresh);
                     panic!("trial body panicked");
                 })
             }));
             assert!(unwound.is_err());
         } else {
             let out = pool
-                .run_journaled(&0, boot, |k| {
-                    dirty_row_zero(k, fresh);
+                .run_journaled(&0, boot_with_data, |k| {
+                    dirty_a_data_row(k, fresh);
                     Err::<(), _>("trial body failed")
                 })
                 .expect("pool hit");
@@ -47,13 +50,13 @@ fn the_trial_after_a_failed_one_hashes_like_a_fresh_boot() {
 
         // The next trial repairs an abandoned journal before it begins.
         let after = pool
-            .run_journaled(&0, boot, |k| {
+            .run_journaled(&0, boot_with_data, |k| {
                 assert!(k.dram().journal_active());
                 k.dram().contents_hash()
             })
             .expect("pool hit");
         assert_eq!(after, fresh, "panicking trial: {panics}");
-        let fork = pool.fork_for(&0, boot).expect("pool hit");
+        let fork = pool.fork_for(&0, boot_with_data).expect("pool hit");
         assert_eq!(fork.dram().contents_hash(), fresh);
         assert_eq!(pool.stats().boots, 1);
     }

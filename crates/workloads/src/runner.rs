@@ -2,7 +2,7 @@ use std::fmt;
 use std::time::Instant;
 
 use cta_mem::PAGE_SIZE;
-use cta_vm::{Kernel, VirtAddr, VmError};
+use cta_vm::{Kernel, KernelPool, VirtAddr, VmError};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -261,54 +261,38 @@ impl Runner {
         Ok(measurement)
     }
 
-    /// Runs a benchmark on both machines and produces its Table 4 row.
+    /// Runs a benchmark on both machines and produces its Table 4 row:
+    /// [`Runner::compare_many`] over the one spec, serially.
     ///
     /// `build` receives `true` for the CTA machine and `false` for stock.
     ///
     /// # Errors
     ///
     /// Propagates kernel errors from either machine.
-    pub fn compare<F>(&self, mut build: F, spec: &WorkloadSpec) -> Result<OverheadRow, VmError>
+    pub fn compare<F>(&self, build: F, spec: &WorkloadSpec) -> Result<OverheadRow, VmError>
     where
-        F: FnMut(bool) -> Kernel,
+        F: Fn(bool) -> Kernel + Sync,
     {
-        let mut baseline = 0f64;
-        let mut cta = 0f64;
-        let mut baseline_wall = 0f64;
-        let mut cta_wall = 0f64;
-        for _ in 0..self.repetitions {
-            let mut stock_kernel = build(false);
-            let m = self.run(&mut stock_kernel, spec)?;
-            baseline += m.sim_ns as f64;
-            baseline_wall += m.wall_ns as f64;
-            let mut cta_kernel = build(true);
-            let m = self.run(&mut cta_kernel, spec)?;
-            cta += m.sim_ns as f64;
-            cta_wall += m.wall_ns as f64;
-        }
-        let n = self.repetitions as f64;
-        Ok(OverheadRow {
-            name: spec.name.to_string(),
-            baseline_sim_ns: baseline / n,
-            cta_sim_ns: cta / n,
-            baseline_wall_ns: baseline_wall / n,
-            cta_wall_ns: cta_wall / n,
-            repetitions: self.repetitions,
-        })
+        let mut rows = self.compare_many(build, std::slice::from_ref(spec), 1)?;
+        Ok(rows.pop().expect("one row per spec"))
     }
 
     /// Runs the whole Table 4 harness — every benchmark × repetition ×
     /// {stock, CTA} cell — across up to `threads` worker threads
     /// (`0` = one per core), returning one [`OverheadRow`] per spec in
-    /// input order.
+    /// input order. `build` receives `true` for the CTA machine and `false`
+    /// for stock.
     ///
-    /// Each cell builds its **own** kernels inside its worker (simulated
-    /// machines are single-threaded and never cross threads), and the
-    /// per-spec reduction accumulates repetitions in repetition order on
-    /// the calling thread — so every *simulated-time* field is
-    /// bit-identical to running [`Runner::compare`] serially over `specs`.
-    /// Wall-clock fields measure the host and are inherently noisy in
-    /// either mode. `threads <= 1` runs the exact serial path.
+    /// Each worker keeps a [`KernelPool`] of two parents, one stock and one
+    /// CTA, booted by `build` on the worker's first cell of that kind
+    /// (simulated machines are single-threaded and never cross threads).
+    /// Every cell runs on its parent under an undo journal and is rolled
+    /// back afterwards, so each cell starts from the state of a fresh
+    /// boot. The per-spec reduction accumulates repetitions in repetition
+    /// order on the calling thread, so every *simulated-time* field is
+    /// bit-identical to booting a fresh machine per cell and running the
+    /// cells serially, at any thread count. Wall-clock fields measure the
+    /// host and are inherently noisy.
     ///
     /// # Errors
     ///
@@ -324,16 +308,20 @@ impl Runner {
     {
         let reps = self.repetitions as usize;
         let jobs = specs.len() * reps;
-        // One job per benchmark×repetition: run the stock and CTA kernels
-        // back-to-back like the serial loop does.
-        let cells = cta_parallel::try_parallel_map(jobs, threads, |job| {
-            let spec = &specs[job / reps];
-            let mut stock_kernel = build(false);
-            let stock = self.run(&mut stock_kernel, spec)?;
-            let mut cta_kernel = build(true);
-            let cta = self.run(&mut cta_kernel, spec)?;
-            Ok::<_, VmError>((stock, cta))
-        })?;
+        let cell = |pool: &mut KernelPool<bool>, protected: bool, spec| {
+            pool.run_journaled(&protected, || Ok(build(protected)), |k| self.run(k, spec))?
+        };
+        // One job per benchmark×repetition: the stock and CTA runs back to
+        // back, like a Table 4 row.
+        let cells = cta_parallel::try_parallel_map(
+            jobs,
+            threads,
+            || KernelPool::new(2),
+            |pool, job| {
+                let spec = &specs[job / reps];
+                Ok::<_, VmError>((cell(pool, false, spec)?, cell(pool, true, spec)?))
+            },
+        )?;
 
         let n = self.repetitions as f64;
         Ok(specs
@@ -383,23 +371,71 @@ mod tests {
             .unwrap()
     }
 
+    /// Simulated `(stock, CTA)` means per spec, computed the way the
+    /// harness did before pooled parents: a fresh machine for every cell,
+    /// cells in order.
+    fn fresh_boot_sim_ns(runner: &Runner, specs: &[WorkloadSpec]) -> Vec<(f64, f64)> {
+        let n = runner.repetitions as f64;
+        let sim_ns = |protected, spec| {
+            runner.run(&mut machine(protected), spec).expect("cell runs").sim_ns as f64
+        };
+        specs
+            .iter()
+            .map(|spec| {
+                let (mut stock, mut cta) = (0f64, 0f64);
+                for _ in 0..runner.repetitions {
+                    stock += sim_ns(false, spec);
+                    cta += sim_ns(true, spec);
+                }
+                (stock / n, cta / n)
+            })
+            .collect()
+    }
+
     #[test]
     fn compare_many_is_bit_identical_to_serial_compare() {
-        let specs = spec2006();
-        let smoke = &specs[..3];
+        let specs: Vec<WorkloadSpec> = spec2006().into_iter().chain(phoronix()).collect();
+        assert_eq!(specs.len(), 27);
         let runner = Runner { repetitions: 2, seed: 0x1234 };
-        let serial: Vec<_> = smoke.iter().map(|s| runner.compare(machine, s).unwrap()).collect();
-        for threads in [1, 4] {
-            let parallel = runner.compare_many(machine, smoke, threads).unwrap();
-            assert_eq!(parallel.len(), serial.len());
-            for (a, b) in serial.iter().zip(&parallel) {
-                assert_eq!(a.name, b.name);
+        let reference = fresh_boot_sim_ns(&runner, &specs);
+        for threads in [1, 2] {
+            let pooled = runner.compare_many(machine, &specs, threads).unwrap();
+            assert_eq!(pooled.len(), specs.len());
+            for ((spec, row), (stock, cta)) in specs.iter().zip(&pooled).zip(&reference) {
+                assert_eq!(row.name, spec.name);
                 // Simulated-time fields are the deterministic contract:
                 // compare at the bit level, not within an epsilon.
-                assert_eq!(a.baseline_sim_ns.to_bits(), b.baseline_sim_ns.to_bits());
-                assert_eq!(a.cta_sim_ns.to_bits(), b.cta_sim_ns.to_bits());
-                assert_eq!(a.repetitions, b.repetitions);
+                assert_eq!(row.baseline_sim_ns.to_bits(), stock.to_bits(), "{}", spec.name);
+                assert_eq!(row.cta_sim_ns.to_bits(), cta.to_bits(), "{}", spec.name);
+                assert_eq!(row.repetitions, runner.repetitions);
             }
+        }
+        let one = runner.compare(machine, &specs[4]).unwrap();
+        assert_eq!(one.baseline_sim_ns.to_bits(), reference[4].0.to_bits());
+        assert_eq!(one.cta_sim_ns.to_bits(), reference[4].1.to_bits());
+    }
+
+    #[test]
+    fn compare_many_returns_the_lowest_failing_cells_error() {
+        let base = spec2006()[0];
+        // More pages than the 16 MiB machine holds: the stock run's second
+        // region fails to map after the first mapped.
+        let too_big = WorkloadSpec { name: "too-big", working_set_pages: 5000, regions: 2, ..base };
+        // A page table per region, more than the 1 MiB ZONE_PTP holds: only
+        // the CTA run fails.
+        let ptp_hungry =
+            WorkloadSpec { name: "ptp-hungry", working_set_pages: 400, regions: 400, ..base };
+        let runner = Runner { repetitions: 2, seed: 0x1234 };
+        let too_big_err = runner.run(&mut machine(false), &too_big).unwrap_err();
+        let ptp_err = runner.run(&mut machine(true), &ptp_hungry).unwrap_err();
+        assert!(runner.run(&mut machine(false), &ptp_hungry).is_ok());
+        assert_ne!(too_big_err, ptp_err, "the two failures must be told apart");
+        let ok = spec2006()[1];
+        for threads in [1, 2] {
+            let err = runner.compare_many(machine, &[base, too_big, ok, ptp_hungry], threads);
+            assert_eq!(err.unwrap_err(), too_big_err, "threads = {threads}");
+            let err = runner.compare_many(machine, &[base, ptp_hungry, ok, too_big], threads);
+            assert_eq!(err.unwrap_err(), ptp_err, "threads = {threads}");
         }
     }
 

@@ -11,8 +11,9 @@
 # The exp-matrix and cta-evaluate smokes write
 # telemetry/exp-matrix.telemetry.json, telemetry/cta-evaluate.telemetry.json
 # and telemetry/cta-events.jsonl, which the final gate scans for NaN/inf
-# and sanitizer flags. Performance is measured by the repository benchmark
-# (perfbench/, named by BENCHMARK.json), not here.
+# and sanitizer flags; the exp-table4 smoke writes its snapshots to a
+# scratch directory instead. Performance is measured by the repository
+# benchmark (perfbench/, named by BENCHMARK.json), not here.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -78,6 +79,39 @@ cargo run --release -q -p cta-bench --bin cta -- evaluate \
     --tenants 2 --campaigns 1 --trials 2 --workers 2 \
     --jsonl telemetry/cta-events.jsonl > /dev/null
 
+echo "==> Table 4 smoke: simulated deltas identical at 1 and 2 threads"
+# exp-table4 runs every cell on pooled parents under an undo journal; the
+# simulated *_delta_percent values of both overhead:* groups must not
+# depend on the worker count (mean_wall_delta_percent is host wall-clock
+# and excluded). Snapshots go to a scratch directory and are schema-checked.
+table4=$(mktemp -d)
+sim_deltas() { # snapshot -> "group key: value" per simulated delta
+    awk '/^    "[^"]*": \{/ { group = $1 }
+        group ~ /^"overhead:/ && /_delta_percent":/ && !/mean_wall_delta_percent/ {
+            print group, $0
+        }' "$1"
+}
+for threads in 1 2; do
+    mkdir "$table4/t$threads"
+    CTA_TELEMETRY_DIR="$table4/t$threads" cargo run --release -q -p cta-bench \
+        --bin exp-table4 -- --threads "$threads" > /dev/null
+    sim_deltas "$table4/t$threads/exp-table4.telemetry.json" > "$table4/t$threads.deltas"
+    for group in small-host large-host; do
+        if ! grep -q "^\"overhead:$group\":" "$table4/t$threads.deltas"; then
+            echo "exp-table4 --threads $threads: no simulated deltas in overhead:$group"
+            exit 1
+        fi
+    done
+done
+if ! cmp -s "$table4/t1.deltas" "$table4/t2.deltas"; then
+    echo "exp-table4: simulated deltas differ between 1 and 2 threads"
+    diff "$table4/t1.deltas" "$table4/t2.deltas" || true
+    exit 1
+fi
+cargo run --release -q -p cta-bench --bin json-check -- --schema \
+    "$table4"/t1/exp-table4.telemetry.json "$table4"/t2/exp-table4.telemetry.json
+rm -rf "$table4"
+
 echo "==> malformed cta invocations fail with an error, not a panic or an abort"
 # Each must be rejected with a message and exit status 1, cta's failure
 # status: a panic exits 101, and an abort (a failed allocation) 134.
@@ -99,10 +133,11 @@ echo "==> malformed recordings fail with an error, not a panic, an abort or a ha
 # Mutated copies of the goldens, written to a scratch directory (never
 # under fixtures/): an unbounded `pf` must be refused at load, and a
 # one-page templating arena, a 2^40-page spray file, a 2^50-byte
-# machine (whose per-row tables cannot be allocated), a machine of
-# 3 KiB rows (not a power of two) and one of 512 MiB rows (past the row
-# cap) must replay to a typed error. Each replay must exit 1, replay-check's failure status:
-# not 101 (a panic), 134 (an abort) or 124 (`timeout` fired).
+# machine and a 2^45-byte one (2^33 rows of 4 KiB, both past the 2^32-row
+# cap), a machine of 3 KiB rows (not a power of two) and one of 512 MiB
+# rows (past the row-width cap) must replay to a typed error. Each replay
+# must exit 1, replay-check's failure status: not 101 (a panic), 134 (an
+# abort) or 124 (`timeout` fired).
 mutants=$(mktemp -d)
 trap 'rm -rf "$mutants"' EXIT
 mutate() { # golden, sed expression, mutant name
@@ -121,6 +156,7 @@ mutate spray-small 's/"memory_bytes": 8388608, "row_bytes": 4096/"memory_bytes":
     spray-rows-3072
 mutate spray-small 's/"memory_bytes": 8388608, "row_bytes": 4096/"memory_bytes": 1073741824, "row_bytes": 536870912/' \
     spray-rows-2e29
+mutate spray-small 's/"memory_bytes": 8388608/"memory_bytes": 35184372088832/' spray-memory-2e45
 for f in "$mutants"/*.recording.json; do
     status=0
     timeout 60 cargo run --release -q -p cta-bench --bin replay-check -- "$f" \
