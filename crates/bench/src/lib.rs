@@ -76,16 +76,6 @@ pub fn defended_builder(seed: u64, protected: bool, defense: DefenseSpec) -> Sys
     standard_builder(seed, protected).defense(defense)
 }
 
-/// Builds the standard defended machine.
-///
-/// # Panics
-///
-/// Panics if the machine cannot boot — experiment binaries treat that as
-/// fatal configuration error.
-pub fn defended_machine(seed: u64, protected: bool, defense: DefenseSpec) -> Kernel {
-    defended_builder(seed, protected, defense).build().expect("defended machine boots")
-}
-
 /// Directory the experiment binaries write telemetry snapshots into:
 /// `$CTA_TELEMETRY_DIR` when set, otherwise `telemetry/` at the repo root.
 pub fn telemetry_dir() -> PathBuf {

@@ -118,12 +118,6 @@ impl VerifyReport {
     pub fn intermediate_redirects(&self) -> impl Iterator<Item = &Violation> {
         self.violations.iter().filter(|v| matches!(v, Violation::IntermediateRedirect { .. }))
     }
-
-    /// Whether the report is clean apart from intermediate redirects (which
-    /// are expected telemetry on hammered systems, not invariant breaches).
-    pub fn is_clean_modulo_redirects(&self) -> bool {
-        self.violations.iter().all(|v| matches!(v, Violation::IntermediateRedirect { .. }))
-    }
 }
 
 /// Verifies the CTA invariants and the absence of PTE self-references on a

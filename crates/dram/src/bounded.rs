@@ -2,11 +2,10 @@
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::hash::Hash;
 use std::rc::Rc;
 
-/// A bounded memoization cache with FIFO eviction: both halves of a
-/// [`RowMapCache`], its accounting and its shared store.
+/// A bounded memoization cache keyed by row, with FIFO eviction: both
+/// halves of a [`RowMapCache`], its accounting and its shared store.
 ///
 /// The per-row caches in [`crate::VulnerabilityModel`] and the retention
 /// model used to be unbounded `HashMap`s, so a templating sweep over a large
@@ -27,10 +26,10 @@ use std::rc::Rc;
 /// With no budget set the byte accounting is purely observational and the
 /// entry-count bound behaves exactly as before.
 #[derive(Debug, Clone)]
-struct BoundedCache<K: Hash + Eq + Clone, V> {
+struct BoundedCache<V> {
     capacity: usize,
-    map: HashMap<K, (V, usize)>,
-    order: VecDeque<K>,
+    map: HashMap<u64, (V, usize)>,
+    order: VecDeque<u64>,
     evictions: u64,
     /// Sum of the payload weights of retained entries.
     bytes: usize,
@@ -38,7 +37,7 @@ struct BoundedCache<K: Hash + Eq + Clone, V> {
     byte_budget: Option<usize>,
 }
 
-impl<K: Hash + Eq + Clone, V> BoundedCache<K, V> {
+impl<V> BoundedCache<V> {
     /// Creates a cache holding at most `capacity` entries.
     ///
     /// The tables start empty and grow on demand: every fork and journal
@@ -62,21 +61,21 @@ impl<K: Hash + Eq + Clone, V> BoundedCache<K, V> {
     }
 
     /// Looks up `key` without affecting the eviction order.
-    fn get(&self, key: &K) -> Option<&V> {
-        self.map.get(key).map(|(v, _)| v)
+    fn get(&self, key: u64) -> Option<&V> {
+        self.map.get(&key).map(|(v, _)| v)
     }
 
     /// Looks up `key` and its payload weight without affecting the
     /// eviction order.
-    fn get_weighted(&self, key: &K) -> Option<(&V, usize)> {
-        self.map.get(key).map(|(v, w)| (v, *w))
+    fn get_weighted(&self, key: u64) -> Option<(&V, usize)> {
+        self.map.get(&key).map(|(v, w)| (v, *w))
     }
 
     /// Inserts `key → value` with zero payload weight (see
     /// [`Self::insert_weighted`]), evicting the oldest entry at capacity.
     /// Re-inserting an existing key replaces the value in place.
     #[cfg(test)]
-    fn insert(&mut self, key: K, value: V) {
+    fn insert(&mut self, key: u64, value: V) {
         self.insert_weighted(key, value, 0);
     }
 
@@ -85,8 +84,8 @@ impl<K: Hash + Eq + Clone, V> BoundedCache<K, V> {
     /// while over the byte budget (if one is set). Re-inserting an existing
     /// key replaces the value (and weight) in place without touching its
     /// FIFO position.
-    fn insert_weighted(&mut self, key: K, value: V, weight: usize) {
-        if let Some((_, old)) = self.map.insert(key.clone(), (value, weight)) {
+    fn insert_weighted(&mut self, key: u64, value: V, weight: usize) {
+        if let Some((_, old)) = self.map.insert(key, (value, weight)) {
             self.bytes = self.bytes - old + weight;
         } else {
             if self.order.len() == self.capacity {
@@ -162,16 +161,13 @@ impl<K: Hash + Eq + Clone, V> BoundedCache<K, V> {
 /// earlier trial built instead of regenerating it. The store is bounded by
 /// the same row capacity and byte budget as the accounting; a row the
 /// accounting holds but the store has evicted is rebuilt on demand.
-///
-/// Keys are rows for row-keyed maps (`u64`); derived maps key on the row
-/// plus whatever else they are a pure function of, such as a decay window.
 #[derive(Debug, Clone)]
-pub(crate) struct RowMapCache<K: Hash + Eq + Clone, T> {
-    held: BoundedCache<K, ()>,
-    maps: Rc<RefCell<BoundedCache<K, Rc<[T]>>>>,
+pub(crate) struct RowMapCache<T> {
+    held: BoundedCache<()>,
+    maps: Rc<RefCell<BoundedCache<Rc<[T]>>>>,
 }
 
-impl<K: Hash + Eq + Clone, T> RowMapCache<K, T> {
+impl<T> RowMapCache<T> {
     /// Creates an empty cache (and store) bounded to `capacity` rows.
     pub(crate) fn new(capacity: usize) -> Self {
         RowMapCache {
@@ -180,40 +176,34 @@ impl<K: Hash + Eq + Clone, T> RowMapCache<K, T> {
         }
     }
 
-    /// The stored map of `key`, if any, which the accounting then holds.
-    pub(crate) fn get(&mut self, key: &K) -> Option<Rc<[T]>> {
+    /// The stored map of `row`, if any, which the accounting then holds.
+    pub(crate) fn get(&mut self, row: u64) -> Option<Rc<[T]>> {
         let (map, weight) =
-            self.maps.borrow().get_weighted(key).map(|(map, w)| (Rc::clone(map), w))?;
-        self.hold(key, weight);
+            self.maps.borrow().get_weighted(row).map(|(map, w)| (Rc::clone(map), w))?;
+        self.hold(row, weight);
         Some(map)
     }
 
-    /// Stores the freshly built map of `key`, whose payload the caller
+    /// Stores the freshly built map of `row`, whose payload the caller
     /// weighs at `weight` bytes in both the store and the accounting, and
-    /// holds it. Re-inserting a held key replaces its weight in place, as
+    /// holds it. Re-inserting a held row replaces its weight in place, as
     /// a private memo cache would.
-    pub(crate) fn insert(&mut self, key: K, map: Rc<[T]>, weight: usize) {
-        self.held.insert_weighted(key.clone(), (), weight);
-        self.maps.borrow_mut().insert_weighted(key, map, weight);
+    pub(crate) fn insert(&mut self, row: u64, map: Rc<[T]>, weight: usize) {
+        self.held.insert_weighted(row, (), weight);
+        self.maps.borrow_mut().insert_weighted(row, map, weight);
     }
 
-    /// Whether the accounting holds `key`: whether a private memo cache
-    /// would have found it, so a caller whose first lookup of a key makes
-    /// further lookups can tell a first lookup from a repeat.
-    pub(crate) fn holds(&self, key: &K) -> bool {
-        self.held.get(key).is_some()
+    /// Whether the accounting holds `row`: whether a private memo cache
+    /// would have found it.
+    fn holds(&self, row: u64) -> bool {
+        self.held.get(row).is_some()
     }
 
-    /// The stored map of `key`, if any, without holding it.
-    pub(crate) fn peek(&self, key: &K) -> Option<Rc<[T]>> {
-        self.maps.borrow().get(key).map(Rc::clone)
-    }
-
-    /// Accounts `key` as held, exactly as a private memo cache would have
-    /// on its first lookup of the key.
-    fn hold(&mut self, key: &K, weight: usize) {
-        if !self.holds(key) {
-            self.held.insert_weighted(key.clone(), (), weight);
+    /// Accounts `row` as held, exactly as a private memo cache would have
+    /// on its first lookup of the row.
+    fn hold(&mut self, row: u64, weight: usize) {
+        if !self.holds(row) {
+            self.held.insert_weighted(row, (), weight);
         }
     }
 
@@ -263,9 +253,9 @@ mod tests {
         assert_eq!(c.len(), 3);
         assert_eq!(c.evictions(), 7);
         // Oldest evicted first: 7, 8, 9 survive.
-        assert_eq!(c.get(&6), None);
-        assert_eq!(c.get(&7), Some(&14));
-        assert_eq!(c.get(&9), Some(&18));
+        assert_eq!(c.get(6), None);
+        assert_eq!(c.get(7), Some(&14));
+        assert_eq!(c.get(9), Some(&18));
     }
 
     #[test]
@@ -273,10 +263,10 @@ mod tests {
         let mut c = BoundedCache::new(2);
         c.insert(1u64, "a");
         c.insert(2, "b");
-        assert_eq!(c.get(&1), Some(&"a")); // would save 1 under LRU
+        assert_eq!(c.get(1), Some(&"a")); // would save 1 under LRU
         c.insert(3, "c");
-        assert_eq!(c.get(&1), None, "FIFO evicts by insertion order only");
-        assert_eq!(c.get(&2), Some(&"b"));
+        assert_eq!(c.get(1), None, "FIFO evicts by insertion order only");
+        assert_eq!(c.get(2), Some(&"b"));
     }
 
     #[test]
@@ -287,7 +277,7 @@ mod tests {
         c.insert(1, "a2");
         assert_eq!(c.len(), 2);
         assert_eq!(c.evictions(), 0);
-        assert_eq!(c.get(&1), Some(&"a2"));
+        assert_eq!(c.get(1), Some(&"a2"));
     }
 
     #[test]
@@ -299,25 +289,25 @@ mod tests {
         c.set_capacity(2);
         assert_eq!(c.len(), 2);
         assert_eq!(c.evictions(), 2);
-        assert_eq!(c.get(&0), None);
-        assert_eq!(c.get(&3), Some(&3));
+        assert_eq!(c.get(0), None);
+        assert_eq!(c.get(3), Some(&3));
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_capacity_rejected() {
-        let _ = BoundedCache::<u64, ()>::new(0);
+        let _ = BoundedCache::<()>::new(0);
     }
 
     #[test]
     fn row_maps_are_shared_but_accounting_is_not() {
-        let mut parent = RowMapCache::<u64, u64>::new(4);
+        let mut parent = RowMapCache::<u64>::new(4);
         parent.insert(1, Rc::from([10u64, 11]), 16);
         let snapshot = parent.clone();
         let mut child = parent.clone();
         child.insert(2, Rc::from([20u64]), 8);
         // The child's map reaches the parent's store ...
-        assert_eq!(parent.get(&2).as_deref(), Some(&[20u64][..]));
+        assert_eq!(parent.get(2).as_deref(), Some(&[20u64][..]));
         // ... while each side accounts only the rows it looked up.
         assert_eq!(snapshot.held_bytes(), 16);
         assert_eq!(child.held_bytes(), 24);
@@ -327,17 +317,17 @@ mod tests {
 
     #[test]
     fn held_rows_survive_store_eviction_and_accounting_matches_a_plain_cache() {
-        let mut shared = RowMapCache::<u64, u64>::new(2);
+        let mut shared = RowMapCache::<u64>::new(2);
         let mut other = shared.clone();
-        let mut plain = BoundedCache::<u64, ()>::new(2);
+        let mut plain = BoundedCache::<()>::new(2);
         for row in 0..6u64 {
             // A second holder churns the store without touching `shared`'s
             // accounting.
             other.insert(100 + row, Rc::from([row]), 8);
-            if shared.get(&row).is_none() {
+            if shared.get(row).is_none() {
                 shared.insert(row, Rc::from([row, row]), 16);
             }
-            if plain.get(&row).is_none() {
+            if plain.get(row).is_none() {
                 plain.insert_weighted(row, (), 16);
             }
         }

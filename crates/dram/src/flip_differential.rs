@@ -113,9 +113,22 @@ fn observe(
     (peeks, contents, flips, counters.to_json(), m.now_ns())
 }
 
-fn assert_matches_scalar_reference(config: DramConfig, seed: u64, ctx: &str) {
+/// Drives a scalar reference module and a production one through the same
+/// seeded sequence and compares every observable. `cache_rows`, when set,
+/// rebounds both modules' model caches first, so their eviction counters
+/// are compared under churn too.
+fn assert_matches_scalar_reference(
+    config: DramConfig,
+    seed: u64,
+    cache_rows: Option<usize>,
+    ctx: &str,
+) {
     let mut scalar = DramModule::scalar_reference(config.clone());
     let mut wordwise = DramModule::new(config);
+    if let Some(rows) = cache_rows {
+        scalar.set_model_cache_capacity(rows);
+        wordwise.set_model_cache_capacity(rows);
+    }
     let s_peeks = drive(&mut scalar, seed);
     let w_peeks = drive(&mut wordwise, seed);
     let s = observe(&mut scalar, s_peeks);
@@ -141,9 +154,15 @@ fn diff_config() -> DramConfig {
 
 #[test]
 fn wordwise_matches_scalar_reference() {
+    // Also with four rows per model cache: the drive's decay windows and
+    // hammering then evict constantly, and both modules must evict exactly
+    // the same maps.
     for seed in [1u64, 42] {
-        let config = diff_config().with_seed(seed);
-        assert_matches_scalar_reference(config, seed, &format!("seed={seed}"));
+        for cache_rows in [None, Some(4)] {
+            let config = diff_config().with_seed(seed);
+            let ctx = format!("seed={seed} cache_rows={cache_rows:?}");
+            assert_matches_scalar_reference(config, seed, cache_rows, &ctx);
+        }
     }
 }
 
@@ -158,7 +177,7 @@ fn wordwise_matches_scalar_reference_on_tail_word_rows() {
             disturbance: DisturbanceParams { pf: 0.2, ..DisturbanceParams::default() },
             ..DramConfig::small_test()
         };
-        assert_matches_scalar_reference(config, seed, &format!("row_bytes={row_bytes}"));
+        assert_matches_scalar_reference(config, seed, None, &format!("row_bytes={row_bytes}"));
     }
 }
 

@@ -28,16 +28,14 @@
 //!   other edit. This is O(cached rows + total rows) words of metadata,
 //!   orders of magnitude smaller than the row contents a fork would copy.
 //!
-//! **Not journaled:** the model maps themselves — vulnerability maps, and
-//! the retention model's long-cell lists, expired-cell masks and sorted
-//! retention index. They live in row-map stores the module shares with
-//! its forks and its journal snapshots, and each map is a pure function
-//! of the module's fixed inputs and its key (the row, plus the decay
-//! window and row bits for the retention maps), so rollback leaves the
-//! stores as the trial left them. The next trial on the parent finds
-//! every map an earlier trial built instead of regenerating it, while its
-//! accounting — the only part telemetry can see — starts from the
-//! restored snapshot. Likewise the row store's `contents_hash`
+//! **Not journaled:** the model maps themselves — vulnerability maps and
+//! the retention model's long-cell lists. They live in row-map stores the
+//! module shares with its forks and its journal snapshots, and each map is
+//! a pure function of the module's fixed inputs and its row, so rollback
+//! leaves the stores as the trial left them. The next trial on the parent
+//! finds every map an earlier trial built instead of regenerating it,
+//! while its accounting — the only part telemetry can see — starts from
+//! the restored snapshot. Likewise the row store's `contents_hash`
 //! checkpoints and row digests: both describe the contents no journal
 //! has changed, which rollback restores, so a trial leaves them (a row it
 //! changes is saved and hashes from its bytes meanwhile) and the next

@@ -343,9 +343,8 @@ impl DramModule {
         &self.state.stats
     }
 
-    /// Rebounds the per-row model caches (vulnerability bitplanes,
-    /// long-retention cells, expired-cell masks) to `rows`
-    /// entries each. Purely a memory/performance knob: evicted rows are
+    /// Rebounds the per-row model caches (vulnerability bitplanes and
+    /// long-retention cells) to `rows` entries each. Purely a memory/performance knob: evicted rows are
     /// regenerated on demand from the module seed, so simulated behavior
     /// is unaffected.
     ///
@@ -376,14 +375,11 @@ impl DramModule {
         self.state.vuln.cached_rows().max(self.state.retention.cached_rows())
     }
 
-    /// Payload bytes currently retained across all per-row model caches,
-    /// the retention model's acceleration structures (expired masks, the
-    /// sorted retention index) included. Every map is counted in the
-    /// row-map store this module shares with its forks and journal
-    /// snapshots, a vulnerability map weighed as its sorted bit list. The
-    /// telemetry gauges `vuln_cache_bytes`/`retention_cache_bytes` report
-    /// only the model-content subset (vulnerability maps and long-cell lists) of
-    /// what the module's own accounting holds.
+    /// Payload bytes currently retained across both per-row model caches,
+    /// counted in the row-map stores this module shares with its forks and
+    /// journal snapshots, a vulnerability map weighed as its sorted bit
+    /// list. The telemetry gauges `vuln_cache_bytes`/`retention_cache_bytes`
+    /// report the subset of those maps the module's own accounting holds.
     pub fn model_cache_bytes(&self) -> usize {
         self.state.vuln.cache_bytes() + self.state.retention.cache_bytes()
     }
@@ -901,12 +897,6 @@ impl DramModule {
     pub fn install_defense(&mut self, defense: Box<dyn RowDefense>) {
         self.state.defense = Some(defense);
         self.state.defense_stats = DefenseStats::default();
-    }
-
-    /// Removes and returns the installed defense, if any. The accumulated
-    /// [`DefenseStats`] are kept until the next install.
-    pub fn uninstall_defense(&mut self) -> Option<Box<dyn RowDefense>> {
-        self.state.defense.take()
     }
 
     /// The installed defense, if any.

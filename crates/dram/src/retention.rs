@@ -19,15 +19,6 @@ const ORDI_SALT: u64 = 0x4F52_4449;
 /// Seed salt of the long-retention population ("RETN").
 const RETN_SALT: u64 = 0x5245_544E;
 
-/// Low bits of a packed retention-index key that hold the cell index; the
-/// high `64 - 21 = 43` bits hold the retention time in nanoseconds.
-const INDEX_BIT_WIDTH: u32 = 21;
-
-/// Default payload-byte budget of the per-row retention index cache. The
-/// index weighs 8 bytes per cell (256 KiB for a 4 KiB row), so unlike the
-/// other model caches it is bounded by bytes, not entries.
-const INDEX_CACHE_BYTES: usize = 64 << 20;
-
 /// A cell with unusually long retention, discoverable by profiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LongCell {
@@ -47,33 +38,17 @@ pub struct LongCell {
 /// module seed, so profiling results are stable — which the coldboot guard
 /// (section 8) depends on.
 ///
-/// Every per-row cache is a [`RowMapCache`]: clones of the model (a
-/// module's forks and journal snapshots) account their cached rows
-/// separately but share the built maps, which are pure functions of
-/// (seed, params, row, elapsed window, row bits).
+/// Ordinary retention is a per-cell hash, recomputed by every partial-decay
+/// window. The long-cell lists are memoized in a [`RowMapCache`]: clones of
+/// the model (a module's forks and journal snapshots) account their cached
+/// rows separately but share the built lists, which are pure functions of
+/// (seed, params, row).
 #[derive(Clone)]
 pub(crate) struct RetentionModel {
     seed: u64,
     params: RetentionParams,
     bits_per_row: u64,
-    long_cache: RowMapCache<u64, LongCell>,
-    /// Expired-cell masks for the wordwise partial-decay path, keyed by
-    /// `(row, elapsed_ns, row bits)`: bit `b` is set iff that cell's
-    /// retention has expired after `elapsed_ns` without refresh. A mask is
-    /// built from the sorted per-row retention index in O(expired bits)
-    /// (one `partition_point`, then one bit-set per expired cell);
-    /// memoizing it keeps repeated sweeps of the same elapsed bucket
-    /// (profiling passes, forked campaigns) allocation-free.
-    expired: RowMapCache<(u64, u64, u64), u64>,
-    /// Sorted per-row retention index, keyed by `(row, row bits)`: one
-    /// packed `retention_ns << 21 | bit` key per *ordinary* cell, ascending.
-    /// Built lazily — a row's first partial-decay window uses a direct
-    /// counter-mode scan and leaves an empty marker; the second distinct
-    /// window pays one sort, after which every further window's mask
-    /// first-build is a binary search plus O(expired bits) instead of an
-    /// O(row bits) rescan. Byte-budgeted (8 bytes/cell, zero-weight
-    /// markers) rather than entry-bounded.
-    index: RowMapCache<(u64, u64), u64>,
+    long_cache: RowMapCache<LongCell>,
     /// Decays partial windows with [`Self::apply_decay_scalar`], the test
     /// oracle of the wordwise path.
     #[cfg(test)]
@@ -97,61 +72,46 @@ impl RetentionModel {
             params,
             bits_per_row,
             long_cache: RowMapCache::new(MODEL_CACHE_ROWS),
-            expired: RowMapCache::new(MODEL_CACHE_ROWS),
-            index: {
-                let mut index = RowMapCache::new(MODEL_CACHE_ROWS);
-                index.set_byte_budget(Some(INDEX_CACHE_BYTES));
-                index
-            },
             #[cfg(test)]
             scalar_reference: false,
         }
     }
 
-    /// Total accounting evictions (long cells + expired masks) since creation.
-    /// Retention-index evictions are excluded: the index is an acceleration
-    /// structure the scalar test oracle never builds, and the mirrored stats
-    /// counter must match that oracle byte for byte.
+    /// Long-cell lists the accounting evicted since creation.
     pub(crate) fn evictions(&self) -> u64 {
-        self.long_cache.evictions() + self.expired.evictions()
+        self.long_cache.evictions()
     }
 
-    /// Rows currently memoized in the largest of the caches.
+    /// Rows whose long-cell lists are memoized.
     pub(crate) fn cached_rows(&self) -> usize {
-        self.long_cache.len().max(self.expired.len()).max(self.index.len())
+        self.long_cache.len()
     }
 
-    /// Payload bytes the shared stores of all retention caches retain,
-    /// acceleration structures included.
+    /// Payload bytes the shared long-cell store retains.
     pub(crate) fn cache_bytes(&self) -> usize {
-        self.long_cache.stored_bytes() + self.expired.stored_bytes() + self.index.stored_bytes()
+        self.long_cache.stored_bytes()
     }
 
-    /// Payload bytes the long-cell accounting holds — the model content
-    /// the scalar test oracle shares, mirrored into the
+    /// Payload bytes the long-cell accounting holds, mirrored into the
     /// `retention_cache_bytes` gauge.
     pub(crate) fn long_bytes(&self) -> usize {
         self.long_cache.held_bytes()
     }
 
-    /// Rebounds all caches to `rows` entries.
+    /// Rebounds the long-cell cache to `rows` entries.
     pub(crate) fn set_cache_capacity(&mut self, rows: usize) {
         self.long_cache.set_capacity(rows);
-        self.expired.set_capacity(rows);
-        self.index.set_capacity(rows);
     }
 
-    /// Sets or clears the payload-byte budget of every retention cache.
+    /// Sets or clears the payload-byte budget of the long-cell cache.
     pub(crate) fn set_cache_bytes(&mut self, budget: Option<usize>) {
         self.long_cache.set_byte_budget(budget);
-        self.expired.set_byte_budget(budget);
-        self.index.set_byte_budget(budget);
     }
 
     /// The long-retention cells of `row`, sorted by bit index, generated on
     /// first use and memoized.
     pub(crate) fn long_cells(&mut self, row: RowId) -> Rc<[LongCell]> {
-        if let Some(cells) = self.long_cache.get(&row.0) {
+        if let Some(cells) = self.long_cache.get(row.0) {
             return cells;
         }
         let cells = self.generate_long_cells(row);
@@ -226,8 +186,8 @@ impl RetentionModel {
     ///
     /// Cells whose retention has expired read as the discharged value of the
     /// row's polarity. Returns the number of bits whose logic value changed.
-    /// A partial window discharges the row's memoized expired-cell mask a
-    /// word at a time; a test-only per-bit scalar loop is its oracle.
+    /// A partial window discharges the row's expired-cell mask a word at a
+    /// time; a test-only per-bit scalar loop is its oracle.
     pub(crate) fn apply_decay(
         &mut self,
         row: RowId,
@@ -307,86 +267,28 @@ impl RetentionModel {
     }
 
     /// The expired-cell mask of `row` after `elapsed_ns` in a partial decay
-    /// window (`min_ns ≤ elapsed < max_ns`), memoized per elapsed bucket.
+    /// window (`min_ns ≤ elapsed < max_ns`): bit `b` is set iff that cell's
+    /// retention is below `elapsed_ns`.
     ///
-    /// First-build consults the sorted retention index: the expired cells
-    /// are exactly the prefix of keys whose retention component is below
-    /// `elapsed_ns`, found with one `partition_point`. Rows too large (or
-    /// retentions too long) for the packed key encoding fall back to a
-    /// direct block-hash scan; both paths reproduce the scalar per-bit
-    /// predicate `ordinary_retention_ns(row, bit) < elapsed_ns` exactly.
-    fn expired_mask(&mut self, row: RowId, elapsed_ns: u64, nbits: usize) -> Rc<[u64]> {
-        let key = (row.0, elapsed_ns, nbits as u64);
-        // The accounting must see exactly the lookups a private memo cache
-        // would make, whatever the shared store already holds: such a cache
-        // builds a mask only on the key's first lookup, and only that build
-        // looks up the row's long cells.
-        let long = if self.expired.holds(&key) {
-            if let Some(mask) = self.expired.get(&key) {
-                return mask;
-            }
-            // Held, but another holder churned it out of the store: rebuild
-            // without a lookup the private cache would not have made.
-            self.long_cache.peek(&row.0).unwrap_or_else(|| self.generate_long_cells(row))
-        } else {
-            let long = self.long_cells(row);
-            if let Some(mask) = self.expired.get(&key) {
-                return mask;
-            }
-            long
-        };
+    /// One counter-mode scan of the ordinary draws, a third of the scalar
+    /// mixing cost. The expiry predicate `min_ns + (to_unit(h) · span) as
+    /// u64 < elapsed` is monotone in the hash mantissa, so one binary search
+    /// with the genuine float predicate turns the per-bit test into a single
+    /// integer compare — bit-exactly. Long cells then shadow the ordinary
+    /// draw at their positions.
+    fn expired_mask(&mut self, row: RowId, elapsed_ns: u64, nbits: usize) -> Vec<u64> {
+        let long = self.long_cells(row);
         let mut mask = vec![0u64; words_for_bits(nbits)];
-        let packable =
-            self.params.max_ns < 1 << (64 - INDEX_BIT_WIDTH) && nbits <= 1 << INDEX_BIT_WIDTH;
-        let index_key = (row.0, nbits as u64);
-        let cached = if packable { self.index.get(&index_key) } else { None };
-        match cached {
-            Some(index) if !index.is_empty() => {
-                let expired = index.partition_point(|&k| k >> INDEX_BIT_WIDTH < elapsed_ns);
-                for &k in &index[..expired] {
-                    let bit = k & ((1 << INDEX_BIT_WIDTH) - 1);
-                    mask[(bit / 64) as usize] |= 1u64 << (bit % 64);
-                }
-            }
-            Some(_) if nbits > 0 => {
-                // Second distinct elapsed bucket for this row: the sort now
-                // pays for itself, so build the real index and use it.
-                let index = self.build_index(row, nbits);
-                let expired = index.partition_point(|&k| k >> INDEX_BIT_WIDTH < elapsed_ns);
-                for &k in &index[..expired] {
-                    let bit = k & ((1 << INDEX_BIT_WIDTH) - 1);
-                    mask[(bit / 64) as usize] |= 1u64 << (bit % 64);
-                }
-            }
-            _ => {
-                // First build for this row (or keys that cannot pack): one
-                // counter-mode scan, a third of the scalar mixing cost. The
-                // expiry predicate `min_ns + (to_unit(h) · span) as u64 <
-                // elapsed` is monotone in the hash mantissa, so one binary
-                // search with the genuine float predicate turns the per-bit
-                // test into a single integer compare — bit-exactly. When
-                // packable, leave an empty-index marker so the next elapsed
-                // bucket upgrades to the sorted index.
-                let blocks = RowBlocks::new(self.seed ^ ORDI_SALT, row.0);
-                let span = (self.params.max_ns - self.params.min_ns) as f64;
-                let min_ns = self.params.min_ns;
-                let cutoff =
-                    mantissa_cutoff(|m| min_ns + ((to_unit(m << 11) * span) as u64) < elapsed_ns);
-                for bit in 0..nbits as u64 {
-                    if blocks.cell(bit) >> 11 < cutoff {
-                        mask[(bit / 64) as usize] |= 1u64 << (bit % 64);
-                    }
-                }
-                if packable {
-                    self.index.insert(index_key, Vec::new().into(), 0);
-                }
+        let blocks = RowBlocks::new(self.seed ^ ORDI_SALT, row.0);
+        let span = (self.params.max_ns - self.params.min_ns) as f64;
+        let min_ns = self.params.min_ns;
+        let cutoff = mantissa_cutoff(|m| min_ns + ((to_unit(m << 11) * span) as u64) < elapsed_ns);
+        for bit in 0..nbits as u64 {
+            if blocks.cell(bit) >> 11 < cutoff {
+                mask[(bit / 64) as usize] |= 1u64 << (bit % 64);
             }
         }
-        // Long cells shadow the ordinary draw at their positions.
-        for c in long.iter() {
-            if (c.bit as usize) >= nbits {
-                continue;
-            }
+        for c in long.iter().filter(|c| (c.bit as usize) < nbits) {
             let (w, b) = ((c.bit / 64) as usize, c.bit % 64);
             if c.retention_ns < elapsed_ns {
                 mask[w] |= 1u64 << b;
@@ -394,31 +296,7 @@ impl RetentionModel {
                 mask[w] &= !(1u64 << b);
             }
         }
-        let mask: Rc<[u64]> = mask.into();
-        self.expired.insert(key, Rc::clone(&mask), std::mem::size_of_val::<[u64]>(&mask));
         mask
-    }
-
-    /// Builds (and caches) the sorted retention index of `row` over its
-    /// first `nbits` cells: one `retention_ns << 21 | bit` key per ordinary
-    /// cell, ascending. The per-cell hashes come from the counter-mode
-    /// block generator, which is hash-for-hash equal to the scalar
-    /// `hash3` draw, so `partition_point` over the keys reproduces the
-    /// scalar per-bit expiry predicate exactly.
-    fn build_index(&mut self, row: RowId, nbits: usize) -> Rc<[u64]> {
-        let key = (row.0, nbits as u64);
-        let blocks = RowBlocks::new(self.seed ^ ORDI_SALT, row.0);
-        let span = (self.params.max_ns - self.params.min_ns) as f64;
-        let mut keys: Vec<u64> = (0..nbits as u64)
-            .map(|bit| {
-                let r = self.params.min_ns + (to_unit(blocks.cell(bit)) * span) as u64;
-                r << INDEX_BIT_WIDTH | bit
-            })
-            .collect();
-        keys.sort_unstable();
-        let keys: Rc<[u64]> = keys.into();
-        self.index.insert(key, Rc::clone(&keys), std::mem::size_of_val::<[u64]>(&keys));
-        keys
     }
 }
 
@@ -548,28 +426,41 @@ mod tests {
 
     #[test]
     fn wordwise_decay_matches_scalar_exactly() {
-        let p = RetentionParams::default();
-        let elapsed_values = [
-            p.min_ns,
-            p.min_ns + (p.max_ns - p.min_ns) / 3,
-            p.max_ns - 1,
-            p.max_ns,
-            p.max_ns + 1,
-            p.long_min_ns + 5,
-            p.long_max_ns + 1,
-        ];
-        for cell_type in [CellType::True, CellType::Anti] {
-            for (fill, elapsed) in
-                elapsed_values.iter().enumerate().map(|(i, e)| ([0xFF, 0x5A, 0x00][i % 3], *e))
-            {
-                let mut scalar = model();
-                let mut wordwise = model();
-                let mut sb = vec![fill; 4096];
-                let mut wb = sb.clone();
-                let cs = scalar.apply_decay_scalar(RowId(3), cell_type, &mut sb, elapsed);
-                let cw = wordwise.apply_decay(RowId(3), cell_type, &mut wb, elapsed);
-                assert_eq!(cs, cw, "changed counts diverged at elapsed={elapsed} {cell_type:?}");
-                assert_eq!(sb, wb, "row bytes diverged at elapsed={elapsed} {cell_type:?}");
+        // The default params, and retentions of 2^42 ns and beyond.
+        let long = RetentionParams {
+            min_ns: 1 << 42,
+            max_ns: 1 << 43,
+            long_fraction: 1e-3,
+            long_min_ns: 1 << 44,
+            long_max_ns: 1 << 45,
+        };
+        for p in [RetentionParams::default(), long] {
+            let span = p.max_ns - p.min_ns;
+            let elapsed_values = [
+                p.min_ns,
+                p.min_ns + span / 3,
+                p.min_ns + span / 2,
+                p.max_ns - 1,
+                p.max_ns,
+                p.max_ns + 1,
+                p.long_min_ns + 5,
+                p.long_max_ns + 1,
+            ];
+            for cell_type in [CellType::True, CellType::Anti] {
+                // One model of each kind decays the row through every window.
+                let mut scalar = RetentionModel::new(p, 4096 * 8, 0xFEED);
+                let mut wordwise = RetentionModel::new(p, 4096 * 8, 0xFEED);
+                for (fill, elapsed) in
+                    elapsed_values.iter().enumerate().map(|(i, e)| ([0xFF, 0x5A, 0x00][i % 3], *e))
+                {
+                    let mut sb = vec![fill; 4096];
+                    let mut wb = sb.clone();
+                    let cs = scalar.apply_decay_scalar(RowId(3), cell_type, &mut sb, elapsed);
+                    let cw = wordwise.apply_decay(RowId(3), cell_type, &mut wb, elapsed);
+                    let at = format!("max_ns={} elapsed={elapsed} {cell_type:?}", p.max_ns);
+                    assert_eq!(cs, cw, "changed counts diverged at {at}");
+                    assert_eq!(sb, wb, "row bytes diverged at {at}");
+                }
             }
         }
     }
@@ -643,83 +534,6 @@ mod tests {
             }
         }
         assert!(survivors > 0, "long-cell survivors must be exercised");
-    }
-
-    #[test]
-    fn expired_mask_is_memoized_and_bounded() {
-        let mut m = model();
-        m.set_cache_capacity(2);
-        let p = m.params;
-        let elapsed = p.min_ns + (p.max_ns - p.min_ns) / 2;
-        let mut reference = vec![0xFFu8; 4096];
-        m.apply_decay(RowId(0), CellType::True, &mut reference, elapsed);
-        // A second sweep of the same (row, elapsed) hits the mask cache and
-        // must decay a fresh row identically.
-        let mut again = vec![0xFFu8; 4096];
-        m.apply_decay(RowId(0), CellType::True, &mut again, elapsed);
-        assert_eq!(reference, again);
-        // Sweeping more rows than the capacity evicts deterministically.
-        for r in 1..6 {
-            let mut b = vec![0xFFu8; 4096];
-            m.apply_decay(RowId(r), CellType::True, &mut b, elapsed);
-        }
-        assert!(m.cached_rows() <= 2);
-        assert!(m.evictions() > 0);
-    }
-
-    #[test]
-    fn fallback_scan_matches_scalar_when_index_unpackable() {
-        // Retentions too long for the 43-bit packed key: the wordwise
-        // partial-decay path must take the direct block-hash fallback and
-        // still reproduce the scalar per-bit reference exactly.
-        let p = RetentionParams {
-            min_ns: 1 << 42,
-            max_ns: 1 << 43, // ≥ 2^43 ⟹ keys cannot pack
-            long_fraction: 1e-3,
-            long_min_ns: 1 << 44,
-            long_max_ns: 1 << 45,
-        };
-        for elapsed in [(1u64 << 42) + (1 << 40), (1 << 42) + (1 << 42) / 2] {
-            let mut scalar = RetentionModel::new(p, 4096 * 8, 0xFEED);
-            let mut wordwise = RetentionModel::new(p, 4096 * 8, 0xFEED);
-            let mut sb = vec![0xA5u8; 4096];
-            let mut wb = sb.clone();
-            let cs = scalar.apply_decay_scalar(RowId(7), CellType::True, &mut sb, elapsed);
-            let cw = wordwise.apply_decay(RowId(7), CellType::True, &mut wb, elapsed);
-            assert_eq!(cs, cw, "elapsed={elapsed}");
-            assert_eq!(sb, wb, "elapsed={elapsed}");
-            assert_eq!(wordwise.index.len(), 0, "unpackable params must not build an index");
-        }
-    }
-
-    #[test]
-    fn index_byte_budget_evicts_without_changing_decay() {
-        // A byte budget far below one index's weight (a 4 KiB row's index
-        // is 32768 cells × 8 B = 256 KiB) forces eviction on every new row,
-        // yet decay results must match an unbudgeted twin bit for bit.
-        let p = RetentionParams::default();
-        let buckets = [p.min_ns + (p.max_ns - p.min_ns) / 4, p.min_ns + (p.max_ns - p.min_ns) / 2];
-        let mut capped = model();
-        capped.set_cache_bytes(Some(64 * 1024));
-        let mut uncapped = model();
-        for r in 0..4 {
-            // Two distinct elapsed buckets per row: the first leaves the
-            // lazy marker, the second builds the real sorted index.
-            for elapsed in buckets {
-                let mut cb = vec![0xFFu8; 4096];
-                let mut ub = cb.clone();
-                capped.apply_decay(RowId(r), CellType::True, &mut cb, elapsed);
-                uncapped.apply_decay(RowId(r), CellType::True, &mut ub, elapsed);
-                assert_eq!(cb, ub, "row {r}");
-            }
-        }
-        // The budget keeps at most one (over-budget) index resident, while
-        // the default 64 MiB budget retains all four.
-        assert!(capped.index.len() <= 1, "capped index len {}", capped.index.len());
-        assert_eq!(uncapped.index.len(), 4);
-        assert!(capped.cache_bytes() < uncapped.cache_bytes());
-        // Index evictions stay out of the mirrored stats counter.
-        assert_eq!(capped.evictions(), uncapped.evictions());
     }
 
     #[test]

@@ -93,8 +93,7 @@ pub struct DramStats {
     /// means a sweep touched more rows than the cache capacity and some
     /// maps were regenerated from seed.
     pub vuln_cache_evictions: u64,
-    /// Evictions from the bounded retention-model caches (long-cell lists
-    /// and expired-cell masks).
+    /// Long-cell lists evicted from the bounded retention-model cache.
     pub retention_cache_evictions: u64,
     /// Payload bytes retained in the vulnerability-map cache, each row
     /// weighed as its sorted `VulnerableBit` list (16 B per vulnerable
@@ -102,8 +101,7 @@ pub struct DramStats {
     /// measures model content only.
     pub vuln_cache_bytes: u64,
     /// Payload bytes retained in the retention model's long-cell cache
-    /// (expired masks and the sorted retention index are acceleration
-    /// structures and excluded for the same reason).
+    /// (16 B per long-retention cell of every held row).
     pub retention_cache_bytes: u64,
     /// Bounded log of the most recent disturbance flips, in order of
     /// occurrence. Older events beyond the capacity are evicted but counted

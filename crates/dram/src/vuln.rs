@@ -113,7 +113,7 @@ pub struct VulnerabilityModel {
     /// Integer form of the reverse-direction draw: a draw `x` reverses iff
     /// `x >> 11 < reverse_cutoff`, bit for bit `to_unit(x) < reverse_rate`.
     reverse_cutoff: u64,
-    planes: RowMapCache<u64, PlaneWord>,
+    planes: RowMapCache<PlaneWord>,
 }
 
 impl fmt::Debug for VulnerabilityModel {
@@ -174,7 +174,7 @@ impl VulnerabilityModel {
 
     /// The bitplane map of `row`, generated on first use and memoized.
     pub(crate) fn planes(&mut self, row: RowId) -> Rc<[PlaneWord]> {
-        if let Some(planes) = self.planes.get(&row.0) {
+        if let Some(planes) = self.planes.get(row.0) {
             return planes;
         }
         let (planes, bits) = self.generate_row(row);

@@ -58,7 +58,7 @@ fn decay_sweep_bounds_the_retention_caches() {
     let mut m = capped_module(capacity);
     let row_bytes = m.geometry().row_bytes() as usize;
     // Materialize a spread of rows, then decay them all in one partial
-    // refresh outage: one expired mask and one long-cell list per row.
+    // refresh outage: one long-cell list per row.
     for row in (0..512u64).step_by(4) {
         m.fill(row * row_bytes as u64, row_bytes, 0xFF).unwrap();
     }

@@ -30,9 +30,8 @@
 //! after each rollback.
 //!
 //! The deterministic tests at the end pin partial-decay windows, whose
-//! expired masks, retention index and long-cell lists outlive a rollback
-//! in the row-map store a module shares with its forks: neither a later
-//! trial nor a fork may see them.
+//! long-cell lists outlive a rollback in the row-map store a module shares
+//! with its forks: neither a later trial nor a fork may see them.
 
 mod common;
 
@@ -290,8 +289,8 @@ fn decay_windows(m: &mut DramModule, fractions: &[u64]) {
     }
 }
 
-/// Two distinct windows: each row's first builds its expired mask by a
-/// direct scan, the second from the sorted retention index it then builds.
+/// Two distinct windows: the second looks up every row's long-cell list
+/// again, a repeat the accounting already holds unless a budget evicted it.
 const TWO_WINDOWS: [u64; 2] = [2, 4];
 
 /// Contents hash (checkpointed and by definition), clock, and telemetry.
@@ -303,8 +302,8 @@ fn observe_decay(m: &DramModule) -> (u64, u64, u64, String) {
 
 #[test]
 fn partial_decay_windows_under_a_journal_leave_no_trace() {
-    // A budget of one expired mask (a 4 KiB row's mask is 4 KiB), which
-    // also evicts long-cell lists.
+    // A budget of about eight long-cell lists (a 4 KiB row has ~33 long
+    // cells of 16 B) for 64 rows, so the windows evict most of them.
     for budget in [None, Some(4096)] {
         let mut parent = decay_parent(budget);
         let before = observe_decay(&parent);
@@ -315,8 +314,8 @@ fn partial_decay_windows_under_a_journal_leave_no_trace() {
         parent.journal_rollback();
         assert_eq!(observe_decay(&parent), before, "budget {budget:?}: rollback");
 
-        // The trial's masks, index and long-cell lists stay in the store the
-        // parent shares with its forks; none of it may show.
+        // The trial's long-cell lists stay in the store the parent shares
+        // with its forks; none of them may show.
         let mut fresh = decay_parent(budget);
         decay_windows(&mut fresh, &TWO_WINDOWS);
         assert_eq!(observe_decay(&fresh), trial, "budget {budget:?}: a fresh module");
@@ -339,19 +338,19 @@ fn partial_decay_windows_under_a_journal_leave_no_trace() {
 
 #[test]
 fn masks_churned_out_of_the_shared_store_rebuild_unseen() {
-    // The parent holds masks of rows 0..8 but not their long-cell lists; a
-    // fork, sharing the parent's store, then churns the masks out of it.
-    // The parent's next window rebuilds them, and must account exactly
-    // what a twin that never shared its store does: a mask the parent
-    // already holds is no first lookup, so it looks up no long cells.
+    // The parent holds the long-cell lists of eight rows only; a fork,
+    // sharing the parent's store, then churns them out of it. The parent's
+    // next window rebuilds them, and must account exactly what a twin
+    // that never shared its store does: a list the parent already holds
+    // is stored again, not held a second time.
     let build = || {
         let mut m = DramModule::new(DramConfig::small_test());
         m.set_model_cache_capacity(8);
         let row_bytes = m.geometry().row_bytes() as usize;
         m.fill(0, 8 * row_bytes, 0xFF).expect("rows 0..8");
         decay_windows(&mut m, &[2]);
-        // A full-decay outage over every row holds only long-cell lists,
-        // which evict those of rows 0..8.
+        // A full-decay outage over every row evicts the lists the window
+        // held for rows 0..8.
         m.fill(8 * row_bytes as u64, 56 * row_bytes, 0xFF).expect("rows 8..64");
         m.power_off(m.config().retention.max_ns);
         m

@@ -107,16 +107,6 @@ impl Process {
     pub fn huge_mapping_count(&self) -> usize {
         self.huge_mappings.len()
     }
-
-    /// Virtual bases of the live huge mappings.
-    pub fn huge_mapped_bases(&self) -> impl Iterator<Item = VirtAddr> + '_ {
-        self.huge_mappings.keys().map(|va| VirtAddr(*va))
-    }
-
-    /// Virtual page bases currently mapped.
-    pub fn mapped_pages(&self) -> impl Iterator<Item = VirtAddr> + '_ {
-        self.mappings.keys().map(|va| VirtAddr(*va))
-    }
 }
 
 /// One page-table entry found by [`Kernel::iter_pt_entries`].

@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
 # Tier-1 gate for monotonic-cta: formatting, build, full test suite,
 # clippy (deny warnings), rustdoc (deny warnings), an examples smoke run,
-# the defense-matrix and campaign-executor smokes, strict JSON + schema
-# checks, golden recording replay, the repository benchmark's self-tests,
-# and a telemetry sanity sweep.
+# the defense-matrix and campaign-executor smokes, a run of every other
+# experiment binary, strict JSON + schema checks, golden recording
+# replay, the repository benchmark's self-tests, and a telemetry sanity
+# sweep.
 # Everything here must pass before a change lands.
 #
 # Usage: scripts/check.sh
@@ -111,6 +112,24 @@ fi
 cargo run --release -q -p cta-bench --bin json-check -- --schema \
     "$table4"/t1/exp-table4.telemetry.json "$table4"/t2/exp-table4.telemetry.json
 rm -rf "$table4"
+
+echo "==> experiment binaries: every other exp-* exits 0 with a schema-valid snapshot"
+# exp-matrix and exp-table4 have smokes of their own above. The others
+# regenerate the paper's tables and figures and assert their claims in
+# the binary (exp-ext: the coldboot guard must never boot over remanent
+# secrets), so each must exit 0 and leave a snapshot named after it.
+exps=$(mktemp -d)
+for src in crates/bench/src/bin/exp-*.rs; do
+    bin=$(basename "$src" .rs)
+    case "$bin" in exp-matrix | exp-table4) continue ;; esac
+    CTA_TELEMETRY_DIR="$exps" cargo run --release -q -p cta-bench --bin "$bin" > /dev/null
+    if [ ! -f "$exps/$bin.telemetry.json" ]; then
+        echo "$bin: no telemetry snapshot"
+        exit 1
+    fi
+done
+cargo run --release -q -p cta-bench --bin json-check -- --schema "$exps"/*.telemetry.json
+rm -rf "$exps"
 
 echo "==> malformed cta invocations fail with an error, not a panic or an abort"
 # Each must be rejected with a message and exit status 1, cta's failure
