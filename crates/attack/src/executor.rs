@@ -16,7 +16,8 @@
 //! default) runs the trial **in place** on the parent under
 //! [`KernelPool::run_journaled`]'s undo journal and rolls it back —
 //! O(touched state) — while [`TrialIsolation::Fork`] serves it from a
-//! [`cta_vm::Kernel::fork`] of the parent, a deep copy. Rollback is byte-identical to a fresh fork (pinned by
+//! [`cta_vm::Kernel::fork`] of the parent, whose DRAM rows are shared
+//! copy-on-write. Rollback is byte-identical to a fresh fork (pinned by
 //! the isolation differential suites), so the two modes produce
 //! byte-identical campaign output and share the same pooled parents
 //! ([`TrialIsolation`] is deliberately absent from the parent key). Under
@@ -117,8 +118,8 @@ pub struct TenantLimits {
 /// implementation knob, never part of the parent key or the result.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TrialIsolation {
-    /// Fork the parent per trial: a deep copy, O(materialized rows) per
-    /// trial.
+    /// Fork the parent per trial: a copy of the machine metadata plus one
+    /// reference per DRAM row (rows are copy-on-write), O(rows) per trial.
     Fork,
     /// Run the trial in place on the parent under an undo journal and
     /// roll back: O(touched state) per trial.
@@ -235,6 +236,11 @@ pub struct ServiceStats {
     /// DRAM model-cache bytes held by resident parents (the gauge
     /// [`TenantLimits::model_cache_bytes`] bounds per parent).
     pub pool_model_cache_bytes: u64,
+    /// DRAM row-content bytes held by resident parents, shared row
+    /// buffers counted once per parent. A memory gauge, refreshed when a
+    /// parent boots or is evicted (rollback leaves a parent's rows as they
+    /// were).
+    pub pool_row_store_bytes: u64,
 }
 
 struct CampaignCtx {
@@ -280,6 +286,7 @@ struct ExecState {
     // deltas, so updates are idempotent).
     pool_parents: Vec<AtomicU64>,
     pool_bytes: Vec<AtomicU64>,
+    pool_row_bytes: Vec<AtomicU64>,
     boots: Vec<AtomicU64>,
     fork_hits: Vec<AtomicU64>,
     journal_runs: Vec<AtomicU64>,
@@ -357,6 +364,14 @@ impl WorkerCtx {
             evictions += stats.evictions;
         }
         let w = self.worker;
+        // Parents' rows change only when one boots or is evicted, so the
+        // O(rows) row-store scan runs only then.
+        if boots != self.state.boots[w].load(Ordering::Relaxed)
+            || evictions != self.state.evictions[w].load(Ordering::Relaxed)
+        {
+            let row_bytes = self.pools.values().map(KernelPool::row_store_bytes).sum();
+            self.state.pool_row_bytes[w].store(row_bytes, Ordering::Relaxed);
+        }
         self.state.pool_parents[w].store(parents, Ordering::Relaxed);
         self.state.pool_bytes[w].store(bytes, Ordering::Relaxed);
         self.state.boots[w].store(boots, Ordering::Relaxed);
@@ -458,6 +473,7 @@ impl CampaignExecutor {
             active: Mutex::new(HashMap::new()),
             pool_parents: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             pool_bytes: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+            pool_row_bytes: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             boots: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             fork_hits: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             journal_runs: (0..workers).map(|_| AtomicU64::new(0)).collect(),
@@ -636,6 +652,7 @@ impl CampaignExecutor {
             evictions: sum(&self.state.evictions),
             pool_parents: sum(&self.state.pool_parents),
             pool_model_cache_bytes: sum(&self.state.pool_bytes),
+            pool_row_store_bytes: sum(&self.state.pool_row_bytes),
         }
     }
 
@@ -654,6 +671,7 @@ impl CampaignExecutor {
         counters.set_u64("executor", "evictions", s.evictions);
         counters.set_u64("executor", "pool_parents", s.pool_parents);
         counters.set_u64("executor", "pool_model_cache_bytes", s.pool_model_cache_bytes);
+        counters.set_u64("executor", "pool_row_store_bytes", s.pool_row_store_bytes);
     }
 }
 

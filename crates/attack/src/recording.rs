@@ -1010,6 +1010,29 @@ mod tests {
     }
 
     #[test]
+    fn repeat_journaled_spray_trials_allocate_no_row_buffer() {
+        // The spray-pool benchmark's machine: a profiled 16 MiB CTA parent.
+        let mut spec = RecordingSpec::new(RecordedAttack::Spray(SprayAttack::default()), vec![11]);
+        spec.memory_bytes = 16 << 20;
+        spec.protected = true;
+        spec.profile_cells = true;
+        spec.flip_log_capacity = 1 << 16;
+        let boot = || spec.builder(11, ReplayTarget::default()).build();
+        let mut pool = cta_vm::KernelPool::new(1);
+        let mut trial = || {
+            let run = |k: &mut Kernel| run_trial_on(k, &spec, 11).expect("trial runs").0;
+            pool.run_journaled(&(), boot, run).expect("parent boots")
+        };
+        let first = trial();
+        assert!(!first.flips.is_empty(), "the spray lands flips");
+        let allocated = cta_dram::row_buffers_allocated();
+        for _ in 0..2 {
+            assert_eq!(trial(), first);
+        }
+        assert_eq!(cta_dram::row_buffers_allocated(), allocated);
+    }
+
+    #[test]
     fn error_display_names_the_failure() {
         let e = RecordingError::LossyFlipLog { seed: 7, dropped: 12, retained: 4 };
         let msg = e.to_string();

@@ -177,4 +177,5 @@ fn parent_pool_stays_bounded_over_a_long_campaign_stream() {
     );
     assert!(stats.evictions > 0, "the capped tenant must evict, not accumulate");
     assert!(stats.pool_model_cache_bytes > 0, "resident parents publish their footprint");
+    assert!(stats.pool_row_store_bytes > 0, "and their row contents");
 }

@@ -302,6 +302,7 @@ fn cmd_evaluate(opts: &Options) -> ExitCode {
     kv("steals", stats.steals);
     kv("pool_parents", stats.pool_parents);
     kv("pool_model_cache_bytes", stats.pool_model_cache_bytes);
+    kv("pool_row_store_bytes", stats.pool_row_store_bytes);
     if let Some(path) = &opts.jsonl {
         kv("events", path.display());
     }

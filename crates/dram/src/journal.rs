@@ -8,25 +8,33 @@
 //!   store itself: every change to a row — a write, a fill, a charge
 //!   touch, decay, a disturbance, a neighbor or targeted refresh — passes
 //!   one private funnel in `SparseStore`, which saves the row's slot
-//!   before its first change (the whole buffer: bytes, charge timestamp
-//!   and settled bit, or `None` if the row had never been materialized).
-//!   Rollback moves each saved slot back, so a row the trial created is
-//!   unmaterialized again and no bytes are copied. No caller has to
-//!   remember a hook, and a read of a row that was never written changes
-//!   nothing and saves nothing. This is the plane that makes journaling
-//!   cheap: a trial that touches a few dozen rows of a multi-megabyte
-//!   machine journals a few dozen rows.
+//!   before its first change (its bytes, charge timestamp and settled
+//!   bit, or `None` if the row had never been materialized). The bytes
+//!   are a copy-on-write `Rc<[u8]>`, so the pre-image shares the row's
+//!   buffer and saving it copies nothing; the row is copied only when its
+//!   bytes first change, and a row the trial only reads (which recharges
+//!   it) is never copied. Rollback moves each saved slot back, so a row
+//!   the trial created is unmaterialized again, and hands the trial's
+//!   copies to a per-thread spare list that the next trial's copies come
+//!   from. No caller has to remember a hook, and a read of a row that was
+//!   never written changes nothing and saves nothing. This is the plane
+//!   that makes journaling cheap: a trial that touches a few dozen rows of
+//!   a multi-megabyte machine journals a few dozen rows.
 //! - **State snapshot** (the eagerly-journaled plane): everything else the
 //!   module mutates lives in one `ModuleState` struct — the model caches'
 //!   accounting (which rows each cache holds, their weights, FIFO order,
 //!   evictions and bytes), remap table, clock/window state, activation
 //!   counters, open-row registers, statistics (including the bounded flip
 //!   log, so `take_flip_log` drains and capacity changes roll back
-//!   exactly), and the installed defense — which `journal_begin` clones
-//!   and `journal_rollback` assigns back, as `fork` clones it. A field
-//!   added to that struct is forked, journaled and rolled back with no
-//!   other edit. This is O(cached rows + total rows) words of metadata,
-//!   orders of magnitude smaller than the row contents a fork would copy.
+//!   exactly), and the installed defense — which `journal_begin` copies
+//!   into the previous journal's snapshot with `clone_from`, reusing its
+//!   tables, and `journal_rollback` swaps back, as `fork` clones it. The
+//!   struct's `Clone` comes from [`clone_fields!`](crate::clone_fields),
+//!   which lists every field: a field added to the struct but not to the
+//!   list is a compile error, and once listed it is forked, journaled and
+//!   rolled back with no other edit. This is O(cached rows + total rows)
+//!   words of metadata, orders of magnitude smaller than the row
+//!   contents.
 //!
 //! **Not journaled:** the model maps themselves — vulnerability maps and
 //! the retention model's long-cell lists. They live in row-map stores the
@@ -55,6 +63,45 @@ use crate::geometry::RowId;
 use crate::module::ModuleState;
 use crate::remap::RemapTable;
 use crate::store::SparseStore;
+
+/// Implements `Clone` for a struct field by field, with a `clone_from`
+/// that calls each field's own `clone_from`, so a `Vec` field reuses its
+/// capacity: a journal snapshot copied into last trial's snapshot
+/// allocates nothing for tables that kept their size. Both methods
+/// destructure the struct with no `..` rest pattern, so a field missing
+/// from the list is a compile error, and a snapshot stays complete by
+/// construction.
+///
+/// ```
+/// #[derive(Debug, PartialEq)]
+/// struct State {
+///     table: Vec<u64>,
+///     clock: u64,
+/// }
+/// cta_dram::clone_fields!(State { table, clock });
+///
+/// let mut snapshot = State { table: Vec::with_capacity(8), clock: 0 };
+/// let state = State { table: vec![1, 2, 3], clock: 7 };
+/// snapshot.clone_from(&state);
+/// assert_eq!(snapshot, state);
+/// assert_eq!(snapshot.table.capacity(), 8);
+/// ```
+#[macro_export]
+macro_rules! clone_fields {
+    ($ty:ident $(<$($param:ident),+>)? { $($field:ident),+ $(,)? }) => {
+        impl$(<$($param: Clone),+>)? Clone for $ty$(<$($param),+>)? {
+            fn clone(&self) -> Self {
+                let Self { $($field),+ } = self;
+                Self { $($field: Clone::clone($field)),+ }
+            }
+
+            fn clone_from(&mut self, source: &Self) {
+                let Self { $($field),+ } = self;
+                $(Clone::clone_from($field, &source.$field);)+
+            }
+        }
+    };
+}
 
 /// The module half of the undo journal of one in-place trial (the store
 /// keeps the row pre-images). Constructed by `DramModule::journal_begin`,

@@ -83,6 +83,7 @@ pub use profiler::{
 };
 pub use remap::RemapTable;
 pub use stats::{DramStats, FlipEvent, FlipLog};
+pub use store::row_buffers_allocated;
 pub use vuln::{FlipDirection, VulnerabilityModel, VulnerableBit};
 
 /// Number of bits in a DRAM byte; used pervasively when converting between

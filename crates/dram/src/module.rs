@@ -11,7 +11,7 @@ use crate::journal::DramJournal;
 use crate::remap::RemapTable;
 use crate::retention::RetentionModel;
 use crate::stats::{DramStats, FlipEvent, FlipLog};
-use crate::store::SparseStore;
+use crate::store::{unshare, SparseStore};
 use crate::vuln::{VulnerabilityModel, VulnerableBit};
 
 /// Column-access latency charged per read/write operation, nanoseconds.
@@ -106,6 +106,9 @@ pub struct DramModule {
     /// Active undo journal, if a trial is running in place on this module
     /// (see [`crate::journal`]).
     journal: Option<Box<DramJournal>>,
+    /// The last rolled-back journal, whose snapshot the next
+    /// [`Self::journal_begin`] copies the state into, reusing its tables.
+    spare_journal: Option<Box<DramJournal>>,
     /// Flips disturbed cells with the per-bit scalar reference instead of
     /// the wordwise path: the test oracle the production path is
     /// differentially checked against.
@@ -116,7 +119,6 @@ pub struct DramModule {
 /// The module's mutable state outside its row store: what
 /// [`DramModule::fork`] copies and an undo journal snapshots and restores
 /// besides the rows.
-#[derive(Clone)]
 pub(crate) struct ModuleState {
     vuln: VulnerabilityModel,
     retention: RetentionModel,
@@ -151,6 +153,22 @@ pub(crate) struct ModuleState {
     /// [`DramStats`] so undefended telemetry is unchanged.
     defense_stats: DefenseStats,
 }
+
+crate::clone_fields!(ModuleState {
+    vuln,
+    retention,
+    remap,
+    row_cache,
+    clock_ns,
+    window_end_ns,
+    refresh_disabled_at,
+    generation,
+    activations,
+    open_rows,
+    stats,
+    defense,
+    defense_stats,
+});
 
 impl std::fmt::Debug for DramModule {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -229,6 +247,7 @@ impl DramModule {
                 defense_stats: DefenseStats::default(),
             },
             journal: None,
+            spare_journal: None,
             #[cfg(test)]
             scalar_reference: false,
             config,
@@ -245,10 +264,12 @@ impl DramModule {
         m
     }
 
-    /// Forks the module: an independent deep copy sharing no observable
-    /// state with the original. It costs O(materialized rows) row copies;
-    /// trials isolate in place with [`Self::journal_begin`] instead, and
-    /// the fork stays as the oracle journal rollback is checked against.
+    /// Forks the module: an independent copy sharing no observable state
+    /// with the original. Row contents are copy-on-write, so a fork costs
+    /// O(rows) reference bumps, not row copies, plus a copy of the state;
+    /// either side copies a row on its first change to it. Trials isolate
+    /// in place with [`Self::journal_begin`] instead, and the fork stays as
+    /// the oracle journal rollback is checked against.
     pub fn fork(&self) -> DramModule {
         assert!(self.journal.is_none(), "cannot fork a module with an active journal");
         DramModule {
@@ -256,6 +277,7 @@ impl DramModule {
             store: self.store.clone(),
             state: self.state.clone(),
             journal: None,
+            spare_journal: None,
             #[cfg(test)]
             scalar_reference: self.scalar_reference,
         }
@@ -267,7 +289,8 @@ impl DramModule {
 
     /// Starts an undo journal: snapshots the module state (model-cache
     /// accounting, remap, clock/window state, activation counters, stats
-    /// including the flip log, defense) and opens the row store's journal,
+    /// including the flip log, defense) into the previous journal's
+    /// snapshot, reusing its tables, and opens the row store's journal,
     /// which saves each row before its first change. Until
     /// [`Self::journal_rollback`], the module may be mutated freely in
     /// place; rollback restores it byte-identically. See the `journal`
@@ -279,22 +302,30 @@ impl DramModule {
     pub fn journal_begin(&mut self) {
         assert!(self.journal.is_none(), "DRAM journal already active");
         self.store.journal_begin();
-        self.journal =
-            Some(Box::new(DramJournal { snapshot: self.state.clone(), remapped: ROW_NONE }));
+        let journal = match self.spare_journal.take() {
+            Some(mut journal) => {
+                journal.snapshot.clone_from(&self.state);
+                journal.remapped = ROW_NONE;
+                journal
+            }
+            None => Box::new(DramJournal { snapshot: self.state.clone(), remapped: ROW_NONE }),
+        };
+        self.journal = Some(journal);
     }
 
     /// Rolls the module back to its [`Self::journal_begin`] state: the row
     /// store moves every saved row back (rows that were unmaterialized are
-    /// unmaterialized again), and the state snapshot is reinstated.
-    /// O(touched rows) plus the state restore.
+    /// unmaterialized again), and the state swaps with its snapshot, which
+    /// the next journal reuses. O(touched rows) plus the swap.
     ///
     /// # Panics
     ///
     /// Panics if no journal is active.
     pub fn journal_rollback(&mut self) {
-        let j = self.journal.take().expect("journal_rollback without journal_begin");
+        let mut journal = self.journal.take().expect("journal_rollback without journal_begin");
         self.store.journal_rollback();
-        self.state = j.snapshot;
+        std::mem::swap(&mut self.state, &mut journal.snapshot);
+        self.spare_journal = Some(journal);
     }
 
     /// Whether an undo journal is currently active.
@@ -305,6 +336,15 @@ impl DramModule {
     /// Number of rows currently materialized.
     pub fn rows_materialized(&self) -> usize {
         self.store.materialized_count()
+    }
+
+    /// Bytes of row contents the module holds, each distinct buffer counted
+    /// once: rows that share a buffer (all-ones rows after profiling, zeroed
+    /// pages, a journal pre-image and its unchanged row) count it once. A
+    /// memory gauge only: it depends on how rows came to share buffers, so
+    /// it is not part of any deterministic output.
+    pub fn row_store_bytes(&self) -> usize {
+        self.store.buffer_bytes()
     }
 
     /// Number of rows holding a compiled contents-hash digest (see
@@ -522,7 +562,7 @@ impl DramModule {
             let backing = self.resolve_row(span.row);
             self.touch_row(backing);
             let row = self.store.materialize(backing.0, self.state.clock_ns);
-            row.bytes[span.col..span.col + span.take]
+            unshare(row.bytes)[span.col..span.col + span.take]
                 .copy_from_slice(&data[span.off..span.off + span.take]);
         }
         Ok(())
@@ -573,7 +613,7 @@ impl DramModule {
             let backing = self.resolve_row(RowId(addr / row_bytes));
             self.touch_row(backing);
             let row = self.store.materialize(backing.0, self.state.clock_ns);
-            row.bytes[col..col + 8].copy_from_slice(&value.to_le_bytes());
+            unshare(row.bytes)[col..col + 8].copy_from_slice(&value.to_le_bytes());
             return Ok(());
         }
         self.write(addr, &value.to_le_bytes())
@@ -1210,39 +1250,48 @@ impl DramModule {
             return;
         }
         let row = self.store.materialize(victim.0, clock);
-        for pw in planes.iter() {
-            let w = pw.word as usize;
-            let word = load_word(row.bytes, w);
-            // A `1→0`-vulnerable cell fires where the word holds a 1; a
-            // `0→1` cell where it holds a 0. One AND/OR pass flips every
-            // firing cell of the word at once.
-            let fire_otz = word & pw.otz;
-            let fire_zto = !word & pw.zto;
-            let fired = fire_otz | fire_zto;
-            if fired == 0 {
-                continue;
-            }
-            store_word(row.bytes, w, (word & !fire_otz) | fire_zto);
-            self.state.stats.flips_one_to_zero += u64::from(fire_otz.count_ones());
-            self.state.stats.flips_zero_to_one += u64::from(fire_zto.count_ones());
-            // Per-bit events in ascending bit order (the scalar loop's
-            // order: the decoded bit list ascends too).
-            let base = 64 * w as u64;
-            let mut rest = fired;
-            while rest != 0 {
-                let b = rest.trailing_zeros() as u64;
-                let direction = if fire_otz >> b & 1 == 1 {
-                    crate::FlipDirection::OneToZero
-                } else {
-                    crate::FlipDirection::ZeroToOne
-                };
-                self.state.stats.flip_log.push(FlipEvent {
-                    row: victim,
-                    bit: base + b,
-                    direction,
-                    time_ns: clock,
-                });
-                rest &= rest - 1;
+        // Read the row in place up to the first word that fires and copy it
+        // there if it is shared, so a pass that fires nothing copies nothing.
+        let first = planes.iter().position(|pw| {
+            let word = load_word(row.bytes, pw.word as usize);
+            (word & pw.otz) | (!word & pw.zto) != 0
+        });
+        if let Some(first) = first {
+            let bytes = unshare(row.bytes);
+            for pw in &planes[first..] {
+                let w = pw.word as usize;
+                let word = load_word(bytes, w);
+                // A `1→0`-vulnerable cell fires where the word holds a 1; a
+                // `0→1` cell where it holds a 0. One AND/OR pass flips every
+                // firing cell of the word at once.
+                let fire_otz = word & pw.otz;
+                let fire_zto = !word & pw.zto;
+                let fired = fire_otz | fire_zto;
+                if fired == 0 {
+                    continue;
+                }
+                store_word(bytes, w, (word & !fire_otz) | fire_zto);
+                self.state.stats.flips_one_to_zero += u64::from(fire_otz.count_ones());
+                self.state.stats.flips_zero_to_one += u64::from(fire_zto.count_ones());
+                // Per-bit events in ascending bit order (the scalar loop's
+                // order: the decoded bit list ascends too).
+                let base = 64 * w as u64;
+                let mut rest = fired;
+                while rest != 0 {
+                    let b = rest.trailing_zeros() as u64;
+                    let direction = if fire_otz >> b & 1 == 1 {
+                        crate::FlipDirection::OneToZero
+                    } else {
+                        crate::FlipDirection::ZeroToOne
+                    };
+                    self.state.stats.flip_log.push(FlipEvent {
+                        row: victim,
+                        bit: base + b,
+                        direction,
+                        time_ns: clock,
+                    });
+                    rest &= rest - 1;
+                }
             }
         }
         self.store.settle(victim.0);
@@ -1259,7 +1308,7 @@ impl DramModule {
         for vb in bits {
             let current = get_bit(row.bytes, vb.bit);
             if current == vb.direction.source_value() {
-                set_bit(row.bytes, vb.bit, !current);
+                set_bit(unshare(row.bytes), vb.bit, !current);
                 self.state.stats.record_flip(FlipEvent {
                     row: victim,
                     bit: vb.bit,
@@ -1284,6 +1333,8 @@ impl DramModule {
 
 #[cfg(test)]
 mod tests {
+    use std::rc::Rc;
+
     use super::*;
     use crate::config::DisturbanceParams;
     use crate::geometry::AddressMapping;
@@ -1369,6 +1420,41 @@ mod tests {
         assert!(!flips.is_empty(), "pf=0.02 over 32768 bits should flip something");
         // On all-ones content, only 1→0 flips can fire.
         assert!(flips.iter().all(|e| e.direction == FlipDirection::OneToZero));
+    }
+
+    #[test]
+    fn a_decay_or_disturbance_that_changes_nothing_copies_no_row() {
+        let mut m = module();
+        let row_bytes = m.geometry().row_bytes();
+        // Row 2 is a true-cell row, row 10 an anti-cell row.
+        m.fill(2 * row_bytes, row_bytes as usize, 0xFF).unwrap();
+        m.fill(10 * row_bytes, row_bytes as usize, 0xFF).unwrap();
+        m.hammer_double_sided(RowId(2)).unwrap();
+        let (flips, disturbances) = (m.stats().total_flips(), m.stats().disturbances);
+        assert!(flips > 0);
+        let held = [2, 10].map(|row| Rc::clone(m.store.buffer(row)));
+        let shared = |m: &DramModule, i: usize, row| Rc::ptr_eq(m.store.buffer(row), &held[i]);
+        // A repeat pass over row 2 with refresh off: its decay (too short
+        // to expire a cell) and its disturbance change nothing.
+        m.disable_refresh();
+        m.hammer_double_sided(RowId(2)).unwrap();
+        assert_eq!(m.stats().total_flips(), flips);
+        assert_eq!(m.stats().disturbances, 2 * disturbances);
+        assert!(shared(&m, 0, 2), "a pass that fires nothing leaves the row shared");
+        // Anti-cells discharge to 1, so an all-ones anti-cell row decays
+        // to itself, through a partial window and then a full one.
+        let retention = m.config().retention;
+        for wait in [(retention.min_ns + retention.max_ns) / 2, retention.long_max_ns] {
+            m.advance(wait);
+            m.read(10 * row_bytes, 1).unwrap();
+            assert!(shared(&m, 1, 10), "after a wait of {wait} ns");
+        }
+        assert_eq!(m.stats().decay_flips, 0);
+        assert_eq!(m.peek(10 * row_bytes, row_bytes as usize).unwrap(), vec![0xFF; 4096]);
+        // The true-cell row does decay, into a copy of its own.
+        m.read(2 * row_bytes, 1).unwrap();
+        assert!(m.stats().decay_flips > 0);
+        assert!(!shared(&m, 0, 2));
     }
 
     #[test]

@@ -11,6 +11,7 @@ use crate::geometry::RowId;
 #[cfg(test)]
 use crate::rng::hash3;
 use crate::rng::{mantissa_cutoff, poisson, stream_rng, to_unit, RowBlocks};
+use crate::store::unshare;
 use crate::vuln::MODEL_CACHE_ROWS;
 
 /// Seed salt of the ordinary retention draw ("ORDI").
@@ -187,12 +188,14 @@ impl RetentionModel {
     /// Cells whose retention has expired read as the discharged value of the
     /// row's polarity. Returns the number of bits whose logic value changed.
     /// A partial window discharges the row's expired-cell mask a word at a
-    /// time; a test-only per-bit scalar loop is its oracle.
+    /// time; a test-only per-bit scalar loop is its oracle. A shared row is
+    /// copied only if a bit changes, so a decay that changes nothing leaves
+    /// it shared.
     pub(crate) fn apply_decay(
         &mut self,
         row: RowId,
         cell_type: CellType,
-        bytes: &mut [u8],
+        bytes: &mut Rc<[u8]>,
         elapsed_ns: u64,
     ) -> u64 {
         if elapsed_ns < self.params.min_ns {
@@ -218,26 +221,30 @@ impl RetentionModel {
         &mut self,
         row: RowId,
         cell_type: CellType,
-        bytes: &mut [u8],
+        bytes: &mut Rc<[u8]>,
         elapsed_ns: u64,
     ) -> u64 {
         let discharged = cell_type.discharged_value();
         let nbits = (bytes.len() * crate::BITS_PER_BYTE) as u64;
         let long = self.long_cells(row);
+        // The survivors still holding the charged value: each would count
+        // as changed by the fill, and is set back after it.
         let mut survivors = Vec::with_capacity(long.len());
         survivors.extend(
             long.iter()
                 .filter(|c| c.retention_ns >= elapsed_ns && c.bit < nbits)
-                .map(|c| (c.bit, get_bit(bytes, c.bit))),
+                .map(|c| c.bit)
+                .filter(|&bit| get_bit(bytes, bit) != discharged),
         );
         let ones = count_ones(bytes);
-        let mut changed = if discharged { nbits - ones } else { ones };
+        let changed = if discharged { nbits - ones } else { ones } - survivors.len() as u64;
+        if changed == 0 {
+            return 0;
+        }
+        let bytes = unshare(bytes);
         bytes.fill(if discharged { 0xFF } else { 0x00 });
-        for (bit, value) in survivors {
-            if value != discharged {
-                set_bit(bytes, bit, value);
-                changed -= 1; // it had been counted as changed by the fill
-            }
+        for bit in survivors {
+            set_bit(bytes, bit, !discharged);
         }
         changed
     }
@@ -249,7 +256,7 @@ impl RetentionModel {
         &mut self,
         row: RowId,
         cell_type: CellType,
-        bytes: &mut [u8],
+        bytes: &mut Rc<[u8]>,
         elapsed_ns: u64,
     ) -> u64 {
         if elapsed_ns < self.params.min_ns || elapsed_ns >= self.params.max_ns {
@@ -259,7 +266,7 @@ impl RetentionModel {
         let mut changed = 0u64;
         for bit in 0..(bytes.len() as u64 * crate::BITS_PER_BYTE as u64) {
             if self.retention_ns(row, bit) < elapsed_ns && get_bit(bytes, bit) != discharged {
-                set_bit(bytes, bit, discharged);
+                set_bit(unshare(bytes), bit, discharged);
                 changed += 1;
             }
         }
@@ -303,9 +310,15 @@ impl RetentionModel {
 /// Drives every masked bit of `bytes` to its bit in `target` (all-ones or
 /// all-zero), returning how many bits actually changed (popcount of the
 /// per-word difference).
-fn discharge_masked(bytes: &mut [u8], mask: &[u64], target: u64) -> u64 {
+fn discharge_masked(bytes: &mut Rc<[u8]>, mask: &[u64], target: u64) -> u64 {
+    // Copy a shared row only at the first word that changes.
+    let differs = |w: usize| (load_word(bytes, w) ^ target) & mask[w] != 0;
+    let Some(first) = (0..mask.len()).position(|w| mask[w] != 0 && differs(w)) else {
+        return 0;
+    };
+    let bytes = unshare(bytes);
     let mut changed = 0u64;
-    for (w, &m) in mask.iter().enumerate() {
+    for (w, &m) in mask.iter().enumerate().skip(first) {
         if m == 0 {
             continue;
         }
@@ -372,7 +385,7 @@ mod tests {
     #[test]
     fn no_decay_before_min_retention() {
         let mut m = model();
-        let mut bytes = vec![0xFFu8; 4096];
+        let mut bytes: Rc<[u8]> = vec![0xFFu8; 4096].into();
         let changed = m.apply_decay(RowId(0), CellType::True, &mut bytes, 1_000_000);
         assert_eq!(changed, 0);
         assert!(bytes.iter().all(|b| *b == 0xFF));
@@ -381,7 +394,7 @@ mod tests {
     #[test]
     fn full_decay_discharges_true_cells_to_zero() {
         let mut m = model();
-        let mut bytes = vec![0xFFu8; 4096];
+        let mut bytes: Rc<[u8]> = vec![0xFFu8; 4096].into();
         let elapsed = m.params.max_ns + 1;
         let changed = m.apply_decay(RowId(0), CellType::True, &mut bytes, elapsed);
         // All bits decay except surviving long cells.
@@ -394,7 +407,7 @@ mod tests {
     #[test]
     fn full_decay_discharges_anti_cells_to_one() {
         let mut m = model();
-        let mut bytes = vec![0x00u8; 4096];
+        let mut bytes: Rc<[u8]> = vec![0x00u8; 4096].into();
         let elapsed = m.params.max_ns + 1;
         m.apply_decay(RowId(1), CellType::Anti, &mut bytes, elapsed);
         let zeros: u64 = bytes.iter().map(|b| b.count_zeros() as u64).sum();
@@ -406,8 +419,8 @@ mod tests {
     fn partial_decay_is_monotonic_in_time() {
         let mut m = model();
         let p = m.params;
-        let mut early = vec![0xFFu8; 4096];
-        let mut late = vec![0xFFu8; 4096];
+        let mut early: Rc<[u8]> = vec![0xFFu8; 4096].into();
+        let mut late: Rc<[u8]> = vec![0xFFu8; 4096].into();
         m.apply_decay(RowId(2), CellType::True, &mut early, p.min_ns + (p.max_ns - p.min_ns) / 4);
         m.apply_decay(RowId(2), CellType::True, &mut late, p.min_ns + (p.max_ns - p.min_ns) / 2);
         let ones_early: u32 = early.iter().map(|b| b.count_ones()).sum();
@@ -419,7 +432,7 @@ mod tests {
     #[test]
     fn very_long_wait_kills_even_long_cells() {
         let mut m = model();
-        let mut bytes = vec![0xFFu8; 4096];
+        let mut bytes: Rc<[u8]> = vec![0xFFu8; 4096].into();
         m.apply_decay(RowId(0), CellType::True, &mut bytes, m.params.long_max_ns + 1);
         assert!(bytes.iter().all(|b| *b == 0));
     }
@@ -453,7 +466,7 @@ mod tests {
                 for (fill, elapsed) in
                     elapsed_values.iter().enumerate().map(|(i, e)| ([0xFF, 0x5A, 0x00][i % 3], *e))
                 {
-                    let mut sb = vec![fill; 4096];
+                    let mut sb: Rc<[u8]> = vec![fill; 4096].into();
                     let mut wb = sb.clone();
                     let cs = scalar.apply_decay_scalar(RowId(3), cell_type, &mut sb, elapsed);
                     let cw = wordwise.apply_decay(RowId(3), cell_type, &mut wb, elapsed);
@@ -474,7 +487,7 @@ mod tests {
             for elapsed in [p.min_ns + (p.max_ns - p.min_ns) / 2, p.max_ns + 1] {
                 let mut scalar = RetentionModel::new(p, (len * 8) as u64, 0xFEED);
                 let mut wordwise = RetentionModel::new(p, (len * 8) as u64, 0xFEED);
-                let mut sb = vec![0xFFu8; len];
+                let mut sb: Rc<[u8]> = vec![0xFFu8; len].into();
                 let mut wb = sb.clone();
                 let cs = scalar.apply_decay_scalar(RowId(0), CellType::True, &mut sb, elapsed);
                 let cw = wordwise.apply_decay(RowId(0), CellType::True, &mut wb, elapsed);
@@ -521,12 +534,12 @@ mod tests {
                                     survivors += 1;
                                 }
                             }
-                            let mut bytes = before.clone();
+                            let mut bytes: Rc<[u8]> = before.clone().into();
                             let changed = m.apply_decay(row, cell_type, &mut bytes, elapsed);
                             let at = format!(
                                 "len={len} row={r} elapsed={elapsed} {cell_type:?} fill={fill:#x}"
                             );
-                            assert_eq!(bytes, expected, "{at}");
+                            assert_eq!(&bytes[..], &expected[..], "{at}");
                             assert_eq!(changed, expected_changed, "{at}");
                         }
                     }

@@ -187,7 +187,7 @@ fn carve_trusted(range: Range<u64>, trusted: &[Range<u64>]) -> Vec<SubZoneSpec> 
 /// `__GFP_PTP` requests are served from `ZONE_PTP` **only** (Rule 1), and
 /// `ZONE_PTP` never serves anything else (Rule 2) because it is excluded
 /// from every fallback list.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct ZonedAllocator {
     zones: Vec<Zone>,
     total_bytes: u64,
@@ -195,6 +195,8 @@ pub struct ZonedAllocator {
     strict_user: bool,
     stats: AllocStats,
 }
+
+cta_dram::clone_fields!(ZonedAllocator { zones, total_bytes, ptp, strict_user, stats });
 
 impl ZonedAllocator {
     /// Builds the allocator for a memory map.

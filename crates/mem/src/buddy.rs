@@ -24,7 +24,7 @@ const NOT_ALLOCATED: u8 = u8::MAX;
 /// the index of its lowest non-zero word exact, so the lowest free block
 /// is found without a scan and two allocators in the same state compare
 /// equal field by field.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct BuddyAllocator {
     start: u64,
     end: u64,
@@ -43,6 +43,18 @@ pub struct BuddyAllocator {
     allocated: usize,
     free_pages: u64,
 }
+
+cta_dram::clone_fields!(BuddyAllocator {
+    start,
+    end,
+    words,
+    spans,
+    counts,
+    lowest,
+    orders,
+    allocated,
+    free_pages,
+});
 
 impl BuddyAllocator {
     /// Creates an allocator over frames `[start, end)`, all initially free.

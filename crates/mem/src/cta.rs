@@ -108,7 +108,7 @@ impl PtpSpec {
 /// address so touched: everything at or above it belongs to `ZONE_PTP`
 /// (usable true-cell sub-zones + reserved anti-cell holes); everything below
 /// is ordinary memory.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct PtpLayout {
     subzones: Vec<(Range<u64>, Option<PtLevel>)>,
     reserved_anti: Vec<Range<u64>>,
@@ -118,6 +118,16 @@ pub struct PtpLayout {
     trusted_ranges: Vec<Range<u64>>,
     screened_pages: Vec<u64>,
 }
+
+cta_dram::clone_fields!(PtpLayout {
+    subzones,
+    reserved_anti,
+    low_water_mark,
+    total_bytes,
+    ptp_bytes,
+    trusted_ranges,
+    screened_pages,
+});
 
 impl PtpLayout {
     /// Computes the layout for a module whose cell types are `map`.

@@ -75,12 +75,14 @@ impl SubZoneSpec {
 /// may additionally be tagged with the page-table level they serve
 /// (multi-level extension, section 7) or as trusted-only stripes
 /// (section 5's two-zeros restriction).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct SubZone {
     buddy: BuddyAllocator,
     level: Option<PtLevel>,
     trusted_only: bool,
 }
+
+cta_dram::clone_fields!(SubZone { buddy, level, trusted_only });
 
 impl SubZone {
     /// The page-table level this sub-zone is dedicated to, if any.
@@ -105,13 +107,15 @@ impl SubZone {
 }
 
 /// A physical-memory zone: a kind, a frame span, and one or more sub-zones.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Zone {
     kind: ZoneKind,
     span: Range<u64>,
     subzones: Vec<SubZone>,
     stats: ZoneStats,
 }
+
+cta_dram::clone_fields!(Zone { kind, span, subzones, stats });
 
 impl Zone {
     /// Creates an ordinary single-sub-zone zone over frames `[start, end)`.

@@ -190,11 +190,23 @@ pub fn declarations() -> &'static [SnapshotSchema] {
     // is pinned byte-identical to the serial recording path, so the shape
     // requirements are shared.
     const EXECUTOR: &[GroupReq] = RECORDING;
+    // The campaign service's gauges (`cta evaluate`): the pool memory
+    // gauges are what per-tenant limits and footprints are read from.
+    const CTA_EVALUATE: &[GroupReq] = &[GroupReq {
+        group: "executor",
+        keys: &[
+            KeyReq { key: "trials_completed", kind: ValueKind::UInt },
+            KeyReq { key: "pool_parents", kind: ValueKind::UInt },
+            KeyReq { key: "pool_model_cache_bytes", kind: ValueKind::UInt },
+            KeyReq { key: "pool_row_store_bytes", kind: ValueKind::UInt },
+        ],
+    }];
     &[
         SnapshotSchema { label_prefix: "exp-table4", required: EXP_TABLE4 },
         SnapshotSchema { label_prefix: "exp-matrix", required: EXP_MATRIX },
         SnapshotSchema { label_prefix: "recording", required: RECORDING },
         SnapshotSchema { label_prefix: "executor", required: EXECUTOR },
+        SnapshotSchema { label_prefix: "cta-evaluate", required: CTA_EVALUATE },
     ]
 }
 
@@ -562,6 +574,20 @@ mod tests {
         let paths: Vec<&str> = errors.iter().map(|e| e.path.as_str()).collect();
         assert!(paths.contains(&"trials"), "{errors:?}");
         assert!(paths.contains(&"telemetry"), "{errors:?}");
+    }
+
+    #[test]
+    fn cta_evaluate_declaration_requires_the_pool_memory_gauges() {
+        assert_eq!(schema_for("cta-evaluate").unwrap().label_prefix, "cta-evaluate");
+        let doc = parse(
+            r#"{"label": "cta-evaluate", "flags": [], "groups": {
+                "executor": {"trials_completed": 4, "pool_parents": 3,
+                             "pool_model_cache_bytes": 3672832}}}"#,
+        )
+        .unwrap();
+        let errors = validate_snapshot(&doc);
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert_eq!(errors[0].path, "groups.executor.pool_row_store_bytes");
     }
 
     #[test]

@@ -241,6 +241,9 @@ pub struct Kernel {
     /// trial is running in place on this kernel. `None` outside journaled
     /// trials.
     journal: Option<Box<KernelState>>,
+    /// The last rolled-back snapshot, which the next
+    /// [`Self::journal_begin`] copies the state into, reusing its tables.
+    spare_snapshot: Option<Box<KernelState>>,
 }
 
 /// Every kernel-side plane a journaled trial may mutate. The DRAM module
@@ -249,9 +252,7 @@ pub struct Kernel {
 /// stores land in DRAM rows (journaled there), but the allocator's
 /// free-lists, the TLB/PSC arrays, and the process/file/owner maps live
 /// outside DRAM and must be restored exactly — they are all O(machine
-/// metadata), orders of magnitude smaller than the row contents a fork
-/// would deep-copy.
-#[derive(Clone)]
+/// metadata), orders of magnitude smaller than the row contents.
 struct KernelState {
     alloc: ZonedAllocator,
     walker: Walker,
@@ -267,6 +268,20 @@ struct KernelState {
     stats: KernelStats,
     secret: Option<(Pfn, [u8; 16])>,
 }
+
+cta_dram::clone_fields!(KernelState {
+    alloc,
+    walker,
+    tlb,
+    psc,
+    processes,
+    files,
+    owners,
+    next_pid,
+    next_file,
+    stats,
+    secret,
+});
 
 impl fmt::Debug for Kernel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -337,6 +352,7 @@ impl Kernel {
             },
             multi_level,
             journal: None,
+            spare_snapshot: None,
         };
         // Reserve the zero frame so that pfn 0 never appears in a PTE, and
         // plant the kernel secret used to verify privilege escalation.
@@ -371,8 +387,9 @@ impl Kernel {
     /// Nothing done to either side is ever visible to the other.
     ///
     /// Forking a freshly booted kernel is indistinguishable from booting a
-    /// second one with the same [`KernelConfig`]. The DRAM module is
-    /// deep-copied, so a fork costs O(materialized rows); campaigns isolate
+    /// second one with the same [`KernelConfig`]. DRAM rows are
+    /// copy-on-write, so a fork costs O(rows) reference bumps, not row
+    /// copies, plus a copy of the machine metadata; campaigns isolate
     /// trials in place with [`Self::journal_begin`] instead, and the fork
     /// stays as the oracle journal rollback is checked against.
     pub fn fork(&self) -> Kernel {
@@ -381,6 +398,7 @@ impl Kernel {
             state: self.state.clone(),
             multi_level: self.multi_level,
             journal: None,
+            spare_snapshot: None,
         }
     }
 
@@ -394,8 +412,8 @@ impl Kernel {
     /// its own planes (row pre-images its row store saves on first change,
     /// plus a snapshot of its state); this layer snapshots its one state
     /// struct — the allocator, TLB, page-structure cache, and the
-    /// process/file/owner maps — O(machine metadata), not O(machine
-    /// memory).
+    /// process/file/owner maps — into the previous trial's snapshot, reusing
+    /// its tables: O(machine metadata), not O(machine memory).
     ///
     /// # Panics
     ///
@@ -403,7 +421,14 @@ impl Kernel {
     pub fn journal_begin(&mut self) {
         assert!(self.journal.is_none(), "kernel journal already active");
         self.dram.journal_begin();
-        self.journal = Some(Box::new(self.state.clone()));
+        let snapshot = match self.spare_snapshot.take() {
+            Some(mut snapshot) => {
+                (*snapshot).clone_from(&self.state);
+                snapshot
+            }
+            None => Box::new(self.state.clone()),
+        };
+        self.journal = Some(snapshot);
     }
 
     /// Rolls the kernel back to its [`Self::journal_begin`] state:
@@ -416,9 +441,10 @@ impl Kernel {
     ///
     /// Panics if no journal is active.
     pub fn journal_rollback(&mut self) {
-        let snapshot = self.journal.take().expect("journal_rollback without journal_begin");
+        let mut snapshot = self.journal.take().expect("journal_rollback without journal_begin");
         self.dram.journal_rollback();
-        self.state = *snapshot;
+        std::mem::swap(&mut self.state, &mut *snapshot);
+        self.spare_snapshot = Some(snapshot);
     }
 
     /// Whether an undo journal is currently active on this kernel.

@@ -6,7 +6,8 @@
 //! distinct boot configuration) alive and, with
 //! [`KernelPool::run_journaled`], runs each trial **in place** on its
 //! parent under an undo journal and rolls it back — or hands out a
-//! [`Kernel::fork`], a deep copy of the parent, per trial.
+//! [`Kernel::fork`] of the parent per trial, which shares the parent's
+//! DRAM rows copy-on-write: O(rows) reference bumps, not row copies.
 //!
 //! [`KernelPool`] is that cache: an LRU map from an opaque configuration
 //! key to a booted parent, order-indexed (hash map plus a recency-stamped
@@ -216,6 +217,15 @@ impl<K: Eq + Hash + Clone> KernelPool<K> {
     pub fn model_cache_bytes(&self) -> u64 {
         self.parents.values().map(|p| p.kernel.dram().model_cache_bytes() as u64).sum()
     }
+
+    /// Bytes of DRAM row contents held by resident parents, each parent's
+    /// shared buffers counted once (see `DramModule::row_store_bytes`). A
+    /// journaled trial's rollback leaves its parent holding exactly the
+    /// buffers it held before, so this changes only when a parent boots
+    /// or is evicted.
+    pub fn row_store_bytes(&self) -> u64 {
+        self.parents.values().map(|p| p.kernel.dram().row_store_bytes() as u64).sum()
+    }
 }
 
 #[cfg(test)]
@@ -274,6 +284,29 @@ mod tests {
         assert_eq!(pool.len(), 1);
         assert!(pool.contains(&3));
         assert_eq!(pool.stats().evictions, 2);
+    }
+
+    #[test]
+    fn a_profiled_cta_parent_shares_its_uniform_rows() {
+        let config = KernelConfig { profile_cells: true, ..KernelConfig::small_test_cta() };
+        let kernel = Kernel::new(config.clone()).expect("boot");
+        let dram = kernel.dram();
+        let row_bytes = dram.geometry().row_bytes() as usize;
+        // Profiling leaves the anti-cell half of the rows all ones, in one
+        // shared buffer.
+        let (held, materialized) = (dram.row_store_bytes(), dram.rows_materialized() * row_bytes);
+        assert!(held < materialized * 3 / 4, "{held} of {materialized} bytes");
+        // A trial's rollback leaves the parent holding the same buffers.
+        let mut pool: KernelPool<u32> = KernelPool::new(1);
+        let trial = |k: &mut Kernel| {
+            let dram = k.dram_mut();
+            dram.fill(0, 3 * row_bytes + 100, 0x5A).expect("in range");
+            dram.write_u64(1 << 20, u64::MAX).expect("in range");
+        };
+        for _ in 0..2 {
+            pool.run_journaled(&0, || Kernel::new(config.clone()), trial).expect("boot");
+            assert_eq!(pool.row_store_bytes(), held as u64);
+        }
     }
 
     #[test]

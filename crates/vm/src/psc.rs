@@ -111,11 +111,13 @@ fn level_slot(level: PtLevel) -> Option<usize> {
 /// Built with `entries_per_level == 0` the PSC is disabled: lookups miss
 /// without counting and inserts are dropped, so a kernel configured that way
 /// behaves exactly like one predating the cache.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Psc {
     caches: Option<[SetAssoc<PscEntry>; 3]>,
     stats: PscStats,
 }
+
+cta_dram::clone_fields!(Psc { caches, stats });
 
 impl Psc {
     /// Creates the three per-level caches, each holding at least

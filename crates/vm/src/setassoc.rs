@@ -21,7 +21,7 @@ struct Slot<V> {
 }
 
 /// `sets × ways` array of tagged slots with one tree-PLRU bit vector per set.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct SetAssoc<V> {
     sets: usize,
     ways: usize,
@@ -30,6 +30,8 @@ pub(crate) struct SetAssoc<V> {
     plru: Vec<u16>,
     len: usize,
 }
+
+cta_dram::clone_fields!(SetAssoc<V> { sets, ways, epoch, slots, plru, len });
 
 impl<V: Copy> SetAssoc<V> {
     /// Builds a cache of at least `capacity` entries: `ways` is

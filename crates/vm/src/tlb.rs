@@ -81,11 +81,13 @@ impl StatSource for TlbStats {
 /// RowHammer attacks must flush the TLB between hammer reads so every access
 /// re-walks the (possibly corrupted) page tables — exactly the `va`-access +
 /// TLB-flush loop of the paper's Algorithm 1 step (2).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Tlb {
     cache: SetAssoc<TlbEntry>,
     stats: TlbStats,
 }
+
+cta_dram::clone_fields!(Tlb { cache, stats });
 
 impl Tlb {
     /// Creates a TLB with at least `capacity` entries (rounded up to a

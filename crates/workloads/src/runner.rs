@@ -416,6 +416,26 @@ mod tests {
     }
 
     #[test]
+    fn repeat_pooled_cells_allocate_no_row_buffer() {
+        let runner = Runner { repetitions: 1, seed: 0x1234 };
+        let mut pool = KernelPool::new(2);
+        for spec in [spec2006()[0], phoronix()[0]] {
+            let mut cell = |protected| {
+                let run = |k: &mut Kernel| runner.run(k, &spec).expect("cell runs").sim_ns;
+                pool.run_journaled(&protected, || Ok(machine(protected)), run).unwrap()
+            };
+            // The first cell of a shape may allocate; repeats reuse the
+            // buffers its rollback released.
+            let first = (cell(false), cell(true));
+            let allocated = cta_dram::row_buffers_allocated();
+            for _ in 0..2 {
+                assert_eq!((cell(false), cell(true)), first, "{}", spec.name);
+            }
+            assert_eq!(cta_dram::row_buffers_allocated(), allocated, "{}", spec.name);
+        }
+    }
+
+    #[test]
     fn compare_many_returns_the_lowest_failing_cells_error() {
         let base = spec2006()[0];
         // More pages than the 16 MiB machine holds: the stock run's second
