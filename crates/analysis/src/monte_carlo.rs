@@ -14,6 +14,8 @@
 //! This set-based model is derived independently of the paper's binomial
 //! sum; agreement between the two (see tests) validates both.
 
+use std::convert::Infallible;
+
 use rand::RngCore;
 use rand_chacha::ChaCha8Rng;
 
@@ -174,9 +176,16 @@ pub fn monte_carlo_p_exploitable_sharded(
 ) -> MonteCarloResult {
     assert!(shards > 0, "need at least one shard");
     let sizes = cta_parallel::shard_sizes(samples, shards);
-    let shard_hits = cta_parallel::parallel_map(shards as usize, shards as usize, |i| {
-        count_hits(n, stats, restriction, sizes[i], cta_parallel::shard_seed(seed, i as u32))
-    });
+    let shard_hits = cta_parallel::try_parallel_map(
+        shards as usize,
+        shards as usize,
+        || (),
+        |_, i| {
+            let shard_seed = cta_parallel::shard_seed(seed, i as u32);
+            Ok::<_, Infallible>(count_hits(n, stats, restriction, sizes[i], shard_seed))
+        },
+    )
+    .unwrap_or_else(|never| match never {});
     // Merge in shard order. Integer addition is order-independent, but the
     // fixed order is the contract every merged statistic must follow.
     let hits: u64 = shard_hits.iter().sum();

@@ -261,7 +261,6 @@ struct TrialJob {
 struct ExecutedTrial {
     record: TrialRecord,
     shard: Counters,
-    dropped: u64,
     latency_ns: u64,
 }
 
@@ -340,8 +339,8 @@ impl WorkerCtx {
                 .run_journaled(&key, boot, |kernel| run_trial_on(kernel, spec, seed))
                 .map_err(RecordingError::Vm)?,
         };
-        let result = trial.map(|(record, shard, dropped)| {
-            Some(ExecutedTrial { record, shard, dropped, latency_ns: elapsed_ns(ctx.submitted) })
+        let result = trial.map(|(record, shard)| {
+            Some(ExecutedTrial { record, shard, latency_ns: elapsed_ns(ctx.submitted) })
         });
         self.publish_gauges();
         result
@@ -676,9 +675,9 @@ impl CampaignExecutor {
 }
 
 /// The deterministic seed-order merge — line for line the scoped path's
-/// (`run_trials` + `record`): lowest-index error selection, per-trial
-/// lossless-transcript enforcement, shard merge in seed order, summary
-/// recording, and the flip-accounting cross-check. The trial records are
+/// (`run_trials` + `record`): lowest-index error selection (a lossy flip
+/// log is a trial error), shard merge in seed order, summary recording,
+/// and the flip-accounting cross-check. The trial records are
 /// moved out of `results`, which the hook owns; the slots are left empty.
 fn merge_campaign(
     ctx: &CampaignCtx,
@@ -695,13 +694,6 @@ fn merge_campaign(
             // merge entirely, counted separately.
             Ok(None) => dropped_trials += 1,
             Ok(Some(trial)) => {
-                if trial.dropped > 0 {
-                    return Err(RecordingError::LossyFlipLog {
-                        seed: trial.record.seed,
-                        dropped: trial.dropped,
-                        retained: trial.record.flips.len(),
-                    });
-                }
                 counters.merge(&trial.shard);
                 trials.push(trial.record);
                 latencies.push(trial.latency_ns);

@@ -370,7 +370,7 @@ fn run_trial(
     spec: &RecordingSpec,
     target: ReplayTarget,
     seed: u64,
-) -> Result<(TrialRecord, Counters, u64), RecordingError> {
+) -> Result<(TrialRecord, Counters), RecordingError> {
     let mut kernel = spec.builder(seed, target).build()?;
     run_trial_on(&mut kernel, spec, seed)
 }
@@ -379,13 +379,15 @@ fn run_trial(
 /// executor (which supplies a pooled parent under an undo journal, or a
 /// fork of one — either observably identical to a fresh boot, which is
 /// what makes the executor's output byte-identical to this path by
-/// construction). The drained flip log moves into the record; only the
-/// number of events the bounded log dropped comes back beside it.
+/// construction). The drained flip log moves into the record; a trial
+/// whose bounded log dropped events fails here with
+/// [`RecordingError::LossyFlipLog`], so both paths report the
+/// lowest-index failing trial, whatever made it fail.
 pub(crate) fn run_trial_on(
     kernel: &mut Kernel,
     spec: &RecordingSpec,
     seed: u64,
-) -> Result<(TrialRecord, Counters, u64), RecordingError> {
+) -> Result<(TrialRecord, Counters), RecordingError> {
     kernel.dram_mut().set_flip_log_capacity(spec.flip_log_capacity);
     let outcome = spec.attack.run(kernel)?;
     let mut shard = Counters::new(RECORDING_LABEL);
@@ -393,7 +395,10 @@ pub(crate) fn run_trial_on(
     let end_ns = kernel.dram().now_ns();
     let contents_hash = kernel.dram().contents_hash();
     let FlipLog { events: flips, dropped } = kernel.dram_mut().take_flip_log();
-    Ok((TrialRecord { seed, outcome, flips, contents_hash, end_ns }, shard, dropped))
+    if dropped > 0 {
+        return Err(RecordingError::LossyFlipLog { seed, dropped, retained: flips.len() });
+    }
+    Ok((TrialRecord { seed, outcome, flips, contents_hash, end_ns }, shard))
 }
 
 /// Runs every trial of `spec` under `target`, in seed order, enforcing
@@ -414,14 +419,7 @@ fn run_trials(
 
     let mut counters = Counters::new(RECORDING_LABEL);
     let mut trials = Vec::with_capacity(shards.len());
-    for (record, shard, dropped) in shards {
-        if dropped > 0 {
-            return Err(RecordingError::LossyFlipLog {
-                seed: record.seed,
-                dropped,
-                retained: record.flips.len(),
-            });
-        }
+    for (record, shard) in shards {
         counters.merge(&shard);
         trials.push(record);
     }

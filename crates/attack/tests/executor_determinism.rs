@@ -13,7 +13,7 @@
 use cta_attack::recording::RECORDING_LABEL;
 use cta_attack::{
     record_campaign, CampaignExecutor, CampaignOutput, CampaignRequest, ExecutorConfig,
-    RecordedAttack, RecordingSpec, SprayAttack, TenantLimits,
+    RecordedAttack, RecordingError, RecordingSpec, SprayAttack, TenantLimits, TrialIsolation,
 };
 use cta_telemetry::json;
 
@@ -117,6 +117,25 @@ fn submission_order_does_not_change_any_campaign_output() {
     assert_eq!(forward.len(), reversed.len());
     for (i, (f, r)) in forward.iter().zip(&reversed).enumerate() {
         assert_eq!(f, r, "campaign {i} diverged between schedules");
+    }
+}
+
+#[test]
+fn a_lossy_flip_log_fails_the_executor_exactly_like_the_scoped_path() {
+    // A 2-event window wraps on the first trial that flips more than twice.
+    let mut spec = small_spec(vec![0, 1, 2, 3]);
+    spec.flip_log_capacity = 2;
+    let scoped = record_campaign(&spec).expect_err("a lossy campaign must not record");
+    assert!(
+        matches!(scoped, RecordingError::LossyFlipLog { retained: 2, .. }),
+        "expected LossyFlipLog, got {scoped:?}"
+    );
+    for isolation in [TrialIsolation::Journal, TrialIsolation::Fork] {
+        let exec = CampaignExecutor::new(ExecutorConfig { workers: 2, parents_per_worker: 2 });
+        let mut request = request("tenant", spec.clone());
+        request.isolation = isolation;
+        let served = exec.run(request).expect_err("a lossy campaign must not complete");
+        assert_eq!(served, scoped, "{isolation:?} reported a different error");
     }
 }
 

@@ -4,11 +4,9 @@
 //! matter; and for unprotected data rows, preemptive mitigation stops
 //! flips outright.
 //!
-//! The detector runs as the hook-native [`cta_dram::AnvilSamplerDefense`]
-//! installed through the `Defense` trait (`DefenseSpec::Anvil`), so the
-//! DRAM module itself consults it on every activation batch — no explicit
-//! polling loop. The legacy polled API ([`cta_ext::AnvilDetector`]) keeps
-//! its own tests in `cta-ext`.
+//! The detector is [`cta_dram::AnvilSamplerDefense`], the activation hook
+//! that `DefenseSpec::Anvil` installs, so the DRAM module itself consults
+//! it on every activation batch — no explicit polling loop.
 
 use cta_bench::{defended_builder, emit_telemetry, header, kv};
 use cta_core::DefenseSpec;

@@ -5,10 +5,11 @@
 //! Each cell runs the attack over a fixed seed set and reports its
 //! empirical exploit probability (successes / seeds); the footer adds
 //! Table-4-style per-defense overhead rows measured on benign workloads.
-//! The matrix is what the `Defense` trait buys: CATT (allocation seam),
-//! ANVIL, SoftTRR, and BlockHammer (activation seam) all plug into the
-//! same machines the attacks run against, with no per-defense wiring in
-//! the attack code.
+//! The matrix is what the one defense layer buys: CATT (allocation seam,
+//! [`DefenseSpec::configure`]), ANVIL, SoftTRR, and BlockHammer
+//! (activation seam, [`DefenseSpec::row_defense`]) all plug into the same
+//! machines the attacks run against, with no per-defense wiring in the
+//! attack code.
 //!
 //! Success criteria per attack: the three `cta-attack` drivers use their
 //! own [`cta_attack::AttackOutcome::success`] (secret read via PTE

@@ -144,10 +144,10 @@ impl SystemBuilder {
     }
 
     /// Software RowHammer defense to install on the machine (see
-    /// [`crate::defense`]): the spec's allocation hook rewrites the boot
-    /// configuration, its activation hook lands on the DRAM module after
-    /// boot. [`DefenseSpec::None`] (the default) builds the stock machine,
-    /// byte for byte.
+    /// [`crate::defense`]): [`DefenseSpec::configure`] rewrites the boot
+    /// configuration, and the [`DefenseSpec::row_defense`] hook lands on
+    /// the DRAM module after boot. [`DefenseSpec::None`] (the default)
+    /// builds the stock machine, byte for byte.
     pub fn defense(mut self, defense: DefenseSpec) -> Self {
         self.defense = defense;
         self
@@ -185,9 +185,9 @@ impl SystemBuilder {
             screen_ps_bit: self.screen_ps_bit,
             memory_map_override: None,
         };
-        // Allocation-seam hook: the defense may rewrite the boot
-        // configuration (CATT's partitioned memory map).
-        self.defense.instantiate().configure(&mut config);
+        // Allocation seam: the defense may rewrite the boot configuration
+        // (CATT's partitioned memory map).
+        self.defense.configure(&mut config);
         config
     }
 
@@ -216,7 +216,7 @@ impl SystemBuilder {
             },
             e => e,
         })?;
-        if let Some(hook) = self.defense.instantiate().row_hook() {
+        if let Some(hook) = self.defense.row_defense() {
             kernel.install_row_defense(hook);
         }
         Ok(kernel)

@@ -1,22 +1,21 @@
-//! The system-level `Defense` trait and the [`DefenseSpec`] catalog.
+//! The [`DefenseSpec`] catalog of software RowHammer defenses.
 //!
 //! A software RowHammer defense crosses up to two seams of the simulated
-//! machine, and [`Defense`] has one hook per seam:
+//! machine, and [`DefenseSpec`] has one method per seam:
 //!
-//! - **allocation** ([`Defense::configure`]): rewrite the
+//! - **allocation** ([`DefenseSpec::configure`]): rewrite the
 //!   [`KernelConfig`] before boot — CATT installs its partitioned
 //!   [`cta_mem::MemoryMap`] here;
-//! - **activation/refresh** ([`Defense::row_hook`]): supply a
+//! - **activation/refresh** ([`DefenseSpec::row_defense`]): supply a
 //!   [`cta_dram::RowDefense`] that the DRAM module consults on every
 //!   activation batch and through which it issues targeted refreshes —
 //!   ANVIL, SoftTRR, and BlockHammer live here.
 //!
-//! [`DefenseSpec`] is the `Copy` value-level catalog of the workspace's
-//! defenses, what builders, replay targets, and experiment matrices carry;
-//! [`DefenseSpec::instantiate`] turns a spec into the trait object.
+//! [`DefenseSpec`] is the `Copy` value that builders, replay targets, and
+//! experiment matrices carry.
 //! [`SystemBuilder::defense`](crate::SystemBuilder::defense) applies both
-//! hooks in the right order (configure before boot, row hook after, with
-//! protection replayed for boot-time page tables).
+//! seams in the right order (configure before boot, row defense after,
+//! with protection replayed for boot-time page tables).
 
 use cta_dram::{
     AnvilSamplerDefense, AnvilSamplerParams, BlockHammerDefense, BlockHammerParams,
@@ -24,50 +23,6 @@ use cta_dram::{
 };
 use cta_mem::MemoryMap;
 use cta_vm::KernelConfig;
-
-/// A software RowHammer defense, hooked into the machine at the
-/// allocation seam (boot configuration) and/or the activation seam (the
-/// DRAM module's per-batch hook). Implementations must be deterministic.
-pub trait Defense {
-    /// Short stable identifier, e.g. `"catt"`.
-    fn name(&self) -> &'static str;
-
-    /// Allocation-seam hook: adjusts the kernel configuration before
-    /// boot. The default does nothing.
-    fn configure(&self, _config: &mut KernelConfig) {}
-
-    /// Activation/refresh-seam hook: the row defense to install on the
-    /// DRAM module, if this defense watches the activation stream.
-    fn row_hook(&self) -> Option<Box<dyn RowDefense>> {
-        None
-    }
-}
-
-/// The absence of a defense: both hooks are no-ops. A machine built with
-/// `NoDefense` is byte-identical to one built with no defense at all.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoDefense;
-
-impl Defense for NoDefense {
-    fn name(&self) -> &'static str {
-        "none"
-    }
-}
-
-/// A pure observer at the activation seam (see
-/// [`cta_dram::ObserverDefense`]): watches, never intervenes.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ObserverSpec;
-
-impl Defense for ObserverSpec {
-    fn name(&self) -> &'static str {
-        "observer"
-    }
-
-    fn row_hook(&self) -> Option<Box<dyn RowDefense>> {
-        Some(Box::new(ObserverDefense::new()))
-    }
-}
 
 /// CATT (Brasser et al., USENIX Security 2017) as an allocation-seam
 /// defense: a strict physical partition between kernel and user memory
@@ -88,65 +43,6 @@ impl CattPartition {
         CattPartition { user_bytes: total_bytes / 2, guard_bytes: 4096 }
     }
 }
-
-impl Defense for CattPartition {
-    fn name(&self) -> &'static str {
-        "catt"
-    }
-
-    fn configure(&self, config: &mut KernelConfig) {
-        let total = config.dram.geometry.capacity_bytes();
-        config.memory_map_override =
-            Some(MemoryMap::x86_64_with_catt(total, self.user_bytes, self.guard_bytes));
-    }
-}
-
-/// Wraps an activation-seam row defense constructor as a [`Defense`].
-macro_rules! row_only_defense {
-    ($(#[$doc:meta])* $wrapper:ident, $params:ty, $imp:ident, $name:literal) => {
-        $(#[$doc])*
-        #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-        pub struct $wrapper(pub $params);
-
-        impl Defense for $wrapper {
-            fn name(&self) -> &'static str {
-                $name
-            }
-
-            fn row_hook(&self) -> Option<Box<dyn RowDefense>> {
-                Some(Box::new($imp::new(self.0)))
-            }
-        }
-    };
-}
-
-row_only_defense!(
-    /// ANVIL-style activation sampling with targeted refresh (see
-    /// [`cta_dram::AnvilSamplerDefense`]).
-    AnvilSampling,
-    AnvilSamplerParams,
-    AnvilSamplerDefense,
-    "anvil"
-);
-
-row_only_defense!(
-    /// SoftTRR: targeted refresh of rows adjacent to page-table rows (see
-    /// [`cta_dram::SoftTrrDefense`]). The kernel registers every
-    /// page-table frame with the hook as it allocates.
-    SoftTrr,
-    SoftTrrParams,
-    SoftTrrDefense,
-    "softtrr"
-);
-
-row_only_defense!(
-    /// BlockHammer-style per-row activation-rate blacklisting (see
-    /// [`cta_dram::BlockHammerDefense`]).
-    BlockHammer,
-    BlockHammerParams,
-    BlockHammerDefense,
-    "blockhammer"
-);
 
 /// Value-level catalog of the workspace's software defenses — what
 /// builders, experiment matrices, and replay targets carry. `Copy` so
@@ -186,7 +82,7 @@ impl DefenseSpec {
         matches!(self, DefenseSpec::None)
     }
 
-    /// The spec's stable identifier (matches [`Defense::name`]).
+    /// The spec's stable identifier.
     pub fn name(&self) -> &'static str {
         match self {
             DefenseSpec::None => "none",
@@ -198,15 +94,29 @@ impl DefenseSpec {
         }
     }
 
-    /// Instantiates the defense behind the spec.
-    pub fn instantiate(&self) -> Box<dyn Defense> {
+    /// Allocation seam: adjusts the kernel configuration before boot.
+    /// CATT installs its partitioned memory map; every other spec leaves
+    /// the configuration as it is.
+    pub fn configure(&self, config: &mut KernelConfig) {
+        if let DefenseSpec::Catt(partition) = self {
+            let total = config.dram.geometry.capacity_bytes();
+            config.memory_map_override = Some(MemoryMap::x86_64_with_catt(
+                total,
+                partition.user_bytes,
+                partition.guard_bytes,
+            ));
+        }
+    }
+
+    /// Activation/refresh seam: the row defense to install on the DRAM
+    /// module, if this spec watches the activation stream.
+    pub fn row_defense(&self) -> Option<Box<dyn RowDefense>> {
         match *self {
-            DefenseSpec::None => Box::new(NoDefense),
-            DefenseSpec::Observer => Box::new(ObserverSpec),
-            DefenseSpec::Catt(partition) => Box::new(partition),
-            DefenseSpec::Anvil(params) => Box::new(AnvilSampling(params)),
-            DefenseSpec::SoftTrr(params) => Box::new(SoftTrr(params)),
-            DefenseSpec::BlockHammer(params) => Box::new(BlockHammer(params)),
+            DefenseSpec::None | DefenseSpec::Catt(_) => None,
+            DefenseSpec::Observer => Some(Box::new(ObserverDefense::new())),
+            DefenseSpec::Anvil(params) => Some(Box::new(AnvilSamplerDefense::new(params))),
+            DefenseSpec::SoftTrr(params) => Some(Box::new(SoftTrrDefense::new(params))),
+            DefenseSpec::BlockHammer(params) => Some(Box::new(BlockHammerDefense::new(params))),
         }
     }
 }

@@ -53,9 +53,7 @@ pub mod screening;
 pub mod verify;
 
 pub use builder::SystemBuilder;
-pub use defense::{
-    AnvilSampling, BlockHammer, CattPartition, Defense, DefenseSpec, NoDefense, SoftTrr,
-};
+pub use defense::{CattPartition, DefenseSpec};
 pub use lwm::PtpIndicator;
 pub use mono::{can_reach, MonotonicValue};
 pub use screening::screen_page_size_bit;

@@ -228,9 +228,9 @@ pub struct AnvilSamplerParams {
 
 impl Default for AnvilSamplerParams {
     fn default() -> Self {
-        // The activation threshold matches cta_ext::AnvilConfig's default;
-        // sampling every 4096 activations guarantees at least one sample
-        // per threshold-sized burst.
+        // A 16 Ki-activation threshold flags a hammer well before the
+        // disturbance threshold; sampling every 4096 activations
+        // guarantees at least one sample per threshold-sized burst.
         AnvilSamplerParams { activation_threshold: 16 * 1024, sample_every: 4096 }
     }
 }
@@ -240,9 +240,9 @@ impl Default for AnvilSamplerParams {
 /// count; past the threshold it refreshes the row's neighbors (losing the
 /// accumulated hammer progress).
 ///
-/// This is the hook-native port of the explicit polling API
-/// `cta_ext::AnvilDetector` — same thresholds, same mitigation, but no
-/// caller-driven `sample_and_mitigate` loop.
+/// The DRAM module consults the sampler on every activation batch, so no
+/// caller-driven polling loop is needed; this is ANVIL's performance-
+/// counter interrupt modelled as a fixed activation period.
 ///
 /// **Burst splitting.** A verdict never permits activations *past* the
 /// next sampling point: a batch that crosses one is cut there

@@ -8,10 +8,14 @@
 //! - **Defense refreshes are ordinary refreshes**: a SoftTRR-issued
 //!   targeted refresh resets hammer progress and lands in the DRAM
 //!   counters exactly like a manual `refresh_neighbors_of` call.
+//!
+//! Each acting defense also has a preemption test against an attack that
+//! flips bits on the same module without it.
 
 use cta_dram::{
-    BlockHammerDefense, BlockHammerParams, DramConfig, DramModule, ObserverDefense, RowId,
-    SoftTrrDefense, SoftTrrParams,
+    AnvilSamplerDefense, AnvilSamplerParams, BlockHammerDefense, BlockHammerParams,
+    DisturbanceParams, DramConfig, DramModule, ObserverDefense, RowId, SoftTrrDefense,
+    SoftTrrParams,
 };
 use cta_telemetry::Counters;
 
@@ -211,6 +215,34 @@ fn blockhammer_throttles_blacklisted_rows() {
     undefended.fill(2 * 4096, 4096, 0xFF).unwrap();
     undefended.hammer(RowId(1), threshold).unwrap();
     assert!(undefended.stats().total_flips() > 0);
+}
+
+#[test]
+fn anvil_sampler_preempts_a_bursty_double_sided_attack() {
+    // The attacker alternates threshold/8 bursts on both aggressors of
+    // victim row 2; the sampler must notice and refresh before any flip.
+    let attack = |defended: bool| {
+        let config = DramConfig::small_test()
+            .with_disturbance(DisturbanceParams { pf: 0.05, ..DisturbanceParams::default() });
+        let mut m = DramModule::new(config);
+        if defended {
+            m.install_defense(Box::new(AnvilSamplerDefense::new(AnvilSamplerParams::default())));
+        }
+        m.fill(2 * 4096, 4096, 0xFF).unwrap();
+        let threshold = m.config().disturbance.hammer_threshold;
+        for _ in 0..20 {
+            m.hammer(RowId(1), threshold / 8).unwrap();
+            m.hammer(RowId(3), threshold / 8).unwrap();
+        }
+        m
+    };
+    let defended = attack(true);
+    let alarms = defended.defense().expect("anvil installed").counters();
+    assert!(alarms[0].1 >= 2, "the attack must be noticed: {alarms:?}");
+    assert_eq!(defended.stats().total_flips(), 0, "mitigation must preempt disturbance");
+
+    // Control: without the sampler the identical bursts flip bits.
+    assert!(attack(false).stats().total_flips() > 0);
 }
 
 #[test]

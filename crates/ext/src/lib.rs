@@ -16,12 +16,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod anvil;
 pub mod coldboot;
 pub mod permvec;
 pub mod popcount;
 
-pub use anvil::{AnvilAlarm, AnvilConfig, AnvilDetector};
 pub use coldboot::{BootDecision, ColdbootGuard};
 pub use permvec::{Permission, PermissionStore, PermissionVector};
 pub use popcount::{hamming_weight, PopcountCode, Verdict};

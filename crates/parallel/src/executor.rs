@@ -1,7 +1,7 @@
 //! A long-running work-stealing executor with worker-local state.
 //!
-//! [`parallel_map`](crate::parallel_map) is scoped fork-join: it spawns
-//! workers, drains one batch, and tears everything down. A campaign
+//! [`try_parallel_map`](crate::try_parallel_map) is scoped fork-join: it
+//! spawns workers, drains one batch, and tears everything down. A campaign
 //! *service* needs the opposite lifecycle — workers that outlive any one
 //! batch so they can amortize expensive per-worker state (booted parent
 //! kernels, compiled vulnerability maps) across every job they ever run.
@@ -42,7 +42,7 @@ use std::thread::JoinHandle;
 /// into scheduling, so observing them is side-effect free.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecutorStats {
-    /// Jobs handed to [`Executor::submit`] so far.
+    /// Jobs handed to [`Executor::submit_with_affinity`] so far.
     pub submitted: u64,
     /// Jobs whose handler ran to completion (success or poison).
     pub completed: u64,
@@ -86,7 +86,6 @@ struct Shared<J, R> {
     work: Condvar,
     pending: AtomicU64,
     shutdown: AtomicBool,
-    next_queue: AtomicU64,
     submitted: AtomicU64,
     completed: AtomicU64,
     stolen: AtomicU64,
@@ -254,7 +253,6 @@ where
             work: Condvar::new(),
             pending: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
-            next_queue: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             stolen: AtomicU64::new(0),
@@ -296,34 +294,21 @@ where
         self.workers
     }
 
-    /// Submits an indexed batch of jobs; see [`submit_with`](Self::submit_with).
-    pub fn submit(&self, jobs: Vec<J>) -> Ticket<R> {
-        self.submit_hook(jobs, None, None)
-    }
-
-    /// Submits an indexed batch with a completion hook. The hook runs
-    /// exactly once, on the worker that finishes the batch's last job,
-    /// with the full index-ordered result slice — before any
+    /// Submits an indexed batch of jobs onto worker `affinity % workers`,
+    /// with a completion hook.
+    ///
+    /// The whole batch is pushed onto that one worker's deque, so one
+    /// campaign's trials prefer one worker's warm context: callers whose
+    /// worker contexts hold expensive keyed state (e.g. pooled parent
+    /// kernels per tenant) route same-key batches to the same worker.
+    /// Stealing still rebalances under load, so affinity is a preference,
+    /// not a partition.
+    ///
+    /// The hook runs exactly once, on the worker that finishes the batch's
+    /// last job, with the full index-ordered result slice — before any
     /// [`Ticket::wait`] on this batch returns, which then yields whatever
     /// the hook left in the slice: it may move results out instead of
     /// cloning them. (It is skipped if the batch is poisoned by a panic.)
-    ///
-    /// The whole batch is pushed onto a single worker's deque (batches
-    /// round-robin across workers), so one campaign's trials prefer one
-    /// worker's warm context; idle workers steal from the back.
-    pub fn submit_with<C>(&self, jobs: Vec<J>, on_complete: C) -> Ticket<R>
-    where
-        C: FnOnce(&mut [R]) + Send + 'static,
-    {
-        self.submit_hook(jobs, None, Some(Box::new(on_complete)))
-    }
-
-    /// [`submit_with`](Self::submit_with), but the batch lands on worker
-    /// `affinity % workers` instead of the round-robin cursor. Callers
-    /// whose worker contexts hold expensive keyed state (e.g. pooled
-    /// parent kernels per tenant) route same-key batches to the same
-    /// worker so the warm context is reused; stealing still rebalances
-    /// under load, so affinity is a preference, not a partition.
     pub fn submit_with_affinity<C>(
         &self,
         affinity: usize,
@@ -333,15 +318,6 @@ where
     where
         C: FnOnce(&mut [R]) + Send + 'static,
     {
-        self.submit_hook(jobs, Some(affinity), Some(Box::new(on_complete)))
-    }
-
-    fn submit_hook(
-        &self,
-        jobs: Vec<J>,
-        affinity: Option<usize>,
-        on_complete: Option<CompletionHook<R>>,
-    ) -> Ticket<R> {
         let n = jobs.len();
         self.shared.batches.fetch_add(1, Ordering::Relaxed);
         self.shared.submitted.fetch_add(n as u64, Ordering::Relaxed);
@@ -351,7 +327,7 @@ where
                 remaining: n,
                 finished: None,
                 poisoned: None,
-                on_complete,
+                on_complete: Some(Box::new(on_complete)),
             }),
             done: Condvar::new(),
         });
@@ -364,13 +340,7 @@ where
             drop(inner);
             return Ticket { batch };
         }
-        let target = match affinity {
-            Some(a) => a % self.shared.queues.len(),
-            None => {
-                (self.shared.next_queue.fetch_add(1, Ordering::Relaxed) as usize)
-                    % self.shared.queues.len()
-            }
-        };
+        let target = affinity % self.shared.queues.len();
         self.shared.pending.fetch_add(n as u64, Ordering::AcqRel);
         {
             let mut queue = self.shared.queues[target].lock().expect("queue poisoned");
@@ -474,6 +444,15 @@ mod tests {
     use std::cell::Cell;
     use std::rc::Rc;
 
+    /// Submits `jobs` onto worker `affinity` with a hook that does nothing.
+    fn submit<J, R>(exec: &Executor<J, R>, affinity: usize, jobs: Vec<J>) -> Ticket<R>
+    where
+        J: Send + 'static,
+        R: Send + 'static,
+    {
+        exec.submit_with_affinity(affinity, jobs, |_: &mut [R]| {})
+    }
+
     #[test]
     fn results_come_back_in_index_order() {
         let exec: Executor<usize, usize> = Executor::new(
@@ -486,7 +465,7 @@ mod tests {
                 job * 10
             },
         );
-        let out = exec.submit((0..16).collect()).wait();
+        let out = submit(&exec, 0, (0..16).collect()).wait();
         assert_eq!(out, (0..16).map(|i| i * 10).collect::<Vec<_>>());
     }
 
@@ -501,15 +480,16 @@ mod tests {
                 job + 1
             },
         );
-        let out = exec.submit(vec![10, 20, 30]).wait();
+        let out = submit(&exec, 0, vec![10, 20, 30]).wait();
         assert_eq!(out, vec![11, 21, 31]);
     }
 
     #[test]
     fn many_batches_interleave_without_crosstalk() {
         let exec = Arc::new(Executor::new(4, |_| (), |(), job: u64| job * job));
-        let tickets: Vec<(u64, Ticket<u64>)> =
-            (0..8u64).map(|b| (b, exec.submit((b * 100..b * 100 + 50).collect()))).collect();
+        let tickets: Vec<(u64, Ticket<u64>)> = (0..8u64)
+            .map(|b| (b, submit(&exec, b as usize, (b * 100..b * 100 + 50).collect())))
+            .collect();
         for (b, ticket) in tickets {
             let out = ticket.wait();
             assert_eq!(out.len(), 50);
@@ -525,7 +505,7 @@ mod tests {
         let seen: Arc<Mutex<Vec<Vec<u64>>>> = Arc::new(Mutex::new(Vec::new()));
         let exec = Executor::new(2, |_| (), |(), job: u64| job + 100);
         let seen2 = Arc::clone(&seen);
-        let ticket = exec.submit_with(vec![1, 2, 3], move |results: &mut [u64]| {
+        let ticket = exec.submit_with_affinity(0, vec![1, 2, 3], move |results: &mut [u64]| {
             seen2.lock().unwrap().push(results.to_vec());
         });
         let out = ticket.wait();
@@ -539,9 +519,10 @@ mod tests {
         let taken: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
         let exec = Executor::new(2, |_| (), |(), job: u64| job.to_string());
         let taken2 = Arc::clone(&taken);
-        let ticket = exec.submit_with(vec![7, 8, 9], move |results: &mut [String]| {
-            taken2.lock().unwrap().extend(results.iter_mut().map(std::mem::take));
-        });
+        let ticket =
+            exec.submit_with_affinity(0, vec![7, 8, 9], move |results: &mut [String]| {
+                taken2.lock().unwrap().extend(results.iter_mut().map(std::mem::take));
+            });
         // The hook moved the results out; wait sees what it left behind.
         assert_eq!(ticket.wait(), vec![String::new(); 3]);
         assert_eq!(*taken.lock().unwrap(), vec!["7", "8", "9"]);
@@ -552,7 +533,7 @@ mod tests {
         let exec: Executor<u64, u64> = Executor::new(2, |_| (), |(), job| job);
         let fired = Arc::new(AtomicBool::new(false));
         let fired2 = Arc::clone(&fired);
-        let ticket = exec.submit_with(Vec::new(), move |r: &mut [u64]| {
+        let ticket = exec.submit_with_affinity(0, Vec::new(), move |r: &mut [u64]| {
             assert!(r.is_empty());
             fired2.store(true, Ordering::SeqCst);
         });
@@ -575,14 +556,14 @@ mod tests {
                 job
             },
         );
-        let bad = exec.submit(vec![41, 42, 43]);
-        let good = exec.submit(vec![1, 2, 3]);
+        let bad = submit(&exec, 0, vec![41, 42, 43]);
+        let good = submit(&exec, 1, vec![1, 2, 3]);
         assert_eq!(good.wait(), vec![1, 2, 3]);
         let err = std::panic::catch_unwind(AssertUnwindSafe(|| bad.wait()));
         assert!(err.is_err(), "poisoned batch must re-panic on wait");
         assert_eq!(exec.stats().panics, 1);
         // Executor still serves jobs after the poison.
-        assert_eq!(exec.submit(vec![7]).wait(), vec![7]);
+        assert_eq!(submit(&exec, 0, vec![7]).wait(), vec![7]);
         drop(exec); // join workers so the rebuild is observable
                     // 2 initial contexts + 1 rebuild after the panic.
         assert_eq!(rebuilds.load(Ordering::SeqCst), 3);
@@ -591,8 +572,8 @@ mod tests {
     #[test]
     fn stats_count_jobs_and_batches() {
         let exec = Executor::new(2, |_| (), |(), job: u64| job);
-        for _ in 0..5 {
-            exec.submit(vec![1, 2, 3, 4]).wait();
+        for affinity in 0..5 {
+            submit(&exec, affinity, vec![1, 2, 3, 4]).wait();
         }
         let stats = exec.stats();
         assert_eq!(stats.submitted, 20);
@@ -618,7 +599,7 @@ mod tests {
                 job + 100
             },
         );
-        let ticket = exec.submit((0..8).collect());
+        let ticket = submit(&exec, 0, (0..8).collect());
         let handle = ticket.handle();
         started_rx.recv().unwrap(); // job 0 is in flight, 1..8 queued
         let dropped = exec.cancel(&handle, |index| index as u64);
@@ -636,7 +617,7 @@ mod tests {
     #[test]
     fn cancel_after_completion_is_a_noop() {
         let exec = Executor::new(2, |_| (), |(), job: u64| job);
-        let ticket = exec.submit(vec![1, 2, 3]);
+        let ticket = submit(&exec, 0, vec![1, 2, 3]);
         let handle = ticket.handle();
         assert_eq!(ticket.wait(), vec![1, 2, 3]);
         assert_eq!(exec.cancel(&handle, |_| 999), 0);
@@ -659,8 +640,8 @@ mod tests {
                 job * 2
             },
         );
-        let doomed = exec.submit(vec![0, 1, 2]);
-        let survivor = exec.submit(vec![10, 11]);
+        let doomed = submit(&exec, 0, vec![0, 1, 2]);
+        let survivor = submit(&exec, 0, vec![10, 11]);
         started_rx.recv().unwrap();
         assert_eq!(exec.cancel(&doomed.handle(), |_| 0), 2);
         release_tx.send(()).unwrap();
@@ -678,7 +659,7 @@ mod tests {
                 job
             },
         );
-        let ticket = exec.submit((0..32).collect());
+        let ticket = submit(&exec, 0, (0..32).collect());
         drop(exec); // graceful drain: queued jobs still run
         assert_eq!(ticket.wait().len(), 32);
     }

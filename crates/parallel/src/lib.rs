@@ -12,8 +12,9 @@
 //! three rules that together make parallel results **bit-identical** to
 //! serial ones:
 //!
-//! 1. **Work is indexed.** Every trial has a fixed index; [`parallel_map`]
-//!    returns results in index order no matter which worker ran what when.
+//! 1. **Work is indexed.** Every trial has a fixed index;
+//!    [`try_parallel_map`] returns results in index order no matter which
+//!    worker ran what when.
 //! 2. **Seeds derive from `(seed, index)`.** [`shard_seed`] gives shard 0
 //!    the campaign seed *unchanged* (so a one-shard run reproduces the
 //!    serial implementation's stream exactly) and SplitMix64-mixes the
@@ -74,7 +75,10 @@ pub fn shard_sizes(total: u64, shards: u32) -> Vec<u64> {
 }
 
 /// Runs `f(0..n)` across up to `threads` scoped workers and returns the
-/// results **in index order**.
+/// results **in index order**, with **cooperative early-cancel**: once any
+/// job fails, queued jobs at *higher* indices are skipped instead of run to
+/// completion, and the lowest-index error is returned. Infallible work
+/// returns `Result<T, Infallible>`.
 ///
 /// Workers pull indices from a shared atomic counter, so scheduling is
 /// nondeterministic — but each index's result lands in its own slot and
@@ -82,51 +86,7 @@ pub fn shard_sizes(total: u64, shards: u32) -> Vec<u64> {
 /// independent of interleaving. With `threads <= 1` (or `n <= 1`) the
 /// whole map runs serially on the calling thread: the exact serial path.
 ///
-/// # Panics
-///
-/// Propagates a panic from any worker (the scope joins all threads
-/// first), and panics if a result slot is somehow left unfilled — both
-/// indicate bugs in `f`, not in scheduling.
-pub fn parallel_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let threads = worker_count(threads).min(n.max(1));
-    if threads <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let value = f(i);
-                *slots[i].lock().expect("result slot poisoned") = Some(value);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .unwrap_or_else(|| panic!("slot {i} unfilled"))
-        })
-        .collect()
-}
-
-/// [`parallel_map`] for fallible work, with **cooperative early-cancel**:
-/// once any job fails, queued jobs at *higher* indices are skipped instead
-/// of run to completion, and the lowest-index error is returned.
-///
-/// Error selection is still deterministic: a failing index is only ever
+/// Error selection is deterministic: a failing index is only ever
 /// skipped when a strictly lower failing index has already been recorded,
 /// so the returned error is the same lowest-index error a run-everything
 /// implementation would pick — independent of worker count or scheduling.
@@ -143,6 +103,12 @@ where
 /// # Errors
 ///
 /// The lowest-index job error, if any job failed.
+///
+/// # Panics
+///
+/// Propagates a panic from any worker (the scope joins all threads
+/// first), and panics if a result slot is somehow left unfilled — both
+/// indicate bugs in `f`, not in scheduling.
 pub fn try_parallel_map<S, T, E, I, F>(n: usize, threads: usize, init: I, f: F) -> Result<Vec<T>, E>
 where
     T: Send,
@@ -215,11 +181,18 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::convert::Infallible;
+
+    /// `try_parallel_map` over infallible, stateless work.
+    fn map<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        try_parallel_map(n, threads, || (), |_, i| Ok::<_, Infallible>(f(i)))
+            .unwrap_or_else(|never| match never {})
+    }
 
     #[test]
     fn serial_and_parallel_agree() {
-        let serial = parallel_map(100, 1, |i| i * i);
-        let parallel = parallel_map(100, 8, |i| i * i);
+        let serial = map(100, 1, |i| i * i);
+        let parallel = map(100, 8, |i| i * i);
         assert_eq!(serial, parallel);
         assert_eq!(serial[7], 49);
     }
@@ -227,7 +200,7 @@ mod tests {
     #[test]
     fn order_is_by_index_not_completion() {
         // Make early indices slow: completion order inverts index order.
-        let out = parallel_map(16, 4, |i| {
+        let out = map(16, 4, |i| {
             if i < 4 {
                 std::thread::sleep(std::time::Duration::from_millis(5));
             }
@@ -378,7 +351,7 @@ mod tests {
 
     #[test]
     fn empty_and_single_item_maps() {
-        assert_eq!(parallel_map(0, 4, |i| i), Vec::<usize>::new());
-        assert_eq!(parallel_map(1, 4, |i| i), vec![0]);
+        assert_eq!(map(0, 4, |i| i), Vec::<usize>::new());
+        assert_eq!(map(1, 4, |i| i), vec![0]);
     }
 }

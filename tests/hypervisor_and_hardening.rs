@@ -3,9 +3,10 @@
 //! ANVIL) composed with full systems.
 
 use monotonic_cta::core::verify::verify_system;
-use monotonic_cta::core::SystemBuilder;
-use monotonic_cta::dram::{DisturbanceParams, DramConfig, DramModule, EccRegion, RowId};
-use monotonic_cta::ext::{AnvilConfig, AnvilDetector};
+use monotonic_cta::core::{DefenseSpec, SystemBuilder};
+use monotonic_cta::dram::{
+    AnvilSamplerParams, DisturbanceParams, DramConfig, DramModule, EccRegion, RowId,
+};
 use monotonic_cta::mem::{GuestSpec, HypervisorPlan, MemoryMap, PtLevel};
 use monotonic_cta::vm::{Access, Kernel, VirtAddr, HUGE_PAGE_SIZE};
 
@@ -107,9 +108,13 @@ fn anvil_detects_an_attack_against_a_live_kernel() {
         .seed(8)
         .protected(true)
         .disturbance(DisturbanceParams { pf: 0.05, ..Default::default() })
+        .defense(DefenseSpec::Anvil(AnvilSamplerParams::default()))
         .build()
         .unwrap();
-    let mut detector = AnvilDetector::new(AnvilConfig::default());
+    let anvil_alarms = |kernel: &Kernel| {
+        let defense = kernel.dram().defense().expect("anvil installed");
+        defense.counters().iter().find(|(k, _)| *k == "anvil_alarms").map(|(_, v)| *v).unwrap()
+    };
     // Benign phase: no alarms.
     let pid = kernel.create_process(false).unwrap();
     kernel.mmap_anonymous(pid, VirtAddr(0x4000_0000), 16 * 4096, true).unwrap();
@@ -118,12 +123,12 @@ fn anvil_detects_an_attack_against_a_live_kernel() {
             .write_virt(pid, VirtAddr(0x4000_0000 + (i % 16) * 4096), &[1], Access::user_write())
             .unwrap();
     }
-    assert!(detector.sample(kernel.dram()).is_empty());
+    assert_eq!(anvil_alarms(&kernel), 0);
     // Attack phase: an attacker hammer burst trips it.
     let row = kernel.row_of_virt(pid, VirtAddr(0x4000_0000)).unwrap();
     let threshold = kernel.dram().config().disturbance.hammer_threshold;
     kernel.dram_mut().hammer(row, threshold / 4).unwrap();
-    assert!(!detector.sample(kernel.dram()).is_empty());
+    assert!(anvil_alarms(&kernel) > 0);
 }
 
 #[test]
