@@ -58,7 +58,13 @@
 //! merge finishes — incremental, tail-able progress for a long-running
 //! queue. Pool pressure is published through per-worker gauges
 //! ([`ServiceStats`]), including the byte-accounted
-//! `model_cache_bytes` that per-tenant [`TenantLimits`] bound.
+//! `pool_model_cache_bytes`.
+//!
+//! **Memory bounds.** Each pooled resource has one bound, fixed when it
+//! is built: a worker's pool per tenant holds at most
+//! [`ExecutorConfig::parents_per_worker`] parents (LRU-evicted), and each
+//! parent's DRAM model caches hold at most their fixed row capacity.
+//! Nothing changes either bound at run time.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -87,8 +93,8 @@ pub const EXECUTOR_LABEL: &str = "executor";
 pub struct ExecutorConfig {
     /// Worker threads (`0` = one per core).
     pub workers: usize,
-    /// Default parent-kernel pool capacity per worker per tenant
-    /// (overridable per tenant via [`TenantLimits`]).
+    /// Parent-kernel pool capacity per worker per tenant (clamped to 1),
+    /// fixed for the executor's lifetime.
     pub parents_per_worker: usize,
 }
 
@@ -96,18 +102,6 @@ impl Default for ExecutorConfig {
     fn default() -> Self {
         ExecutorConfig { workers: 0, parents_per_worker: 4 }
     }
-}
-
-/// Per-tenant resource bounds, adjustable at runtime via
-/// [`CampaignExecutor::set_tenant_limits`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TenantLimits {
-    /// Parent-pool capacity per worker (None = executor default).
-    pub max_parents_per_worker: Option<usize>,
-    /// DRAM model-cache byte budget applied to each parent kernel booted
-    /// for this tenant (None = unbounded). Budgets are behavior-neutral:
-    /// they bound memory, never results.
-    pub model_cache_bytes: Option<usize>,
 }
 
 /// How a trial is isolated from the pooled parent kernel that serves it.
@@ -154,7 +148,7 @@ impl std::str::FromStr for TrialIsolation {
 /// One campaign submission: whose it is, what to run, and how.
 #[derive(Debug, Clone)]
 pub struct CampaignRequest {
-    /// Tenant whose parent pools and limits apply.
+    /// Tenant whose parent pools serve the campaign.
     pub tenant: String,
     /// Label of the merged telemetry snapshot. Defaults to
     /// [`EXECUTOR_LABEL`]; the replay path uses the recording label so
@@ -233,8 +227,9 @@ pub struct ServiceStats {
     pub evictions: u64,
     /// Parents currently resident across all workers and tenants.
     pub pool_parents: u64,
-    /// DRAM model-cache bytes held by resident parents (the gauge
-    /// [`TenantLimits::model_cache_bytes`] bounds per parent).
+    /// DRAM model-cache bytes held by resident parents. A memory gauge:
+    /// each parent's caches are bounded by their row capacity, not by
+    /// bytes.
     pub pool_model_cache_bytes: u64,
     /// DRAM row-content bytes held by resident parents, shared row
     /// buffers counted once per parent. A memory gauge, refreshed when a
@@ -270,8 +265,7 @@ type TrialOut = Result<Option<ExecutedTrial>, RecordingError>;
 
 /// Shared (worker-visible) executor state.
 struct ExecState {
-    default_parents: usize,
-    limits: Mutex<HashMap<String, TenantLimits>>,
+    parents_per_worker: usize,
     // Tenant → home worker, first-come sequential so tenants spread
     // evenly across workers regardless of their names.
     homes: Mutex<HashMap<String, usize>>,
@@ -304,29 +298,14 @@ impl WorkerCtx {
     fn run(&mut self, job: TrialJob) -> TrialOut {
         let ctx = &job.ctx;
         let seed = ctx.spec.seeds[job.index];
-        let limits = self
-            .state
-            .limits
-            .lock()
-            .expect("limits poisoned")
-            .get(&ctx.tenant)
-            .copied()
-            .unwrap_or_default();
-        let capacity = limits.max_parents_per_worker.unwrap_or(self.state.default_parents);
+        let capacity = self.state.parents_per_worker;
         let pool =
             self.pools.entry(ctx.tenant.clone()).or_insert_with(|| KernelPool::new(capacity));
-        pool.set_capacity(capacity);
 
-        let key = parent_key(&ctx.spec, ctx.target, seed, &limits);
+        let key = parent_key(&ctx.spec, ctx.target, seed);
         let spec = &ctx.spec;
         let target = ctx.target;
-        let boot = || {
-            let mut parent = spec.builder(seed, target).build()?;
-            if let Some(budget) = limits.model_cache_bytes {
-                parent.dram_mut().set_model_cache_bytes(Some(budget));
-            }
-            Ok(parent)
-        };
+        let boot = || spec.builder(seed, target).build();
         // Both arms run the same trial body on what is observably the
         // same kernel — rollback restores the parent byte-identically, so
         // which arm served a trial is invisible in its output.
@@ -385,15 +364,10 @@ impl WorkerCtx {
 /// they act on the *trial* — so campaigns with different attacks share
 /// parents booted for the same machine. Float parameters are encoded by
 /// bit pattern (exact, locale-free).
-fn parent_key(
-    spec: &RecordingSpec,
-    target: ReplayTarget,
-    seed: u64,
-    limits: &TenantLimits,
-) -> String {
+fn parent_key(spec: &RecordingSpec, target: ReplayTarget, seed: u64) -> String {
     let d = &spec.disturbance;
     format!(
-        "m{}:r{}:c{}:p{}:prot{}:prof{}:pf{:016x}:rev{:016x}:ht{}:trc{}:s{}:def{:?}:mcb{:?}",
+        "m{}:r{}:c{}:p{}:prot{}:prof{}:pf{:016x}:rev{:016x}:ht{}:trc{}:s{}:def{:?}",
         spec.memory_bytes,
         spec.row_bytes,
         spec.cell_period_rows,
@@ -406,7 +380,6 @@ fn parent_key(
         d.trc_ns,
         seed,
         target.defense,
-        limits.model_cache_bytes,
     )
 }
 
@@ -464,8 +437,7 @@ impl CampaignExecutor {
     pub fn new(config: ExecutorConfig) -> Self {
         let workers = cta_parallel::worker_count(config.workers);
         let state = Arc::new(ExecState {
-            default_parents: config.parents_per_worker.max(1),
-            limits: Mutex::new(HashMap::new()),
+            parents_per_worker: config.parents_per_worker.max(1),
             homes: Mutex::new(HashMap::new()),
             jsonl: Mutex::new(None),
             next_event: AtomicU64::new(0),
@@ -498,13 +470,6 @@ impl CampaignExecutor {
     pub fn set_jsonl_sink<W: Write + Send + 'static>(&self, sink: W) {
         *self.state.jsonl.lock().expect("jsonl poisoned") =
             Some(JsonlWriter::new(Box::new(sink) as Box<dyn Write + Send>));
-    }
-
-    /// Installs (or replaces) `tenant`'s resource limits. Capacity changes
-    /// apply from each worker's next trial for that tenant; byte budgets
-    /// apply to parents booted afterwards.
-    pub fn set_tenant_limits(&self, tenant: impl Into<String>, limits: TenantLimits) {
-        self.state.limits.lock().expect("limits poisoned").insert(tenant.into(), limits);
     }
 
     /// Submits a campaign; trials fan out across the worker pool.
@@ -804,17 +769,13 @@ mod tests {
             RecordingSpec::new(RecordedAttack::Templating(TemplatingAttack::default()), vec![1]);
         templ.threads = 4; // implementation knob: must not split parents
         let target = ReplayTarget::default();
-        let limits = TenantLimits::default();
         // Same machine + seed, different attack: same parent.
-        assert_eq!(parent_key(&spray, target, 1, &limits), parent_key(&templ, target, 1, &limits));
+        assert_eq!(parent_key(&spray, target, 1), parent_key(&templ, target, 1));
         // Different seed: different vulnerability universe, new parent.
-        assert_ne!(parent_key(&spray, target, 1, &limits), parent_key(&spray, target, 2, &limits));
+        assert_ne!(parent_key(&spray, target, 1), parent_key(&spray, target, 2));
         // Different machine: new parent.
         let mut bigger = spray.clone();
         bigger.memory_bytes *= 2;
-        assert_ne!(parent_key(&spray, target, 1, &limits), parent_key(&bigger, target, 1, &limits));
-        // Different byte budget: budgets attach to parents at boot.
-        let bounded = TenantLimits { model_cache_bytes: Some(1 << 20), ..limits };
-        assert_ne!(parent_key(&spray, target, 1, &limits), parent_key(&spray, target, 1, &bounded));
+        assert_ne!(parent_key(&spray, target, 1), parent_key(&bigger, target, 1));
     }
 }

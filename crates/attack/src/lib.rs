@@ -51,7 +51,7 @@ pub use campaign::CampaignSummary;
 pub use catalog::{catalog, KnownAttack, Platform, VictimData};
 pub use executor::{
     CampaignExecutor, CampaignOutput, CampaignRequest, CampaignTicket, ExecutorConfig,
-    ServiceStats, TenantLimits, TrialIsolation,
+    ServiceStats, TrialIsolation,
 };
 pub use hammer::HammerDriver;
 pub use outcome::{AttackOutcome, AttackTimeModel};

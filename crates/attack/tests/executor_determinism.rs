@@ -13,7 +13,7 @@
 use cta_attack::recording::RECORDING_LABEL;
 use cta_attack::{
     record_campaign, CampaignExecutor, CampaignOutput, CampaignRequest, ExecutorConfig,
-    RecordedAttack, RecordingError, RecordingSpec, SprayAttack, TenantLimits, TrialIsolation,
+    RecordedAttack, RecordingError, RecordingSpec, SprayAttack, TrialIsolation,
 };
 use cta_telemetry::json;
 
@@ -141,18 +141,13 @@ fn a_lossy_flip_log_fails_the_executor_exactly_like_the_scoped_path() {
 
 #[test]
 fn parent_pool_stays_bounded_over_a_long_campaign_stream() {
-    // More tenants than pool slots: every worker's pool (capacity 1 for
-    // the capped tenant, 2 otherwise) must evict rather than grow, and
-    // the outputs must stay byte-identical to the scoped path throughout
-    // - an evicted-and-rebooted parent is indistinguishable from a
-    // cached one.
+    // More boot seeds than pool slots: every worker's pool (capacity 1 per
+    // tenant) must evict rather than grow, and the outputs must stay
+    // byte-identical to the scoped path throughout - an evicted-and-
+    // rebooted parent is indistinguishable from a cached one.
     const TENANTS: usize = 3;
     const ROUNDS: usize = 3;
-    let exec = CampaignExecutor::new(ExecutorConfig { workers: 2, parents_per_worker: 2 });
-    exec.set_tenant_limits(
-        "tenant0",
-        TenantLimits { max_parents_per_worker: Some(1), model_cache_bytes: None },
-    );
+    let exec = CampaignExecutor::new(ExecutorConfig { workers: 2, parents_per_worker: 1 });
 
     let specs: Vec<RecordingSpec> =
         (0..TENANTS as u64).map(|t| small_spec(vec![t, t + 1])).collect();
@@ -182,19 +177,17 @@ fn parent_pool_stays_bounded_over_a_long_campaign_stream() {
         "every trial is served by exactly one boot-or-fork"
     );
     // The bound the soak exists to prove: each worker keeps one pool per
-    // tenant, capped at that tenant's `max_parents_per_worker` (the
-    // executor default otherwise), so resident parents never exceed
-    // workers x the summed per-tenant caps — O(configuration), not
-    // O(campaigns served). tenant0 is capped at 1 but runs 2 boot seeds,
-    // so it must evict every round rather than grow.
-    let caps_per_worker = 1 + 2 + 2;
-    let capacity = stats.workers * caps_per_worker;
+    // tenant, capped at `parents_per_worker`, so resident parents never
+    // exceed workers x tenants x that cap — O(configuration), not
+    // O(campaigns served). Each tenant runs 2 boot seeds through a pool
+    // of 1, so it must evict rather than grow.
+    let capacity = stats.workers * TENANTS as u64;
     assert!(
         stats.pool_parents <= capacity,
         "pool holds {} parents, capacity is {capacity}",
         stats.pool_parents
     );
-    assert!(stats.evictions > 0, "the capped tenant must evict, not accumulate");
+    assert!(stats.evictions > 0, "the pools must evict, not accumulate");
     assert!(stats.pool_model_cache_bytes > 0, "resident parents publish their footprint");
     assert!(stats.pool_row_store_bytes > 0, "and their row contents");
 }

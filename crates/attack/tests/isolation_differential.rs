@@ -6,16 +6,18 @@
 //! forking the parent per trial. The executor's determinism contract says
 //! the choice is invisible: transcripts, merged counters, summaries, and
 //! contents hashes must be byte-identical to the fork path (and hence to
-//! the scoped serial path). These tests pin that, plus the cancellation path and the
-//! tenant-limits gauge parity the journal must preserve.
+//! the scoped serial path). These tests pin that, plus the cancellation
+//! path (alone and racing completion) and the pool-gauge parity the
+//! journal must preserve.
 
 use std::io::Write;
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use cta_attack::recording::RECORDING_LABEL;
 use cta_attack::{
     record_campaign, CampaignExecutor, CampaignRequest, ExecutorConfig, RecordedAttack,
-    RecordingSpec, ReplayTarget, SprayAttack, TemplatingAttack, TenantLimits, TrialIsolation,
+    RecordingSpec, ReplayTarget, SprayAttack, TemplatingAttack, TrialIsolation,
 };
 use cta_telemetry::json;
 use cta_telemetry::schema::validate_executor_event;
@@ -134,17 +136,12 @@ fn journal_replay_reproduces_the_scoped_recording() {
 }
 
 #[test]
-fn tenant_limit_gauges_are_identical_across_isolation_modes() {
-    // The model-cache byte budget attaches to parents at boot; rollback
-    // restores parents byte-identically, so the published gauge must not
-    // depend on how trials were isolated.
+fn pool_gauges_are_identical_across_isolation_modes() {
+    // Rollback restores parents byte-identically, so the published
+    // model-cache gauge must not depend on how trials were isolated.
     let spec = small_spec(vec![7, 8]);
     let gauge = |isolation: TrialIsolation| {
         let exec = CampaignExecutor::new(ExecutorConfig { workers: 1, parents_per_worker: 2 });
-        exec.set_tenant_limits(
-            "tenant",
-            TenantLimits { max_parents_per_worker: Some(2), model_cache_bytes: Some(1 << 20) },
-        );
         let output = exec.run(request("tenant", spec.clone(), isolation)).expect("completes");
         assert_eq!(output.summary.trials, 2);
         exec.stats().pool_model_cache_bytes
@@ -204,4 +201,59 @@ fn cancel_drops_queued_trials_and_emits_a_cancelled_event() {
         }
     }
     assert!(saw_cancelled, "a cancelled event was emitted: {lines:?}");
+}
+
+#[test]
+fn cancel_racing_completion_keeps_every_invariant() {
+    // A cancel lands at a different point of a campaign each round: before
+    // any trial ran, mid-campaign, or after the merge. Whichever it hits,
+    // the drop count, the trials that ran and the event stream must agree.
+    let spec = small_spec((20..26).collect());
+    let seeds = spec.seeds.len() as u64;
+    let golden = record_campaign(&spec).expect("scoped path records");
+    let exec = CampaignExecutor::new(ExecutorConfig { workers: 2, parents_per_worker: 6 });
+    let sink = SharedSink::default();
+    exec.set_jsonl_sink(sink.clone());
+
+    let mut dropped_by_campaign = Vec::new();
+    for round in 0..12u64 {
+        let ticket =
+            exec.submit(request("tenant", spec.clone(), TrialIsolation::Journal)).expect("submits");
+        let id = ticket.id();
+        let (output, dropped) = std::thread::scope(|scope| {
+            let canceller = scope.spawn(|| {
+                std::thread::sleep(Duration::from_micros(round * 700));
+                exec.cancel(id)
+            });
+            let output = ticket.wait().expect("a cancelled campaign still merges");
+            (output, canceller.join().expect("canceller finishes"))
+        });
+        assert_eq!(output.dropped_trials, dropped as u64, "round {round}: drop count");
+        assert_eq!(output.summary.trials as u64 + output.dropped_trials, seeds, "round {round}");
+        for trial in &output.trials {
+            let want = golden.trials.iter().find(|t| t.seed == trial.seed).expect("golden seed");
+            assert_eq!(trial, want, "round {round}: seed {} diverged", trial.seed);
+        }
+        dropped_by_campaign.push((id, dropped));
+    }
+
+    let lines = sink.lines();
+    for (id, dropped) in dropped_by_campaign {
+        let cancelled = lines
+            .iter()
+            .map(|line| json::parse(line).expect("jsonl line parses"))
+            .filter(|doc| {
+                doc.get("event") == Some(&json::JsonValue::String("cancelled".to_string()))
+                    && doc.get("campaign") == Some(&json::JsonValue::Number(id as f64))
+            })
+            .count();
+        assert_eq!(cancelled, usize::from(dropped > 0), "campaign {id}: cancelled events");
+    }
+
+    // The pooled parents came through every race clean.
+    let full = exec.run(request("tenant", spec, TrialIsolation::Journal)).expect("completes");
+    assert_eq!(full.dropped_trials, 0);
+    assert_eq!(full.trials, golden.trials);
+    let merged = json::parse(&full.counters.to_json()).expect("merged telemetry parses");
+    assert_eq!(merged, golden.telemetry);
 }

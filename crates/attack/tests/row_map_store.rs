@@ -14,9 +14,10 @@
 use cta_attack::recording::RECORDING_LABEL;
 use cta_attack::{
     record_campaign, CampaignExecutor, CampaignOutput, CampaignRequest, ExecutorConfig,
-    RecordedAttack, RecordingSpec, SprayAttack, TemplatingAttack, TenantLimits, TrialIsolation,
+    RecordedAttack, RecordingSpec, ReplayTarget, SprayAttack, TemplatingAttack, TrialIsolation,
 };
 use cta_telemetry::json::{self, JsonValue};
+use cta_vm::Kernel;
 
 const SEED: u64 = 9;
 
@@ -29,35 +30,24 @@ fn spec(attack: RecordedAttack) -> RecordingSpec {
     spec
 }
 
+const ATTACK_A: TemplatingAttack =
+    TemplatingAttack { arena_pages: 48, max_attempts: 2, flush_per_probe: false };
+
+const ATTACK_B: SprayAttack =
+    SprayAttack { regions: 4, file_pages: 2, max_hammer_rows: 2, flush_per_probe: false };
+
 fn trial_a() -> RecordingSpec {
-    spec(RecordedAttack::Templating(TemplatingAttack {
-        arena_pages: 48,
-        max_attempts: 2,
-        flush_per_probe: false,
-    }))
+    spec(RecordedAttack::Templating(ATTACK_A))
 }
 
 fn trial_b() -> RecordingSpec {
-    spec(RecordedAttack::Spray(SprayAttack {
-        regions: 4,
-        file_pages: 2,
-        max_hammer_rows: 2,
-        flush_per_probe: false,
-    }))
+    spec(RecordedAttack::Spray(ATTACK_B))
 }
 
 /// Runs `specs` in order on one single-parent executor; returns the last
 /// campaign's output and the executor's pooled model-cache bytes.
-fn run_in_order(
-    specs: &[RecordingSpec],
-    isolation: TrialIsolation,
-    model_cache_bytes: Option<usize>,
-) -> (CampaignOutput, u64) {
+fn run_in_order(specs: &[RecordingSpec], isolation: TrialIsolation) -> (CampaignOutput, u64) {
     let exec = CampaignExecutor::new(ExecutorConfig { workers: 1, parents_per_worker: 1 });
-    exec.set_tenant_limits(
-        "tenant",
-        TenantLimits { max_parents_per_worker: Some(1), model_cache_bytes },
-    );
     let mut last = None;
     for spec in specs {
         let mut request = CampaignRequest::new("tenant", spec.clone());
@@ -82,52 +72,72 @@ fn dram_gauge(output: &CampaignOutput, name: &str) -> u64 {
 
 #[test]
 fn maps_left_by_an_earlier_trial_are_invisible_to_the_next() {
-    // Unbounded, and under a byte budget small enough that B's own lookups
-    // evict, and that evicts long-cell lists: eviction order must not see
-    // A's maps either.
-    for budget in [None, Some(16 * 1024)] {
-        for isolation in [TrialIsolation::Journal, TrialIsolation::Fork] {
-            let what = format!("{} isolation, budget {budget:?}", isolation.name());
-            let (after_a, shared_bytes) = run_in_order(&[trial_a(), trial_b()], isolation, budget);
-            let (fresh, fresh_bytes) = run_in_order(&[trial_b()], isolation, budget);
+    for isolation in [TrialIsolation::Journal, TrialIsolation::Fork] {
+        let what = format!("{} isolation", isolation.name());
+        let (after_a, shared_bytes) = run_in_order(&[trial_a(), trial_b()], isolation);
+        let (fresh, fresh_bytes) = run_in_order(&[trial_b()], isolation);
 
-            assert_eq!(after_a.trials, fresh.trials, "{what}: trial record");
-            assert_eq!(after_a.counters.to_json(), fresh.counters.to_json(), "{what}: telemetry");
-            for gauge in [
-                "vuln_cache_bytes",
-                "vuln_cache_evictions",
-                "retention_cache_bytes",
-                "retention_cache_evictions",
-            ] {
-                assert_eq!(dram_gauge(&after_a, gauge), dram_gauge(&fresh, gauge), "{what}");
-            }
-            assert!(dram_gauge(&fresh, "vuln_cache_bytes") > 0, "{what}: B builds maps");
-            assert!(
-                dram_gauge(&fresh, "retention_cache_bytes") > 0,
-                "{what}: profiling holds long-cell lists"
-            );
-            match budget {
-                None => assert!(
-                    shared_bytes > fresh_bytes,
-                    "{what}: the parent's store keeps A's maps ({shared_bytes} vs {fresh_bytes})"
-                ),
-                Some(_) => {
-                    assert!(dram_gauge(&fresh, "vuln_cache_evictions") > 0, "{what}: B evicts");
-                    assert!(
-                        dram_gauge(&fresh, "retention_cache_evictions") > 0,
-                        "{what}: the budget evicts long-cell lists"
-                    );
-                }
-            }
+        assert_eq!(after_a.trials, fresh.trials, "{what}: trial record");
+        assert_eq!(after_a.counters.to_json(), fresh.counters.to_json(), "{what}: telemetry");
+        for gauge in [
+            "vuln_cache_bytes",
+            "vuln_cache_evictions",
+            "retention_cache_bytes",
+            "retention_cache_evictions",
+        ] {
+            assert_eq!(dram_gauge(&after_a, gauge), dram_gauge(&fresh, gauge), "{what}");
         }
+        assert!(dram_gauge(&fresh, "vuln_cache_bytes") > 0, "{what}: B builds maps");
+        assert!(
+            dram_gauge(&fresh, "retention_cache_bytes") > 0,
+            "{what}: profiling holds long-cell lists"
+        );
+        assert!(
+            shared_bytes > fresh_bytes,
+            "{what}: the parent's store keeps A's maps ({shared_bytes} vs {fresh_bytes})"
+        );
     }
+}
+
+#[test]
+fn maps_left_by_an_earlier_trial_stay_invisible_when_the_caches_evict() {
+    // Model caches of two rows, so B's own lookups evict maps and long-cell
+    // lists: the eviction order must not see A's maps either. A module
+    // larger than the default row capacity evicts the same way.
+    let boot = || {
+        let mut kernel = trial_b().builder(SEED, ReplayTarget::default()).build().expect("boots");
+        kernel.dram_mut().set_model_cache_capacity(2);
+        kernel
+    };
+    let counters = |kernel: &Kernel| kernel.counters(RECORDING_LABEL).to_json();
+    let mut twin = boot();
+    ATTACK_B.run(&mut twin).expect("B runs");
+    let want = counters(&twin);
+    let stats = twin.dram().stats();
+    assert!(stats.vuln_cache_evictions > 0, "B evicts maps");
+    assert!(stats.retention_cache_evictions > 0, "B evicts long-cell lists");
+
+    let mut parent = boot();
+    parent.journal_begin();
+    ATTACK_A.run(&mut parent).expect("A runs");
+    parent.journal_rollback();
+    parent.journal_begin();
+    ATTACK_B.run(&mut parent).expect("B runs");
+    assert_eq!(counters(&parent), want, "journal isolation");
+    parent.journal_rollback();
+
+    let parent = boot();
+    ATTACK_A.run(&mut parent.fork()).expect("A runs");
+    let mut child = parent.fork();
+    ATTACK_B.run(&mut child).expect("B runs");
+    assert_eq!(counters(&child), want, "fork isolation");
 }
 
 #[test]
 fn a_trial_after_another_matches_the_scoped_fresh_boot() {
     let recording = record_campaign(&trial_b()).expect("scoped path records");
     for isolation in [TrialIsolation::Journal, TrialIsolation::Fork] {
-        let (after_a, _) = run_in_order(&[trial_a(), trial_b()], isolation, None);
+        let (after_a, _) = run_in_order(&[trial_a(), trial_b()], isolation);
         assert_eq!(after_a.trials, recording.trials, "{}", isolation.name());
         let telemetry = json::parse(&after_a.counters.to_json()).expect("telemetry parses");
         assert_eq!(telemetry, recording.telemetry, "{}", isolation.name());

@@ -33,7 +33,7 @@ use std::time::Instant;
 
 use cta_attack::{
     CampaignExecutor, CampaignRequest, ExecutorConfig, RecordedAttack, RecordingSpec, ReplayTarget,
-    SprayAttack, TemplatingAttack, TenantLimits, TrialIsolation,
+    SprayAttack, TemplatingAttack, TrialIsolation,
 };
 use cta_bench::{emit_telemetry, header, kv};
 use cta_telemetry::Counters;
@@ -244,7 +244,6 @@ fn cmd_evaluate(opts: &Options) -> ExitCode {
     for round in 0..opts.campaigns {
         for tenant_idx in 0..opts.tenants {
             let tenant = format!("tenant{tenant_idx}");
-            exec.set_tenant_limits(&tenant, TenantLimits::default());
             let mut spec = spec(opts);
             // `--trials` sizes the seed list: reserve it fallibly, so a
             // count too large for memory is a usage error, not an abort.

@@ -20,11 +20,9 @@ use std::rc::Rc;
 /// policy that depended on reads would make telemetry depend on them too.
 ///
 /// Entries carry a caller-declared payload weight in bytes
-/// ([`Self::insert_weighted`]); the running total feeds the `*_cache_bytes`
-/// telemetry gauges, and an optional **byte budget**
-/// ([`Self::set_byte_budget`]) evicts oldest-first until the total fits.
-/// With no budget set the byte accounting is purely observational and the
-/// entry-count bound behaves exactly as before.
+/// ([`Self::insert_weighted`]). The running total feeds the `*_cache_bytes`
+/// telemetry gauges; it is purely observational, and the entry-count
+/// capacity is the only bound.
 #[derive(Debug, Clone)]
 struct BoundedCache<V> {
     capacity: usize,
@@ -33,8 +31,6 @@ struct BoundedCache<V> {
     evictions: u64,
     /// Sum of the payload weights of retained entries.
     bytes: usize,
-    /// Optional payload-byte budget; `None` bounds by entry count alone.
-    byte_budget: Option<usize>,
 }
 
 impl<V> BoundedCache<V> {
@@ -56,7 +52,6 @@ impl<V> BoundedCache<V> {
             order: VecDeque::new(),
             evictions: 0,
             bytes: 0,
-            byte_budget: None,
         }
     }
 
@@ -80,10 +75,8 @@ impl<V> BoundedCache<V> {
     }
 
     /// Inserts `key → value` whose payload weighs `weight` bytes, evicting
-    /// the oldest entry at the entry-count capacity and then oldest-first
-    /// while over the byte budget (if one is set). Re-inserting an existing
-    /// key replaces the value (and weight) in place without touching its
-    /// FIFO position.
+    /// the oldest entry at capacity. Re-inserting an existing key replaces
+    /// the value (and weight) in place without touching its FIFO position.
     fn insert_weighted(&mut self, key: u64, value: V, weight: usize) {
         if let Some((_, old)) = self.map.insert(key, (value, weight)) {
             self.bytes = self.bytes - old + weight;
@@ -93,11 +86,6 @@ impl<V> BoundedCache<V> {
             }
             self.order.push_back(key);
             self.bytes += weight;
-        }
-        if let Some(budget) = self.byte_budget {
-            while self.bytes > budget && self.order.len() > 1 {
-                self.evict_oldest();
-            }
         }
     }
 
@@ -132,18 +120,6 @@ impl<V> BoundedCache<V> {
             self.evict_oldest();
         }
     }
-
-    /// Sets or clears the payload-byte budget, evicting oldest-first until
-    /// the retained total fits. A single over-budget entry is allowed to
-    /// remain (evicting it would only force an immediate rebuild).
-    fn set_byte_budget(&mut self, budget: Option<usize>) {
-        self.byte_budget = budget;
-        if let Some(budget) = budget {
-            while self.bytes > budget && self.order.len() > 1 {
-                self.evict_oldest();
-            }
-        }
-    }
 }
 
 /// A per-row map cache split into observable accounting and shared values.
@@ -159,8 +135,8 @@ impl<V> BoundedCache<V> {
 /// forks and its journal snapshots. Rollback and fork teardown never
 /// discard it, so a trial served from a pooled parent reuses every map an
 /// earlier trial built instead of regenerating it. The store is bounded by
-/// the same row capacity and byte budget as the accounting; a row the
-/// accounting holds but the store has evicted is rebuilt on demand.
+/// the same row capacity as the accounting; a row the accounting holds but
+/// the store has evicted is rebuilt on demand.
 #[derive(Debug, Clone)]
 pub(crate) struct RowMapCache<T> {
     held: BoundedCache<()>,
@@ -231,12 +207,6 @@ impl<T> RowMapCache<T> {
     pub(crate) fn set_capacity(&mut self, capacity: usize) {
         self.held.set_capacity(capacity);
         self.maps.borrow_mut().set_capacity(capacity);
-    }
-
-    /// Sets or clears the byte budget of the accounting and the store.
-    pub(crate) fn set_byte_budget(&mut self, budget: Option<usize>) {
-        self.held.set_byte_budget(budget);
-        self.maps.borrow_mut().set_byte_budget(budget);
     }
 }
 

@@ -384,9 +384,11 @@ impl DramModule {
     }
 
     /// Rebounds the per-row model caches (vulnerability bitplanes and
-    /// long-retention cells) to `rows` entries each. Purely a memory/performance knob: evicted rows are
-    /// regenerated on demand from the module seed, so simulated behavior
-    /// is unaffected.
+    /// long-retention cells) to `rows` entries each, from their fixed
+    /// default of 4,096. Evicted rows are regenerated on demand from the
+    /// module seed, so simulated behavior is unaffected; a small bound lets
+    /// a small module reach the eviction path a module of more than 4,096
+    /// rows reaches at the default.
     ///
     /// # Panics
     ///
@@ -394,18 +396,6 @@ impl DramModule {
     pub fn set_model_cache_capacity(&mut self, rows: usize) {
         self.state.vuln.set_cache_capacity(rows);
         self.state.retention.set_cache_capacity(rows);
-        self.sync_model_stats();
-    }
-
-    /// Byte-budget variant of [`Self::set_model_cache_capacity`]: bounds
-    /// every per-row model cache by retained payload bytes instead of (in
-    /// addition to) entry count, evicting oldest-first while over budget.
-    /// `None` clears the budget. Like the row bound this is purely a
-    /// memory/performance knob — evicted entries are regenerated from the
-    /// module seed on demand.
-    pub fn set_model_cache_bytes(&mut self, budget: Option<usize>) {
-        self.state.vuln.set_cache_bytes(budget);
-        self.state.retention.set_cache_bytes(budget);
         self.sync_model_stats();
     }
 
@@ -422,11 +412,6 @@ impl DramModule {
     /// report the subset of those maps the module's own accounting holds.
     pub fn model_cache_bytes(&self) -> usize {
         self.state.vuln.cache_bytes() + self.state.retention.cache_bytes()
-    }
-
-    /// Clears the per-flip event log, keeping counters.
-    pub fn clear_flip_log(&mut self) {
-        self.state.stats.clear_flip_log();
     }
 
     /// Takes the retained flip log (oldest first) together with the exact

@@ -104,11 +104,6 @@ impl RetentionModel {
         self.long_cache.set_capacity(rows);
     }
 
-    /// Sets or clears the payload-byte budget of the long-cell cache.
-    pub(crate) fn set_cache_bytes(&mut self, budget: Option<usize>) {
-        self.long_cache.set_byte_budget(budget);
-    }
-
     /// The long-retention cells of `row`, sorted by bit index, generated on
     /// first use and memoized.
     pub(crate) fn long_cells(&mut self, row: RowId) -> Rc<[LongCell]> {

@@ -125,12 +125,6 @@ impl DramStats {
         }
         self.flip_log.push(event);
     }
-
-    /// Clears the flip log, including its drop counter (the aggregate flip
-    /// counters are retained).
-    pub fn clear_flip_log(&mut self) {
-        self.flip_log.clear();
-    }
 }
 
 impl StatSource for DramStats {
@@ -196,9 +190,6 @@ mod tests {
         assert_eq!(s.flips_zero_to_one, 1);
         assert_eq!(s.total_flips(), 2);
         assert_eq!(s.flip_log.len(), 2);
-        s.clear_flip_log();
-        assert!(s.flip_log.is_empty());
-        assert_eq!(s.total_flips(), 2);
     }
 
     #[test]

@@ -212,11 +212,6 @@ impl VulnerabilityModel {
         self.planes.set_capacity(rows);
     }
 
-    /// Sets or clears the payload-byte budget of the map cache.
-    pub(crate) fn set_cache_bytes(&mut self, budget: Option<usize>) {
-        self.planes.set_byte_budget(budget);
-    }
-
     /// Derives `row`'s map and its vulnerable-bit count: Poisson count +
     /// position / direction draws from a per-row ChaCha stream. O(pf ·
     /// bits) draws plus O(bits / 64) words.

@@ -91,69 +91,6 @@ fn eviction_counters_surface_in_telemetry() {
 }
 
 #[test]
-fn byte_budget_bounds_the_caches_and_surfaces_in_telemetry() {
-    // A byte budget instead of an entry bound: sweeping 4096 rows through a
-    // 64 KiB budget must keep retained payload bytes near the budget (at
-    // most one over-budget entry per cache) while evicting the rest, with
-    // the byte gauges visible in telemetry.
-    let budget = 64 * 1024;
-    let mut m = capped_module(4096); // entry bound slack; bytes do the work
-    m.set_model_cache_bytes(Some(budget));
-    let rows = m.geometry().total_rows();
-    for row in 0..rows {
-        let _ = m.vulnerable_bits(RowId(row)).unwrap();
-    }
-    m.disable_refresh();
-    let p = m.config().retention;
-    m.fill(0, 64 * 4096, 0xFF).unwrap();
-    m.advance(p.min_ns + (p.max_ns - p.min_ns) / 2);
-    m.enable_refresh();
-    // Each cache may retain one over-budget entry; the module owns a
-    // handful of caches, so total retained bytes stay within a few budgets
-    // plus one maximal entry — far below the unbudgeted sweep footprint.
-    let retained = m.model_cache_bytes();
-    assert!(retained > 0, "sweep must retain something");
-    assert!(retained < 8 * budget + (4096 * 8 * 8), "retained {retained} B escaped the budget");
-    assert!(m.stats().vuln_cache_evictions > 0, "byte budget must evict maps");
-    let mut c = Counters::new("bounds");
-    c.record(m.stats());
-    let g = c.group("dram").unwrap();
-    assert_eq!(g.get_u64("vuln_cache_bytes"), Some(m.stats().vuln_cache_bytes));
-    assert_eq!(g.get_u64("retention_cache_bytes"), Some(m.stats().retention_cache_bytes));
-    assert!(m.stats().vuln_cache_bytes <= budget as u64 + 4096 * 8 * 8);
-    // Clearing the budget stops further byte-driven eviction.
-    m.set_model_cache_bytes(None);
-    let before = m.stats().vuln_cache_evictions;
-    for row in 0..256 {
-        let _ = m.vulnerable_bits(RowId(row)).unwrap();
-    }
-    assert_eq!(m.stats().vuln_cache_evictions, before, "entry capacity 4096 fits 256 rows");
-}
-
-#[test]
-fn byte_budget_eviction_is_behavior_neutral() {
-    // Byte-driven eviction regenerates from seed exactly like entry-driven
-    // eviction: a budgeted module and an unbudgeted one simulate identically.
-    let mut budgeted = capped_module(4096);
-    budgeted.set_model_cache_bytes(Some(16 * 1024));
-    let mut unbudgeted = capped_module(4096);
-    for m in [&mut budgeted, &mut unbudgeted] {
-        m.fill(0, 64 * 4096, 0xFF).unwrap();
-        for row in 0..64 {
-            m.hammer_to_threshold(RowId(row)).unwrap();
-            m.advance(m.config().refresh_interval_ns);
-        }
-    }
-    assert_eq!(
-        budgeted.peek(0, 64 * 4096).unwrap(),
-        unbudgeted.peek(0, 64 * 4096).unwrap(),
-        "byte-budget eviction changed simulated behavior"
-    );
-    assert_eq!(budgeted.stats().total_flips(), unbudgeted.stats().total_flips());
-    assert!(budgeted.model_cache_bytes() <= unbudgeted.model_cache_bytes());
-}
-
-#[test]
 fn eviction_is_behavior_neutral() {
     // A capped module and an uncapped one must simulate identically: evicted
     // maps are regenerated from seed, never altered.

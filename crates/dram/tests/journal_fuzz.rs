@@ -269,11 +269,13 @@ proptest! {
     }
 }
 
-/// A module with every row materialized all-ones and an optional
-/// model-cache byte budget.
-fn decay_parent(budget: Option<usize>) -> DramModule {
+/// A module with every row materialized all-ones, its model caches
+/// optionally bounded to fewer rows than the default.
+fn decay_parent(cache_rows: Option<usize>) -> DramModule {
     let mut m = DramModule::new(DramConfig::small_test());
-    m.set_model_cache_bytes(budget);
+    if let Some(rows) = cache_rows {
+        m.set_model_cache_capacity(rows);
+    }
     m.fill(0, m.capacity_bytes() as usize, 0xFF).expect("whole-module fill");
     m
 }
@@ -290,7 +292,7 @@ fn decay_windows(m: &mut DramModule, fractions: &[u64]) {
 }
 
 /// Two distinct windows: the second looks up every row's long-cell list
-/// again, a repeat the accounting already holds unless a budget evicted it.
+/// again, a repeat the accounting already holds unless a bound evicted it.
 const TWO_WINDOWS: [u64; 2] = [2, 4];
 
 /// Contents hash (checkpointed and by definition), clock, and telemetry.
@@ -302,36 +304,40 @@ fn observe_decay(m: &DramModule) -> (u64, u64, u64, String) {
 
 #[test]
 fn partial_decay_windows_under_a_journal_leave_no_trace() {
-    // A budget of about eight long-cell lists (a 4 KiB row has ~33 long
-    // cells of 16 B) for 64 rows, so the windows evict most of them.
-    for budget in [None, Some(4096)] {
-        let mut parent = decay_parent(budget);
+    // A bound of eight long-cell lists for 64 rows, so the windows evict
+    // most of them.
+    for cache_rows in [None, Some(8)] {
+        let mut parent = decay_parent(cache_rows);
         let before = observe_decay(&parent);
 
         parent.journal_begin();
         decay_windows(&mut parent, &TWO_WINDOWS);
         let trial = observe_decay(&parent);
         parent.journal_rollback();
-        assert_eq!(observe_decay(&parent), before, "budget {budget:?}: rollback");
+        assert_eq!(observe_decay(&parent), before, "cache rows {cache_rows:?}: rollback");
 
         // The trial's long-cell lists stay in the store the parent shares
         // with its forks; none of them may show.
-        let mut fresh = decay_parent(budget);
+        let mut fresh = decay_parent(cache_rows);
         decay_windows(&mut fresh, &TWO_WINDOWS);
-        assert_eq!(observe_decay(&fresh), trial, "budget {budget:?}: a fresh module");
+        assert_eq!(observe_decay(&fresh), trial, "cache rows {cache_rows:?}: a fresh module");
         let mut fork = parent.fork();
         decay_windows(&mut fork, &TWO_WINDOWS);
-        assert_eq!(observe_decay(&fork), trial, "budget {budget:?}: a fresh fork");
+        assert_eq!(observe_decay(&fork), trial, "cache rows {cache_rows:?}: a fresh fork");
         parent.journal_begin();
         decay_windows(&mut parent, &TWO_WINDOWS);
-        assert_eq!(observe_decay(&parent), trial, "budget {budget:?}: the same trial again");
+        assert_eq!(
+            observe_decay(&parent),
+            trial,
+            "cache rows {cache_rows:?}: the same trial again"
+        );
         parent.journal_rollback();
 
         let s = fresh.stats();
-        assert!(s.decay_flips > 0, "budget {budget:?}: the windows decay cells");
-        assert!(s.retention_cache_bytes > 0, "budget {budget:?}: long-cell lists are held");
-        if budget.is_some() {
-            assert!(s.retention_cache_evictions > 0, "budget {budget:?}: the budget evicts");
+        assert!(s.decay_flips > 0, "cache rows {cache_rows:?}: the windows decay cells");
+        assert!(s.retention_cache_bytes > 0, "cache rows {cache_rows:?}: long-cell lists are held");
+        if cache_rows.is_some() {
+            assert!(s.retention_cache_evictions > 0, "cache rows {cache_rows:?}: the bound evicts");
         }
     }
 }

@@ -6,6 +6,8 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
+use crate::json::write_escaped;
+
 /// A single telemetry value.
 ///
 /// Monotonic counters are `UInt` and merge by addition; derived metrics
@@ -269,13 +271,13 @@ impl Counters {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n  \"label\": ");
-        push_json_string(&mut out, &self.label);
+        write_escaped(&self.label, &mut out);
         out.push_str(",\n  \"flags\": [");
         for (i, flag) in self.flags.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
-            push_json_string(&mut out, flag);
+            write_escaped(flag, &mut out);
         }
         out.push_str("],\n  \"groups\": {");
         for (gi, (name, group)) in self.groups.iter().enumerate() {
@@ -283,14 +285,14 @@ impl Counters {
                 out.push(',');
             }
             out.push_str("\n    ");
-            push_json_string(&mut out, name);
+            write_escaped(name, &mut out);
             out.push_str(": {");
             for (ki, (key, value)) in group.values.iter().enumerate() {
                 if ki > 0 {
                     out.push(',');
                 }
                 out.push_str("\n      ");
-                push_json_string(&mut out, key);
+                write_escaped(key, &mut out);
                 out.push_str(": ");
                 push_json_value(&mut out, value);
             }
@@ -316,24 +318,6 @@ impl Counters {
     }
 }
 
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 fn push_json_value(out: &mut String, value: &Value) {
     match value {
         Value::UInt(v) => {
@@ -349,7 +333,7 @@ fn push_json_value(out: &mut String, value: &Value) {
         Value::Bool(v) => {
             let _ = write!(out, "{v}");
         }
-        Value::Text(v) => push_json_string(out, v),
+        Value::Text(v) => write_escaped(v, out),
     }
 }
 
@@ -443,6 +427,28 @@ mod tests {
         let zeta = json.find("\"zeta\"").unwrap();
         assert!(alpha < zeta);
         assert!(!json.contains("NaN") && !json.contains("inf"));
+    }
+
+    #[test]
+    fn every_control_character_round_trips_through_the_json() {
+        use crate::json::{self, JsonValue};
+        let nasty: String = (0u32..0x20).filter_map(char::from_u32).chain(['"', '\\']).collect();
+        let mut c = Counters::new(&nasty);
+        c.flag(&nasty);
+        c.set_text(&nasty, &nasty, &nasty);
+        let text = || JsonValue::String(nasty.clone());
+        let want = JsonValue::Object(vec![
+            ("label".to_string(), text()),
+            ("flags".to_string(), JsonValue::Array(vec![text()])),
+            (
+                "groups".to_string(),
+                JsonValue::Object(vec![(
+                    nasty.clone(),
+                    JsonValue::Object(vec![(nasty.clone(), text())]),
+                )]),
+            ),
+        ]);
+        assert_eq!(json::parse(&c.to_json()), Ok(want));
     }
 
     #[test]

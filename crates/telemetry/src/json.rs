@@ -126,7 +126,9 @@ fn format_number(n: f64) -> String {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Writes `s` as a JSON string literal: quotes and backslashes escaped,
+/// control characters as their short forms or `\u00XX`.
+pub(crate) fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

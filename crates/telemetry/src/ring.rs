@@ -109,12 +109,6 @@ impl<T> RingLog<T> {
         let dropped = std::mem::take(&mut self.dropped);
         (Vec::from(std::mem::take(&mut self.buf)), dropped)
     }
-
-    /// Discards all retained events and resets the drop counter.
-    pub fn clear(&mut self) {
-        self.buf.clear();
-        self.dropped = 0;
-    }
 }
 
 impl<'a, T> IntoIterator for &'a RingLog<T> {

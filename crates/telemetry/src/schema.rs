@@ -191,7 +191,7 @@ pub fn declarations() -> &'static [SnapshotSchema] {
     // requirements are shared.
     const EXECUTOR: &[GroupReq] = RECORDING;
     // The campaign service's gauges (`cta evaluate`): the pool memory
-    // gauges are what per-tenant limits and footprints are read from.
+    // gauges are what pool footprints are read from.
     const CTA_EVALUATE: &[GroupReq] = &[GroupReq {
         group: "executor",
         keys: &[

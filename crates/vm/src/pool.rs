@@ -16,9 +16,9 @@
 //! deliberately **not** thread-safe — `Kernel` is `!Send` by design (its
 //! DRAM model shares `Rc` state), so a pool lives inside one worker's
 //! local context and parents never cross threads. The executor layer
-//! gives each worker its own pool; capacity and the per-parent
-//! model-cache byte budget bound a worker's resident memory at
-//! O(parents + in-flight forks).
+//! gives each worker its own pool per tenant; the capacity fixed at
+//! [`KernelPool::new`] bounds a pool's resident memory at O(parents +
+//! in-flight forks), each parent's model caches at their row capacity.
 //!
 //! Determinism: `fork()` of a freshly-booted kernel is bit-identical to a
 //! second boot from the same config (pinned by the fork-isolation
@@ -45,9 +45,6 @@ pub struct PoolStats {
     pub boots: u64,
     /// Trials served from an already-resident parent.
     pub fork_hits: u64,
-    /// Trials served in total (`boots + fork_hits`), whether by fork or
-    /// in-place journal.
-    pub forks: u64,
     /// The subset of trials served in place under an undo journal.
     pub journal_runs: u64,
     /// Parents evicted (LRU) to stay within capacity.
@@ -100,7 +97,6 @@ impl<K: Eq + Hash + Clone> KernelPool<K> {
         F: FnOnce() -> Result<Kernel, VmError>,
     {
         self.ensure_resident(key, boot)?;
-        self.stats.forks += 1;
         Ok(self.parents.get(key).expect("parent just ensured").kernel.fork())
     }
 
@@ -119,7 +115,6 @@ impl<K: Eq + Hash + Clone> KernelPool<K> {
         F: FnOnce(&mut Kernel) -> R,
     {
         self.ensure_resident(key, boot)?;
-        self.stats.forks += 1;
         self.stats.journal_runs += 1;
         let kernel = &mut self.parents.get_mut(key).expect("parent just ensured").kernel;
         kernel.journal_begin();
@@ -181,30 +176,9 @@ impl<K: Eq + Hash + Clone> KernelPool<K> {
         self.parents.is_empty()
     }
 
-    /// Maximum number of resident parents.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Changes the capacity (clamped to 1), evicting LRU parents as
-    /// needed to fit.
-    pub fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity.max(1);
-        while self.parents.len() > self.capacity {
-            self.evict_lru();
-        }
-    }
-
     /// True if a parent for `key` is resident.
     pub fn contains(&self, key: &K) -> bool {
         self.parents.contains_key(key)
-    }
-
-    /// Drops every resident parent (counted as evictions).
-    pub fn clear(&mut self) {
-        self.stats.evictions += self.parents.len() as u64;
-        self.parents.clear();
-        self.order.clear();
     }
 
     /// Cumulative counters.
@@ -212,8 +186,8 @@ impl<K: Eq + Hash + Clone> KernelPool<K> {
         self.stats
     }
 
-    /// Total DRAM model-cache bytes held by resident parents — the gauge
-    /// a service publishes against its per-tenant memory limits.
+    /// Total DRAM model-cache bytes held by resident parents, published
+    /// as a memory gauge.
     pub fn model_cache_bytes(&self) -> u64 {
         self.parents.values().map(|p| p.kernel.dram().model_cache_bytes() as u64).sum()
     }
@@ -243,7 +217,7 @@ mod tests {
         let first = pool.fork_for(&7, boot).expect("boot");
         let second = pool.fork_for(&7, boot).expect("fork hit");
         let stats = pool.stats();
-        assert_eq!((stats.boots, stats.fork_hits, stats.forks), (1, 1, 2));
+        assert_eq!((stats.boots, stats.fork_hits), (1, 1));
         assert_eq!(pool.len(), 1);
         // Hit and miss forks are the same machine.
         assert_eq!(
@@ -275,18 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn shrinking_capacity_evicts_lru_first() {
-        let mut pool: KernelPool<u32> = KernelPool::new(3);
-        for key in 1..=3 {
-            pool.fork_for(&key, boot).expect("boot");
-        }
-        pool.set_capacity(1);
-        assert_eq!(pool.len(), 1);
-        assert!(pool.contains(&3));
-        assert_eq!(pool.stats().evictions, 2);
-    }
-
-    #[test]
     fn a_profiled_cta_parent_shares_its_uniform_rows() {
         let config = KernelConfig { profile_cells: true, ..KernelConfig::small_test_cta() };
         let kernel = Kernel::new(config.clone()).expect("boot");
@@ -310,17 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_counts_evictions_and_empties() {
-        let mut pool: KernelPool<u32> = KernelPool::new(4);
-        pool.fork_for(&1, boot).expect("boot");
-        pool.fork_for(&2, boot).expect("boot");
-        pool.clear();
-        assert_eq!(pool.model_cache_bytes(), 0);
-        assert!(pool.is_empty());
-        assert_eq!(pool.stats().evictions, 2);
-    }
-
-    #[test]
     fn journaled_run_leaves_the_parent_clean_and_counts_a_hit() {
         let mut pool: KernelPool<u32> = KernelPool::new(2);
         let reference = pool.fork_for(&1, boot).expect("boot");
@@ -338,7 +289,6 @@ mod tests {
         assert_eq!(after.dram().stats(), &before);
         let stats = pool.stats();
         assert_eq!((stats.boots, stats.fork_hits, stats.journal_runs), (1, 2, 1));
-        assert_eq!(stats.forks, stats.boots + stats.fork_hits);
     }
 
     #[test]

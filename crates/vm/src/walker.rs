@@ -25,11 +25,6 @@ impl Access {
         Access { write: true, user: true }
     }
 
-    /// Kernel-mode read.
-    pub fn kernel_read() -> Self {
-        Access { write: false, user: false }
-    }
-
     /// Kernel-mode write.
     pub fn kernel_write() -> Self {
         Access { write: true, user: false }

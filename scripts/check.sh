@@ -19,18 +19,16 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-# Vendored crates keep their upstream formatting (and doc warnings), so
-# fmt and doc run per first-party package instead of workspace-wide
-# (rustfmt.toml `ignore` needs nightly; `cargo doc --workspace` would
-# document the vendored members too).
+# Vendored crates keep their upstream formatting: vendor/rustfmt.toml
+# disables rustfmt below vendor/, so the workspace-wide check covers the
+# first-party packages only. Doc runs per first-party package, because
+# `cargo doc --workspace` would document the vendored members too.
 FIRST_PARTY="monotonic-cta cta-analysis cta-attack cta-bench cta-core \
     cta-dram cta-ext cta-mem cta-parallel cta-telemetry cta-vm \
     cta-workloads"
 
-echo "==> cargo fmt --check (first-party packages)"
-for pkg in $FIRST_PARTY; do
-    cargo fmt -p "$pkg" --check
-done
+echo "==> cargo fmt --all --check (vendor/ excluded by vendor/rustfmt.toml)"
+cargo fmt --all --check
 
 echo "==> cargo build --release"
 cargo build --release --workspace
