@@ -232,9 +232,9 @@ pub struct ServiceStats {
     /// bytes.
     pub pool_model_cache_bytes: u64,
     /// DRAM row-content bytes held by resident parents, shared row
-    /// buffers counted once per parent. A memory gauge, refreshed when a
-    /// parent boots or is evicted (rollback leaves a parent's rows as they
-    /// were).
+    /// buffers counted once per parent and compact rows by their bit
+    /// lists. A memory gauge, each parent's count taken when it boots
+    /// (rollback leaves a parent's rows as they were).
     pub pool_row_store_bytes: u64,
 }
 
@@ -328,6 +328,7 @@ impl WorkerCtx {
     fn publish_gauges(&self) {
         let mut parents = 0u64;
         let mut bytes = 0u64;
+        let mut row_bytes = 0u64;
         let mut boots = 0u64;
         let mut hits = 0u64;
         let mut journal_runs = 0u64;
@@ -335,6 +336,7 @@ impl WorkerCtx {
         for pool in self.pools.values() {
             parents += pool.len() as u64;
             bytes += pool.model_cache_bytes();
+            row_bytes += pool.row_store_bytes();
             let stats = pool.stats();
             boots += stats.boots;
             hits += stats.fork_hits;
@@ -342,14 +344,7 @@ impl WorkerCtx {
             evictions += stats.evictions;
         }
         let w = self.worker;
-        // Parents' rows change only when one boots or is evicted, so the
-        // O(rows) row-store scan runs only then.
-        if boots != self.state.boots[w].load(Ordering::Relaxed)
-            || evictions != self.state.evictions[w].load(Ordering::Relaxed)
-        {
-            let row_bytes = self.pools.values().map(KernelPool::row_store_bytes).sum();
-            self.state.pool_row_bytes[w].store(row_bytes, Ordering::Relaxed);
-        }
+        self.state.pool_row_bytes[w].store(row_bytes, Ordering::Relaxed);
         self.state.pool_parents[w].store(parents, Ordering::Relaxed);
         self.state.pool_bytes[w].store(bytes, Ordering::Relaxed);
         self.state.boots[w].store(boots, Ordering::Relaxed);

@@ -140,19 +140,26 @@ impl SprayAttack {
         // --- Phase 3: scan for corrupted mappings ---------------------------
         let max_pfn = kernel.dram().capacity_bytes() / PAGE_SIZE;
         let mut candidates: Vec<VirtAddr> = Vec::new();
+        let mut buf = vec![0u8; PAGE_SIZE as usize];
         for va in &region_vas {
             for j in 0..=self.file_pages {
                 let page_va = va.offset(j * PAGE_SIZE);
-                let mut buf = vec![0u8; PAGE_SIZE as usize];
                 self.probe_sync(kernel);
                 if kernel.read_virt(pid, page_va, &mut buf, Access::user_read()).is_err() {
                     continue;
                 }
-                let pte_like = buf
-                    .chunks_exact(8)
-                    .map(|c| Pte(u64::from_le_bytes(c.try_into().expect("8 bytes"))))
-                    .filter(|p| p.looks_like_user_pte(max_pfn))
-                    .count();
+                // Only a word with its present bit set looks like a PTE, so a
+                // 64-byte block whose words OR to no present bit is skipped.
+                let pte_like: usize = (buf.as_chunks::<64>().0.iter())
+                    .map(|block| {
+                        let words =
+                            block.as_chunks::<8>().0.iter().map(|w| Pte(u64::from_le_bytes(*w)));
+                        if !Pte(words.clone().fold(0, |acc, pte| acc | pte.0)).present() {
+                            return 0;
+                        }
+                        words.filter(|pte| pte.looks_like_user_pte(max_pfn)).count()
+                    })
+                    .sum();
                 if pte_like >= 2 {
                     candidates.push(page_va);
                 }

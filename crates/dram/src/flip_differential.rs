@@ -31,7 +31,7 @@ impl Mix {
 /// (an observable of their own). Roughly a quarter of the steps run with
 /// refresh disabled, so hammering regularly exercises the decay-then-disturb
 /// path on partially decayed rows.
-fn drive(m: &mut DramModule, seed: u64) -> Vec<Vec<u8>> {
+pub(crate) fn drive(m: &mut DramModule, seed: u64) -> Vec<Vec<u8>> {
     let cap = m.capacity_bytes();
     let rows = m.geometry().total_rows();
     let threshold = m.config().disturbance.hammer_threshold;
@@ -96,7 +96,7 @@ fn drive(m: &mut DramModule, seed: u64) -> Vec<Vec<u8>> {
 }
 
 /// Everything an experimenter can observe about a module after a drive.
-fn observe(
+pub(crate) fn observe(
     m: &mut DramModule,
     peeks: Vec<Vec<u8>>,
 ) -> (Vec<Vec<u8>>, Vec<u8>, String, String, u64) {
@@ -143,7 +143,7 @@ fn assert_matches_scalar_reference(
 /// The differential module: `small_test` semantics on 512-byte rows, so the
 /// deliberately slow scalar reference (one retention hash per bit per
 /// partial-decay window) keeps the suite fast.
-fn diff_config() -> DramConfig {
+pub(crate) fn diff_config() -> DramConfig {
     DramConfig {
         geometry: DramGeometry::new(512, 64, 1, AddressMapping::RowLinear),
         layout: CellLayout::Alternating { period_rows: 8, first: CellType::True },

@@ -102,44 +102,84 @@ pub(crate) struct RowDigest {
 }
 
 impl RowDigest {
-    /// Compiles `row`, or `None` if it ends in a partial word or more than
-    /// a quarter of its words are mixed (it hashes as fast from its bytes).
+    /// Compiles `row` (see [`DigestCompiler`]).
+    #[cfg(test)]
     pub(crate) fn compile(row: &[u8]) -> Option<RowDigest> {
-        let (blocks, rest) = row.as_chunks::<64>();
-        let (rest, tail) = rest.as_chunks::<8>();
-        if !tail.is_empty() {
-            return None;
+        let mut compiler = DigestCompiler::new(row.len());
+        compiler.feed(row);
+        compiler.finish()
+    }
+}
+
+/// Compiles a [`RowDigest`] from a row fed in order, in chunks that each
+/// start at a multiple of 64 bytes.
+pub(crate) struct DigestCompiler {
+    steps: Vec<(Affine, u64)>,
+    /// The map of the uniform run since the last mixed word.
+    run: Affine,
+    /// A quarter of the row's words.
+    max_steps: usize,
+    /// The row ends in a partial word, or too many of its words are mixed.
+    rejected: bool,
+}
+
+impl DigestCompiler {
+    /// A compiler for a row of `row_len` bytes.
+    pub(crate) fn new(row_len: usize) -> Self {
+        DigestCompiler {
+            steps: Vec::new(),
+            run: Affine::IDENTITY,
+            max_steps: row_len / 32,
+            rejected: false,
         }
-        let max_steps = row.len() / 32;
-        let mut steps = Vec::new();
-        let mut run = Affine::IDENTITY;
-        let push = |steps: &mut Vec<_>, run: &mut Affine, word: u64| match word {
-            0 => *run = run.then(Affine::ZERO_WORD),
-            u64::MAX => *run = run.then(Affine::ONES_WORD),
+    }
+
+    fn push(&mut self, word: u64) {
+        match word {
+            0 => self.run = self.run.then(Affine::ZERO_WORD),
+            u64::MAX => self.run = self.run.then(Affine::ONES_WORD),
             _ => {
-                steps.push((*run, word));
-                *run = Affine::ZERO_WORD;
+                self.steps.push((self.run, word));
+                self.run = Affine::ZERO_WORD;
             }
-        };
+        }
+    }
+
+    /// Feeds the next chunk of the row.
+    pub(crate) fn feed(&mut self, chunk: &[u8]) {
+        let (blocks, rest) = chunk.as_chunks::<64>();
+        let (rest, tail) = rest.as_chunks::<8>();
+        if self.rejected || !tail.is_empty() {
+            self.rejected = true;
+            return;
+        }
         for block in blocks {
             let words = block_words(block);
             if words.iter().fold(0, |acc, w| acc | w) == 0 {
-                run = run.then(Affine::ZERO_BLOCK);
+                self.run = self.run.then(Affine::ZERO_BLOCK);
             } else if words.iter().fold(!0, |acc, w| acc & w) == !0 {
-                run = run.then(Affine::ONES_BLOCK);
+                self.run = self.run.then(Affine::ONES_BLOCK);
             } else {
                 for w in words {
-                    push(&mut steps, &mut run, w);
+                    self.push(w);
                 }
-                if steps.len() > max_steps {
-                    return None;
+                if self.steps.len() > self.max_steps {
+                    self.rejected = true;
+                    return;
                 }
             }
         }
         for &w in rest {
-            push(&mut steps, &mut run, u64::from_le_bytes(w));
+            self.push(u64::from_le_bytes(w));
         }
-        (steps.len() <= max_steps).then(|| RowDigest { steps: steps.into_boxed_slice(), tail: run })
+    }
+
+    /// The digest of the row fed, or `None` if it ends in a partial word
+    /// or more than a quarter of its words are mixed (it hashes as fast
+    /// from its contents).
+    pub(crate) fn finish(self) -> Option<RowDigest> {
+        (!self.rejected && self.steps.len() <= self.max_steps)
+            .then(|| RowDigest { steps: self.steps.into_boxed_slice(), tail: self.run })
     }
 }
 
@@ -322,12 +362,18 @@ mod tests {
         ];
         for bytes in &rows {
             let digest = RowDigest::compile(bytes).expect("a quarter of words or fewer is mixed");
+            // Fed a 64-byte block at a time, as a compact row is.
+            let mut compiler = DigestCompiler::new(bytes.len());
+            bytes.chunks(64).for_each(|chunk| compiler.feed(chunk));
+            let blockwise = compiler.finish().expect("the same row");
             for start in [0u64, 1, !0, FNV_OFFSET, 0xDEAD_BEEF_0BAD_F00D] {
                 let state = ContentsHasher { hash: start, pending: [0; 8], npending: 0 };
-                let (mut fed, mut applied) = (state, state);
+                let (mut fed, mut applied, mut applied_blockwise) = (state, state, state);
                 fed.update(bytes);
                 applied.apply(&digest);
+                applied_blockwise.apply(&blockwise);
                 assert_eq!(applied.hash, fed.hash, "{}-byte row from {start:#x}", bytes.len());
+                assert_eq!(applied_blockwise.hash, fed.hash, "{} bytes blockwise", bytes.len());
                 assert_eq!(applied.npending, 0);
             }
         }

@@ -48,6 +48,8 @@
 mod bitplane;
 mod bounded;
 mod cells;
+#[cfg(test)]
+mod compact_differential;
 mod config;
 pub mod defense;
 mod ecc;

@@ -11,7 +11,7 @@ use crate::journal::DramJournal;
 use crate::remap::RemapTable;
 use crate::retention::RetentionModel;
 use crate::stats::{DramStats, FlipEvent, FlipLog};
-use crate::store::{unshare, SparseStore};
+use crate::store::SparseStore;
 use crate::vuln::{VulnerabilityModel, VulnerableBit};
 
 /// Column-access latency charged per read/write operation, nanoseconds.
@@ -264,6 +264,15 @@ impl DramModule {
         m
     }
 
+    /// A module whose decayed rows stay dense, for differential tests of
+    /// compact rows.
+    #[cfg(test)]
+    pub(crate) fn dense_reference(config: DramConfig) -> Self {
+        let mut m = DramModule::new(config);
+        m.store.dense_reference = true;
+        m
+    }
+
     /// Forks the module: an independent copy sharing no observable state
     /// with the original. Row contents are copy-on-write, so a fork costs
     /// O(rows) reference bumps, not row copies, plus a copy of the state;
@@ -339,12 +348,20 @@ impl DramModule {
     }
 
     /// Bytes of row contents the module holds, each distinct buffer counted
-    /// once: rows that share a buffer (all-ones rows after profiling, zeroed
-    /// pages, a journal pre-image and its unchanged row) count it once. A
-    /// memory gauge only: it depends on how rows came to share buffers, so
-    /// it is not part of any deterministic output.
+    /// once: rows that share a buffer (a fork's, a journal pre-image and its
+    /// unchanged row) count it once, and a compact row (uniform rows such
+    /// as zeroed pages, fully decayed rows) counts its list of
+    /// differing bits, four bytes each. A memory gauge only: it depends on
+    /// how rows came to share buffers, so it is not part of any
+    /// deterministic output.
     pub fn row_store_bytes(&self) -> usize {
         self.store.buffer_bytes()
+    }
+
+    /// Number of rows held compact (see the `store` module).
+    #[cfg(test)]
+    pub(crate) fn rows_compact(&self) -> usize {
+        self.store.compact_count()
     }
 
     /// Number of rows holding a compiled contents-hash digest (see
@@ -514,13 +531,20 @@ impl DramModule {
         for span in Spans::new(self.config.geometry.row_bytes(), addr, buf.len()) {
             let backing = self.resolve_row(span.row);
             self.touch_row(backing);
-            let dst = &mut buf[span.off..span.off + span.take];
-            match self.store.bytes(backing.0) {
-                Some(bytes) => dst.copy_from_slice(&bytes[span.col..span.col + span.take]),
-                None => dst.fill(0),
-            }
+            self.store.view(backing.0).copy_to(span.col, &mut buf[span.off..span.off + span.take]);
         }
         Ok(())
+    }
+
+    /// Reads logical `row` whole, as [`Self::read_into`] of the row would,
+    /// and returns its number of set bits, counted in place: the cell-type
+    /// profiler's read-back, whose pending decay leaves a true-cell row
+    /// compact.
+    pub(crate) fn read_row_ones(&mut self, row: RowId) -> Result<u64, DramError> {
+        // A read of one byte of the row costs what a read of all of it
+        // does: one operation, one span.
+        self.read_into(self.config.geometry.addr_of_row(row)?, &mut [0])?;
+        Ok(self.store.view(self.resolve_row(row).0).count_ones())
     }
 
     /// Reads `len` bytes starting at `addr` into a fresh vector.
@@ -546,8 +570,8 @@ impl DramModule {
         for span in Spans::new(self.config.geometry.row_bytes(), addr, data.len()) {
             let backing = self.resolve_row(span.row);
             self.touch_row(backing);
-            let row = self.store.materialize(backing.0, self.state.clock_ns);
-            unshare(row.bytes)[span.col..span.col + span.take]
+            let mut row = self.store.materialize(backing.0, self.state.clock_ns);
+            row.bytes_mut()[span.col..span.col + span.take]
                 .copy_from_slice(&data[span.off..span.off + span.take]);
         }
         Ok(())
@@ -570,12 +594,9 @@ impl DramModule {
             self.set_clock(self.state.clock_ns + COL_ACCESS_NS);
             let backing = self.resolve_row(RowId(addr / row_bytes));
             self.touch_row(backing);
-            return Ok(match self.store.bytes(backing.0) {
-                Some(bytes) => {
-                    u64::from_le_bytes(bytes[col..col + 8].try_into().expect("8-byte slice"))
-                }
-                None => 0,
-            });
+            let mut word = [0u8; 8];
+            self.store.view(backing.0).copy_to(col, &mut word);
+            return Ok(u64::from_le_bytes(word));
         }
         let mut buf = [0u8; 8];
         self.read_into(addr, &mut buf)?;
@@ -597,8 +618,8 @@ impl DramModule {
             self.set_clock(self.state.clock_ns + COL_ACCESS_NS);
             let backing = self.resolve_row(RowId(addr / row_bytes));
             self.touch_row(backing);
-            let row = self.store.materialize(backing.0, self.state.clock_ns);
-            unshare(row.bytes)[col..col + 8].copy_from_slice(&value.to_le_bytes());
+            let mut row = self.store.materialize(backing.0, self.state.clock_ns);
+            row.bytes_mut()[col..col + 8].copy_from_slice(&value.to_le_bytes());
             return Ok(());
         }
         self.write(addr, &value.to_le_bytes())
@@ -633,11 +654,7 @@ impl DramModule {
         self.check_range(addr, buf.len())?;
         for span in Spans::new(self.config.geometry.row_bytes(), addr, buf.len()) {
             let backing = self.resolve_row(span.row);
-            let dst = &mut buf[span.off..span.off + span.take];
-            match self.store.bytes(backing.0) {
-                Some(bytes) => dst.copy_from_slice(&bytes[span.col..span.col + span.take]),
-                None => dst.fill(0),
-            }
+            self.store.view(backing.0).copy_to(span.col, &mut buf[span.off..span.off + span.take]);
         }
         Ok(())
     }
@@ -704,12 +721,9 @@ impl DramModule {
         if row_bytes - col as u64 >= 8 {
             self.check_range(addr, 8)?;
             let backing = self.resolve_row(RowId(addr / row_bytes));
-            return Ok(match self.store.bytes(backing.0) {
-                Some(bytes) => {
-                    u64::from_le_bytes(bytes[col..col + 8].try_into().expect("8-byte slice"))
-                }
-                None => 0,
-            });
+            let mut word = [0u8; 8];
+            self.store.view(backing.0).copy_to(col, &mut word);
+            return Ok(u64::from_le_bytes(word));
         }
         let mut buf = [0u8; 8];
         self.peek_into(addr, &mut buf)?;
@@ -1179,8 +1193,8 @@ impl DramModule {
             return;
         }
         let cell_type = self.config.layout.cell_type(backing);
-        let row = self.store.materialize(backing.0, now);
-        let changed = self.state.retention.apply_decay(backing, cell_type, row.bytes, elapsed);
+        let mut row = self.store.materialize(backing.0, now);
+        let changed = self.state.retention.apply_decay(backing, cell_type, &mut row, elapsed);
         *row.last_charge_ns = now;
         self.state.stats.decay_flips += changed;
         self.sync_model_stats();
@@ -1234,15 +1248,17 @@ impl DramModule {
             self.sync_model_stats();
             return;
         }
-        let row = self.store.materialize(victim.0, clock);
-        // Read the row in place up to the first word that fires and copy it
-        // there if it is shared, so a pass that fires nothing copies nothing.
+        // Read the row in place up to the first word that fires, and take
+        // its bytes to change (copying or expanding it) only there, so a
+        // pass that fires nothing copies nothing.
+        let view = self.store.view(victim.0);
         let first = planes.iter().position(|pw| {
-            let word = load_word(row.bytes, pw.word as usize);
+            let word = view.word(pw.word as usize);
             (word & pw.otz) | (!word & pw.zto) != 0
         });
+        let mut row = self.store.materialize(victim.0, clock);
         if let Some(first) = first {
-            let bytes = unshare(row.bytes);
+            let bytes = row.bytes_mut();
             for pw in &planes[first..] {
                 let w = pw.word as usize;
                 let word = load_word(bytes, w);
@@ -1288,12 +1304,12 @@ impl DramModule {
     /// vulnerable bit at a time.
     #[cfg(test)]
     fn disturb_scalar(&mut self, victim: RowId, bits: &[VulnerableBit], clock: u64) {
-        use crate::retention::{get_bit, set_bit};
-        let row = self.store.materialize(victim.0, clock);
+        use crate::retention::set_bit;
+        let mut row = self.store.materialize(victim.0, clock);
         for vb in bits {
-            let current = get_bit(row.bytes, vb.bit);
+            let current = row.view().bit(vb.bit);
             if current == vb.direction.source_value() {
-                set_bit(unshare(row.bytes), vb.bit, !current);
+                set_bit(row.bytes_mut(), vb.bit, !current);
                 self.state.stats.record_flip(FlipEvent {
                     row: victim,
                     bit: vb.bit,
@@ -1436,10 +1452,24 @@ mod tests {
         }
         assert_eq!(m.stats().decay_flips, 0);
         assert_eq!(m.peek(10 * row_bytes, row_bytes as usize).unwrap(), vec![0xFF; 4096]);
-        // The true-cell row does decay, into a copy of its own.
+        // The true-cell row does decay, fully, into a compact row of its
+        // surviving long-retention cells.
         m.read(2 * row_bytes, 1).unwrap();
         assert!(m.stats().decay_flips > 0);
-        assert!(!shared(&m, 0, 2));
+        assert!(!shared(&m, 0, 2) && m.store.is_compact(2));
+        // Compact victims: all-ones anti-cell rows (8 to 15), where no cell
+        // flips against its leakage direction, fire nothing, and their
+        // first-fire scans read them in place.
+        let disturbance = DisturbanceParams { reverse_rate: 0.0, ..m.config().disturbance };
+        let mut m = DramModule::new(DramConfig { disturbance, ..DramConfig::small_test() });
+        m.fill(8 * row_bytes, 8 * row_bytes as usize, 0xFF).unwrap();
+        assert!((8..16).all(|row| m.store.is_compact(row)));
+        let allocated = crate::row_buffers_allocated();
+        m.hammer_double_sided(RowId(10)).unwrap();
+        assert!(m.stats().disturbances > 0);
+        assert_eq!(m.stats().total_flips(), 0);
+        assert!((8..16).all(|row| m.store.is_compact(row)), "a pass that fires nothing");
+        assert_eq!(crate::row_buffers_allocated(), allocated);
     }
 
     #[test]

@@ -12,7 +12,6 @@
 
 use std::ops::Range;
 
-use crate::bitplane::count_ones;
 use crate::cells::{CellType, CellTypeMap};
 use crate::error::DramError;
 use crate::geometry::RowId;
@@ -91,11 +90,10 @@ pub fn profile_cell_types(
     module.advance(config.wait_ns);
     let mut types = Vec::with_capacity((range.end - range.start) as usize);
     let mut dissent = Vec::with_capacity(types.capacity());
-    let mut data = vec![0u8; row_bytes];
     for row in range.start..range.end {
-        let addr = module.geometry().addr_of_row(RowId(row))?;
-        module.read_into(addr, &mut data)?;
-        let ones = count_ones(&data);
+        // The read applies the row's pending decay, which leaves a true-cell
+        // row compact: all zeros but for its long-retention cells.
+        let ones = module.read_row_ones(RowId(row))?;
         let bits = (row_bytes * crate::BITS_PER_BYTE) as u64;
         // Charged value was `1`. Decayed true-cells read 0, anti-cells 1.
         let inferred = if ones * 2 < bits { CellType::True } else { CellType::Anti };

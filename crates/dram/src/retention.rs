@@ -3,7 +3,7 @@ use std::rc::Rc;
 
 use rand::Rng;
 
-use crate::bitplane::{count_ones, load_word, store_word, words_for_bits};
+use crate::bitplane::{load_word, store_word, words_for_bits};
 use crate::bounded::RowMapCache;
 use crate::cells::CellType;
 use crate::config::RetentionParams;
@@ -11,7 +11,7 @@ use crate::geometry::RowId;
 #[cfg(test)]
 use crate::rng::hash3;
 use crate::rng::{mantissa_cutoff, poisson, stream_rng, to_unit, RowBlocks};
-use crate::store::unshare;
+use crate::store::RowMut;
 use crate::vuln::MODEL_CACHE_ROWS;
 
 /// Seed salt of the ordinary retention draw ("ORDI").
@@ -178,19 +178,19 @@ impl RetentionModel {
         self.ordinary_retention_ns(row, bit)
     }
 
-    /// Applies `elapsed_ns` of unrefreshed decay to a row's stored bytes.
+    /// Applies `elapsed_ns` of unrefreshed decay to a row's contents.
     ///
     /// Cells whose retention has expired read as the discharged value of the
     /// row's polarity. Returns the number of bits whose logic value changed.
     /// A partial window discharges the row's expired-cell mask a word at a
-    /// time; a test-only per-bit scalar loop is its oracle. A shared row is
-    /// copied only if a bit changes, so a decay that changes nothing leaves
-    /// it shared.
+    /// time; a test-only per-bit scalar loop is its oracle. The row is read
+    /// in place and copied (or expanded, if compact) only if a bit changes,
+    /// so a decay that changes nothing leaves it as it was.
     pub(crate) fn apply_decay(
         &mut self,
         row: RowId,
         cell_type: CellType,
-        bytes: &mut Rc<[u8]>,
+        bytes: &mut RowMut<'_>,
         elapsed_ns: u64,
     ) -> u64 {
         if elapsed_ns < self.params.min_ns {
@@ -204,23 +204,26 @@ impl RetentionModel {
             return self.apply_decay_scalar(row, cell_type, bytes, elapsed_ns);
         }
         let target = if cell_type.discharged_value() { !0u64 } else { 0u64 };
-        let mask = self.expired_mask(row, elapsed_ns, bytes.len() * crate::BITS_PER_BYTE);
+        let mask = self.expired_mask(row, elapsed_ns, bytes.view().len() * crate::BITS_PER_BYTE);
         discharge_masked(bytes, &mask, target)
     }
 
     /// Full decay (`elapsed ≥ max_ns`): every ordinary cell has expired, so
     /// only long cells whose retention outlasts the wait keep their value.
-    /// Snapshot those survivors, fill the row with the discharged value
-    /// (counting the changed bits a word at a time), then restore them.
+    /// The row becomes the discharged value throughout but for those
+    /// survivors: a compact row of a decayed true-cell row's few dozen
+    /// long cells (see the `store` module). The changed bits are counted
+    /// from the row's ones.
     fn apply_full_decay(
         &mut self,
         row: RowId,
         cell_type: CellType,
-        bytes: &mut Rc<[u8]>,
+        bytes: &mut RowMut<'_>,
         elapsed_ns: u64,
     ) -> u64 {
         let discharged = cell_type.discharged_value();
-        let nbits = (bytes.len() * crate::BITS_PER_BYTE) as u64;
+        let view = bytes.view();
+        let nbits = (view.len() * crate::BITS_PER_BYTE) as u64;
         let long = self.long_cells(row);
         // The survivors still holding the charged value: each would count
         // as changed by the fill, and is set back after it.
@@ -229,18 +232,14 @@ impl RetentionModel {
             long.iter()
                 .filter(|c| c.retention_ns >= elapsed_ns && c.bit < nbits)
                 .map(|c| c.bit)
-                .filter(|&bit| get_bit(bytes, bit) != discharged),
+                .filter(|&bit| view.bit(bit) != discharged),
         );
-        let ones = count_ones(bytes);
+        let ones = view.count_ones();
         let changed = if discharged { nbits - ones } else { ones } - survivors.len() as u64;
         if changed == 0 {
             return 0;
         }
-        let bytes = unshare(bytes);
-        bytes.fill(if discharged { 0xFF } else { 0x00 });
-        for bit in survivors {
-            set_bit(bytes, bit, !discharged);
-        }
+        bytes.fill_except(if discharged { 0xFF } else { 0x00 }, &survivors);
         changed
     }
 
@@ -251,7 +250,7 @@ impl RetentionModel {
         &mut self,
         row: RowId,
         cell_type: CellType,
-        bytes: &mut Rc<[u8]>,
+        bytes: &mut RowMut<'_>,
         elapsed_ns: u64,
     ) -> u64 {
         if elapsed_ns < self.params.min_ns || elapsed_ns >= self.params.max_ns {
@@ -259,9 +258,9 @@ impl RetentionModel {
         }
         let discharged = cell_type.discharged_value();
         let mut changed = 0u64;
-        for bit in 0..(bytes.len() as u64 * crate::BITS_PER_BYTE as u64) {
-            if self.retention_ns(row, bit) < elapsed_ns && get_bit(bytes, bit) != discharged {
-                set_bit(unshare(bytes), bit, discharged);
+        for bit in 0..(bytes.view().len() as u64 * crate::BITS_PER_BYTE as u64) {
+            if self.retention_ns(row, bit) < elapsed_ns && bytes.view().bit(bit) != discharged {
+                set_bit(bytes.bytes_mut(), bit, discharged);
                 changed += 1;
             }
         }
@@ -305,13 +304,14 @@ impl RetentionModel {
 /// Drives every masked bit of `bytes` to its bit in `target` (all-ones or
 /// all-zero), returning how many bits actually changed (popcount of the
 /// per-word difference).
-fn discharge_masked(bytes: &mut Rc<[u8]>, mask: &[u64], target: u64) -> u64 {
-    // Copy a shared row only at the first word that changes.
-    let differs = |w: usize| (load_word(bytes, w) ^ target) & mask[w] != 0;
+fn discharge_masked(bytes: &mut RowMut<'_>, mask: &[u64], target: u64) -> u64 {
+    // Read the row in place up to the first word that changes.
+    let view = bytes.view();
+    let differs = |w: usize| (view.word(w) ^ target) & mask[w] != 0;
     let Some(first) = (0..mask.len()).position(|w| mask[w] != 0 && differs(w)) else {
         return 0;
     };
-    let bytes = unshare(bytes);
+    let bytes = bytes.bytes_mut();
     let mut changed = 0u64;
     for (w, &m) in mask.iter().enumerate().skip(first) {
         if m == 0 {
@@ -328,10 +328,12 @@ fn discharge_masked(bytes: &mut Rc<[u8]>, mask: &[u64], target: u64) -> u64 {
     changed
 }
 
+#[cfg(test)]
 pub(crate) fn get_bit(bytes: &[u8], bit: u64) -> bool {
     bytes[(bit / 8) as usize] >> (bit % 8) & 1 == 1
 }
 
+#[cfg(test)]
 pub(crate) fn set_bit(bytes: &mut [u8], bit: u64, value: bool) {
     let byte = &mut bytes[(bit / 8) as usize];
     if value {
@@ -347,6 +349,48 @@ mod tests {
 
     fn model() -> RetentionModel {
         RetentionModel::new(RetentionParams::default(), 4096 * 8, 0xFEED)
+    }
+
+    /// [`RetentionModel::apply_decay`], or with `scalar` its oracle, on a
+    /// dense row held as `bytes`, left dense.
+    fn decay_with(
+        scalar: bool,
+        m: &mut RetentionModel,
+        row: RowId,
+        cell_type: CellType,
+        bytes: &mut Rc<[u8]>,
+        elapsed_ns: u64,
+    ) -> u64 {
+        let (len, mut fill, mut charge) = (bytes.len(), None, 0);
+        let mut row_mut = RowMut::new(bytes, &mut fill, len, &mut charge);
+        let changed = if scalar {
+            m.apply_decay_scalar(row, cell_type, &mut row_mut, elapsed_ns)
+        } else {
+            m.apply_decay(row, cell_type, &mut row_mut, elapsed_ns)
+        };
+        // A full decay may have left the row compact: expand it.
+        row_mut.bytes_mut();
+        changed
+    }
+
+    fn decay(
+        m: &mut RetentionModel,
+        row: RowId,
+        cell_type: CellType,
+        bytes: &mut Rc<[u8]>,
+        elapsed_ns: u64,
+    ) -> u64 {
+        decay_with(false, m, row, cell_type, bytes, elapsed_ns)
+    }
+
+    fn decay_scalar(
+        m: &mut RetentionModel,
+        row: RowId,
+        cell_type: CellType,
+        bytes: &mut Rc<[u8]>,
+        elapsed_ns: u64,
+    ) -> u64 {
+        decay_with(true, m, row, cell_type, bytes, elapsed_ns)
     }
 
     #[test]
@@ -381,7 +425,7 @@ mod tests {
     fn no_decay_before_min_retention() {
         let mut m = model();
         let mut bytes: Rc<[u8]> = vec![0xFFu8; 4096].into();
-        let changed = m.apply_decay(RowId(0), CellType::True, &mut bytes, 1_000_000);
+        let changed = decay(&mut m, RowId(0), CellType::True, &mut bytes, 1_000_000);
         assert_eq!(changed, 0);
         assert!(bytes.iter().all(|b| *b == 0xFF));
     }
@@ -391,7 +435,7 @@ mod tests {
         let mut m = model();
         let mut bytes: Rc<[u8]> = vec![0xFFu8; 4096].into();
         let elapsed = m.params.max_ns + 1;
-        let changed = m.apply_decay(RowId(0), CellType::True, &mut bytes, elapsed);
+        let changed = decay(&mut m, RowId(0), CellType::True, &mut bytes, elapsed);
         // All bits decay except surviving long cells.
         let surviving: u64 = bytes.iter().map(|b| b.count_ones() as u64).sum();
         let long = m.long_cells(RowId(0)).len() as u64;
@@ -404,7 +448,7 @@ mod tests {
         let mut m = model();
         let mut bytes: Rc<[u8]> = vec![0x00u8; 4096].into();
         let elapsed = m.params.max_ns + 1;
-        m.apply_decay(RowId(1), CellType::Anti, &mut bytes, elapsed);
+        decay(&mut m, RowId(1), CellType::Anti, &mut bytes, elapsed);
         let zeros: u64 = bytes.iter().map(|b| b.count_zeros() as u64).sum();
         let long = m.long_cells(RowId(1)).len() as u64;
         assert!(zeros <= long, "zeros={zeros} long={long}");
@@ -416,8 +460,8 @@ mod tests {
         let p = m.params;
         let mut early: Rc<[u8]> = vec![0xFFu8; 4096].into();
         let mut late: Rc<[u8]> = vec![0xFFu8; 4096].into();
-        m.apply_decay(RowId(2), CellType::True, &mut early, p.min_ns + (p.max_ns - p.min_ns) / 4);
-        m.apply_decay(RowId(2), CellType::True, &mut late, p.min_ns + (p.max_ns - p.min_ns) / 2);
+        decay(&mut m, RowId(2), CellType::True, &mut early, p.min_ns + (p.max_ns - p.min_ns) / 4);
+        decay(&mut m, RowId(2), CellType::True, &mut late, p.min_ns + (p.max_ns - p.min_ns) / 2);
         let ones_early: u32 = early.iter().map(|b| b.count_ones()).sum();
         let ones_late: u32 = late.iter().map(|b| b.count_ones()).sum();
         assert!(ones_late <= ones_early);
@@ -428,7 +472,8 @@ mod tests {
     fn very_long_wait_kills_even_long_cells() {
         let mut m = model();
         let mut bytes: Rc<[u8]> = vec![0xFFu8; 4096].into();
-        m.apply_decay(RowId(0), CellType::True, &mut bytes, m.params.long_max_ns + 1);
+        let elapsed = m.params.long_max_ns + 1;
+        decay(&mut m, RowId(0), CellType::True, &mut bytes, elapsed);
         assert!(bytes.iter().all(|b| *b == 0));
     }
 
@@ -463,8 +508,8 @@ mod tests {
                 {
                     let mut sb: Rc<[u8]> = vec![fill; 4096].into();
                     let mut wb = sb.clone();
-                    let cs = scalar.apply_decay_scalar(RowId(3), cell_type, &mut sb, elapsed);
-                    let cw = wordwise.apply_decay(RowId(3), cell_type, &mut wb, elapsed);
+                    let cs = decay_scalar(&mut scalar, RowId(3), cell_type, &mut sb, elapsed);
+                    let cw = decay(&mut wordwise, RowId(3), cell_type, &mut wb, elapsed);
                     let at = format!("max_ns={} elapsed={elapsed} {cell_type:?}", p.max_ns);
                     assert_eq!(cs, cw, "changed counts diverged at {at}");
                     assert_eq!(sb, wb, "row bytes diverged at {at}");
@@ -484,8 +529,8 @@ mod tests {
                 let mut wordwise = RetentionModel::new(p, (len * 8) as u64, 0xFEED);
                 let mut sb: Rc<[u8]> = vec![0xFFu8; len].into();
                 let mut wb = sb.clone();
-                let cs = scalar.apply_decay_scalar(RowId(0), CellType::True, &mut sb, elapsed);
-                let cw = wordwise.apply_decay(RowId(0), CellType::True, &mut wb, elapsed);
+                let cs = decay_scalar(&mut scalar, RowId(0), CellType::True, &mut sb, elapsed);
+                let cw = decay(&mut wordwise, RowId(0), CellType::True, &mut wb, elapsed);
                 assert_eq!(cs, cw, "len={len} elapsed={elapsed}");
                 assert_eq!(sb, wb, "len={len} elapsed={elapsed}");
             }
@@ -530,7 +575,7 @@ mod tests {
                                 }
                             }
                             let mut bytes: Rc<[u8]> = before.clone().into();
-                            let changed = m.apply_decay(row, cell_type, &mut bytes, elapsed);
+                            let changed = decay(&mut m, row, cell_type, &mut bytes, elapsed);
                             let at = format!(
                                 "len={len} row={r} elapsed={elapsed} {cell_type:?} fill={fill:#x}"
                             );

@@ -3,21 +3,37 @@
 //! from, indexed by *backing* row id (remap resolution happens above this
 //! layer, in `DramModule`).
 //!
-//! Row contents are copy-on-write: a row holds an `Rc<[u8]>`, and a
-//! journal pre-image, a fork and a whole-row fill share it; [`unshare`]
-//! copies it on the first change. So a fork is O(rows) reference bumps,
-//! not row copies, and saving a pre-image copies no bytes. Buffers a
-//! rollback frees go to a per-thread spare list that [`unshare`] takes
-//! from before it allocates, so a steady-state journaled trial allocates
+//! A row's contents take one of two forms. A *dense* row is a buffer of
+//! `row_bytes` bytes. A *compact* row is a fill byte plus the ascending
+//! positions of the bits that differ from it, four bytes each. A
+//! whole-row fill makes a compact row with no differing bits, and a full
+//! decay ([`RowMut::fill_except`]) one whose list takes at most an eighth
+//! of the row: after the cell-type profiler's wait, a true-cell row is all
+//! zeros but for a few dozen long-retention cells, and an anti-cell row
+//! all ones. One fixed rule, no knob. Both keep a dense row whose buffer
+//! nothing else shares in place instead, so a trial never frees a buffer
+//! its rollback could recycle. Every read — reads, peeks, the contents
+//! hash, digest compilation, the disturb and decay scans, the profiler's
+//! ones count — takes either form in place through [`RowView`]; the one
+//! mutable view, [`RowMut::bytes_mut`], expands a compact row into a
+//! buffer of its own on its first change.
+//!
+//! Both forms are copy-on-write: a row holds an `Rc<[u8]>` (its bytes, or
+//! its bit list), and a journal pre-image and a fork share it; the first
+//! change copies or expands it. So a fork is O(rows) reference bumps, not
+//! row copies, and saving a pre-image copies no bytes. Buffers a rollback
+//! frees go to a per-thread spare list that copies and expansions take
+//! from before they allocate, so a steady-state journaled trial allocates
 //! no row buffer.
 
 use std::cell::{Cell, RefCell};
 use std::ops::Range;
 use std::rc::Rc;
 
-use crate::fnv::{ContentsHasher, RowDigest};
+use crate::bitplane::{count_ones, load_word};
+use crate::fnv::{ContentsHasher, DigestCompiler, RowDigest};
 
-/// The row buffers rollbacks on this thread released, for [`unshare`] to
+/// The row buffers rollbacks on this thread released, for [`buffer_of`] to
 /// reuse, and a count of the buffers the thread allocated.
 struct Spares {
     buffers: Vec<Rc<[u8]>>,
@@ -30,59 +46,249 @@ struct Spares {
 thread_local! {
     static SPARES: RefCell<Spares> =
         const { RefCell::new(Spares { buffers: Vec::new(), cap: 0, allocated: 0 }) };
+    /// The empty bit list every compact row with no differing bit shares.
+    static NO_BITS: Rc<[u8]> = Rc::from([]);
 }
 
 /// Row buffers the calling thread has allocated: copies made on a row's
-/// first change with no spare buffer to reuse, and each store's shared
-/// fill buffers. Per thread, so a trial's count is exact whatever other
-/// threads run.
+/// first change, and expansions of compact rows, with no spare buffer to
+/// reuse. Per thread, so a trial's count is exact whatever other threads
+/// run.
 pub fn row_buffers_allocated() -> u64 {
     SPARES.with_borrow(|spares| spares.allocated)
 }
 
-/// A spare row buffer of `len` bytes from the thread's list, or `None`,
-/// counted as the allocation the caller then makes.
-fn take_spare(len: usize) -> Option<Rc<[u8]>> {
-    SPARES.with_borrow_mut(|spares| {
+/// A row buffer nothing else shares, holding `row`'s contents: a spare
+/// buffer from the thread's list written over, or a new one, counted.
+fn buffer_of(row: RowView<'_>) -> Rc<[u8]> {
+    let len = row.len();
+    let spare = SPARES.with_borrow_mut(|spares| {
         let i = spares.buffers.iter().rposition(|b| b.len() == len);
         if i.is_none() {
             spares.allocated += 1;
         }
         i.map(|i| spares.buffers.swap_remove(i))
-    })
+    });
+    let mut buf = match (spare, row) {
+        (Some(spare), _) => spare,
+        (None, RowView::Dense(bytes)) => return Rc::from(bytes),
+        (None, RowView::Compact { fill, .. }) => Rc::from(vec![fill; len]),
+    };
+    row.copy_to(0, Rc::get_mut(&mut buf).expect("spares and new buffers are unshared"));
+    buf
 }
 
-/// The copying view of a row's contents: the row's own buffer, copied
-/// first (into a spare buffer if the thread has one) if anything else
-/// shares it. Take it only to change a byte; reads go through the `Rc`.
-pub(crate) fn unshare(bytes: &mut Rc<[u8]>) -> &mut [u8] {
-    if Rc::strong_count(bytes) > 1 {
-        *bytes = match take_spare(bytes.len()) {
-            Some(mut spare) => {
-                Rc::get_mut(&mut spare).expect("spares are unshared").copy_from_slice(bytes);
-                spare
-            }
-            None => Rc::from(&bytes[..]),
-        };
+/// Whether a row of `row_bytes` bytes with `bits` bits differing from its
+/// fill is kept compact: when its bit list takes at most an eighth of the
+/// row (one bit in 256).
+fn fits_compact(bits: u64, row_bytes: usize) -> bool {
+    32 * bits <= row_bytes as u64
+}
+
+/// Read-only view of one row's contents, in either form.
+#[derive(Clone, Copy)]
+pub(crate) enum RowView<'a> {
+    /// The row's bytes.
+    Dense(&'a [u8]),
+    /// `len` bytes of `fill`, but for the bits at `bits`: ascending bit
+    /// positions, each four little-endian bytes.
+    Compact { fill: u8, bits: &'a [[u8; 4]], len: usize },
+}
+
+impl<'a> RowView<'a> {
+    /// The view of a row stored as `data` (its bytes, or the bit list of a
+    /// compact row of `fill`) and `len` bytes long.
+    fn of(data: &'a [u8], fill: Option<u8>, len: usize) -> Self {
+        match fill {
+            None => RowView::Dense(data),
+            Some(fill) => RowView::Compact { fill, bits: data.as_chunks::<4>().0, len },
+        }
     }
-    Rc::get_mut(bytes).expect("a row buffer nothing else shares")
+
+    /// Row length in bytes.
+    pub(crate) fn len(&self) -> usize {
+        match *self {
+            RowView::Dense(bytes) => bytes.len(),
+            RowView::Compact { len, .. } => len,
+        }
+    }
+
+    /// A compact row's listed bits in `[lo, hi)`, ascending.
+    fn bits_in<'b>(bits: &'b [[u8; 4]], lo: u64, hi: u64) -> impl Iterator<Item = u64> + 'b {
+        let pos = |b: &[u8; 4]| u64::from(u32::from_le_bytes(*b));
+        let start = bits.partition_point(|b| pos(b) < lo);
+        bits[start..].iter().map(pos).take_while(move |&bit| bit < hi)
+    }
+
+    /// Flips the listed bits of bytes `[col, col + dst.len())` in `dst`,
+    /// which holds the fill there.
+    fn flip_listed(bits: &[[u8; 4]], col: usize, dst: &mut [u8]) {
+        let lo = 8 * col as u64;
+        for bit in Self::bits_in(bits, lo, lo + 8 * dst.len() as u64) {
+            let b = bit - lo;
+            dst[(b / 8) as usize] ^= 1 << (b % 8);
+        }
+    }
+
+    /// Copies bytes `[col, col + dst.len())` of the row into `dst`.
+    #[inline]
+    pub(crate) fn copy_to(&self, col: usize, dst: &mut [u8]) {
+        match *self {
+            RowView::Dense(bytes) => dst.copy_from_slice(&bytes[col..col + dst.len()]),
+            RowView::Compact { fill, bits, .. } => {
+                dst.fill(fill);
+                Self::flip_listed(bits, col, dst);
+            }
+        }
+    }
+
+    /// Word `w` of the row (bits `[64w, 64w + 64)`), zero-padded past its
+    /// end, as [`load_word`] loads it from the bytes.
+    #[inline]
+    pub(crate) fn word(&self, w: usize) -> u64 {
+        match *self {
+            RowView::Dense(bytes) => load_word(bytes, w),
+            RowView::Compact { fill, bits, len } => {
+                let in_row = len.saturating_sub(8 * w).min(8);
+                let mut word = u64::from_le_bytes([fill; 8]);
+                if in_row < 8 {
+                    word &= (1 << (8 * in_row)) - 1;
+                }
+                let lo = 64 * w as u64;
+                Self::bits_in(bits, lo, lo + 64).fold(word, |word, bit| word ^ 1 << (bit - lo))
+            }
+        }
+    }
+
+    /// Bit `bit` of the row.
+    pub(crate) fn bit(&self, bit: u64) -> bool {
+        self.word((bit / 64) as usize) >> (bit % 64) & 1 == 1
+    }
+
+    /// Number of set bits in the row.
+    pub(crate) fn count_ones(&self) -> u64 {
+        match *self {
+            RowView::Dense(bytes) => count_ones(bytes),
+            RowView::Compact { fill, bits, len } => {
+                // Each listed bit is a one where the fill has a zero.
+                let set = bits.iter().filter(|b| fill >> (b[0] % 8) & 1 == 1).count() as u64;
+                u64::from(fill.count_ones()) * len as u64 + bits.len() as u64 - 2 * set
+            }
+        }
+    }
+
+    /// Calls `f` with the row's bytes in order, in chunks that each start
+    /// at a multiple of 64 bytes: a dense row in one, a compact row 4 KiB
+    /// at a time — a row of zeros or ones throughout as a static buffer
+    /// of its fill, any other written out into a buffer on the stack.
+    pub(crate) fn for_each_chunk(&self, mut f: impl FnMut(&[u8])) {
+        static ZEROS: [u8; 4096] = [0x00; 4096];
+        static ONES: [u8; 4096] = [0xFF; 4096];
+        let (fill, bits, len) = match *self {
+            RowView::Dense(bytes) => return f(bytes),
+            RowView::Compact { fill, bits, len } => (fill, bits, len),
+        };
+        let uniform = match (fill, bits) {
+            (0x00, []) => Some(&ZEROS),
+            (0xFF, []) => Some(&ONES),
+            _ => None,
+        };
+        let mut scratch = [fill; 4096];
+        for start in (0..len).step_by(scratch.len()) {
+            let chunk = &mut scratch[..(len - start).min(4096)];
+            match uniform {
+                Some(uniform) => f(&uniform[..chunk.len()]),
+                None => {
+                    if start > 0 {
+                        chunk.fill(fill);
+                    }
+                    Self::flip_listed(bits, start, chunk);
+                    f(chunk);
+                }
+            }
+        }
+    }
 }
 
-/// Mutable view of one materialized row: its cell bytes plus the charge
+/// Mutable view of one materialized row: its contents plus the charge
 /// timestamp the retention model decays from.
 pub(crate) struct RowMut<'a> {
-    /// The row's cell contents, `row_bytes` long, possibly shared: change
-    /// them through [`unshare`].
-    pub(crate) bytes: &'a mut Rc<[u8]>,
+    data: &'a mut Rc<[u8]>,
+    fill: &'a mut Option<u8>,
+    len: usize,
     /// Simulated time the row's charge was last restored.
     pub(crate) last_charge_ns: &'a mut u64,
+    /// See [`SparseStore::dense_reference`].
+    #[cfg(test)]
+    dense_reference: bool,
+}
+
+impl<'a> RowMut<'a> {
+    /// A mutable view of a row stored as `data` and `fill` (see
+    /// [`RowView::of`]), for tests that hold a row outside a store.
+    #[cfg(test)]
+    pub(crate) fn new(
+        data: &'a mut Rc<[u8]>,
+        fill: &'a mut Option<u8>,
+        len: usize,
+        last_charge_ns: &'a mut u64,
+    ) -> Self {
+        RowMut { data, fill, len, last_charge_ns, dense_reference: false }
+    }
+
+    /// The row's contents, read in place.
+    pub(crate) fn view(&self) -> RowView<'_> {
+        RowView::of(self.data, *self.fill, self.len)
+    }
+
+    /// The row's bytes, to change: a compact row first expands into a
+    /// buffer of its own, and a dense row shared with anything else is
+    /// copied first, either into a spare buffer if the thread has one.
+    /// Take it only to change a byte; reads go through [`Self::view`].
+    pub(crate) fn bytes_mut(&mut self) -> &mut [u8] {
+        if self.fill.is_some() || Rc::strong_count(self.data) > 1 {
+            *self.data = buffer_of(self.view());
+            *self.fill = None;
+        }
+        Rc::get_mut(self.data).expect("a row buffer nothing else shares")
+    }
+
+    /// Sets every bit of the row to its bit in `fill`, but for the bits at
+    /// `bits` (ascending), which get the opposite: a compact row if they
+    /// fit the rule ([`fits_compact`]), unless the row is dense and its
+    /// buffer unshared — that one is written in place and kept, as a
+    /// whole-row fill keeps it, so a trial frees no buffer its rollback
+    /// could recycle.
+    pub(crate) fn fill_except(&mut self, fill: u8, bits: &[u64]) {
+        let own = self.fill.is_none() && Rc::strong_count(self.data) == 1;
+        let compact = !own && fits_compact(bits.len() as u64, self.len);
+        #[cfg(test)]
+        let compact = compact && !self.dense_reference;
+        if compact {
+            *self.data = match bits {
+                [] => NO_BITS.with(Rc::clone),
+                _ => bits.iter().flat_map(|&bit| (bit as u32).to_le_bytes()).collect(),
+            };
+            *self.fill = Some(fill);
+            return;
+        }
+        let bytes = self.bytes_mut();
+        bytes.fill(fill);
+        for &bit in bits {
+            bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
+        }
+    }
 }
 
 /// One materialized row: contents plus charge timestamp.
 #[derive(Clone)]
 struct RowBuf {
-    bytes: Rc<[u8]>,
+    /// A dense row's bytes, or a compact row's bit list (see
+    /// [`RowView::Compact`]).
+    data: Rc<[u8]>,
     last_charge_ns: u64,
+    /// A compact row's fill byte; `None` for a dense row.
+    fill: Option<u8>,
     /// The row has not changed since its last disturb pass, so a repeat
     /// pass fires nothing. Cleared by every [`SparseStore::materialize`].
     settled: bool,
@@ -96,16 +302,27 @@ struct RowBuf {
     clean_hashes: Cell<u8>,
 }
 
+impl RowBuf {
+    fn view(&self, len: usize) -> RowView<'_> {
+        RowView::of(&self.data, self.fill, len)
+    }
+
+    /// A dense buffer nothing else holds: what a rollback can recycle.
+    fn into_spare(self) -> Option<Rc<[u8]>> {
+        (self.fill.is_none() && Rc::strong_count(&self.data) == 1).then_some(self.data)
+    }
+}
+
 /// Rows materialize on first write, so memory scales with the number of
 /// *touched* rows and paper-scale modules (gigabytes of address space,
-/// kilobytes of live data) stay cheap; rows holding one byte throughout
-/// share one buffer per fill byte.
+/// kilobytes of live data) stay cheap; rows that are one byte throughout
+/// but for a few bits are held as those bits (see the module doc).
 ///
-/// A never-written row reads as all zeros ([`Self::bytes`] returns `None`),
-/// carries no charge timestamp (so refresh and decay skip it), and does not
-/// count as materialized. [`Self::materialized_rows`] yields exactly the
-/// rows with a charge timestamp, in ascending order: decay application
-/// order is part of the determinism contract.
+/// A never-written row reads as all zeros ([`Self::view`]), carries no
+/// charge timestamp (so refresh and decay skip it), and does not count as
+/// materialized. [`Self::materialized_rows`] yields exactly the rows with a
+/// charge timestamp, in ascending order: decay application order is part
+/// of the determinism contract.
 ///
 /// Every change to a row — its bytes, its charge timestamp or its
 /// existence — goes through one private funnel, so the store journals
@@ -113,18 +330,16 @@ struct RowBuf {
 /// first change (sharing the row's buffer), and
 /// [`Self::journal_rollback`] moves the saved slots back. Outside a
 /// journal the same funnel clears [`Self::checkpoints`] and drops the
-/// changed row's digest.
+/// changed row's digest. [`Self::compact`] changes a row's form, not its
+/// contents, so it bypasses the funnel.
 #[derive(Clone)]
 pub(crate) struct SparseStore {
     rows: Vec<Option<RowBuf>>,
     row_bytes: u32,
-    /// One shared buffer per fill byte a whole-row fill has used.
-    fills: Vec<Rc<[u8]>>,
+    /// Number of materialized rows.
+    materialized: usize,
     /// Whether a journal is open.
     journaling: bool,
-    /// How many fill buffers the store had at [`Self::journal_begin`]:
-    /// rollback drops the ones the trial added.
-    journal_fills: usize,
     /// Each row changed since [`Self::journal_begin`], once, with its slot
     /// as it was before that change; empty while no journal is open, with
     /// its capacity kept for the next journal.
@@ -140,10 +355,15 @@ pub(crate) struct SparseStore {
     /// for a row too mixed to digest. Like the checkpoints, a digest
     /// describes the row's contents as no journal has changed them: a
     /// journaled change leaves it, since the changed row is saved and
-    /// hashes from its bytes until rollback restores the bytes the digest
-    /// describes, and a change outside a journal drops it. A row the
-    /// journal created is saved too, so an unmaterialized row has none.
+    /// hashes from its contents until rollback restores the contents the
+    /// digest describes, and a change outside a journal drops it. A row
+    /// the journal created is saved too, so an unmaterialized row has none.
     digests: RefCell<Vec<Option<Box<RowDigest>>>>,
+    /// Keeps every row that is not one byte throughout dense:
+    /// [`RowMut::fill_except`] writes bytes. The oracle compact rows are
+    /// differentially checked against.
+    #[cfg(test)]
+    pub(crate) dense_reference: bool,
 }
 
 impl SparseStore {
@@ -156,19 +376,25 @@ impl SparseStore {
         Some(SparseStore {
             rows,
             row_bytes,
-            fills: Vec::new(),
+            materialized: 0,
             journaling: false,
-            journal_fills: 0,
             journal: Vec::new(),
             checkpoints: RefCell::default(),
             digests: RefCell::default(),
+            #[cfg(test)]
+            dense_reference: false,
         })
     }
 
-    /// Read-only view of a row's contents, `None` if never materialized
-    /// (all cells at logic `0`).
-    pub(crate) fn bytes(&self, row: u64) -> Option<&[u8]> {
-        self.rows[row as usize].as_ref().map(|r| &r.bytes[..])
+    /// Read-only view of a row's contents: a never-materialized row reads
+    /// as all zeros.
+    #[inline]
+    pub(crate) fn view(&self, row: u64) -> RowView<'_> {
+        let len = self.row_bytes as usize;
+        match &self.rows[row as usize] {
+            Some(buf) => buf.view(len),
+            None => RowView::Compact { fill: 0, bits: &[], len },
+        }
     }
 
     /// Mutable view of a row, materializing it at all-zeros with charge
@@ -176,49 +402,34 @@ impl SparseStore {
     /// unsettles the row: whoever takes the view may change it.
     pub(crate) fn materialize(&mut self, row: u64, now_ns: u64) -> RowMut<'_> {
         if self.rows[row as usize].is_none() {
-            self.create(row, 0, now_ns);
-        }
-        let buf = self.buf_mut(row).expect("materialized above");
-        buf.settled = false;
-        RowMut { bytes: &mut buf.bytes, last_charge_ns: &mut buf.last_charge_ns }
-    }
-
-    /// Fills columns `cols` of a row with `byte`, as a write through
-    /// [`Self::materialize`] would. A fill that covers the whole row makes
-    /// it share the store's buffer of `byte`, unless the row's own buffer
-    /// is unshared: that one is filled in place and kept.
-    pub(crate) fn fill(&mut self, row: u64, now_ns: u64, cols: Range<usize>, byte: u8) {
-        if cols.len() != self.row_bytes as usize {
-            unshare(self.materialize(row, now_ns).bytes)[cols].fill(byte);
-            return;
-        }
-        if self.rows[row as usize].is_none() {
-            return self.create(row, byte, now_ns);
-        }
-        let shared = self.fill_buffer(byte);
-        let buf = self.buf_mut(row).expect("materialized row");
-        buf.settled = false;
-        match Rc::get_mut(&mut buf.bytes) {
-            Some(own) => own.fill(byte),
-            None => buf.bytes = shared,
-        }
-    }
-
-    /// The store's shared row buffer holding `byte` throughout.
-    fn fill_buffer(&mut self, byte: u8) -> Rc<[u8]> {
-        if let Some(buf) = self.fills.iter().find(|b| b[0] == byte) {
-            return Rc::clone(buf);
+            self.create(row, now_ns);
         }
         let len = self.row_bytes as usize;
-        let buf = match take_spare(len) {
-            Some(mut spare) => {
-                Rc::get_mut(&mut spare).expect("spares are unshared").fill(byte);
-                spare
-            }
-            None => std::iter::repeat_n(byte, len).collect(),
-        };
-        self.fills.push(Rc::clone(&buf));
-        buf
+        #[cfg(test)]
+        let dense_reference = self.dense_reference;
+        let buf = self.buf_mut(row).expect("materialized above");
+        buf.settled = false;
+        RowMut {
+            data: &mut buf.data,
+            fill: &mut buf.fill,
+            len,
+            last_charge_ns: &mut buf.last_charge_ns,
+            #[cfg(test)]
+            dense_reference,
+        }
+    }
+
+    /// Fills columns `cols` of a row with `byte`, through
+    /// [`Self::materialize`]. A fill that covers the whole row makes it a
+    /// compact row of `byte` (see [`RowMut::fill_except`]).
+    pub(crate) fn fill(&mut self, row: u64, now_ns: u64, cols: Range<usize>, byte: u8) {
+        let whole = cols.len() == self.row_bytes as usize;
+        let mut row = self.materialize(row, now_ns);
+        if whole {
+            row.fill_except(byte, &[]);
+        } else {
+            row.bytes_mut()[cols].fill(byte);
+        }
     }
 
     /// Whether the row is materialized and unchanged since [`Self::settle`].
@@ -263,18 +474,16 @@ impl SparseStore {
 
     /// Number of materialized rows.
     pub(crate) fn materialized_count(&self) -> usize {
-        self.rows.iter().filter(|r| r.is_some()).count()
+        self.materialized
     }
 
-    /// Bytes of row contents the store holds — its rows, the open
-    /// journal's pre-images and its fill buffers — counting each distinct
-    /// buffer once.
+    /// Bytes of row contents the store holds — the buffers of its dense
+    /// rows and the bit lists of its compact ones, its own and the open
+    /// journal's pre-images — counting each distinct buffer or list once.
     pub(crate) fn buffer_bytes(&self) -> usize {
         let saved = self.journal.iter().filter_map(|(_, pre)| pre.as_ref());
         let mut buffers: Vec<(*const u8, usize)> = (self.rows.iter().flatten().chain(saved))
-            .map(|r| &r.bytes)
-            .chain(&self.fills)
-            .map(|b| (b.as_ptr(), b.len()))
+            .map(|r| (r.data.as_ptr(), r.data.len()))
             .collect();
         buffers.sort_unstable();
         buffers.dedup();
@@ -282,16 +491,17 @@ impl SparseStore {
     }
 
     /// Feeds a row to `hasher`: a never-materialized row as zeros, and a
-    /// materialized one from its bytes — unless a journal is open and has
-    /// not saved the row. That clean row's second such hash compiles its
-    /// digest, and from then on the digest stands in for its bytes, so a
-    /// module hashed once (a single-use parent) compiles none.
+    /// materialized one from its contents — unless a journal is open and
+    /// has not saved the row. That clean row's second such hash compiles
+    /// its digest, and from then on the digest stands in for its contents,
+    /// so a module hashed once (a single-use parent) compiles none.
     pub(crate) fn hash_row(&self, row: u64, hasher: &mut ContentsHasher) {
         let Some(buf) = &self.rows[row as usize] else {
             return hasher.zeros(self.row_bytes);
         };
+        let view = buf.view(self.row_bytes as usize);
         if !self.journaling || buf.saved {
-            return hasher.update(&buf.bytes);
+            return view.for_each_chunk(|chunk| hasher.update(chunk));
         }
         let mut digests = self.digests.borrow_mut();
         match buf.clean_hashes.get() {
@@ -301,20 +511,34 @@ impl SparseStore {
                 if digests.is_empty() {
                     digests.resize_with(self.rows.len(), || None);
                 }
-                digests[row as usize] = RowDigest::compile(&buf.bytes).map(Box::new);
+                let mut compiler = DigestCompiler::new(view.len());
+                view.for_each_chunk(|chunk| compiler.feed(chunk));
+                digests[row as usize] = compiler.finish().map(Box::new);
             }
             _ => {}
         }
         match digests.get(row as usize).and_then(Option::as_deref) {
             Some(digest) => hasher.apply(digest),
-            None => hasher.update(&buf.bytes),
+            None => view.for_each_chunk(|chunk| hasher.update(chunk)),
         }
     }
 
-    /// The buffer a materialized row holds.
+    /// The buffer or bit list a materialized row holds.
     #[cfg(test)]
     pub(crate) fn buffer(&self, row: u64) -> &Rc<[u8]> {
-        &self.rows[row as usize].as_ref().expect("a materialized row").bytes
+        &self.rows[row as usize].as_ref().expect("a materialized row").data
+    }
+
+    /// Whether a materialized row is compact.
+    #[cfg(test)]
+    pub(crate) fn is_compact(&self, row: u64) -> bool {
+        self.rows[row as usize].as_ref().expect("a materialized row").fill.is_some()
+    }
+
+    /// Number of compact rows.
+    #[cfg(test)]
+    pub(crate) fn compact_count(&self) -> usize {
+        self.rows.iter().flatten().filter(|r| r.fill.is_some()).count()
     }
 
     /// Number of rows holding a compiled digest.
@@ -327,29 +551,24 @@ impl SparseStore {
     pub(crate) fn journal_begin(&mut self) {
         assert!(!self.journaling, "row store journal already open");
         self.journaling = true;
-        self.journal_fills = self.fills.len();
     }
 
     /// Closes the journal, moving every saved slot back: changed rows get
-    /// their pre-images (settled bit included), rows the journal
-    /// materialized are unmaterialized again, and fill buffers the journal
-    /// added are dropped, so the store holds exactly the buffers it held at
-    /// [`Self::journal_begin`]. The buffers only the trial held go to the
-    /// thread's spare list, which keeps at most as many as one rollback on
-    /// the thread has released.
+    /// their pre-images (settled bit included) and rows the journal
+    /// materialized are unmaterialized again, so the store holds exactly
+    /// the buffers it held at [`Self::journal_begin`]. The dense buffers
+    /// only the trial held go to the thread's spare list, which keeps at
+    /// most as many as one rollback on the thread has released.
     pub(crate) fn journal_rollback(&mut self) {
         assert!(self.journaling, "row store journal not open");
         self.journaling = false;
-        let unshared = |buf: &Rc<[u8]>| Rc::strong_count(buf) == 1;
         SPARES.with_borrow_mut(|spares| {
             let before = spares.buffers.len();
             for (row, pre) in self.journal.drain(..) {
+                self.materialized -= usize::from(pre.is_none());
                 let trial = std::mem::replace(&mut self.rows[row as usize], pre);
-                spares.buffers.extend(trial.map(|buf| buf.bytes).filter(unshared));
+                spares.buffers.extend(trial.and_then(RowBuf::into_spare));
             }
-            // After the rows, so a fill buffer only the trial's rows shared
-            // is unshared by now.
-            spares.buffers.extend(self.fills.drain(self.journal_fills..).filter(unshared));
             spares.cap = spares.cap.max(spares.buffers.len() - before);
             spares.buffers.truncate(spares.cap);
         });
@@ -383,19 +602,21 @@ impl SparseStore {
         Some(buf)
     }
 
-    /// The funnel for a never-materialized row: creates it sharing the
-    /// fill buffer of `byte`, with charge timestamp `now_ns`, first saving
-    /// its empty slot under a journal or clearing the hash checkpoints
-    /// outside one.
-    fn create(&mut self, row: u64, byte: u8, now_ns: u64) {
+    /// The funnel for a never-materialized row: creates it as a compact
+    /// row of zeros, with charge timestamp `now_ns`, first saving its
+    /// empty slot under a journal or clearing the hash checkpoints outside
+    /// one.
+    fn create(&mut self, row: u64, now_ns: u64) {
         if self.journaling {
             self.journal.push((row, None));
         } else {
             self.checkpoints.get_mut().clear();
         }
+        self.materialized += 1;
         self.rows[row as usize] = Some(RowBuf {
-            bytes: self.fill_buffer(byte),
+            data: NO_BITS.with(Rc::clone),
             last_charge_ns: now_ns,
+            fill: Some(0),
             settled: false,
             saved: self.journaling,
             clean_hashes: Cell::new(0),
@@ -413,7 +634,15 @@ mod tests {
 
     /// Writes one byte of a row through the copying view.
     fn write(store: &mut SparseStore, row: u64, now_ns: u64, col: usize, byte: u8) {
-        unshare(store.materialize(row, now_ns).bytes)[col] = byte;
+        store.materialize(row, now_ns).bytes_mut()[col] = byte;
+    }
+
+    /// A materialized row's contents, `None` if never materialized.
+    fn bytes(store: &SparseStore, row: u64) -> Option<Vec<u8>> {
+        store.last_charge_ns(row)?;
+        let mut out = vec![0; store.row_bytes as usize];
+        store.view(row).copy_to(0, &mut out);
+        Some(out)
     }
 
     #[test]
@@ -430,24 +659,74 @@ mod tests {
             store.fill(row, 0, 0..64, 0xFF);
         }
         store.fill(4, 0, 0..64, 0x00);
-        assert!(Rc::ptr_eq(store.buffer(1), store.buffer(2)));
-        assert!(Rc::ptr_eq(store.buffer(1), store.buffer(3)));
-        assert_eq!(store.buffer_bytes(), 2 * 64, "one buffer per fill byte");
+        assert!((1..=4).all(|row| store.is_compact(row)));
+        assert!(Rc::ptr_eq(store.buffer(1), store.buffer(4)), "one empty bit list");
+        assert_eq!(store.buffer_bytes(), 0, "a uniform row holds no bytes");
+        let allocated = row_buffers_allocated();
         write(&mut store, 2, 0, 5, 0x00);
-        assert!(Rc::ptr_eq(store.buffer(1), store.buffer(3)));
-        assert!(!Rc::ptr_eq(store.buffer(1), store.buffer(2)));
-        assert_eq!(store.bytes(1).unwrap(), &[0xFF; 64][..]);
-        assert_eq!(store.bytes(2).unwrap()[..6], [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x00]);
-        assert_eq!(store.buffer_bytes(), 3 * 64);
+        assert_eq!(row_buffers_allocated(), allocated + 1, "the write expands its row");
+        assert!(store.is_compact(1) && !store.is_compact(2));
+        assert_eq!(bytes(&store, 1).unwrap(), vec![0xFF; 64]);
+        assert_eq!(bytes(&store, 2).unwrap()[..6], [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x00]);
+        assert_eq!(store.buffer_bytes(), 64);
         // A whole-row fill keeps an unshared buffer, filled in place, and
-        // swaps a shared one for the fill byte's buffer.
+        // makes a shared one compact.
         let own = Rc::as_ptr(store.buffer(2));
         store.fill(2, 0, 0..64, 0xAA);
         assert_eq!(Rc::as_ptr(store.buffer(2)), own);
-        assert_eq!(store.bytes(2).unwrap(), &[0xAA; 64][..]);
-        store.fill(1, 0, 0..64, 0x00);
-        assert!(Rc::ptr_eq(store.buffer(1), store.buffer(4)));
-        assert_eq!(store.bytes(3).unwrap(), &[0xFF; 64][..]);
+        assert_eq!(bytes(&store, 2).unwrap(), vec![0xAA; 64]);
+        let fork = store.clone();
+        store.fill(2, 0, 0..64, 0x00);
+        assert!(store.is_compact(2));
+        assert_eq!(bytes(&fork, 2).unwrap(), vec![0xAA; 64]);
+        assert_eq!(bytes(&store, 3).unwrap(), vec![0xFF; 64]);
+    }
+
+    #[test]
+    fn a_row_of_a_few_differing_bits_is_compact_and_reads_in_place() {
+        // 100-byte rows end in a partial word; the rule lets three bits
+        // differ from the fill.
+        let mut store = SparseStore::try_new(4, 100).unwrap();
+        let patterns: [(u8, &[u64]); 4] =
+            [(0x00, &[0, 63, 64, 799]), (0x00, &[9, 64, 797]), (0xFF, &[1, 500, 799]), (0xFF, &[])];
+        let mut dense = Vec::new();
+        for (row, &(fill, bits)) in patterns.iter().enumerate() {
+            store.materialize(row as u64, 0).fill_except(fill, bits);
+            let mut want = vec![fill; 100];
+            for &bit in bits {
+                want[bit as usize / 8] ^= 1 << (bit % 8);
+            }
+            dense.push(want);
+        }
+        assert!(!store.is_compact(0), "four bits are past the rule");
+        assert!((1..4).all(|row| store.is_compact(row)));
+        assert_eq!(store.buffer_bytes(), 100 + 3 * 4 + 3 * 4);
+        for (row, dense) in dense.iter().enumerate() {
+            let view = store.view(row as u64);
+            assert_eq!(view.count_ones(), count_ones(dense), "row {row}");
+            for w in 0..13 {
+                assert_eq!(view.word(w), load_word(dense, w), "row {row} word {w}");
+            }
+            for col in [0, 1, 7, 8, 60, 93, 99] {
+                for len in [0, 1, 7, 8] {
+                    let len = len.min(100 - col);
+                    let mut got = vec![0x5A; len];
+                    view.copy_to(col, &mut got);
+                    assert_eq!(got, dense[col..col + len], "row {row} col {col}");
+                }
+            }
+            let mut chunks = Vec::new();
+            view.for_each_chunk(|chunk| chunks.push(chunk.to_vec()));
+            assert_eq!(chunks.concat(), *dense, "row {row}");
+        }
+        // The first change expands the row, and a whole-row fill makes it
+        // compact again without a bit list.
+        write(&mut store, 1, 0, 99, 0x80);
+        assert!(!store.is_compact(1));
+        assert_eq!(bytes(&store, 1).unwrap()[..99], dense[1][..99]);
+        store.fill(2, 0, 0..100, 0x00);
+        assert!(store.is_compact(2));
+        assert_eq!(store.buffer_bytes(), 2 * 100);
     }
 
     #[test]
@@ -464,9 +743,8 @@ mod tests {
             write(store, 3, 10, 0, 0x22);
             write(store, 6, 10, 1, 0xEF);
             store.fill(7, 10, 0..64, 0x5A);
-            // Three copies, the two pre-images (row 3's is the all-ones
-            // buffer), the zero buffer and the new 0x5A buffer.
-            assert_eq!(store.buffer_bytes(), 7 * 64);
+            // Row 2's pre-image and its copy, and rows 3 and 6 expanded.
+            assert_eq!(store.buffer_bytes(), 4 * 64);
             store.journal_rollback();
         };
         trial(&mut store);
@@ -476,9 +754,11 @@ mod tests {
         for (row, pre) in [2, 3].into_iter().zip(&before) {
             assert!(Rc::ptr_eq(store.buffer(row), pre), "row {row}");
         }
-        assert_eq!(store.bytes(2).unwrap()[5], 0xAB);
-        assert_eq!((store.bytes(6), store.bytes(7)), (None, None));
-        assert_eq!(store.buffer_bytes(), 3 * 64, "the 0x5A buffer went with its journal");
+        assert_eq!(bytes(&store, 2).unwrap()[5], 0xAB);
+        assert!(store.is_compact(3));
+        assert_eq!((bytes(&store, 6), bytes(&store, 7)), (None, None));
+        assert_eq!(store.materialized_count(), 2);
+        assert_eq!(store.buffer_bytes(), 64);
     }
 
     #[test]
@@ -493,19 +773,21 @@ mod tests {
         write(&mut fork, 1, 0, 3, 0x00);
         fork.fill(2, 0, 0..64, 0x00);
         write(&mut fork, 5, 0, 0, 0x01);
-        assert_eq!(parent.bytes(1).unwrap()[3], 0x5A);
-        assert_eq!(parent.bytes(2).unwrap(), &[0xFF; 64][..]);
-        assert_eq!(parent.bytes(5), None);
+        assert_eq!(bytes(&parent, 1).unwrap()[3], 0x5A);
+        assert_eq!(bytes(&parent, 2).unwrap(), vec![0xFF; 64]);
+        assert_eq!(bytes(&parent, 5), None);
+        assert_eq!((parent.materialized_count(), fork.materialized_count()), (2, 3));
         // Nor do the parent's writes reach the fork.
         write(&mut parent, 2, 0, 0, 0x00);
-        assert_eq!(fork.bytes(2).unwrap(), &[0x00; 64][..]);
-        assert_eq!(fork.bytes(1).unwrap()[3], 0x00);
+        assert_eq!(bytes(&fork, 2).unwrap(), vec![0x00; 64]);
+        assert_eq!(bytes(&fork, 1).unwrap()[3], 0x00);
     }
 
     #[test]
     fn fresh_rows_read_as_unmaterialized() {
         let store = store();
-        assert_eq!(store.bytes(3), None);
+        assert_eq!(bytes(&store, 3), None);
+        assert_eq!(store.view(3).count_ones(), 0);
         assert_eq!(store.last_charge_ns(3), None);
         assert_eq!(store.materialized_count(), 0);
         assert!(store.materialized_rows().is_empty());
@@ -515,7 +797,7 @@ mod tests {
     fn materialize_then_read_back() {
         let mut store = store();
         write(&mut store, 2, 100, 5, 0xAB);
-        assert_eq!(store.bytes(2).unwrap()[5], 0xAB);
+        assert_eq!(bytes(&store, 2).unwrap()[5], 0xAB);
         assert_eq!(store.last_charge_ns(2), Some(100));
         assert_eq!(store.materialized_rows(), vec![2]);
         assert_eq!(store.materialized_count(), 1);
@@ -587,17 +869,17 @@ mod tests {
         assert_eq!(store.journaled_rows().collect::<Vec<_>>(), vec![2, 4, 6]);
         store.journal_rollback();
         assert_eq!(store.journaled_rows().count(), 0);
-        assert_eq!(store.bytes(2).unwrap()[5], 0xAB);
+        assert_eq!(bytes(&store, 2).unwrap()[5], 0xAB);
         assert_eq!(store.last_charge_ns(2), Some(100));
         assert_eq!(store.last_charge_ns(4), Some(200));
-        assert_eq!(store.bytes(6), None);
+        assert_eq!(bytes(&store, 6), None);
         assert_eq!(store.last_charge_ns(6), None);
         assert_eq!(store.materialized_rows(), vec![2, 4]);
         // A second journal saves the restored rows afresh.
         store.journal_begin();
         write(&mut store, 2, 700, 5, 0x22);
         store.journal_rollback();
-        assert_eq!(store.bytes(2).unwrap()[5], 0xAB);
+        assert_eq!(bytes(&store, 2).unwrap()[5], 0xAB);
     }
 
     #[test]
@@ -645,7 +927,7 @@ mod tests {
         let mut store = store();
         store.journal_begin();
         store.fill(2, 100, 0..64, 0xA5);
-        assert_eq!(store.bytes(2).unwrap(), &[0xA5; 64][..]);
+        assert_eq!(bytes(&store, 2).unwrap(), vec![0xA5; 64]);
         assert_eq!(store.last_charge_ns(2), Some(100));
         assert!(!store.settled(2));
         // A partial fill of a fresh row leaves the rest of it at zeros, and
@@ -653,9 +935,9 @@ mod tests {
         store.fill(3, 100, 8..16, 0x5A);
         let mut want = [0u8; 64];
         want[8..16].fill(0x5A);
-        assert_eq!(store.bytes(3).unwrap(), &want[..]);
+        assert_eq!(bytes(&store, 3).unwrap(), want);
         store.fill(2, 200, 0..8, 0x00);
-        assert_eq!(&store.bytes(2).unwrap()[..10], &[0, 0, 0, 0, 0, 0, 0, 0, 0xA5, 0xA5]);
+        assert_eq!(bytes(&store, 2).unwrap()[..10], [0, 0, 0, 0, 0, 0, 0, 0, 0xA5, 0xA5]);
         assert_eq!(store.last_charge_ns(2), Some(100), "a fill keeps the charge");
         store.journal_rollback();
         assert_eq!(store.materialized_count(), 0, "rollback forgets the created rows");

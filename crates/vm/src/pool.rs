@@ -51,12 +51,15 @@ pub struct PoolStats {
     pub evictions: u64,
 }
 
-/// One resident parent: its booted kernel plus the recency stamp indexing
-/// it in the pool's LRU order.
+/// One resident parent: its booted kernel, the recency stamp indexing it
+/// in the pool's LRU order, and its row-content bytes at boot.
 #[derive(Debug)]
 struct Parent {
     stamp: u64,
     kernel: Kernel,
+    /// `DramModule::row_store_bytes` at boot: a journaled trial's rollback
+    /// leaves the parent holding exactly the buffers it held before.
+    row_bytes: u64,
 }
 
 /// An LRU cache of booted parent kernels, keyed by an opaque
@@ -149,7 +152,8 @@ impl<K: Eq + Hash + Clone> KernelPool<K> {
         let stamp = self.next_stamp;
         self.next_stamp += 1;
         self.order.insert(stamp, key.clone());
-        self.parents.insert(key.clone(), Parent { stamp, kernel });
+        let row_bytes = kernel.dram().row_store_bytes() as u64;
+        self.parents.insert(key.clone(), Parent { stamp, kernel, row_bytes });
         Ok(())
     }
 
@@ -195,15 +199,17 @@ impl<K: Eq + Hash + Clone> KernelPool<K> {
     /// Bytes of DRAM row contents held by resident parents, each parent's
     /// shared buffers counted once (see `DramModule::row_store_bytes`). A
     /// journaled trial's rollback leaves its parent holding exactly the
-    /// buffers it held before, so this changes only when a parent boots
-    /// or is evicted.
+    /// buffers it held before, so each parent's count is taken once, when
+    /// it boots, and this changes only when a parent boots or is evicted.
     pub fn row_store_bytes(&self) -> u64 {
-        self.parents.values().map(|p| p.kernel.dram().row_store_bytes() as u64).sum()
+        self.parents.values().map(|p| p.row_bytes).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use cta_dram::{AddressMapping, DramGeometry};
+
     use super::*;
     use crate::kernel::{Kernel, KernelConfig};
 
@@ -250,14 +256,18 @@ mod tests {
 
     #[test]
     fn a_profiled_cta_parent_shares_its_uniform_rows() {
-        let config = KernelConfig { profile_cells: true, ..KernelConfig::small_test_cta() };
+        // The spray-pool benchmark's machine size: a 16 MiB CTA parent.
+        let mut config = KernelConfig { profile_cells: true, ..KernelConfig::small_test_cta() };
+        config.dram.geometry = DramGeometry::new(4096, 4096, 1, AddressMapping::RowLinear);
         let kernel = Kernel::new(config.clone()).expect("boot");
         let dram = kernel.dram();
         let row_bytes = dram.geometry().row_bytes() as usize;
-        // Profiling leaves the anti-cell half of the rows all ones, in one
-        // shared buffer.
+        // Profiling leaves the anti-cell half of the rows all ones and the
+        // true-cell half all zeros but for their long-retention cells: all
+        // of them compact, so the 16 MiB parent holds under 1 MiB.
         let (held, materialized) = (dram.row_store_bytes(), dram.rows_materialized() * row_bytes);
-        assert!(held < materialized * 3 / 4, "{held} of {materialized} bytes");
+        assert_eq!(materialized, 16 << 20);
+        assert!(held < 1 << 20, "{held} of {materialized} bytes");
         // A trial's rollback leaves the parent holding the same buffers.
         let mut pool: KernelPool<u32> = KernelPool::new(1);
         let trial = |k: &mut Kernel| {
@@ -268,6 +278,8 @@ mod tests {
         for _ in 0..2 {
             pool.run_journaled(&0, || Kernel::new(config.clone()), trial).expect("boot");
             assert_eq!(pool.row_store_bytes(), held as u64);
+            let parent = pool.fork_for(&0, || unreachable!("resident")).expect("resident");
+            assert_eq!(parent.dram().row_store_bytes(), held);
         }
     }
 
