@@ -50,14 +50,6 @@ impl CampaignSummary {
         }
         s
     }
-
-    /// Fraction of trials that escalated privilege.
-    pub fn success_rate(&self) -> f64 {
-        if self.trials == 0 {
-            return 0.0;
-        }
-        self.successes as f64 / self.trials as f64
-    }
 }
 
 impl StatSource for CampaignSummary {
@@ -105,6 +97,5 @@ mod tests {
         assert_eq!(cta_summary.successes, 0, "{cta_summary:?}");
         assert_eq!(cta_summary.trials, 8);
         assert!(cta_summary.total_rows_hammered > 0);
-        assert!((0.0..=1.0).contains(&stock_summary.success_rate()));
     }
 }

@@ -190,22 +190,6 @@ impl CellTypeMap {
         }
         out
     }
-
-    /// Maximal true-cell regions expressed as physical byte ranges
-    /// `[start, end)` — the inputs to `ZONE_TC` construction.
-    pub fn true_cell_byte_ranges(&self) -> Vec<(u64, u64)> {
-        self.regions()
-            .into_iter()
-            .filter(|r| r.cell_type == CellType::True)
-            .map(|r| (r.start_row.0 * self.row_bytes, r.end_row.0 * self.row_bytes))
-            .collect()
-    }
-
-    /// Fraction of rows that are true-cells.
-    pub fn true_cell_fraction(&self) -> f64 {
-        let t = self.types.iter().filter(|c| **c == CellType::True).count();
-        t as f64 / self.types.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -263,18 +247,6 @@ mod tests {
         assert_eq!(regions[1].cell_type, CellType::Anti);
         let total: u64 = regions.iter().map(|r| r.rows()).sum();
         assert_eq!(total, m.rows());
-    }
-
-    #[test]
-    fn true_cell_byte_ranges_match_regions() {
-        let m = map_4x4();
-        let ranges = m.true_cell_byte_ranges();
-        assert_eq!(ranges, vec![(0, 4 * 1024), (8 * 1024, 12 * 1024)]);
-    }
-
-    #[test]
-    fn true_cell_fraction_of_alternating_is_half() {
-        assert!((map_4x4().true_cell_fraction() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -44,10 +44,10 @@
 //! finds every map an earlier trial built instead of regenerating it,
 //! while its accounting — the only part telemetry can see — starts from
 //! the restored snapshot. Likewise the row store's `contents_hash`
-//! checkpoints and row digests: both describe the contents no journal
-//! has changed, which rollback restores, so a trial leaves them (a row it
-//! changes is saved and hashes from its bytes meanwhile) and the next
-//! trial reuses them. Only a change outside a journal drops them.
+//! checkpoints: they describe the contents no journal has changed, which
+//! rollback restores, so a trial leaves them (the hash resumes below its
+//! first dirty row meanwhile) and the next trial reuses them. Only a
+//! change outside a journal drops them.
 //!
 //! The rollback invariant — pinned by the differential suites — is that a
 //! module after `journal_begin → trial → journal_rollback` is

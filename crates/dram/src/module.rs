@@ -364,12 +364,6 @@ impl DramModule {
         self.store.compact_count()
     }
 
-    /// Number of rows holding a compiled contents-hash digest (see
-    /// [`Self::contents_hash`]).
-    pub fn rows_digested(&self) -> usize {
-        self.store.digested_count()
-    }
-
     /// The module's configuration.
     pub fn config(&self) -> &DramConfig {
         &self.config
@@ -664,15 +658,16 @@ impl DramModule {
     /// little-endian `u64` word at a time (a trailing partial word byte at
     /// a time). This is the recording format's `contents_hash`.
     ///
-    /// Computed straight over the row store's slices, without copying:
-    /// a never-materialized row and an all-zero 64-byte block each cost one
-    /// multiply (see the `fnv` module). Under an active journal the hash
-    /// resumes from the checkpoint at the journal's first dirty row,
-    /// filling in missing checkpoints below it from the (clean) current
-    /// rows, so a pooled trial re-hashes only the rows it could have
-    /// changed and everything after them. Of those, a row the journal has
-    /// not saved feeds its cached digest instead of its bytes, once a
-    /// second journaled hash has compiled one.
+    /// Computed straight over the row store, without copying: a dense row
+    /// from its bytes, where an all-zero or all-ones 64-byte block costs
+    /// one multiply-add, and a compact row of zeros or ones (a
+    /// never-materialized row, a profiled row) from its bit list, where
+    /// each run of fill words costs one multiply-add and each word holding
+    /// a listed bit one round (see the `fnv` module). Under an active
+    /// journal the hash resumes from the checkpoint at the journal's first
+    /// dirty row, filling in missing checkpoints below it from the (clean)
+    /// current rows, so a pooled trial re-hashes only the rows it could
+    /// have changed and everything after them.
     pub fn contents_hash(&self) -> u64 {
         let total_rows = self.config.geometry.total_rows();
         let Some(journal) = self.journal.as_deref() else {

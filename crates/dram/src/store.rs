@@ -13,10 +13,12 @@
 //! all ones. One fixed rule, no knob. Both keep a dense row whose buffer
 //! nothing else shares in place instead, so a trial never frees a buffer
 //! its rollback could recycle. Every read — reads, peeks, the contents
-//! hash, digest compilation, the disturb and decay scans, the profiler's
-//! ones count — takes either form in place through [`RowView`]; the one
-//! mutable view, [`RowMut::bytes_mut`], expands a compact row into a
-//! buffer of its own on its first change.
+//! hash, the disturb and decay scans, the profiler's ones count — takes
+//! either form in place through [`RowView`]; a compact row of zeros or
+//! ones a whole number of words long hashes from its bit list alone
+//! ([`SparseStore::hash_row`]). The one mutable view,
+//! [`RowMut::bytes_mut`], expands a compact row into a buffer of its own
+//! on its first change.
 //!
 //! Both forms are copy-on-write: a row holds an `Rc<[u8]>` (its bytes, or
 //! its bit list), and a journal pre-image and a fork share it; the first
@@ -26,12 +28,12 @@
 //! from before they allocate, so a steady-state journaled trial allocates
 //! no row buffer.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::ops::Range;
 use std::rc::Rc;
 
 use crate::bitplane::{count_ones, load_word};
-use crate::fnv::{ContentsHasher, DigestCompiler, RowDigest};
+use crate::fnv::ContentsHasher;
 
 /// The row buffers rollbacks on this thread released, for [`buffer_of`] to
 /// reuse, and a count of the buffers the thread allocated.
@@ -179,33 +181,20 @@ impl<'a> RowView<'a> {
 
     /// Calls `f` with the row's bytes in order, in chunks that each start
     /// at a multiple of 64 bytes: a dense row in one, a compact row 4 KiB
-    /// at a time — a row of zeros or ones throughout as a static buffer
-    /// of its fill, any other written out into a buffer on the stack.
+    /// at a time, written out into a buffer on the stack.
     pub(crate) fn for_each_chunk(&self, mut f: impl FnMut(&[u8])) {
-        static ZEROS: [u8; 4096] = [0x00; 4096];
-        static ONES: [u8; 4096] = [0xFF; 4096];
         let (fill, bits, len) = match *self {
             RowView::Dense(bytes) => return f(bytes),
             RowView::Compact { fill, bits, len } => (fill, bits, len),
         };
-        let uniform = match (fill, bits) {
-            (0x00, []) => Some(&ZEROS),
-            (0xFF, []) => Some(&ONES),
-            _ => None,
-        };
         let mut scratch = [fill; 4096];
         for start in (0..len).step_by(scratch.len()) {
             let chunk = &mut scratch[..(len - start).min(4096)];
-            match uniform {
-                Some(uniform) => f(&uniform[..chunk.len()]),
-                None => {
-                    if start > 0 {
-                        chunk.fill(fill);
-                    }
-                    Self::flip_listed(bits, start, chunk);
-                    f(chunk);
-                }
+            if start > 0 {
+                chunk.fill(fill);
             }
+            Self::flip_listed(bits, start, chunk);
+            f(chunk);
         }
     }
 }
@@ -296,10 +285,6 @@ struct RowBuf {
     /// journal: rollback replaces every row that set it with its
     /// pre-image, taken before the bit was set.
     saved: bool,
-    /// Clean hashes of the row (see [`SparseStore::hash_row`]) since its
-    /// last change outside a journal, counted up to 2: the second compiles
-    /// its digest.
-    clean_hashes: Cell<u8>,
 }
 
 impl RowBuf {
@@ -329,9 +314,7 @@ impl RowBuf {
 /// itself: while a journal is open, a row's slot is saved before its
 /// first change (sharing the row's buffer), and
 /// [`Self::journal_rollback`] moves the saved slots back. Outside a
-/// journal the same funnel clears [`Self::checkpoints`] and drops the
-/// changed row's digest. [`Self::compact`] changes a row's form, not its
-/// contents, so it bypasses the funnel.
+/// journal the same funnel clears [`Self::checkpoints`].
 #[derive(Clone)]
 pub(crate) struct SparseStore {
     rows: Vec<Option<RowBuf>>,
@@ -351,14 +334,6 @@ pub(crate) struct SparseStore {
     /// remap clears them in the module. A `RefCell` because
     /// `contents_hash` takes `&self` and extends them lazily.
     pub(crate) checkpoints: RefCell<Vec<ContentsHasher>>,
-    /// Row digests by backing row, allocated by the first compile; `None`
-    /// for a row too mixed to digest. Like the checkpoints, a digest
-    /// describes the row's contents as no journal has changed them: a
-    /// journaled change leaves it, since the changed row is saved and
-    /// hashes from its contents until rollback restores the contents the
-    /// digest describes, and a change outside a journal drops it. A row
-    /// the journal created is saved too, so an unmaterialized row has none.
-    digests: RefCell<Vec<Option<Box<RowDigest>>>>,
     /// Keeps every row that is not one byte throughout dense:
     /// [`RowMut::fill_except`] writes bytes. The oracle compact rows are
     /// differentially checked against.
@@ -380,7 +355,6 @@ impl SparseStore {
             journaling: false,
             journal: Vec::new(),
             checkpoints: RefCell::default(),
-            digests: RefCell::default(),
             #[cfg(test)]
             dense_reference: false,
         })
@@ -490,36 +464,17 @@ impl SparseStore {
         buffers.iter().map(|&(_, len)| len).sum()
     }
 
-    /// Feeds a row to `hasher`: a never-materialized row as zeros, and a
-    /// materialized one from its contents — unless a journal is open and
-    /// has not saved the row. That clean row's second such hash compiles
-    /// its digest, and from then on the digest stands in for its contents,
-    /// so a module hashed once (a single-use parent) compiles none.
+    /// Feeds a row to `hasher`: a compact row of zeros or ones a whole
+    /// number of words long — a never-materialized row reads as one —
+    /// from its bit list, and any other row from its contents. Every row
+    /// is `row_bytes` long, so one of whole words starts on a word
+    /// boundary.
     pub(crate) fn hash_row(&self, row: u64, hasher: &mut ContentsHasher) {
-        let Some(buf) = &self.rows[row as usize] else {
-            return hasher.zeros(self.row_bytes);
-        };
-        let view = buf.view(self.row_bytes as usize);
-        if !self.journaling || buf.saved {
-            return view.for_each_chunk(|chunk| hasher.update(chunk));
-        }
-        let mut digests = self.digests.borrow_mut();
-        match buf.clean_hashes.get() {
-            0 => buf.clean_hashes.set(1),
-            1 => {
-                buf.clean_hashes.set(2);
-                if digests.is_empty() {
-                    digests.resize_with(self.rows.len(), || None);
-                }
-                let mut compiler = DigestCompiler::new(view.len());
-                view.for_each_chunk(|chunk| compiler.feed(chunk));
-                digests[row as usize] = compiler.finish().map(Box::new);
+        match self.view(row) {
+            RowView::Compact { fill: fill @ (0x00 | 0xFF), bits, len } if len.is_multiple_of(8) => {
+                hasher.compact(fill, bits, len)
             }
-            _ => {}
-        }
-        match digests.get(row as usize).and_then(Option::as_deref) {
-            Some(digest) => hasher.apply(digest),
-            None => view.for_each_chunk(|chunk| hasher.update(chunk)),
+            view => view.for_each_chunk(|chunk| hasher.update(chunk)),
         }
     }
 
@@ -539,11 +494,6 @@ impl SparseStore {
     #[cfg(test)]
     pub(crate) fn compact_count(&self) -> usize {
         self.rows.iter().flatten().filter(|r| r.fill.is_some()).count()
-    }
-
-    /// Number of rows holding a compiled digest.
-    pub(crate) fn digested_count(&self) -> usize {
-        self.digests.borrow().iter().flatten().count()
     }
 
     /// Opens a journal: from now on each row's slot is saved before its
@@ -582,8 +532,8 @@ impl SparseStore {
 
     /// The funnel every change to a materialized row passes: saves the
     /// row's pre-image (sharing its buffer) on its first change under a
-    /// journal, and clears the hash checkpoints and the row's digest on a
-    /// change outside one. `None` if the row was never materialized.
+    /// journal, and clears the hash checkpoints on a change outside one.
+    /// `None` if the row was never materialized.
     #[inline]
     fn buf_mut(&mut self, row: u64) -> Option<&mut RowBuf> {
         let buf = self.rows[row as usize].as_mut()?;
@@ -593,10 +543,6 @@ impl SparseStore {
                 buf.saved = true;
             } else {
                 self.checkpoints.get_mut().clear();
-                if let Some(digest) = self.digests.get_mut().get_mut(row as usize) {
-                    *digest = None;
-                }
-                buf.clean_hashes.set(0);
             }
         }
         Some(buf)
@@ -619,7 +565,6 @@ impl SparseStore {
             fill: Some(0),
             settled: false,
             saved: self.journaling,
-            clean_hashes: Cell::new(0),
         });
     }
 }
@@ -647,8 +592,9 @@ mod tests {
 
     #[test]
     fn a_row_slot_stays_four_words() {
-        // The row table is allocated for every row, materialized or not;
-        // the digest counter fits in the slot's padding.
+        // The row table is allocated for every row, materialized or not:
+        // the fill and the two flags fit in the padding after the bit
+        // list's pointer and the charge timestamp.
         assert_eq!(std::mem::size_of::<Option<RowBuf>>(), 32);
     }
 

@@ -5,9 +5,10 @@
 //! row sizes, including ones that are not a multiple of 8 (so words
 //! straddle rows and checkpoints carry a partial word).
 //!
-//! Clean rows past the first dirty one feed the hash from cached row
-//! digests once a second journaled hash has compiled them; the digest
-//! scenarios pin when they are built, reused, dropped and restored.
+//! Compact rows of zeros or ones — all-ones and all-zero rows, and every
+//! never-materialized row — feed the hash from their bit lists, dense rows
+//! from their bytes; the compact-row scenarios mix both kinds under
+//! writes inside a trial, changes outside one, a remap and a fork.
 
 mod common;
 
@@ -250,14 +251,16 @@ fn forks_of_a_checkpointed_parent() {
     });
 }
 
-/// Rows of the digest parent past the poked ones: two all-ones rows, a
-/// materialized all-zero row, and two dense rows too mixed to digest.
+/// Rows of the compact parent past the poked ones: two compact all-ones
+/// rows, a compact all-zero row, and two dense rows of mixed bytes.
 const ONES_ROWS: [u64; 2] = [44, 45];
 const ZERO_ROW: u64 = 46;
 const DENSE_ROWS: [u64; 2] = [47, 57];
 
-/// [`parent`] plus every kind of row a digest distinguishes.
-fn digest_parent(row_bytes: u64) -> DramModule {
+/// [`parent`] plus every kind of row the hash feeds differently: compact
+/// rows of ones and of zeros (from their bit lists, as are the
+/// never-materialized rows) and dense rows (from their bytes).
+fn compact_parent(row_bytes: u64) -> DramModule {
     let mut m = parent(row_bytes);
     let len = row_bytes as usize;
     for row in ONES_ROWS {
@@ -280,99 +283,84 @@ fn trial_dirtying(m: &mut DramModule, row: u64, what: &str) {
     m.journal_rollback();
 }
 
-/// Runs `scenario` on a fresh digest parent for every row size, with the
-/// number of its rows that take a digest: rows of whole words, bar the
-/// dense ones and row 0, which the trials below keep dirty.
-fn for_each_digest_parent(scenario: impl Fn(&mut DramModule, usize)) {
+/// Runs `scenario` on a fresh compact parent for every row size: on 4- and
+/// 1-byte rows, of partial words, compact rows hash from their bytes.
+fn for_each_compact_parent(scenario: impl Fn(&mut DramModule)) {
     for row_bytes in [4096u64, 64, 4, 1] {
-        let mut m = digest_parent(row_bytes);
-        let digestible =
-            if row_bytes % 8 == 0 { m.rows_materialized() - DENSE_ROWS.len() - 1 } else { 0 };
-        scenario(&mut m, digestible);
+        scenario(&mut compact_parent(row_bytes));
     }
 }
 
 #[test]
-fn the_second_clean_hash_builds_digests_and_later_trials_reuse_them() {
-    for_each_digest_parent(|m, digestible| {
+fn repeat_trials_hash_the_compact_rows_past_the_dirty_one() {
+    for_each_compact_parent(|m| {
         let base = reference_contents_hash(m);
         trial_dirtying(m, 0, "first trial");
-        assert_eq!(m.rows_digested(), 0, "one clean hash compiles nothing");
         trial_dirtying(m, 0, "second trial");
-        assert_eq!(m.rows_digested(), digestible, "the second clean hash compiles");
-        // A third trial hashes from the digests the second one built.
         m.journal_begin();
         poke(m, 0, 0x3C);
-        assert_eq!(m.rows_digested(), digestible);
         check(m, "third trial");
-        assert_eq!(m.rows_digested(), digestible, "nothing recompiled");
         m.journal_rollback();
         assert_eq!(m.contents_hash(), base);
     });
 }
 
 #[test]
-fn a_row_written_in_a_trial_hashes_from_its_bytes_and_keeps_its_digest() {
-    for_each_digest_parent(|m, digestible| {
+fn a_compact_row_written_in_a_trial_hashes_from_its_bytes() {
+    for_each_compact_parent(|m| {
         let base = reference_contents_hash(m);
         trial_dirtying(m, 0, "first trial");
         trial_dirtying(m, 0, "second trial");
-        // Writes over rows with digests: a poked row, an all-ones row, the
-        // all-zero row. Each is saved and hashes from its new bytes; its
-        // digest still describes the contents rollback restores.
+        // Writes over a dense row, an all-ones row and the all-zero row:
+        // each is saved and hashes from its new bytes, and rollback
+        // restores the compact rows.
         m.journal_begin();
         poke(m, 0, 0x3C);
         for row in [40, ONES_ROWS[0], ZERO_ROW] {
             poke(m, row, 0x4D);
         }
-        check(m, "writes over digested rows");
-        assert_eq!(m.rows_digested(), digestible);
+        check(m, "writes over compact rows");
         m.journal_rollback();
         trial_dirtying(m, 0, "trial after the rollback");
-        assert_eq!(m.rows_digested(), digestible, "rollback kept every digest");
         assert_eq!(m.contents_hash(), base);
     });
 }
 
 #[test]
-fn a_change_outside_a_journal_drops_the_row_digest() {
-    for_each_digest_parent(|m, digestible| {
+fn a_compact_row_changed_outside_a_journal_hashes_its_new_contents() {
+    for_each_compact_parent(|m| {
         trial_dirtying(m, 0, "first trial");
         trial_dirtying(m, 0, "second trial");
         // Outside a journal a write changes the rows for good: neither may
-        // feed the hash from the digest of its old bytes.
+        // feed the hash from its old contents.
         poke(m, 40, 0x5E);
         let row_bytes = m.geometry().row_bytes();
         m.fill(ONES_ROWS[1] * row_bytes, 8, 0x00).unwrap();
         trial_dirtying(m, 0, "first trial after the writes");
-        let dropped = if digestible > 0 { 2 } else { 0 };
-        assert_eq!(m.rows_digested(), digestible - dropped);
         trial_dirtying(m, 0, "second trial after the writes");
-        assert_eq!(m.rows_digested(), digestible, "the changed rows digest afresh");
         trial_dirtying(m, 0, "third trial after the writes");
     });
 }
 
 #[test]
-fn digested_rows_under_a_remap_and_a_fork() {
-    for_each_digest_parent(|m, _| {
+fn compact_rows_under_a_remap_and_a_fork() {
+    for_each_compact_parent(|m| {
         let base = reference_contents_hash(m);
         trial_dirtying(m, 0, "first trial");
         trial_dirtying(m, 0, "second trial");
-        // Rows 20 and 52 are both true-cell rows with digests: after the
-        // swap each logical row feeds the other's digest.
+        // Rows 20 and 52 are both true-cell rows: after the swap each
+        // logical row feeds the other's contents.
         m.journal_begin();
         poke(m, 0, 0x3C);
         m.remap_row(RowId(20), RowId(52)).unwrap();
-        check(m, "remap between digested rows");
+        check(m, "remap between clean rows");
         m.remap_row(RowId(ONES_ROWS[0]), RowId(DENSE_ROWS[1])).unwrap();
         check(m, "remap of an all-ones row onto a dense one");
         m.journal_rollback();
         assert_eq!(m.contents_hash(), base);
 
-        // A fork carries the digests with the bytes.
+        // A fork shares the compact rows with its parent.
         let mut child = m.fork();
-        assert_eq!(child.rows_digested(), m.rows_digested());
         trial_dirtying(&mut child, 0, "trial on the fork");
         poke(&mut child, 30, 0x6F);
         trial_dirtying(&mut child, 0, "fork after a change");

@@ -39,11 +39,6 @@ impl FileObject {
         &self.frames
     }
 
-    /// Size in bytes.
-    pub fn len_bytes(&self) -> u64 {
-        self.frames.len() as u64 * cta_mem::PAGE_SIZE
-    }
-
     /// How many live mappings reference the file.
     pub fn mapping_count(&self) -> u64 {
         self.mapping_count
@@ -65,7 +60,7 @@ mod tests {
     #[test]
     fn file_accounting() {
         let mut f = FileObject::new(FileId(1), vec![Pfn(10), Pfn(11)]);
-        assert_eq!(f.len_bytes(), 2 * cta_mem::PAGE_SIZE);
+        assert_eq!(f.frames().len(), 2);
         assert_eq!(f.mapping_count(), 0);
         f.add_mapping();
         f.add_mapping();

@@ -102,11 +102,6 @@ impl Process {
     pub fn mapping_count(&self) -> usize {
         self.mappings.len()
     }
-
-    /// Number of live 2 MiB huge mappings.
-    pub fn huge_mapping_count(&self) -> usize {
-        self.huge_mappings.len()
-    }
 }
 
 /// One page-table entry found by [`Kernel::iter_pt_entries`].
@@ -1644,7 +1639,6 @@ mod tests {
         let pid = k.create_process(false).unwrap();
         let va = VirtAddr(0x4000_0000);
         k.mmap_huge(pid, va, HUGE_PAGE_SIZE, true).unwrap();
-        assert_eq!(k.process(pid).unwrap().huge_mapping_count(), 1);
         let data = vec![0x5Au8; 9000];
         k.write_virt(pid, va.offset(12345), &data, Access::user_write()).unwrap();
         let mut back = vec![0u8; 9000];

@@ -24,11 +24,6 @@ impl Access {
     pub fn user_write() -> Self {
         Access { write: true, user: true }
     }
-
-    /// Kernel-mode write.
-    pub fn kernel_write() -> Self {
-        Access { write: true, user: false }
-    }
 }
 
 /// Result of a successful walk: the physical address plus which entries the
@@ -301,7 +296,7 @@ mod tests {
             Err(VmError::Translate(TranslateError::Protection { user: true, .. }))
         ));
         // Kernel access succeeds.
-        Walker::new().walk(&mut dram, cr3, va, Access::kernel_write()).unwrap();
+        Walker::new().walk(&mut dram, cr3, va, Access { write: true, user: false }).unwrap();
     }
 
     #[test]

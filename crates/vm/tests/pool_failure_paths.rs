@@ -1,7 +1,6 @@
 //! A journaled trial that fails — by returning an error or by panicking
 //! — must not leave the pooled parent, or the contents-hash checkpoints
-//! and row digests it keeps across trials, in a state a later trial can
-//! observe.
+//! it keeps across trials, in a state a later trial can observe.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -70,11 +69,11 @@ fn rewrite_row_zero(kernel: &mut Kernel) {
     kernel.dram_mut().write(0, &row).expect("rewrite row 0");
 }
 
-/// Rows the digest scenario keeps data in.
+/// Rows the compact-row scenario keeps data in.
 const DATA_ROWS: std::ops::Range<u64> = 16..80;
 
-/// [`boot`], plus data a digest can describe in [`DATA_ROWS`]: all-ones
-/// rows alternating with rows of one set byte.
+/// [`boot`], plus data in [`DATA_ROWS`]: compact all-ones rows
+/// alternating with rows of one set byte.
 fn boot_with_data() -> Result<Kernel, VmError> {
     let mut kernel = boot()?;
     let row_bytes = kernel.dram().geometry().row_bytes();
@@ -97,23 +96,19 @@ fn overwrite_data_rows(kernel: &mut Kernel) {
 }
 
 #[test]
-fn a_trial_that_panics_over_digested_rows_leaves_a_fresh_boots_hash() {
+fn a_trial_that_panics_over_compact_rows_leaves_a_fresh_boots_hash() {
     let fresh = boot_with_data().expect("boot").dram().contents_hash();
     let mut overwritten = boot_with_data().expect("boot");
     overwrite_data_rows(&mut overwritten);
     let overwritten = overwritten.dram().contents_hash();
     let mut pool: KernelPool<u32> = KernelPool::new(1);
-    // Trial 1: the second of its clean hashes compiles the row digests.
-    let digested = pool
-        .run_journaled(&0, boot_with_data, |k| {
-            rewrite_row_zero(k);
-            assert_eq!(k.dram().contents_hash(), fresh);
-            assert_eq!(k.dram().rows_digested(), 0);
-            assert_eq!(k.dram().contents_hash(), fresh);
-            k.dram().rows_digested()
-        })
-        .expect("boot");
-    assert!(digested >= DATA_ROWS.count(), "trial 1 compiled a digest per data row");
+    // Trial 1 replays every row from row 0, twice.
+    pool.run_journaled(&0, boot_with_data, |k| {
+        rewrite_row_zero(k);
+        assert_eq!(k.dram().contents_hash(), fresh);
+        assert_eq!(k.dram().contents_hash(), fresh);
+    })
+    .expect("boot");
 
     // Trial 2 overwrites the data rows, hashes them from their bytes, and
     // panics.
@@ -129,15 +124,14 @@ fn a_trial_that_panics_over_digested_rows_leaves_a_fresh_boots_hash() {
     assert!(unwound.is_err());
     assert_eq!(in_trial, Some(overwritten), "the overwritten rows hash from their bytes");
 
-    // Trial 3 runs on the repaired parent and replays every row again,
-    // through the same digests.
-    let (hash, after) = pool
+    // Trial 3 runs on the repaired parent, whose data rows are compact
+    // again, and replays every row again.
+    let hash = pool
         .run_journaled(&0, boot_with_data, |k| {
             rewrite_row_zero(k);
-            (k.dram().contents_hash(), k.dram().rows_digested())
+            k.dram().contents_hash()
         })
         .expect("pool hit");
     assert_eq!(hash, fresh);
-    assert_eq!(after, digested, "every digest survived the failed trial");
     assert_eq!(pool.stats().boots, 1);
 }

@@ -3,8 +3,8 @@
 # clippy (deny warnings), rustdoc (deny warnings), an examples smoke run,
 # the defense-matrix and campaign-executor smokes, a run of every other
 # experiment binary, strict JSON + schema checks, golden recording
-# replay, the repository benchmark's self-tests, and a telemetry sanity
-# sweep.
+# replay, the repository benchmark's self-tests and lints, and a telemetry
+# sanity sweep.
 # Everything here must pass before a change lands.
 #
 # Usage: scripts/check.sh
@@ -218,6 +218,12 @@ echo "==> repository benchmark self-tests (perfbench)"
 # Its own package, so the workspace run above misses it: pins request
 # determinism and the seed-1 digests of all workloads at 1 and 2 workers.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml -q
+
+echo "==> repository benchmark lint (perfbench: clippy -D warnings, rustfmt)"
+# The workspace clippy and fmt runs above miss it too; clippy lints it
+# against the library API it consumes.
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -q -- -D warnings
+cargo fmt --manifest-path perfbench/Cargo.toml --all --check
 
 echo "==> telemetry sanity: no NaN/inf, no sanitizer flags"
 # Word-boundary patterns: a substring match like `flip_info` or a
