@@ -12,14 +12,14 @@
 //! Section 5 shows the expected time for this attack is measured in
 //! *days to years*; [`BruteForceCtaAttack`] runs a budgeted number of
 //! iterations faithfully and extrapolates total cost with
-//! [`AttackTimeModel`], regenerating the paper's numbers from the observed
-//! per-step structure.
+//! [`AttackTimeModel`](crate::outcome::AttackTimeModel), regenerating the
+//! paper's numbers from the observed per-step structure.
 
 use cta_mem::{PtLevel, PAGE_SIZE};
 use cta_vm::{Access, Kernel, Pte, VirtAddr, VmError};
 
 use crate::hammer::HammerDriver;
-use crate::outcome::{AttackOutcome, AttackTimeModel};
+use crate::outcome::AttackOutcome;
 
 const VA_BASE: u64 = 0x7000_0000;
 
@@ -40,20 +40,6 @@ pub struct BruteForceReport {
     /// process crashes here — a failed, *detected* attack, not an
     /// escalation).
     pub faulted_regions: u64,
-}
-
-impl BruteForceReport {
-    /// Projects the full-attack worst-case duration in days using `model`
-    /// and the machine's real dimensions.
-    pub fn projected_worst_case_days(
-        &self,
-        model: &AttackTimeModel,
-        target_pages_total: u64,
-        zone_rows: u64,
-        ptes_per_row: u64,
-    ) -> f64 {
-        model.worst_case_ns(target_pages_total, zone_rows, ptes_per_row) as f64 / 1e9 / 86_400.0
-    }
 }
 
 /// The Algorithm 1 driver.
@@ -162,6 +148,7 @@ use PtLevel as _DocOnly;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::outcome::AttackTimeModel;
     use cta_core::verify::verify_system;
     use cta_core::SystemBuilder;
     use cta_dram::DisturbanceParams;
@@ -213,20 +200,9 @@ mod tests {
 
     #[test]
     fn projection_reproduces_paper_scale() {
-        let report = BruteForceReport {
-            target_pages_tried: 2,
-            rows_hammered: 32,
-            ptes_checked: 16384,
-            fill_mappings: 32,
-            faulted_regions: 0,
-        };
         // 8 GiB / 32 MiB PTP: 2^21−8192 targets, 256 rows, 16384 PTEs/row.
-        let days = report.projected_worst_case_days(
-            &AttackTimeModel::default(),
-            (1 << 21) - 8192,
-            256,
-            16384,
-        );
+        let ns = AttackTimeModel::default().worst_case_ns((1 << 21) - 8192, 256, 16384);
+        let days = ns as f64 / 1e9 / 86_400.0;
         assert!((days - 461.4).abs() < 5.0, "worst case ≈ 461 days, got {days}");
     }
 }

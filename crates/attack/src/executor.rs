@@ -1,5 +1,4 @@
-//! The persistent campaign executor: boot once, journal (or fork) per
-//! trial.
+//! The persistent campaign executor: boot once, journal per trial.
 //!
 //! [`crate::recording`]'s scoped path builds a fresh kernel per trial —
 //! boot plus vulnerability-map compile dominate each trial's cost. A
@@ -11,18 +10,14 @@
 //! per campaign (locality with that worker's warm parents), work stealing
 //! when the queue saturates.
 //!
-//! **Trial isolation.** [`TrialIsolation`] selects how a trial is kept
-//! from perturbing its pooled parent: [`TrialIsolation::Journal`] (the
-//! default) runs the trial **in place** on the parent under
-//! [`KernelPool::run_journaled`]'s undo journal and rolls it back —
-//! O(touched state) — while [`TrialIsolation::Fork`] serves it from a
-//! [`cta_vm::Kernel::fork`] of the parent, whose DRAM rows are shared
-//! copy-on-write. Rollback is byte-identical to a fresh fork (pinned by
-//! the isolation differential suites), so the two modes produce
-//! byte-identical campaign output and share the same pooled parents
-//! ([`TrialIsolation`] is deliberately absent from the parent key). Under
-//! either mode, vulnerability maps a trial builds stay in the parent's
-//! shared row-map store, so later trials on that parent reuse them.
+//! **Trial isolation.** Every trial runs **in place** on its pooled
+//! parent under [`KernelPool::run_journaled`]'s undo journal, which rolls
+//! the parent back afterwards — O(touched state) per trial. Rollback is
+//! byte-identical to a fresh boot (pinned against [`cta_vm::Kernel::fork`]
+//! by the journal fuzzers and the fork-isolation suite, and against the
+//! scoped path's fresh boots by the isolation differential suite).
+//! Vulnerability maps a trial builds stay in the parent's shared row-map
+//! store, so later trials on that parent reuse them.
 //!
 //! **Cancellation.** [`CampaignExecutor::cancel`] drops a submitted
 //! campaign's still-queued trials from the worker deques; in-flight
@@ -38,9 +33,9 @@
 //! submission order, or steal interleaving:
 //!
 //! * each trial runs [`crate::recording`]'s shared trial body on a
-//!   parent booted from the trial's own spec + seed, journaled or forked
-//!   (rollback ≡ fork of a fresh boot ≡ fresh boot, pinned by the
-//!   isolation differential and fork-isolation suites);
+//!   journaled parent booted from the trial's own spec + seed (rollback ≡
+//!   fresh boot, pinned by the isolation differential and fork-isolation
+//!   suites);
 //! * results carry their batch index, and the merge — identical to the
 //!   scoped path's — folds shards in seed order on whichever worker
 //!   completes the campaign;
@@ -104,48 +99,20 @@ impl Default for ExecutorConfig {
     }
 }
 
-/// How a trial is isolated from the pooled parent kernel that serves it.
-///
-/// Both modes produce byte-identical campaign output (transcripts, merged
-/// counters, contents hashes) — journal rollback restores the parent
-/// byte-identically to what a fork would have left — so isolation is an
-/// implementation knob, never part of the parent key or the result.
+/// The two ways a trial could be isolated from its pooled parent. The
+/// executor journals every trial; no field, method or library code path
+/// uses this type. It is kept only because the repository benchmark's
+/// traced replay names it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TrialIsolation {
-    /// Fork the parent per trial: a copy of the machine metadata plus one
-    /// reference per DRAM row (rows are copy-on-write), O(rows) per trial.
+    /// A [`cta_vm::Kernel::fork`] of the parent per trial.
     Fork,
-    /// Run the trial in place on the parent under an undo journal and
-    /// roll back: O(touched state) per trial.
+    /// The trial in place on the parent under an undo journal.
     #[default]
     Journal,
 }
 
-impl TrialIsolation {
-    /// Canonical lowercase name (`fork` / `journal`), as accepted by
-    /// [`FromStr`](std::str::FromStr) and the `cta --isolation` flag.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            TrialIsolation::Fork => "fork",
-            TrialIsolation::Journal => "journal",
-        }
-    }
-}
-
-impl std::str::FromStr for TrialIsolation {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "fork" => Ok(TrialIsolation::Fork),
-            "journal" => Ok(TrialIsolation::Journal),
-            other => Err(format!("unknown isolation `{other}` (expected fork or journal)")),
-        }
-    }
-}
-
-/// One campaign submission: whose it is, what to run, and how.
+/// One campaign submission: whose it is and what to run.
 #[derive(Debug, Clone)]
 pub struct CampaignRequest {
     /// Tenant whose parent pools serve the campaign.
@@ -158,8 +125,6 @@ pub struct CampaignRequest {
     pub spec: RecordingSpec,
     /// Implementation target (the installed defense).
     pub target: ReplayTarget,
-    /// How each trial is isolated from its pooled parent.
-    pub isolation: TrialIsolation,
 }
 
 impl CampaignRequest {
@@ -170,7 +135,6 @@ impl CampaignRequest {
             label: EXECUTOR_LABEL.to_string(),
             spec,
             target: ReplayTarget::default(),
-            isolation: TrialIsolation::default(),
         }
     }
 }
@@ -217,12 +181,8 @@ pub struct ServiceStats {
     pub steals: u64,
     /// Parent kernels booted (pool misses).
     pub parent_boots: u64,
-    /// Trials served from an already-resident parent (pool hits, journaled
-    /// or forked).
-    pub fork_hits: u64,
-    /// Trials served in place under an undo journal
-    /// ([`TrialIsolation::Journal`]).
-    pub journal_runs: u64,
+    /// Trials served from an already-resident parent (pool hits).
+    pub pool_hits: u64,
     /// Parents evicted to respect pool capacities.
     pub evictions: u64,
     /// Parents currently resident across all workers and tenants.
@@ -244,7 +204,6 @@ struct CampaignCtx {
     label: String,
     spec: RecordingSpec,
     target: ReplayTarget,
-    isolation: TrialIsolation,
     submitted: Instant,
 }
 
@@ -281,8 +240,7 @@ struct ExecState {
     pool_bytes: Vec<AtomicU64>,
     pool_row_bytes: Vec<AtomicU64>,
     boots: Vec<AtomicU64>,
-    fork_hits: Vec<AtomicU64>,
-    journal_runs: Vec<AtomicU64>,
+    hits: Vec<AtomicU64>,
     evictions: Vec<AtomicU64>,
 }
 
@@ -306,18 +264,9 @@ impl WorkerCtx {
         let spec = &ctx.spec;
         let target = ctx.target;
         let boot = || spec.builder(seed, target).build();
-        // Both arms run the same trial body on what is observably the
-        // same kernel — rollback restores the parent byte-identically, so
-        // which arm served a trial is invisible in its output.
-        let trial = match ctx.isolation {
-            TrialIsolation::Fork => {
-                let mut kernel = pool.fork_for(&key, boot).map_err(RecordingError::Vm)?;
-                run_trial_on(&mut kernel, spec, seed)
-            }
-            TrialIsolation::Journal => pool
-                .run_journaled(&key, boot, |kernel| run_trial_on(kernel, spec, seed))
-                .map_err(RecordingError::Vm)?,
-        };
+        let trial = pool
+            .run_journaled(&key, boot, |kernel| run_trial_on(kernel, spec, seed))
+            .map_err(RecordingError::Vm)?;
         let result = trial.map(|(record, shard)| {
             Some(ExecutedTrial { record, shard, latency_ns: elapsed_ns(ctx.submitted) })
         });
@@ -331,7 +280,6 @@ impl WorkerCtx {
         let mut row_bytes = 0u64;
         let mut boots = 0u64;
         let mut hits = 0u64;
-        let mut journal_runs = 0u64;
         let mut evictions = 0u64;
         for pool in self.pools.values() {
             parents += pool.len() as u64;
@@ -339,8 +287,7 @@ impl WorkerCtx {
             row_bytes += pool.row_store_bytes();
             let stats = pool.stats();
             boots += stats.boots;
-            hits += stats.fork_hits;
-            journal_runs += stats.journal_runs;
+            hits += stats.hits;
             evictions += stats.evictions;
         }
         let w = self.worker;
@@ -348,8 +295,7 @@ impl WorkerCtx {
         self.state.pool_parents[w].store(parents, Ordering::Relaxed);
         self.state.pool_bytes[w].store(bytes, Ordering::Relaxed);
         self.state.boots[w].store(boots, Ordering::Relaxed);
-        self.state.fork_hits[w].store(hits, Ordering::Relaxed);
-        self.state.journal_runs[w].store(journal_runs, Ordering::Relaxed);
+        self.state.hits[w].store(hits, Ordering::Relaxed);
         self.state.evictions[w].store(evictions, Ordering::Relaxed);
     }
 }
@@ -441,8 +387,7 @@ impl CampaignExecutor {
             pool_bytes: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             pool_row_bytes: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             boots: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            fork_hits: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            journal_runs: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+            hits: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             evictions: (0..workers).map(|_| AtomicU64::new(0)).collect(),
         });
         let init_state = Arc::clone(&state);
@@ -484,7 +429,6 @@ impl CampaignExecutor {
             label: request.label,
             spec: request.spec,
             target: request.target,
-            isolation: request.isolation,
             submitted: Instant::now(),
         });
         let jobs: Vec<TrialJob> = (0..ctx.spec.seeds.len())
@@ -566,29 +510,11 @@ impl CampaignExecutor {
         recording: &Recording,
         target: ReplayTarget,
     ) -> Result<ReplayReport, RecordingError> {
-        self.replay_isolated(recording, target, TrialIsolation::default())
-    }
-
-    /// [`Self::replay`] under an explicit [`TrialIsolation`] — the gate
-    /// that proves journaled in-place trials reproduce the recorded
-    /// artifact byte-identically, exactly as forked trials do.
-    ///
-    /// # Errors
-    ///
-    /// [`RecordingError::Mismatch`] on the first divergence, plus
-    /// everything the scoped replay can raise.
-    pub fn replay_isolated(
-        &self,
-        recording: &Recording,
-        target: ReplayTarget,
-        isolation: TrialIsolation,
-    ) -> Result<ReplayReport, RecordingError> {
         let request = CampaignRequest {
             tenant: "replay".to_string(),
             label: crate::recording::RECORDING_LABEL.to_string(),
             spec: recording.spec.clone(),
             target,
-            isolation,
         };
         let output = self.run(request)?;
         compare_with_recording(recording, &output.trials, &output.counters, target)
@@ -606,8 +532,7 @@ impl CampaignExecutor {
             trials_completed: exec.completed,
             steals: exec.stolen,
             parent_boots: sum(&self.state.boots),
-            fork_hits: sum(&self.state.fork_hits),
-            journal_runs: sum(&self.state.journal_runs),
+            pool_hits: sum(&self.state.hits),
             evictions: sum(&self.state.evictions),
             pool_parents: sum(&self.state.pool_parents),
             pool_model_cache_bytes: sum(&self.state.pool_bytes),
@@ -625,8 +550,7 @@ impl CampaignExecutor {
         counters.set_u64("executor", "trials_completed", s.trials_completed);
         counters.set_u64("executor", "steals", s.steals);
         counters.set_u64("executor", "parent_boots", s.parent_boots);
-        counters.set_u64("executor", "fork_hits", s.fork_hits);
-        counters.set_u64("executor", "journal_runs", s.journal_runs);
+        counters.set_u64("executor", "pool_hits", s.pool_hits);
         counters.set_u64("executor", "evictions", s.evictions);
         counters.set_u64("executor", "pool_parents", s.pool_parents);
         counters.set_u64("executor", "pool_model_cache_bytes", s.pool_model_cache_bytes);

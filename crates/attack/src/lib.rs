@@ -25,7 +25,7 @@
 //! deterministic, seed-ordered results (see `cta_parallel`). [`executor`]
 //! is the long-running service form of the same contract: parent kernels
 //! are booted once per (machine, seed, tenant) and every trial runs under
-//! an undo journal (or on a fork) of one, with campaigns fanned out across
+//! an undo journal on one, with campaigns fanned out across
 //! a work-stealing worker pool and merged byte-identically to the serial
 //! path. [`campaign`] holds the summary both paths fold outcomes into.
 //!

@@ -500,10 +500,11 @@ pub fn record_campaign(spec: &RecordingSpec) -> Result<Recording, RecordingError
 }
 
 /// Replays a recording under `target`, asserting every observable matches
-/// byte for byte: the flip transcript (row, bit, direction, timestamp of
-/// every event), the final DRAM contents hash, the simulated clock, the
-/// attack outcome (including its phase log), and the merged telemetry
-/// snapshot. Also re-verifies the flip-accounting invariant.
+/// byte for byte: each trial's seed, its flip transcript (row, bit,
+/// direction, timestamp of every event), final DRAM contents hash,
+/// simulated clock and attack outcome (including its phase log), and the
+/// merged telemetry snapshot. Also re-verifies the flip-accounting
+/// invariant.
 ///
 /// # Errors
 ///
@@ -538,6 +539,13 @@ pub(crate) fn compare_with_recording(
     }
     for (replayed, recorded) in trials.iter().zip(&recording.trials) {
         let seed = recorded.seed;
+        if replayed.seed != recorded.seed {
+            return Err(RecordingError::Mismatch {
+                seed,
+                what: "trial seed",
+                detail: format!("recorded {}, replayed {}", recorded.seed, replayed.seed),
+            });
+        }
         if replayed.flips != recorded.flips {
             let detail = first_flip_divergence(&recorded.flips, &replayed.flips);
             return Err(RecordingError::Mismatch { seed, what: "flip transcript", detail });

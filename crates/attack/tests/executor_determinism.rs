@@ -3,8 +3,9 @@
 //! The [`CampaignExecutor`] promises that scheduling is invisible in the
 //! output: trial transcripts, merged counters, and campaign summaries are
 //! byte-identical to the scoped serial path regardless of worker count,
-//! submission order, steal interleaving, or pool state (a fork of a
-//! fresh boot is indistinguishable from a fresh boot). These tests pin
+//! submission order, steal interleaving, or pool state (a journaled trial
+//! on a pooled parent is indistinguishable from one on a fresh boot).
+//! These tests pin
 //! that promise differentially — scoped path vs executor, executor vs
 //! executor under permuted schedules — and soak the parent pool to show
 //! its footprint stays bounded by its configured capacity, not by the
@@ -13,7 +14,7 @@
 use cta_attack::recording::RECORDING_LABEL;
 use cta_attack::{
     record_campaign, CampaignExecutor, CampaignOutput, CampaignRequest, ExecutorConfig,
-    RecordedAttack, RecordingError, RecordingSpec, SprayAttack, TrialIsolation,
+    RecordedAttack, RecordingError, RecordingSpec, SprayAttack,
 };
 use cta_telemetry::json;
 
@@ -130,13 +131,9 @@ fn a_lossy_flip_log_fails_the_executor_exactly_like_the_scoped_path() {
         matches!(scoped, RecordingError::LossyFlipLog { retained: 2, .. }),
         "expected LossyFlipLog, got {scoped:?}"
     );
-    for isolation in [TrialIsolation::Journal, TrialIsolation::Fork] {
-        let exec = CampaignExecutor::new(ExecutorConfig { workers: 2, parents_per_worker: 2 });
-        let mut request = request("tenant", spec.clone());
-        request.isolation = isolation;
-        let served = exec.run(request).expect_err("a lossy campaign must not complete");
-        assert_eq!(served, scoped, "{isolation:?} reported a different error");
-    }
+    let exec = CampaignExecutor::new(ExecutorConfig { workers: 2, parents_per_worker: 2 });
+    let served = exec.run(request("tenant", spec)).expect_err("a lossy campaign must not complete");
+    assert_eq!(served, scoped, "the executor reported a different error");
 }
 
 #[test]
@@ -172,9 +169,9 @@ fn parent_pool_stays_bounded_over_a_long_campaign_stream() {
     assert_eq!(stats.campaigns, (TENANTS * ROUNDS) as u64);
     assert_eq!(stats.trials_completed, stats.trials_submitted);
     assert_eq!(
-        stats.parent_boots + stats.fork_hits,
+        stats.parent_boots + stats.pool_hits,
         stats.trials_completed,
-        "every trial is served by exactly one boot-or-fork"
+        "every trial is served by exactly one boot or pool hit"
     );
     // The bound the soak exists to prove: each worker keeps one pool per
     // tenant, capped at `parents_per_worker`, so resident parents never

@@ -1,14 +1,14 @@
 //! Trial-isolation differential suite: journaled in-place trials must be
-//! observably identical to forked trials.
+//! observably identical to trials on freshly booted machines.
 //!
-//! [`TrialIsolation::Journal`] runs each trial directly on the pooled
-//! parent kernel under an undo journal and rolls it back, instead of
-//! forking the parent per trial. The executor's determinism contract says
-//! the choice is invisible: transcripts, merged counters, summaries, and
-//! contents hashes must be byte-identical to the fork path (and hence to
-//! the scoped serial path). These tests pin that, plus the cancellation
-//! path (alone and racing completion) and the pool-gauge parity the
-//! journal must preserve.
+//! The executor runs each trial directly on a pooled parent kernel under
+//! an undo journal and rolls it back. Its determinism contract says that
+//! is invisible: transcripts, merged counters, summaries, and contents
+//! hashes must be byte-identical to [`record_campaign`], which boots a
+//! fresh machine per trial. These tests pin that, plus the cancellation
+//! path (alone and racing completion) and the pool gauges a rollback must
+//! leave unchanged. Kernel-level journal ≡ fork is pinned by the journal
+//! fuzzers and the fork-isolation suite.
 
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -16,8 +16,9 @@ use std::time::Duration;
 
 use cta_attack::recording::RECORDING_LABEL;
 use cta_attack::{
-    record_campaign, CampaignExecutor, CampaignRequest, ExecutorConfig, RecordedAttack,
-    RecordingSpec, ReplayTarget, SprayAttack, TemplatingAttack, TrialIsolation,
+    record_campaign, CampaignExecutor, CampaignOutput, CampaignRequest, CampaignSummary,
+    ExecutorConfig, RecordedAttack, Recording, RecordingSpec, ReplayTarget, SprayAttack,
+    TemplatingAttack,
 };
 use cta_telemetry::json;
 use cta_telemetry::schema::validate_executor_event;
@@ -34,10 +35,9 @@ fn small_spec(seeds: Vec<u64>) -> RecordingSpec {
     spec
 }
 
-fn request(tenant: &str, spec: RecordingSpec, isolation: TrialIsolation) -> CampaignRequest {
+fn request(tenant: &str, spec: RecordingSpec) -> CampaignRequest {
     let mut request = CampaignRequest::new(tenant, spec);
     request.label = RECORDING_LABEL.to_string();
-    request.isolation = isolation;
     request
 }
 
@@ -67,60 +67,57 @@ impl Write for SharedSink {
     }
 }
 
-#[test]
-fn journal_matches_fork() {
-    // Two trials per seed value so the journal path serves repeat trials
-    // from a rolled-back parent (the case a leaky rollback would corrupt).
-    let spec = small_spec(vec![0, 1, 0, 1]);
-    let run = |isolation: TrialIsolation| {
-        let exec = CampaignExecutor::new(ExecutorConfig { workers: 2, parents_per_worker: 2 });
-        let output =
-            exec.run(request("tenant", spec.clone(), isolation)).expect("campaign completes");
-        (output, exec.stats())
-    };
-    let (forked, fork_stats) = run(TrialIsolation::Fork);
-    let (journaled, journal_stats) = run(TrialIsolation::Journal);
-
-    assert_eq!(journaled.trials, forked.trials, "trial transcripts diverged");
-    assert_eq!(journaled.summary, forked.summary, "summaries diverged");
-    assert_eq!(
-        journaled.counters.to_json(),
-        forked.counters.to_json(),
-        "merged telemetry diverged"
-    );
-    for (j, f) in journaled.trials.iter().zip(&forked.trials) {
+/// Asserts a journaled campaign's output equals the fresh-boot recording
+/// of the same spec: transcripts, summary, merged telemetry, and each
+/// trial's final contents hash.
+fn assert_matches_fresh_boots(journaled: &CampaignOutput, fresh: &Recording) {
+    assert_eq!(journaled.trials, fresh.trials, "trial transcripts diverged");
+    let summary = CampaignSummary::from_outcomes(fresh.trials.iter().map(|t| &t.outcome));
+    assert_eq!(journaled.summary, summary, "summaries diverged");
+    let merged = json::parse(&journaled.counters.to_json()).expect("merged telemetry parses");
+    assert_eq!(merged, fresh.telemetry, "merged telemetry diverged");
+    for (j, f) in journaled.trials.iter().zip(&fresh.trials) {
         assert_eq!(
             j.contents_hash, f.contents_hash,
             "final module contents diverged at seed {}",
             j.seed
         );
     }
-    // Both executors really took their own path.
-    assert_eq!(fork_stats.journal_runs, 0);
-    assert_eq!(
-        journal_stats.journal_runs, journal_stats.trials_completed,
-        "every journaled trial runs in place"
-    );
 }
 
 #[test]
-fn journal_matches_fork_for_the_templating_attack() {
+fn journal_matches_fresh_boots() {
+    // Two trials per seed value so repeat trials run on a rolled-back
+    // parent (the case a leaky rollback would corrupt).
+    let spec = small_spec(vec![0, 1, 0, 1]);
+    let fresh = record_campaign(&spec).expect("scoped path records");
+    for workers in [1, 2] {
+        let exec = CampaignExecutor::new(ExecutorConfig { workers, parents_per_worker: 2 });
+        let journaled = exec.run(request("tenant", spec.clone())).expect("campaign completes");
+        assert_matches_fresh_boots(&journaled, &fresh);
+        let stats = exec.stats();
+        assert_eq!(stats.parent_boots + stats.pool_hits, stats.trials_completed);
+        if workers == 1 {
+            assert_eq!(stats.pool_hits, 2, "the repeated seeds ran on rolled-back parents");
+        }
+    }
+}
+
+#[test]
+fn journal_matches_fresh_boots_for_the_templating_attack() {
     // A second attack shape: templating leans on flip-log drains and
     // profiling, the states whose journaling is easiest to get wrong.
     let attack = TemplatingAttack { arena_pages: 48, max_attempts: 2, flush_per_probe: false };
-    let mut spec = RecordingSpec::new(RecordedAttack::Templating(attack), vec![3, 4]);
+    let mut spec = RecordingSpec::new(RecordedAttack::Templating(attack), vec![3, 4, 3]);
     spec.memory_bytes = 2 << 20;
     spec.ptp_bytes = 256 << 10;
     spec.profile_cells = true;
 
-    let run = |isolation: TrialIsolation| {
-        let exec = CampaignExecutor::new(ExecutorConfig { workers: 1, parents_per_worker: 2 });
-        exec.run(request("tenant", spec.clone(), isolation)).expect("campaign completes")
-    };
-    let forked = run(TrialIsolation::Fork);
-    let journaled = run(TrialIsolation::Journal);
-    assert_eq!(journaled.trials, forked.trials);
-    assert_eq!(journaled.counters.to_json(), forked.counters.to_json());
+    let fresh = record_campaign(&spec).expect("scoped path records");
+    let exec = CampaignExecutor::new(ExecutorConfig { workers: 1, parents_per_worker: 2 });
+    let journaled = exec.run(request("tenant", spec)).expect("campaign completes");
+    assert_matches_fresh_boots(&journaled, &fresh);
+    assert_eq!(exec.stats().pool_hits, 1, "seed 3 ran again on its rolled-back parent");
 }
 
 #[test]
@@ -129,27 +126,28 @@ fn journal_replay_reproduces_the_scoped_recording() {
     for workers in [1, 3] {
         let exec = CampaignExecutor::new(ExecutorConfig { workers, parents_per_worker: 2 });
         let report = exec
-            .replay_isolated(&recording, ReplayTarget::default(), TrialIsolation::Journal)
+            .replay(&recording, ReplayTarget::default())
             .expect("journaled replay is byte-identical");
         assert_eq!(report.trials, 2);
     }
 }
 
 #[test]
-fn pool_gauges_are_identical_across_isolation_modes() {
-    // Rollback restores parents byte-identically, so the published
-    // model-cache gauge must not depend on how trials were isolated.
-    let spec = small_spec(vec![7, 8]);
-    let gauge = |isolation: TrialIsolation| {
+fn pool_gauges_are_unchanged_by_repeated_trials() {
+    // Rollback restores parents byte-identically, so the published memory
+    // gauges must not depend on how many trials each parent served.
+    let gauges = |seeds: Vec<u64>| {
+        let trials = seeds.len();
         let exec = CampaignExecutor::new(ExecutorConfig { workers: 1, parents_per_worker: 2 });
-        let output = exec.run(request("tenant", spec.clone(), isolation)).expect("completes");
-        assert_eq!(output.summary.trials, 2);
-        exec.stats().pool_model_cache_bytes
+        let output = exec.run(request("tenant", small_spec(seeds))).expect("completes");
+        assert_eq!(output.summary.trials, trials);
+        let stats = exec.stats();
+        (stats.pool_row_store_bytes, stats.pool_model_cache_bytes)
     };
-    let forked = gauge(TrialIsolation::Fork);
-    let journaled = gauge(TrialIsolation::Journal);
-    assert!(forked > 0, "resident parents publish their footprint");
-    assert_eq!(journaled, forked, "isolation mode leaked into the pool gauge");
+    let once = gauges(vec![7, 8]);
+    let repeated = gauges(vec![7, 8, 7, 8]);
+    assert!(once.0 > 0, "resident parents publish their footprint");
+    assert_eq!(repeated, once, "repeated trials leaked into the pool gauges");
 }
 
 #[test]
@@ -160,13 +158,9 @@ fn cancel_drops_queued_trials_and_emits_a_cancelled_event() {
     let sink = SharedSink::default();
     exec.set_jsonl_sink(sink.clone());
 
-    let first = exec.submit(request("tenant", small_spec(vec![0, 1, 2, 3]), TrialIsolation::Fork));
+    let first = exec.submit(request("tenant", small_spec(vec![0, 1, 2, 3])));
     let doomed_seeds = 6u64;
-    let doomed = exec.submit(request(
-        "tenant",
-        small_spec((10..10 + doomed_seeds).collect()),
-        TrialIsolation::Fork,
-    ));
+    let doomed = exec.submit(request("tenant", small_spec((10..10 + doomed_seeds).collect())));
     let (first, doomed) = (first.expect("submits"), doomed.expect("submits"));
 
     let dropped = exec.cancel(doomed.id());
@@ -217,8 +211,7 @@ fn cancel_racing_completion_keeps_every_invariant() {
 
     let mut dropped_by_campaign = Vec::new();
     for round in 0..12u64 {
-        let ticket =
-            exec.submit(request("tenant", spec.clone(), TrialIsolation::Journal)).expect("submits");
+        let ticket = exec.submit(request("tenant", spec.clone())).expect("submits");
         let id = ticket.id();
         let (output, dropped) = std::thread::scope(|scope| {
             let canceller = scope.spawn(|| {
@@ -251,7 +244,7 @@ fn cancel_racing_completion_keeps_every_invariant() {
     }
 
     // The pooled parents came through every race clean.
-    let full = exec.run(request("tenant", spec, TrialIsolation::Journal)).expect("completes");
+    let full = exec.run(request("tenant", spec)).expect("completes");
     assert_eq!(full.dropped_trials, 0);
     assert_eq!(full.trials, golden.trials);
     let merged = json::parse(&full.counters.to_json()).expect("merged telemetry parses");

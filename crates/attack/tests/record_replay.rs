@@ -5,8 +5,9 @@
 //! must be detected.
 
 use cta_attack::{
-    record_campaign, replay_recording, verify_flip_accounting, RecordedAttack, Recording,
-    RecordingError, RecordingSpec, ReplayTarget, SprayAttack, TemplatingAttack,
+    record_campaign, replay_recording, verify_flip_accounting, CampaignExecutor, ExecutorConfig,
+    RecordedAttack, Recording, RecordingError, RecordingSpec, ReplayTarget, SprayAttack,
+    TemplatingAttack,
 };
 use cta_core::DefenseSpec;
 use cta_dram::{BlockHammerParams, FlipDirection};
@@ -138,6 +139,29 @@ fn tampered_telemetry_fails_replay() {
     match replay_recording(&recording, ReplayTarget::default()) {
         Err(RecordingError::Mismatch { what: "telemetry snapshot", .. }) => {}
         other => panic!("expected telemetry mismatch, got {other:?}"),
+    }
+}
+
+#[test]
+fn tampered_trial_seed_fails_replay_on_both_paths() {
+    // A trial's seed is part of its transcript: a recording whose second
+    // trial names a seed its spec never ran must not replay `ok`.
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../fixtures/recordings");
+    let text = std::fs::read_to_string(dir.join("spray-small.recording.json")).unwrap();
+    let mutated = text.replacen("{\"seed\": 1, ", "{\"seed\": 999, ", 1);
+    assert_ne!(mutated, text, "the golden's second trial has seed 1");
+    let recording = Recording::from_json_str(&mutated).unwrap();
+    let exec = CampaignExecutor::new(ExecutorConfig { workers: 1, parents_per_worker: 2 });
+    for replayed in [
+        replay_recording(&recording, ReplayTarget::default()),
+        exec.replay(&recording, ReplayTarget::default()),
+    ] {
+        match replayed {
+            Err(RecordingError::Mismatch { seed: 999, what: "trial seed", detail }) => {
+                assert_eq!(detail, "recorded 999, replayed 1");
+            }
+            other => panic!("expected trial-seed mismatch, got {other:?}"),
+        }
     }
 }
 

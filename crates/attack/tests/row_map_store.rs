@@ -4,7 +4,8 @@
 //!
 //! Trial A (templating) and trial B (spray) share a parent because attack
 //! parameters are not part of the parent key. A builds vulnerability maps
-//! that stay in the parent's store after rollback or fork teardown; B must
+//! that stay in the parent's store after rollback (or after a fork of the
+//! parent is dropped); B must
 //! still account every map it looks up as its own first lookup — the
 //! `vuln_cache_bytes` and `vuln_cache_evictions` gauges included. Parents
 //! profile their cell types at boot, so the retention model's long-cell
@@ -14,7 +15,7 @@
 use cta_attack::recording::RECORDING_LABEL;
 use cta_attack::{
     record_campaign, CampaignExecutor, CampaignOutput, CampaignRequest, ExecutorConfig,
-    RecordedAttack, RecordingSpec, ReplayTarget, SprayAttack, TemplatingAttack, TrialIsolation,
+    RecordedAttack, RecordingSpec, ReplayTarget, SprayAttack, TemplatingAttack,
 };
 use cta_telemetry::json::{self, JsonValue};
 use cta_vm::Kernel;
@@ -46,13 +47,12 @@ fn trial_b() -> RecordingSpec {
 
 /// Runs `specs` in order on one single-parent executor; returns the last
 /// campaign's output and the executor's pooled model-cache bytes.
-fn run_in_order(specs: &[RecordingSpec], isolation: TrialIsolation) -> (CampaignOutput, u64) {
+fn run_in_order(specs: &[RecordingSpec]) -> (CampaignOutput, u64) {
     let exec = CampaignExecutor::new(ExecutorConfig { workers: 1, parents_per_worker: 1 });
     let mut last = None;
     for spec in specs {
         let mut request = CampaignRequest::new("tenant", spec.clone());
         request.label = RECORDING_LABEL.to_string();
-        request.isolation = isolation;
         last = Some(exec.run(request).expect("campaign completes"));
     }
     let stats = exec.stats();
@@ -72,31 +72,25 @@ fn dram_gauge(output: &CampaignOutput, name: &str) -> u64 {
 
 #[test]
 fn maps_left_by_an_earlier_trial_are_invisible_to_the_next() {
-    for isolation in [TrialIsolation::Journal, TrialIsolation::Fork] {
-        let what = format!("{} isolation", isolation.name());
-        let (after_a, shared_bytes) = run_in_order(&[trial_a(), trial_b()], isolation);
-        let (fresh, fresh_bytes) = run_in_order(&[trial_b()], isolation);
+    let (after_a, shared_bytes) = run_in_order(&[trial_a(), trial_b()]);
+    let (fresh, fresh_bytes) = run_in_order(&[trial_b()]);
 
-        assert_eq!(after_a.trials, fresh.trials, "{what}: trial record");
-        assert_eq!(after_a.counters.to_json(), fresh.counters.to_json(), "{what}: telemetry");
-        for gauge in [
-            "vuln_cache_bytes",
-            "vuln_cache_evictions",
-            "retention_cache_bytes",
-            "retention_cache_evictions",
-        ] {
-            assert_eq!(dram_gauge(&after_a, gauge), dram_gauge(&fresh, gauge), "{what}");
-        }
-        assert!(dram_gauge(&fresh, "vuln_cache_bytes") > 0, "{what}: B builds maps");
-        assert!(
-            dram_gauge(&fresh, "retention_cache_bytes") > 0,
-            "{what}: profiling holds long-cell lists"
-        );
-        assert!(
-            shared_bytes > fresh_bytes,
-            "{what}: the parent's store keeps A's maps ({shared_bytes} vs {fresh_bytes})"
-        );
+    assert_eq!(after_a.trials, fresh.trials, "trial record");
+    assert_eq!(after_a.counters.to_json(), fresh.counters.to_json(), "telemetry");
+    for gauge in [
+        "vuln_cache_bytes",
+        "vuln_cache_evictions",
+        "retention_cache_bytes",
+        "retention_cache_evictions",
+    ] {
+        assert_eq!(dram_gauge(&after_a, gauge), dram_gauge(&fresh, gauge), "{gauge}");
     }
+    assert!(dram_gauge(&fresh, "vuln_cache_bytes") > 0, "B builds maps");
+    assert!(dram_gauge(&fresh, "retention_cache_bytes") > 0, "profiling holds long-cell lists");
+    assert!(
+        shared_bytes > fresh_bytes,
+        "the parent's store keeps A's maps ({shared_bytes} vs {fresh_bytes})"
+    );
 }
 
 #[test]
@@ -136,10 +130,8 @@ fn maps_left_by_an_earlier_trial_stay_invisible_when_the_caches_evict() {
 #[test]
 fn a_trial_after_another_matches_the_scoped_fresh_boot() {
     let recording = record_campaign(&trial_b()).expect("scoped path records");
-    for isolation in [TrialIsolation::Journal, TrialIsolation::Fork] {
-        let (after_a, _) = run_in_order(&[trial_a(), trial_b()], isolation);
-        assert_eq!(after_a.trials, recording.trials, "{}", isolation.name());
-        let telemetry = json::parse(&after_a.counters.to_json()).expect("telemetry parses");
-        assert_eq!(telemetry, recording.telemetry, "{}", isolation.name());
-    }
+    let (after_a, _) = run_in_order(&[trial_a(), trial_b()]);
+    assert_eq!(after_a.trials, recording.trials);
+    let telemetry = json::parse(&after_a.counters.to_json()).expect("telemetry parses");
+    assert_eq!(telemetry, recording.telemetry);
 }

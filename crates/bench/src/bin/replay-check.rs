@@ -12,22 +12,20 @@
 //! Usage:
 //!
 //! ```text
-//! replay-check                     # replay all fixtures
-//! replay-check --executor         # replay through the campaign executor too
-//! replay-check --isolation MODE   # restrict executor replays to fork|journal
-//! replay-check --record           # regenerate the fixtures from the specs
-//! replay-check FILE ...           # replay specific recording files
+//! replay-check                 # replay all fixtures
+//! replay-check --executor      # replay through the campaign executor too
+//! replay-check --record        # regenerate the fixtures from the specs
+//! replay-check FILE ...        # replay specific recording files
 //! ```
 //!
 //! `--executor` additionally replays every fixture *through the
-//! persistent [`CampaignExecutor`]* at 1 and 3 workers **and under both
-//! trial-isolation modes** (fork-per-trial and journaled in-place
-//! rollback): same goldens, same byte-for-byte comparison, but served
-//! boot-once over work-stealing deques. A pass proves the executor's
-//! scheduling (worker count, steal interleaving, pool reuse) *and* its
-//! isolation mechanism are invisible in the output, exactly as the scoped
-//! serial path promises. `--isolation fork|journal` narrows the executor
-//! grid to one mode (it implies `--executor`).
+//! persistent [`CampaignExecutor`]* at 1 and 3 workers: same goldens,
+//! same byte-for-byte comparison, but served boot-once over work-stealing
+//! deques, each trial journaled in place on a pooled parent and rolled
+//! back. A pass proves the executor's scheduling (worker count, steal
+//! interleaving, pool reuse) *and* its journal rollback are invisible in
+//! the output, exactly as the scoped serial path promises. Any other
+//! `--` argument is a usage error.
 //!
 //! `--record` exists for intentional simulation changes: regenerate,
 //! eyeball the diff, and commit the new goldens alongside the change that
@@ -38,8 +36,10 @@ use std::process::ExitCode;
 
 use cta_attack::{
     record_campaign, replay_recording, CampaignExecutor, ExecutorConfig, RecordedAttack, Recording,
-    RecordingSpec, ReplayTarget, SprayAttack, TemplatingAttack, TrialIsolation,
+    RecordingSpec, ReplayTarget, SprayAttack, TemplatingAttack,
 };
+
+const USAGE: &str = "usage: replay-check [--executor] [--record] [FILE ...]";
 
 /// The golden campaign set: deliberately tiny machines and narrow attacks
 /// so the replay grid stays a fast tier-1 gate, while still
@@ -116,16 +116,7 @@ fn default_fixtures() -> Vec<PathBuf> {
 /// "stealing likely" schedules are pinned to the same bytes.
 const EXECUTOR_WORKERS: [usize; 2] = [1, 3];
 
-/// Isolation modes the executor grid covers unless `--isolation` narrows
-/// it: the fork path and the journaled in-place rollback path must both
-/// reproduce the goldens byte-for-byte.
-const EXECUTOR_ISOLATIONS: [TrialIsolation; 2] = [TrialIsolation::Fork, TrialIsolation::Journal];
-
-fn replay_fixtures(
-    files: &[PathBuf],
-    executor: bool,
-    isolation: Option<TrialIsolation>,
-) -> ExitCode {
+fn replay_fixtures(files: &[PathBuf], executor: bool) -> ExitCode {
     if files.is_empty() {
         eprintln!(
             "replay-check: no recordings under {} (run `replay-check --record` to create them)",
@@ -164,29 +155,19 @@ fn replay_fixtures(
             continue;
         }
         for workers in EXECUTOR_WORKERS {
-            for mode in EXECUTOR_ISOLATIONS {
-                if isolation.is_some_and(|only| only != mode) {
-                    continue;
+            let exec = CampaignExecutor::new(ExecutorConfig { workers, parents_per_worker: 2 });
+            match exec.replay(&recording, ReplayTarget::default()) {
+                Ok(report) => {
+                    println!(
+                        "replay-check: ok   {} executor w={workers}, {} trials, {} flips",
+                        path.display(),
+                        report.trials,
+                        report.flips_verified
+                    );
                 }
-                let exec = CampaignExecutor::new(ExecutorConfig { workers, parents_per_worker: 2 });
-                match exec.replay_isolated(&recording, ReplayTarget::default(), mode) {
-                    Ok(report) => {
-                        println!(
-                            "replay-check: ok   {} executor w={workers} iso={}, {} trials, {} flips",
-                            path.display(),
-                            mode.name(),
-                            report.trials,
-                            report.flips_verified
-                        );
-                    }
-                    Err(e) => {
-                        eprintln!(
-                            "replay-check: FAIL {} executor w={workers} iso={}: {e}",
-                            path.display(),
-                            mode.name()
-                        );
-                        failures += 1;
-                    }
+                Err(e) => {
+                    eprintln!("replay-check: FAIL {} executor w={workers}: {e}", path.display());
+                    failures += 1;
                 }
             }
         }
@@ -203,28 +184,14 @@ fn replay_fixtures(
 fn main() -> ExitCode {
     let mut record = false;
     let mut executor = false;
-    let mut isolation: Option<TrialIsolation> = None;
     let mut files: Vec<PathBuf> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--record" => record = true,
             "--executor" => executor = true,
-            "--isolation" => {
-                let Some(mode) = args.next() else {
-                    eprintln!("replay-check: --isolation requires fork or journal");
-                    return ExitCode::FAILURE;
-                };
-                match mode.parse() {
-                    Ok(mode) => {
-                        isolation = Some(mode);
-                        executor = true; // isolation is an executor dimension
-                    }
-                    Err(e) => {
-                        eprintln!("replay-check: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
+            flag if flag.starts_with("--") => {
+                eprintln!("replay-check: unknown argument {flag:?}\n{USAGE}");
+                return ExitCode::FAILURE;
             }
             _ => files.push(PathBuf::from(arg)),
         }
@@ -233,5 +200,5 @@ fn main() -> ExitCode {
         return record_goldens();
     }
     let files = if files.is_empty() { default_fixtures() } else { files };
-    replay_fixtures(&files, executor, isolation)
+    replay_fixtures(&files, executor)
 }

@@ -352,11 +352,6 @@ impl SoftTrrDefense {
         SoftTrrDefense { params, protected: HashSet::new(), refreshes: 0 }
     }
 
-    /// Number of rows currently registered as protected.
-    pub fn protected_rows(&self) -> usize {
-        self.protected.len()
-    }
-
     /// Targeted refreshes issued so far.
     pub fn refreshes(&self) -> u64 {
         self.refreshes
@@ -442,12 +437,6 @@ impl BlockHammerDefense {
     pub fn new(params: BlockHammerParams) -> Self {
         let params = BlockHammerParams { blacklist_threshold: params.blacklist_threshold.max(1) };
         BlockHammerDefense { params, blacklisted: 0 }
-    }
-
-    /// Blacklist events so far (one per row per window that exhausted its
-    /// budget).
-    pub fn blacklist_events(&self) -> u64 {
-        self.blacklisted
     }
 }
 
@@ -588,7 +577,7 @@ mod tests {
         let v = d.on_activation(&ctx(2, 99, 0, &n));
         assert_eq!(v, Verdict::Refresh { permitted: 8, targets: vec![RowId(2)] });
         assert_eq!(d.refreshes(), 2);
-        assert_eq!(d.protected_rows(), 1);
+        assert_eq!(d.protected.len(), 1);
     }
 
     #[test]
@@ -598,7 +587,7 @@ mod tests {
         assert_eq!(d.on_activation(&ctx(2, 10, 0, &n)), Verdict::Allow);
         assert_eq!(d.on_activation(&ctx(2, 5, 8, &n)), Verdict::Throttle { permitted: 2 });
         assert_eq!(d.on_activation(&ctx(2, 5, 10, &n)), Verdict::Throttle { permitted: 0 });
-        assert_eq!(d.blacklist_events(), 1);
+        assert_eq!(d.blacklisted, 1);
         assert_eq!(d.counters(), vec![("blockhammer_blacklisted", 1)]);
     }
 

@@ -79,8 +79,8 @@ impl Iterator for Spans {
 ///
 /// # RowHammer model
 ///
-/// [`activate_row`](Self::activate_row) models a *forced* activation (the
-/// attacker defeats the row buffer with cache flushes or row conflicts).
+/// [`hammer`](Self::hammer) models *forced* activations (the attacker
+/// defeats the row buffer with cache flushes or row conflicts).
 /// When an aggressor row accumulates `hammer_threshold` activations within
 /// one refresh window, its bank-adjacent neighbor rows are disturbed: every
 /// vulnerable cell whose stored value matches its flip direction's source
@@ -795,18 +795,8 @@ impl DramModule {
     // Hammering
     // ------------------------------------------------------------------
 
-    /// Forces one activation of `row` (modeling an attacker defeating the
-    /// row buffer), advancing the clock by `tRC` and disturbing neighbors if
-    /// the hammer threshold is crossed within the current refresh window.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DramError::RowOutOfBounds`] for rows outside the module.
-    pub fn activate_row(&mut self, row: RowId) -> Result<(), DramError> {
-        self.hammer(row, 1)
-    }
-
-    /// Performs `count` forced activations of `row`.
+    /// Performs `count` forced activations of `row` (modeling an attacker
+    /// defeating the row buffer), each advancing the clock by `tRC`.
     ///
     /// Activations are accounted against refresh windows: if the count spans
     /// a window boundary (refresh enabled), the per-window activation counter

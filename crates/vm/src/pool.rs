@@ -1,13 +1,12 @@
-//! Boot-once parent-kernel pools for fork-per-trial services.
+//! Boot-once parent-kernel pools for journal-per-trial services.
 //!
 //! Booting a kernel — building page tables, profiling true/anti-cells,
 //! compiling the vulnerability map — dominates a trial's cost. A
 //! long-running campaign service therefore keeps *parent* kernels (one per
 //! distinct boot configuration) alive and, with
 //! [`KernelPool::run_journaled`], runs each trial **in place** on its
-//! parent under an undo journal and rolls it back — or hands out a
-//! [`Kernel::fork`] of the parent per trial, which shares the parent's
-//! DRAM rows copy-on-write: O(rows) reference bumps, not row copies.
+//! parent under an undo journal and rolls it back: O(touched state) per
+//! trial.
 //!
 //! [`KernelPool`] is that cache: an LRU map from an opaque configuration
 //! key to a booted parent, order-indexed (hash map plus a recency-stamped
@@ -17,20 +16,20 @@
 //! DRAM model shares `Rc` state), so a pool lives inside one worker's
 //! local context and parents never cross threads. The executor layer
 //! gives each worker its own pool per tenant; the capacity fixed at
-//! [`KernelPool::new`] bounds a pool's resident memory at O(parents +
-//! in-flight forks), each parent's model caches at their row capacity.
+//! [`KernelPool::new`] bounds a pool's resident memory at O(parents),
+//! each parent's model caches at their row capacity.
 //!
-//! Determinism: `fork()` of a freshly-booted kernel is bit-identical to a
-//! second boot from the same config (pinned by the fork-isolation
-//! suites), and a journaled trial's rollback restores the parent
-//! byte-identically (pinned by the isolation differential suites), so
-//! *how* a trial's kernel was served — pool hit, fresh boot, fork, or
-//! in-place journal — is invisible in its results.
+//! Determinism: a journaled trial's rollback restores the parent
+//! byte-identically to a [`Kernel::fork`] taken before the trial (pinned
+//! by the journal fuzzers), and a fork of a fresh boot is bit-identical
+//! to a second boot (pinned by the fork-isolation suite), so whether a
+//! trial's parent was a pool hit or a fresh boot is invisible in its
+//! results.
 //!
 //! A parent abandoned mid-journal (a trial body that panicked before its
 //! rollback) is repaired defensively: the pool rolls the open journal
-//! back before the parent is forked, served again, or evicted, so dirty
-//! trial state can never leak into a later trial.
+//! back before the parent is served again or evicted, so dirty trial
+//! state can never leak into a later trial.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
@@ -44,9 +43,7 @@ pub struct PoolStats {
     /// Parents booted because no cached parent matched the key.
     pub boots: u64,
     /// Trials served from an already-resident parent.
-    pub fork_hits: u64,
-    /// The subset of trials served in place under an undo journal.
-    pub journal_runs: u64,
+    pub hits: u64,
     /// Parents evicted (LRU) to stay within capacity.
     pub evictions: u64,
 }
@@ -87,27 +84,11 @@ impl<K: Eq + Hash + Clone> KernelPool<K> {
         }
     }
 
-    /// Returns a fork of the parent for `key`, booting (and caching) the
-    /// parent via `boot` if it is not resident. The touched parent moves
-    /// to most-recently-used; a boot that overflows capacity evicts the
-    /// least-recently-used parent first.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the boot error; the pool is unchanged in that case.
-    pub fn fork_for<F>(&mut self, key: &K, boot: F) -> Result<Kernel, VmError>
-    where
-        F: FnOnce() -> Result<Kernel, VmError>,
-    {
-        self.ensure_resident(key, boot)?;
-        Ok(self.parents.get(key).expect("parent just ensured").kernel.fork())
-    }
-
     /// Runs `trial` **in place** on the parent for `key` under an undo
-    /// journal, rolling the parent back afterwards — the O(touched state)
-    /// alternative to [`Self::fork_for`]. The parent is booted via `boot`
-    /// if not resident and touched to most-recently-used exactly as a
-    /// fork would.
+    /// journal, rolling the parent back afterwards. The parent is booted
+    /// (and cached) via `boot` if it is not resident. The touched parent
+    /// moves to most-recently-used; a boot that overflows capacity evicts
+    /// the least-recently-used parent first.
     ///
     /// # Errors
     ///
@@ -118,7 +99,6 @@ impl<K: Eq + Hash + Clone> KernelPool<K> {
         F: FnOnce(&mut Kernel) -> R,
     {
         self.ensure_resident(key, boot)?;
-        self.stats.journal_runs += 1;
         let kernel = &mut self.parents.get_mut(key).expect("parent just ensured").kernel;
         kernel.journal_begin();
         let out = trial(kernel);
@@ -141,7 +121,7 @@ impl<K: Eq + Hash + Clone> KernelPool<K> {
             parent.stamp = self.next_stamp;
             self.order.insert(self.next_stamp, key.clone());
             self.next_stamp += 1;
-            self.stats.fork_hits += 1;
+            self.stats.hits += 1;
             return Ok(());
         }
         let kernel = boot()?;
@@ -217,28 +197,31 @@ mod tests {
         Kernel::new(KernelConfig::small_test())
     }
 
+    /// Serves an empty trial on the parent for `key`.
+    fn touch(pool: &mut KernelPool<u32>, key: u32) -> Result<(), VmError> {
+        pool.run_journaled(&key, boot, |_| ())
+    }
+
     #[test]
-    fn second_fork_hits_the_cached_parent() {
+    fn second_run_hits_the_cached_parent() {
         let mut pool: KernelPool<u32> = KernelPool::new(2);
-        let first = pool.fork_for(&7, boot).expect("boot");
-        let second = pool.fork_for(&7, boot).expect("fork hit");
+        let row_bytes = |k: &mut Kernel| k.dram().config().geometry.row_bytes();
+        let first = pool.run_journaled(&7, boot, row_bytes).expect("boot");
+        let second = pool.run_journaled(&7, boot, row_bytes).expect("pool hit");
         let stats = pool.stats();
-        assert_eq!((stats.boots, stats.fork_hits), (1, 1));
+        assert_eq!((stats.boots, stats.hits), (1, 1));
         assert_eq!(pool.len(), 1);
-        // Hit and miss forks are the same machine.
-        assert_eq!(
-            first.dram().config().geometry.row_bytes(),
-            second.dram().config().geometry.row_bytes()
-        );
+        // Hit and miss runs see the same machine.
+        assert_eq!(first, second);
     }
 
     #[test]
     fn lru_eviction_keeps_recently_used_parents() {
         let mut pool: KernelPool<u32> = KernelPool::new(2);
-        pool.fork_for(&1, boot).expect("boot 1");
-        pool.fork_for(&2, boot).expect("boot 2");
-        pool.fork_for(&1, boot).expect("hit 1"); // 1 is now MRU
-        pool.fork_for(&3, boot).expect("boot 3"); // evicts 2
+        touch(&mut pool, 1).expect("boot 1");
+        touch(&mut pool, 2).expect("boot 2");
+        touch(&mut pool, 1).expect("hit 1"); // 1 is now MRU
+        touch(&mut pool, 3).expect("boot 3"); // evicts 2
         assert!(pool.contains(&1) && pool.contains(&3) && !pool.contains(&2));
         assert_eq!(pool.stats().evictions, 1);
         assert_eq!(pool.len(), 2);
@@ -247,8 +230,8 @@ mod tests {
     #[test]
     fn failed_boot_leaves_pool_unchanged() {
         let mut pool: KernelPool<u32> = KernelPool::new(2);
-        pool.fork_for(&1, boot).expect("boot 1");
-        let err = pool.fork_for(&2, || Err(VmError::NoSuchFile));
+        touch(&mut pool, 1).expect("boot 1");
+        let err = pool.run_journaled(&2, || Err(VmError::NoSuchFile), |_| unreachable!("no boot"));
         assert!(err.is_err());
         assert_eq!(pool.len(), 1);
         assert_eq!(pool.stats().boots, 1);
@@ -278,16 +261,18 @@ mod tests {
         for _ in 0..2 {
             pool.run_journaled(&0, || Kernel::new(config.clone()), trial).expect("boot");
             assert_eq!(pool.row_store_bytes(), held as u64);
-            let parent = pool.fork_for(&0, || unreachable!("resident")).expect("resident");
-            assert_eq!(parent.dram().row_store_bytes(), held);
+            let parent = pool
+                .run_journaled(&0, || unreachable!("resident"), |k| k.dram().row_store_bytes())
+                .expect("resident");
+            assert_eq!(parent, held);
         }
     }
 
     #[test]
     fn journaled_run_leaves_the_parent_clean_and_counts_a_hit() {
         let mut pool: KernelPool<u32> = KernelPool::new(2);
-        let reference = pool.fork_for(&1, boot).expect("boot");
-        let before = reference.dram().stats().clone();
+        let stats = |k: &mut Kernel| k.dram().stats().clone();
+        let before = pool.run_journaled(&1, boot, stats).expect("boot");
         let flips = pool
             .run_journaled(&1, boot, |kernel| {
                 kernel.dram_mut().fill(0, 4096, 0xFF).expect("fill");
@@ -296,34 +281,33 @@ mod tests {
             })
             .expect("journaled trial");
         assert!(flips > 0, "the trial really ran");
-        // The parent rolled back: a fresh fork matches the pre-trial fork.
-        let after = pool.fork_for(&1, boot).expect("fork");
-        assert_eq!(after.dram().stats(), &before);
-        let stats = pool.stats();
-        assert_eq!((stats.boots, stats.fork_hits, stats.journal_runs), (1, 2, 1));
+        // The parent rolled back: the next trial sees the pre-trial stats.
+        let after = pool.run_journaled(&1, boot, stats).expect("pool hit");
+        assert_eq!(after, before);
+        let pool_stats = pool.stats();
+        assert_eq!((pool_stats.boots, pool_stats.hits), (1, 2));
+    }
+
+    /// Leaves the resident parent for `key` as a trial that panicked
+    /// mid-journal would: with an open journal and `len` dirty bytes.
+    fn abandon_a_journal(pool: &mut KernelPool<u32>, key: u32, len: usize, byte: u8) {
+        let kernel = &mut pool.parents.get_mut(&key).expect("resident").kernel;
+        kernel.journal_begin();
+        kernel.dram_mut().fill(0, len, byte).expect("dirty the parent");
+        assert!(kernel.journal_active());
     }
 
     #[test]
     fn eviction_rolls_back_an_abandoned_journal() {
         let mut pool: KernelPool<u32> = KernelPool::new(2);
-        pool.fork_for(&1, boot).expect("boot 1");
-        // Simulate a trial that panicked mid-journal: the resident parent
-        // is left with an open journal and dirty state.
-        pool.parents.get_mut(&1).expect("resident").kernel.journal_begin();
-        pool.parents
-            .get_mut(&1)
-            .expect("resident")
-            .kernel
-            .dram_mut()
-            .fill(0, 4096, 0xAA)
-            .expect("dirty the parent");
-        assert!(pool.parents[&1].kernel.journal_active());
+        touch(&mut pool, 1).expect("boot 1");
+        abandon_a_journal(&mut pool, 1, 4096, 0xAA);
 
         // Capacity pressure evicts the abandoned parent: the journal must
         // be rolled back before the drop (evicting a dirty parent would
         // otherwise be the one path where trial state escapes).
-        pool.fork_for(&2, boot).expect("boot 2");
-        pool.fork_for(&3, boot).expect("boot 3 evicts 1");
+        touch(&mut pool, 2).expect("boot 2");
+        touch(&mut pool, 3).expect("boot 3 evicts 1");
         assert!(!pool.contains(&1));
         assert_eq!(pool.stats().evictions, 1);
     }
@@ -331,21 +315,14 @@ mod tests {
     #[test]
     fn serving_a_parent_with_an_abandoned_journal_repairs_it_first() {
         let mut pool: KernelPool<u32> = KernelPool::new(2);
-        let clean = pool.fork_for(&1, boot).expect("boot");
-        let want = clean.dram().peek(0, 64).expect("peek");
-        pool.parents.get_mut(&1).expect("resident").kernel.journal_begin();
-        pool.parents
-            .get_mut(&1)
-            .expect("resident")
-            .kernel
-            .dram_mut()
-            .fill(0, 64, 0xEE)
-            .expect("dirty the parent");
+        let peek = |k: &mut Kernel| k.dram().peek(0, 64).expect("peek");
+        let want = pool.run_journaled(&1, boot, peek).expect("boot");
+        abandon_a_journal(&mut pool, 1, 64, 0xEE);
 
-        // A fork served from the abandoned parent must see the clean
+        // A trial served from the abandoned parent must see the clean
         // (rolled-back) machine, not the dead trial's bytes.
-        let fork = pool.fork_for(&1, boot).expect("fork repairs");
-        assert_eq!(fork.dram().peek(0, 64).expect("peek"), want);
+        let served = pool.run_journaled(&1, boot, peek).expect("serving repairs");
+        assert_eq!(served, want);
         assert!(!pool.parents[&1].kernel.journal_active());
     }
 }

@@ -55,8 +55,9 @@ fn the_trial_after_a_failed_one_hashes_like_a_fresh_boot() {
             })
             .expect("pool hit");
         assert_eq!(after, fresh, "panicking trial: {panics}");
-        let fork = pool.fork_for(&0, boot_with_data).expect("pool hit");
-        assert_eq!(fork.dram().contents_hash(), fresh);
+        let again =
+            pool.run_journaled(&0, boot_with_data, |k| k.dram().contents_hash()).expect("pool hit");
+        assert_eq!(again, fresh);
         assert_eq!(pool.stats().boots, 1);
     }
 }

@@ -133,10 +133,11 @@ rm -rf "$exps"
 echo "==> malformed cta invocations fail with an error, not a panic or an abort"
 # Each must be rejected with a message and exit status 1, cta's failure
 # status: a panic exits 101, and an abort (a failed allocation) 134.
+# Trials are always journaled, so `--isolation` is an unknown argument.
 for args in "evaluate --tenants 0" "evaluate --trials 0" \
     "evaluate --campaigns 0" "evaluate --trials 1000000000000" \
     "profile --memory-mb 0" "profile --memory-mb 3" \
-    "profile --memory-mb 1073741824"; do
+    "profile --memory-mb 1073741824" "attack --isolation journal"; do
     status=0
     # shellcheck disable=SC2086 # word-split the argument list on purpose
     cargo run --release -q -p cta-bench --bin cta -- $args > /dev/null 2>&1 \
@@ -152,8 +153,9 @@ echo "==> malformed recordings fail with an error, not a panic, an abort or a ha
 # under fixtures/): an unbounded `pf` must be refused at load, and a
 # one-page templating arena, a 2^40-page spray file, a 2^50-byte
 # machine and a 2^45-byte one (2^33 rows of 4 KiB, both past the 2^32-row
-# cap), a machine of 3 KiB rows (not a power of two) and one of 512 MiB
-# rows (past the row-width cap) must replay to a typed error. Each replay
+# cap), a machine of 3 KiB rows (not a power of two), one of 512 MiB
+# rows (past the row-width cap) and a trial whose seed its spec never ran
+# must replay to a typed error. Each replay
 # must exit 1, replay-check's failure status: not 101 (a panic), 134 (an
 # abort) or 124 (`timeout` fired).
 mutants=$(mktemp -d)
@@ -175,6 +177,7 @@ mutate spray-small 's/"memory_bytes": 8388608, "row_bytes": 4096/"memory_bytes":
 mutate spray-small 's/"memory_bytes": 8388608, "row_bytes": 4096/"memory_bytes": 1073741824, "row_bytes": 536870912/' \
     spray-rows-2e29
 mutate spray-small 's/"memory_bytes": 8388608/"memory_bytes": 35184372088832/' spray-memory-2e45
+mutate spray-small 's/{"seed": 1, /{"seed": 999, /' spray-trial-seed-999
 for f in "$mutants"/*.recording.json; do
     status=0
     timeout 60 cargo run --release -q -p cta-bench --bin replay-check -- "$f" \
@@ -184,6 +187,14 @@ for f in "$mutants"/*.recording.json; do
         exit 1
     fi
 done
+# An unknown flag is a usage error, not a recording file to open.
+status=0
+cargo run --release -q -p cta-bench --bin replay-check -- --isolation journal \
+    > /dev/null 2>&1 || status=$?
+if [ "$status" -ne 1 ]; then
+    echo "replay-check --isolation journal: exit status $status (want 1, a usage error)"
+    exit 1
+fi
 
 echo "==> strict JSON + schema validation (telemetry/* + golden recordings)"
 # Every machine-readable artifact the workspace emits must parse as
@@ -196,23 +207,15 @@ cargo run --release -q -p cta-bench --bin json-check -- --schema
 cargo run --release -q -p cta-bench --bin json-check -- --schema \
     fixtures/recordings/*.recording.json
 
-echo "==> golden recording replay (scoped + executor at 1/3 workers x fork/journal)"
-# The checked-in campaign recordings must replay byte-identically — flip
-# transcripts, contents hashes, clocks, outcomes, telemetry — both through
-# the scoped serial path and through the campaign executor at 1 and 3
-# workers under fork and journal isolation (scheduling and isolation must
-# be invisible in the bytes). After an *intentional* simulation change,
-# regenerate with `replay-check --record` and commit the diff.
+echo "==> golden recording replay (scoped + executor at 1/3 workers)"
+# The checked-in campaign recordings must replay byte-identically — trial
+# seeds, flip transcripts, contents hashes, clocks, outcomes, telemetry —
+# both through the scoped serial path and through the campaign executor
+# at 1 and 3 workers, its trials journaled on pooled parents (scheduling
+# and rollback must be invisible in the bytes). After an *intentional*
+# simulation change, regenerate with `replay-check --record` and commit
+# the diff.
 cargo run --release -q -p cta-bench --bin replay-check -- --executor
-
-echo "==> journal-isolation smoke (one golden under --isolation journal)"
-# The `--isolation` CLI dimension end to end: one golden fixture replayed
-# through the executor with trials journaled and rolled back in place on
-# the pooled parents instead of forked. The full grid above already
-# covers both modes; this gate additionally pins the flag-parsing path
-# that narrows the grid to the journal mode.
-cargo run --release -q -p cta-bench --bin replay-check -- \
-    --isolation journal fixtures/recordings/spray-small.recording.json
 
 echo "==> repository benchmark self-tests (perfbench)"
 # Its own package, so the workspace run above misses it: pins request
