@@ -41,7 +41,9 @@
 use std::fmt;
 
 use cta_core::{DefenseSpec, SystemBuilder};
-use cta_dram::{DisturbanceParams, FlipDirection, FlipEvent, FlipLog, RowId};
+use cta_dram::{
+    DisturbanceParams, FlipDirection, FlipEvent, FlipLog, RowId, MAX_ROWS, MAX_ROW_BYTES,
+};
 use cta_telemetry::json::{self, JsonValue};
 use cta_telemetry::{schema, Counters};
 use cta_vm::{Kernel, VmError};
@@ -677,13 +679,13 @@ impl Recording {
             let mut flips = Vec::with_capacity(t.flips.len());
             for e in &t.flips {
                 flips.push(JsonValue::Array(vec![
-                    num("flip row", e.row.0)?,
-                    num("flip bit", e.bit)?,
-                    JsonValue::Number(match e.direction {
+                    num("flip row", e.row().0)?,
+                    num("flip bit", e.bit())?,
+                    JsonValue::Number(match e.direction() {
                         FlipDirection::OneToZero => 0.0,
                         FlipDirection::ZeroToOne => 1.0,
                     }),
-                    num("flip time_ns", e.time_ns)?,
+                    num("flip time_ns", e.time_ns())?,
                 ]));
             }
             let o = &t.outcome;
@@ -840,6 +842,19 @@ impl Recording {
         for (i, item) in trial_items.iter().enumerate() {
             trials.push(parse_trial(item, i)?);
         }
+        // Trial `i` ran spec seed `i`: a trial naming another seed, or a
+        // seed without its trial, is a corrupt recording, not a replay
+        // divergence.
+        for i in 0..trials.len().max(spec.seeds.len()) {
+            let (got, want) = (trials.get(i).map(|t| t.seed), spec.seeds.get(i).copied());
+            if got != want {
+                let show = |s: Option<u64>| s.map_or("none".to_string(), |s| s.to_string());
+                return Err(malformed(
+                    format!("trials[{i}].seed"),
+                    format!("seed {} where spec.seeds[{i}] is {}", show(got), show(want)),
+                ));
+            }
+        }
 
         let telemetry = get(&doc, "telemetry", "telemetry")?.clone();
         let schema_errors = schema::validate_snapshot(&telemetry);
@@ -915,12 +930,24 @@ fn parse_trial(item: &JsonValue, index: usize) -> Result<TrialRecord, RecordingE
                 ))
             }
         };
-        flips.push(FlipEvent {
-            row: RowId(as_u64(&fields[0], &format!("{fp}[0]"))?),
-            bit: as_u64(&fields[1], &format!("{fp}[1]"))?,
-            direction,
-            time_ns: as_u64(&fields[3], &format!("{fp}[3]"))?,
-        });
+        // No module has a row or bit past the caps, and a flip event
+        // cannot hold one: refuse it here rather than truncate it.
+        let row = as_u64(&fields[0], &format!("{fp}[0]"))?;
+        if row >= MAX_ROWS {
+            return Err(malformed(
+                format!("{fp}[0]"),
+                format!("row {row} is past the {MAX_ROWS}-row cap"),
+            ));
+        }
+        let bit = as_u64(&fields[1], &format!("{fp}[1]"))?;
+        if bit >= 8 * MAX_ROW_BYTES {
+            return Err(malformed(
+                format!("{fp}[1]"),
+                format!("bit {bit} is past the {}-bit row cap", 8 * MAX_ROW_BYTES),
+            ));
+        }
+        let time_ns = as_u64(&fields[3], &format!("{fp}[3]"))?;
+        flips.push(FlipEvent::new(RowId(row), bit, direction, time_ns));
     }
 
     let hash_str = get_str(item, "contents_hash", &format!("{path}.contents_hash"))?;
@@ -1036,6 +1063,84 @@ mod tests {
             assert_eq!(trial(), first);
         }
         assert_eq!(cta_dram::row_buffers_allocated(), allocated);
+    }
+
+    fn golden(name: &str) -> String {
+        let dir =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../fixtures/recordings");
+        std::fs::read_to_string(dir.join(format!("{name}.recording.json"))).unwrap()
+    }
+
+    fn malformed_path(text: &str) -> String {
+        match Recording::from_json_str(text) {
+            Err(RecordingError::Malformed { path, .. }) => path,
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn flips_past_the_row_and_bit_caps_are_malformed_at_load() {
+        // A flip event holds a 32-bit row and a 31-bit bit index: loading
+        // either of these would truncate it to the golden's own flip.
+        let text = golden("spray-small");
+        let first = "\"flips\": [[7, 130, 0,";
+        for (to, want) in [
+            (format!("\"flips\": [[7, {}, 0,", (1u64 << 31) + 130), "trials[0].flips[0][1]"),
+            (format!("\"flips\": [[{}, 130, 0,", (1u64 << 32) + 7), "trials[0].flips[0][0]"),
+        ] {
+            let mutated = text.replacen(first, &to, 1);
+            assert_ne!(mutated, text, "the golden's first flip is row 7, bit 130");
+            assert_eq!(malformed_path(&mutated), want, "{to}");
+        }
+        // The last bit of the widest row and the last row still load.
+        for to in [
+            format!("\"flips\": [[7, {}, 0,", (1u64 << 31) - 1),
+            format!("\"flips\": [[{}, 130, 0,", (1u64 << 32) - 1),
+        ] {
+            assert!(Recording::from_json_str(&text.replacen(first, &to, 1)).is_ok(), "{to}");
+        }
+    }
+
+    #[test]
+    fn trial_seeds_must_be_the_spec_seeds_at_load() {
+        let text = golden("spray-small");
+        let cases = [
+            ("{\"seed\": 1, ", "{\"seed\": 999, ", "trials[1].seed"),
+            ("\"seeds\": [0, 1]", "\"seeds\": [0]", "trials[1].seed"),
+            ("\"seeds\": [0, 1]", "\"seeds\": [0, 1, 2]", "trials[2].seed"),
+            ("\"seeds\": [0, 1]", "\"seeds\": [1, 0]", "trials[0].seed"),
+        ];
+        for (from, to, want) in cases {
+            let mutated = text.replacen(from, to, 1);
+            assert_ne!(mutated, text, "the golden names `{from}`");
+            assert_eq!(malformed_path(&mutated), want, "{to}");
+        }
+    }
+
+    #[test]
+    fn recordings_round_trip_at_the_largest_representable_values() {
+        let mut recording = Recording::from_json_str(&golden("spray-small")).unwrap();
+        let top = 1u64 << 53;
+        recording.spec.seeds[0] = top;
+        let trial = &mut recording.trials[0];
+        trial.seed = top;
+        trial.end_ns = top;
+        trial.contents_hash = u64::MAX;
+        trial.outcome.rows_hammered = top;
+        trial.outcome.flips_induced = top;
+        trial.outcome.mappings_created = top;
+        trial.outcome.sim_time_ns = top;
+        trial.flips = [FlipDirection::OneToZero, FlipDirection::ZeroToOne]
+            .into_iter()
+            .flat_map(|d| {
+                [
+                    FlipEvent::new(RowId(MAX_ROWS - 1), 8 * MAX_ROW_BYTES - 1, d, top),
+                    FlipEvent::new(RowId(0), 0, d, 0),
+                ]
+            })
+            .collect();
+        let text = recording.to_json_string().unwrap();
+        assert_eq!(Recording::from_json_str(&text).unwrap(), recording);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use cta_attack::{
     TemplatingAttack,
 };
 use cta_core::DefenseSpec;
-use cta_dram::{BlockHammerParams, FlipDirection};
+use cta_dram::{BlockHammerParams, FlipEvent};
 use cta_vm::VmError;
 
 /// A deliberately small spray campaign: two trials, narrow spray, few
@@ -103,11 +103,8 @@ fn tampered_flip_transcript_fails_replay() {
     let mut recording = record_campaign(&small_spray_spec()).unwrap();
     let trial = recording.trials.iter_mut().find(|t| !t.flips.is_empty()).unwrap();
     let seed = trial.seed;
-    let event = &mut trial.flips[0];
-    event.direction = match event.direction {
-        FlipDirection::OneToZero => FlipDirection::ZeroToOne,
-        FlipDirection::ZeroToOne => FlipDirection::OneToZero,
-    };
+    let e = trial.flips[0];
+    trial.flips[0] = FlipEvent::new(e.row(), e.bit(), e.direction().opposite(), e.time_ns());
     match replay_recording(&recording, ReplayTarget::default()) {
         Err(RecordingError::Mismatch { seed: s, what: "flip transcript", detail }) => {
             assert_eq!(s, seed);
@@ -145,12 +142,18 @@ fn tampered_telemetry_fails_replay() {
 #[test]
 fn tampered_trial_seed_fails_replay_on_both_paths() {
     // A trial's seed is part of its transcript: a recording whose second
-    // trial names a seed its spec never ran must not replay `ok`.
+    // trial names a seed its spec never ran must not replay `ok`. Loading
+    // one from JSON refuses it; one built in memory fails its replay.
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../fixtures/recordings");
     let text = std::fs::read_to_string(dir.join("spray-small.recording.json")).unwrap();
     let mutated = text.replacen("{\"seed\": 1, ", "{\"seed\": 999, ", 1);
     assert_ne!(mutated, text, "the golden's second trial has seed 1");
-    let recording = Recording::from_json_str(&mutated).unwrap();
+    match Recording::from_json_str(&mutated) {
+        Err(RecordingError::Malformed { path, .. }) => assert_eq!(path, "trials[1].seed"),
+        other => panic!("expected Malformed at trials[1].seed, got {other:?}"),
+    }
+    let mut recording = Recording::from_json_str(&text).unwrap();
+    recording.trials[1].seed = 999;
     let exec = CampaignExecutor::new(ExecutorConfig { workers: 1, parents_per_worker: 2 });
     for replayed in [
         replay_recording(&recording, ReplayTarget::default()),

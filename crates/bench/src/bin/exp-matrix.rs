@@ -109,7 +109,7 @@ fn pt_row_flips(kernel: &Kernel, pid: Pid) -> u64 {
         .iter()
         .map(|(pfn, _)| pfn.addr().0 / row_bytes)
         .collect();
-    kernel.dram().stats().flip_log.iter().filter(|f| pt_rows.contains(&f.row.0)).count() as u64
+    kernel.dram().stats().flip_log.iter().filter(|f| pt_rows.contains(&f.row().0)).count() as u64
 }
 
 /// The inline hammer attack: fill page tables by spraying a file, then

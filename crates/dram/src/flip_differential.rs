@@ -105,7 +105,10 @@ pub(crate) fn observe(
     // The drop count is an observable of its own: both paths must evict
     // exactly the same events from the bounded window.
     let flips: String = std::iter::once(format!("dropped={};", log.dropped))
-        .chain(log.iter().map(|e| format!("{:?}/{}/{}/{};", e.row, e.bit, e.direction, e.time_ns)))
+        .chain(
+            log.iter()
+                .map(|e| format!("{:?}/{}/{}/{};", e.row(), e.bit(), e.direction(), e.time_ns())),
+        )
         .collect();
     let mut counters = Counters::new("diff");
     counters.record(m.stats());
@@ -199,7 +202,7 @@ fn wordwise_tail_flips_stay_inside_the_row() {
     }
     let log = m.take_flip_log();
     assert!(!log.is_empty(), "pf=0.3 over 62 hammered rows must flip something");
-    assert!(log.iter().all(|e| e.bit < 32), "flip escaped the 32-bit row");
+    assert!(log.iter().all(|e| e.bit() < 32), "flip escaped the 32-bit row");
     assert_eq!(log.total_recorded(), m.stats().total_flips(), "take must account every flip");
 }
 

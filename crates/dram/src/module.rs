@@ -1270,12 +1270,12 @@ impl DramModule {
                     } else {
                         crate::FlipDirection::ZeroToOne
                     };
-                    self.state.stats.flip_log.push(FlipEvent {
-                        row: victim,
-                        bit: base + b,
+                    self.state.stats.flip_log.push(FlipEvent::new(
+                        victim,
+                        base + b,
                         direction,
-                        time_ns: clock,
-                    });
+                        clock,
+                    ));
                     rest &= rest - 1;
                 }
             }
@@ -1295,12 +1295,7 @@ impl DramModule {
             let current = row.view().bit(vb.bit);
             if current == vb.direction.source_value() {
                 set_bit(row.bytes_mut(), vb.bit, !current);
-                self.state.stats.record_flip(FlipEvent {
-                    row: victim,
-                    bit: vb.bit,
-                    direction: vb.direction,
-                    time_ns: clock,
-                });
+                self.state.stats.record_flip(FlipEvent::new(victim, vb.bit, vb.direction, clock));
             }
         }
         self.state.stats.disturbances += 1;
@@ -1402,10 +1397,10 @@ mod tests {
         m.fill(victim_addr, row_bytes, 0xFF).unwrap();
         m.hammer_double_sided(RowId(2)).unwrap();
         let flips: Vec<_> =
-            m.stats().flip_log.iter().filter(|e| e.row == RowId(2)).copied().collect();
+            m.stats().flip_log.iter().filter(|e| e.row() == RowId(2)).copied().collect();
         assert!(!flips.is_empty(), "pf=0.02 over 32768 bits should flip something");
         // On all-ones content, only 1→0 flips can fire.
-        assert!(flips.iter().all(|e| e.direction == FlipDirection::OneToZero));
+        assert!(flips.iter().all(|e| e.direction() == FlipDirection::OneToZero));
     }
 
     #[test]
@@ -1490,9 +1485,9 @@ mod tests {
         m.fill(victim_addr, m.geometry().row_bytes() as usize, 0x00).unwrap();
         m.hammer_double_sided(victim).unwrap();
         let flips: Vec<_> =
-            m.stats().flip_log.iter().filter(|e| e.row == victim).copied().collect();
+            m.stats().flip_log.iter().filter(|e| e.row() == victim).copied().collect();
         assert!(!flips.is_empty());
-        assert!(flips.iter().all(|e| e.direction == FlipDirection::ZeroToOne));
+        assert!(flips.iter().all(|e| e.direction() == FlipDirection::ZeroToOne));
         // And the stored value actually changed.
         let data = m.peek(victim_addr, m.geometry().row_bytes() as usize).unwrap();
         assert!(data.iter().any(|b| *b != 0));
@@ -1824,7 +1819,7 @@ mod tests {
         }
         m.hammer_to_threshold(RowId(5)).unwrap();
         let flipped_rows: std::collections::HashSet<u64> =
-            m.stats().flip_log.iter().map(|e| e.row.0).collect();
+            m.stats().flip_log.iter().map(|e| e.row().0).collect();
         assert!(flipped_rows.is_subset(&[1u64, 9].into_iter().collect()));
         assert!(!flipped_rows.is_empty());
     }

@@ -2,20 +2,82 @@ use std::fmt;
 
 use cta_telemetry::{Group, RingLog, StatSource};
 
-use crate::geometry::RowId;
+use crate::geometry::{RowId, MAX_ROWS, MAX_ROW_BYTES};
 use crate::vuln::FlipDirection;
 
+/// Bits in the widest row a module accepts: 2^31.
+const MAX_ROW_BITS: u64 = MAX_ROW_BYTES * 8;
+
 /// A single disturbance-induced bit flip, as recorded by the module.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+///
+/// Packed into 16 bytes: a CTA templating trial logs about 200k of these,
+/// and the module's caps make the narrow fields lossless. A row index is
+/// below [`MAX_ROWS`] (2^32), so it fits a `u32`; a bit index is below
+/// `8 ×` [`MAX_ROW_BYTES`] (2^31), so it fits 31 bits, and the 32nd holds
+/// the direction.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FlipEvent {
-    /// Victim row.
-    pub row: RowId,
-    /// Bit index within the row.
-    pub bit: u64,
-    /// Direction the value changed.
-    pub direction: FlipDirection,
     /// Simulated time of the flip in nanoseconds.
-    pub time_ns: u64,
+    time_ns: u64,
+    /// Victim row.
+    row: u32,
+    /// `bit << 1 | direction`, with direction `0` for `1→0` and `1` for
+    /// `0→1`.
+    bit_dir: u32,
+}
+
+impl FlipEvent {
+    /// Packs a flip of `bit` in `row`, in `direction`, at `time_ns`.
+    ///
+    /// # Panics
+    ///
+    /// If `row` is not below [`MAX_ROWS`] or `bit` not below
+    /// `8 ×` [`MAX_ROW_BYTES`]: no module has such a row or bit.
+    pub fn new(row: RowId, bit: u64, direction: FlipDirection, time_ns: u64) -> Self {
+        assert!(row.0 < MAX_ROWS, "flip row {} is past the {MAX_ROWS}-row cap", row.0);
+        assert!(bit < MAX_ROW_BITS, "flip bit {bit} is past the {MAX_ROW_BITS}-bit row cap");
+        let dir = match direction {
+            FlipDirection::OneToZero => 0,
+            FlipDirection::ZeroToOne => 1,
+        };
+        FlipEvent { time_ns, row: row.0 as u32, bit_dir: (bit as u32) << 1 | dir }
+    }
+
+    /// Victim row.
+    pub fn row(self) -> RowId {
+        RowId(u64::from(self.row))
+    }
+
+    /// Bit index within the row.
+    pub fn bit(self) -> u64 {
+        u64::from(self.bit_dir >> 1)
+    }
+
+    /// Direction the value changed.
+    pub fn direction(self) -> FlipDirection {
+        if self.bit_dir & 1 == 0 {
+            FlipDirection::OneToZero
+        } else {
+            FlipDirection::ZeroToOne
+        }
+    }
+
+    /// Simulated time of the flip in nanoseconds.
+    pub fn time_ns(self) -> u64 {
+        self.time_ns
+    }
+}
+
+/// The unpacked fields, so transcripts print as rows and bits.
+impl fmt::Debug for FlipEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FlipEvent")
+            .field("row", &self.row())
+            .field("bit", &self.bit())
+            .field("direction", &self.direction())
+            .field("time_ns", &self.time_ns())
+            .finish()
+    }
 }
 
 /// A drained flip log: the retained events plus the exact number of older
@@ -119,7 +181,7 @@ impl DramStats {
     /// Records a flip in the counters and the log.
     #[cfg(test)]
     pub(crate) fn record_flip(&mut self, event: FlipEvent) {
-        match event.direction {
+        match event.direction() {
             FlipDirection::OneToZero => self.flips_one_to_zero += 1,
             FlipDirection::ZeroToOne => self.flips_zero_to_one += 1,
         }
@@ -172,20 +234,54 @@ mod tests {
     use super::*;
 
     #[test]
+    fn a_flip_event_stays_two_words() {
+        // A templating trial's transcript holds about 200k events.
+        assert_eq!(std::mem::size_of::<FlipEvent>(), 16);
+    }
+
+    #[test]
+    fn flip_events_unpack_what_they_packed_at_the_caps() {
+        for row in [0, MAX_ROWS - 1] {
+            for bit in [0, MAX_ROW_BITS - 1] {
+                for direction in [FlipDirection::OneToZero, FlipDirection::ZeroToOne] {
+                    for time_ns in [0, u64::MAX] {
+                        let e = FlipEvent::new(RowId(row), bit, direction, time_ns);
+                        assert_eq!(e.row(), RowId(row));
+                        assert_eq!(e.bit(), bit);
+                        assert_eq!(e.direction(), direction);
+                        assert_eq!(e.time_ns(), time_ns);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bit row cap")]
+    fn a_flip_bit_past_the_row_width_is_refused() {
+        FlipEvent::new(RowId(0), MAX_ROW_BITS, FlipDirection::OneToZero, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "-row cap")]
+    fn a_flip_row_past_the_module_cap_is_refused() {
+        FlipEvent::new(RowId(MAX_ROWS), 0, FlipDirection::OneToZero, 0);
+    }
+
+    #[test]
+    fn debug_prints_the_unpacked_fields() {
+        let e = FlipEvent::new(RowId(7), 130, FlipDirection::ZeroToOne, 5_905_720);
+        assert_eq!(
+            format!("{e:?}"),
+            "FlipEvent { row: RowId(7), bit: 130, direction: ZeroToOne, time_ns: 5905720 }"
+        );
+    }
+
+    #[test]
     fn record_flip_updates_both_counters_and_log() {
         let mut s = DramStats::default();
-        s.record_flip(FlipEvent {
-            row: RowId(1),
-            bit: 2,
-            direction: FlipDirection::OneToZero,
-            time_ns: 5,
-        });
-        s.record_flip(FlipEvent {
-            row: RowId(1),
-            bit: 3,
-            direction: FlipDirection::ZeroToOne,
-            time_ns: 6,
-        });
+        s.record_flip(FlipEvent::new(RowId(1), 2, FlipDirection::OneToZero, 5));
+        s.record_flip(FlipEvent::new(RowId(1), 3, FlipDirection::ZeroToOne, 6));
         assert_eq!(s.flips_one_to_zero, 1);
         assert_eq!(s.flips_zero_to_one, 1);
         assert_eq!(s.total_flips(), 2);
@@ -197,33 +293,24 @@ mod tests {
         let mut s = DramStats::default();
         s.flip_log.set_capacity(4);
         for i in 0..100 {
-            s.record_flip(FlipEvent {
-                row: RowId(i % 7),
-                bit: i,
-                direction: if i % 2 == 0 {
-                    FlipDirection::OneToZero
-                } else {
-                    FlipDirection::ZeroToOne
-                },
-                time_ns: i,
-            });
+            s.record_flip(FlipEvent::new(
+                RowId(i % 7),
+                i,
+                if i % 2 == 0 { FlipDirection::OneToZero } else { FlipDirection::ZeroToOne },
+                i,
+            ));
         }
         assert_eq!(s.flip_log.len(), 4);
         assert_eq!(s.flip_log.dropped(), 96);
         assert_eq!(s.total_flips(), s.flip_log.total_recorded());
         // The retained window is the most recent events.
-        assert_eq!(s.flip_log.iter().map(|e| e.bit).collect::<Vec<_>>(), vec![96, 97, 98, 99]);
+        assert_eq!(s.flip_log.iter().map(|e| e.bit()).collect::<Vec<_>>(), vec![96, 97, 98, 99]);
     }
 
     #[test]
     fn stat_source_snapshot_matches_counters() {
         let mut s = DramStats { activations: 3, reads: 2, ..DramStats::default() };
-        s.record_flip(FlipEvent {
-            row: RowId(0),
-            bit: 0,
-            direction: FlipDirection::OneToZero,
-            time_ns: 1,
-        });
+        s.record_flip(FlipEvent::new(RowId(0), 0, FlipDirection::OneToZero, 1));
         let mut c = cta_telemetry::Counters::new("t");
         c.record(&s);
         let g = c.group("dram").unwrap();

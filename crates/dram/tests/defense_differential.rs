@@ -87,11 +87,12 @@ fn observe(
 ) -> (Vec<Vec<u8>>, Vec<u8>, String, u64, String) {
     let contents = m.peek(0, m.capacity_bytes() as usize).unwrap();
     let log = m.take_flip_log();
-    let flips: String = std::iter::once(format!("dropped={};", log.dropped))
-        .chain(
-            log.iter().map(|e| format!("{:?}/{:?}/{:?}/{};", e.row, e.bit, e.direction, e.time_ns)),
-        )
-        .collect();
+    let flips: String =
+        std::iter::once(format!("dropped={};", log.dropped))
+            .chain(log.iter().map(|e| {
+                format!("{:?}/{:?}/{:?}/{};", e.row(), e.bit(), e.direction(), e.time_ns())
+            }))
+            .collect();
     let mut counters = Counters::new("diff");
     counters.record(m.stats());
     (peeks, contents, flips, m.now_ns(), counters.to_json())
@@ -180,14 +181,14 @@ fn softtrr_protects_only_neighbors_of_protected_rows() {
     m.fill(2 * 4096, 4096, 0xFF).unwrap();
     m.fill(6 * 4096, 4096, 0xFF).unwrap();
     m.hammer_double_sided(RowId(2)).unwrap();
-    let protected_flips = m.stats().flip_log.iter().filter(|e| e.row == RowId(2)).count();
+    let protected_flips = m.stats().flip_log.iter().filter(|e| e.row() == RowId(2)).count();
     assert_eq!(protected_flips, 0, "SoftTRR must keep the protected row clean");
     assert!(m.defense_stats().targeted_refreshes > 0);
 
     // Unprotected victim row 6 in the same module: stock behavior, flips.
     m.advance(m.config().refresh_interval_ns); // fresh window
     m.hammer_double_sided(RowId(6)).unwrap();
-    let unprotected_flips = m.stats().flip_log.iter().filter(|e| e.row == RowId(6)).count();
+    let unprotected_flips = m.stats().flip_log.iter().filter(|e| e.row() == RowId(6)).count();
     assert!(unprotected_flips > 0, "rows without protected neighbors see stock behavior");
 }
 

@@ -51,7 +51,7 @@ fn long_campaign_keeps_flip_log_bounded_with_exact_totals() {
     assert!(stats.flip_log.dropped() > 0);
     // The retained window holds the most recent events: all from late in
     // the run, in non-decreasing time order.
-    let times: Vec<u64> = stats.flip_log.iter().map(|e| e.time_ns).collect();
+    let times: Vec<u64> = stats.flip_log.iter().map(|e| e.time_ns()).collect();
     assert!(times.windows(2).all(|w| w[0] <= w[1]));
 }
 

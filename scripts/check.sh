@@ -154,8 +154,10 @@ echo "==> malformed recordings fail with an error, not a panic, an abort or a ha
 # one-page templating arena, a 2^40-page spray file, a 2^50-byte
 # machine and a 2^45-byte one (2^33 rows of 4 KiB, both past the 2^32-row
 # cap), a machine of 3 KiB rows (not a power of two), one of 512 MiB
-# rows (past the row-width cap) and a trial whose seed its spec never ran
-# must replay to a typed error. Each replay
+# rows (past the row-width cap), a trial whose seed its spec never ran and
+# flips at bit 2^31 + 130 or row 2^32 + 7 (past what a row or a module
+# holds, which a 16-byte flip event would truncate to the golden's own
+# first flip) must replay to a typed error. Each replay
 # must exit 1, replay-check's failure status: not 101 (a panic), 134 (an
 # abort) or 124 (`timeout` fired).
 mutants=$(mktemp -d)
@@ -178,6 +180,8 @@ mutate spray-small 's/"memory_bytes": 8388608, "row_bytes": 4096/"memory_bytes":
     spray-rows-2e29
 mutate spray-small 's/"memory_bytes": 8388608/"memory_bytes": 35184372088832/' spray-memory-2e45
 mutate spray-small 's/{"seed": 1, /{"seed": 999, /' spray-trial-seed-999
+mutate spray-small 's/"flips": \[\[7, 130, 0,/"flips": [[7, 2147483778, 0,/' spray-flip-bit-2e31
+mutate spray-small 's/"flips": \[\[7, 130, 0,/"flips": [[4294967303, 130, 0,/' spray-flip-row-2e32
 for f in "$mutants"/*.recording.json; do
     status=0
     timeout 60 cargo run --release -q -p cta-bench --bin replay-check -- "$f" \
